@@ -3,7 +3,8 @@
 Subcommands: `construct krawtchouk`, `construct leonard`, `verify`,
 `report`.  Exit codes: 0 when at least one system is found and every check
 passes, 1 when an axiom fails or a residual is nonzero, 2 on malformed
-input or inadmissible parameters.
+input or inadmissible parameters, 3 when the program finds itself
+inconsistent (a bug, not a property of the input).
 """
 from __future__ import annotations
 
@@ -263,8 +264,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_report(args)
-    except InternalInconsistencyError:
-        raise
+    except InternalInconsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (TdpairError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -46,7 +46,11 @@ def is_prime(n: int) -> bool:
 
 
 class Fp:
-    """Residue modulo a prime p.  Immutable; interoperates with int."""
+    """Residue modulo a prime p.  Immutable; interoperates with int.
+
+    Arithmetic reduces ints modulo p, but an int compares equal to a
+    residue only when it is that residue's canonical value in [0, p).
+    """
 
     __slots__ = ("val", "p")
 
@@ -123,7 +127,7 @@ class Fp:
         v = self._other_val(other)
         if v is None:
             return NotImplemented
-        return (self.val - v) % self.p == 0
+        return self.val == v
 
     def __hash__(self):
         return hash(self.val)

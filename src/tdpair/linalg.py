@@ -5,6 +5,7 @@ subspaces are equal exactly when their basis matrices are identical.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -13,7 +14,7 @@ from .errors import (DecompositionError, DimensionError,
                      FactorialInversionError, FieldMismatchError,
                      NotDiagonalizableError, NotNilpotentError,
                      SingularMatrixError)
-from .fields import Field, PrimeField, QQ, Scalar
+from .fields import Field, PrimeField, Scalar, is_prime
 from .matrix import Matrix
 
 
@@ -219,75 +220,205 @@ def solve_right(m: Matrix, vec: Sequence) -> Optional[Tuple[Scalar, ...]]:
 # -- characteristic polynomial and eigenvalues ---------------------------
 
 
-def charpoly_rational(m: Matrix) -> List[Fraction]:
-    """Coefficients [1, c1, ..., cn] of det(xI - M), rationals only."""
-    if m.field != QQ:
-        raise FieldMismatchError("charpoly_rational needs a rational matrix")
+def charpoly(m: Matrix) -> List[Scalar]:
+    """Coefficients [1, c1, ..., cn] of det(xI - M) over m's field.
+
+    M is brought to upper Hessenberg form H by elimination similarities,
+    then det(xI - H) follows from the recurrence along H's columns.  Both
+    take O(n^3) field operations and divide only by pivots, never by an
+    integer, so they hold in every characteristic.
+    """
     m._require_square()
     n = m.nrows
-    coeffs = [Fraction(1)]
-    mk = m
-    ident = Matrix.identity(QQ, n)
-    for k in range(1, n + 1):
-        ck = -mk.trace() / k
-        coeffs.append(ck)
-        if k < n:
-            mk = m * (mk + ident.scale(ck))
-    return coeffs
+    zero, one = m.field.zero, m.field.one
+    h = [list(row) for row in m.rows]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        t = h[j + 1][j]
+        for k in range(j + 2, n):
+            u = h[k][j] / t
+            if u:
+                h[k] = [a - u * b for a, b in zip(h[k], h[j + 1])]
+                for row in h:
+                    row[j + 1] = row[j + 1] + u * row[k]
+    # polys[k] = det(xI - H[:k, :k]), coefficients in ascending degree
+    polys = [[one]]
+    for k in range(n):
+        nxt = [zero] + polys[k]
+        for i, c in enumerate(polys[k]):
+            nxt[i] = nxt[i] - h[k][k] * c
+        t = one
+        for i in range(k, 0, -1):
+            t = t * h[i][i - 1]
+            f = h[i - 1][k] * t
+            if f:
+                for e, c in enumerate(polys[i - 1]):
+                    nxt[e] = nxt[e] - f * c
+        polys.append(nxt)
+    return polys[n][::-1]
 
 
-def _divisors(n: int) -> List[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+# Dense univariate polynomials as coefficient lists in ascending degree with
+# no trailing zero, over GF(p) on raw ints when p > 0 and over the
+# rationals on Fractions when p == 0.
+
+
+def _trim(f: list) -> list:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _poly_divmod(f: list, g: list, p: int) -> Tuple[list, list]:
+    inv = pow(g[-1], -1, p) if p else 1 / Fraction(g[-1])
+    dg = len(g) - 1
+    rem = list(f)
+    quo = [0] * max(len(f) - dg, 0)
+    for i in reversed(range(len(quo))):
+        c = rem[i + dg] * inv
+        if p:
+            c %= p
+        quo[i] = c
+        for j, gj in enumerate(g):
+            rem[i + j] -= c * gj
+    if p:
+        rem = [c % p for c in rem]
+    return _trim(quo), _trim(rem[:dg])
+
+
+def _poly_gcd(f: list, g: list, p: int) -> list:
+    """Monic greatest common divisor of f and g, not both zero."""
+    while g:
+        f, g = g, _poly_divmod(f, g, p)[1]
+    inv = pow(f[-1], -1, p) if p else 1 / Fraction(f[-1])
+    return [c * inv % p if p else c * inv for c in f]
+
+
+def _minus_monomial(f: list, k: int, p: int) -> list:
+    """f - x^k over GF(p)."""
+    h = f + [0] * (k + 1 - len(f))
+    h[k] = (h[k] - 1) % p
+    return _trim(h)
+
+
+def _poly_mul(f: list, g: list, p: int) -> list:
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return _trim([c % p for c in out])
+
+
+def _poly_powmod(base: list, e: int, f: list, p: int) -> list:
+    """base^e modulo f over GF(p), by repeated squaring."""
+    result = [1]
+    base = _poly_divmod(base, f, p)[1]
+    while e:
+        if e & 1:
+            result = _poly_divmod(_poly_mul(result, base, p), f, p)[1]
+        e >>= 1
+        if e:
+            base = _poly_divmod(_poly_mul(base, base, p), f, p)[1]
+    return result
+
+
+def _poly_eval(f: list, x: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _derivative(f: list) -> list:
+    return _trim([k * c for k, c in enumerate(f)][1:])
+
+
+def _roots_mod_p(f: list, p: int) -> List[int]:
+    """Sorted distinct roots in [0, p) of f, a nonzero polynomial mod p.
+
+    g = gcd(f, x^p - x) is the product of the distinct linear factors of
+    f; Cantor-Zassenhaus splits it with the shifts a = 0, 1, 2, ... in
+    turn, so that the same input always takes the same steps.
+    """
+    if p == 2:
+        return [x for x in (0, 1) if _poly_eval(f, x) % 2 == 0]
+    g = _poly_gcd(f, _minus_monomial(_poly_powmod([0, 1], p, f, p), 1, p), p)
+    roots: List[int] = []
+    pending = [g]
+    while pending:
+        g = pending.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+            continue
+        if len(g) < 2:
+            continue
+        a = 0
+        while True:
+            h = _poly_powmod([a, 1], (p - 1) // 2, g, p)
+            d = _poly_gcd(g, _minus_monomial(h, 0, p), p)
+            if 1 < len(d) < len(g):
+                pending += [d, _poly_divmod(g, d, p)[0]]
+                break
+            a += 1
+    return sorted(roots)
+
+
+def _integer_roots(f: List[int]) -> List[int]:
+    """Integer roots of a monic integer polynomial f (ascending degree).
+
+    The square-free part g has the same roots.  Modulo the first odd prime
+    p that keeps g square-free, every integer root reduces to a simple root
+    mod p, which Newton's iteration lifts uniquely to one modulo p^(2^k)
+    above twice the Cauchy bound 1 + max |g_i|.  The symmetric residue of
+    each lift is kept when it is an exact root.
+    """
+    g = _poly_divmod(f, _poly_gcd(f, _derivative(f), 0), 0)[0]
+    g = [int(c) for c in g]
+    if len(g) < 2:
+        return []
+    dg = _derivative(g)
+    p = 3
+    while len(_poly_gcd([c % p for c in g], _trim([c % p for c in dg]),
+                        p)) > 1:
+        p += 2
+        while not is_prime(p):
+            p += 2
+    bound = 1 + max(abs(c) for c in g[:-1])
+    roots = []
+    for r in _roots_mod_p([c % p for c in g], p):
+        mod = p
+        while mod <= 2 * bound:
+            mod *= mod
+            r = (r - _poly_eval(g, r) * pow(_poly_eval(dg, r), -1, mod)) % mod
+        if 2 * r > mod:
+            r -= mod
+        if _poly_eval(g, r) == 0:
+            roots.append(r)
+    return roots
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
     """All rational roots of a polynomial given by Fraction coefficients.
 
     coeffs[k] is the coefficient of x^(deg-k); coeffs[0] must be nonzero.
+    With the denominators cleared to integers a_0, ..., a_n, the roots are
+    y / a_0 for the integer roots y of the monic a_0^(n-1) f(y / a_0).
     """
     if not coeffs or not coeffs[0]:
         raise DimensionError("leading coefficient must be nonzero")
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in coeffs]
-    roots: List[Fraction] = []
-    # strip x^k factor: zero is a root iff the trailing coefficient vanishes
-    while ints and ints[-1] == 0:
-        ints.pop()
-        if Fraction(0) not in roots:
-            roots.append(Fraction(0))
-    if len(ints) <= 1:
-        return sorted(roots)
-    lead, trail = ints[0], ints[-1]
-    seen = set(roots)
-    for p in _divisors(trail):
-        for q in _divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                acc = Fraction(0)
-                for c in ints:
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.append(cand)
-    return sorted(roots)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    lead = ints[0]
+    monic = [c * lead ** (k - 1) for k, c in enumerate(ints[1:], start=1)]
+    roots = _integer_roots(monic[::-1] + [1])
+    return sorted(Fraction(y, lead) for y in roots)
 
 
 @dataclass(frozen=True)
@@ -301,17 +432,21 @@ class EigenData:
 def eigenvalues_in_field(m: Matrix) -> EigenData:
     """All eigenvalues of m lying in its base field, with eigenspaces.
 
-    Over the rationals the candidates come from the rational-root search on
-    the cleared characteristic polynomial; over GF(p) every field element
-    is tested.  Results are sorted by the field's canonical scalar order.
+    The candidates are the roots in the field of the characteristic
+    polynomial: over GF(p) from _roots_mod_p, over the rationals those of
+    D M, for D the lcm of the entry denominators, from rational_roots.
+    Each candidate is confirmed by its kernel.  Results are sorted by the
+    field's canonical scalar order.
     """
     m._require_square()
     n = m.nrows
     field = m.field
     if isinstance(field, PrimeField):
-        candidates: List[Scalar] = list(field.elements())
+        poly = [c.val for c in reversed(charpoly(m))]
+        candidates = [field.from_int(r) for r in _roots_mod_p(poly, field.p)]
     else:
-        candidates = list(rational_roots(charpoly_rational(m)))
+        den = math.lcm(*(x.denominator for row in m.rows for x in row))
+        candidates = [r / den for r in rational_roots(charpoly(m.scale(den)))]
     ident = Matrix.identity(field, n)
     pairs = []
     total = 0

@@ -3,6 +3,7 @@ files, and byte-level determinism."""
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 try:
@@ -12,7 +13,8 @@ except ModuleNotFoundError:  # Python 3.10
 
 import pytest
 
-from tdpair import CHECK_IDS, SCHEMA_VERSION
+import tdpair.cli
+from tdpair import CHECK_IDS, SCHEMA_VERSION, InternalInconsistencyError
 from tdpair.cli import CSV_HEADER, main
 
 
@@ -130,6 +132,31 @@ def test_verify_rejection(tmp_path, capsys):
     assert doc["ok"] is False
     assert doc["systems"] == []
     assert doc["rejection"]["reason"] == "reducible"
+
+
+@pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1])
+def test_large_prime_field_in_time(p, tmp_path, capsys):
+    path = str(tmp_path / "pair.json")
+    start = time.perf_counter()
+    rc, _, err = run_cli(capsys, ["construct", "krawtchouk", "--d", "3",
+                                  "--p", "3", "--field", f"prime:{p}",
+                                  "--out", path])
+    assert rc == 0, err
+    rc, out, err = run_cli(capsys, ["verify", path])
+    assert time.perf_counter() - start < 2
+    assert rc == 0, err
+    assert json.loads(out)["ok"] is True
+
+
+def test_internal_error_exit_code(stored_kraw2, capsys, monkeypatch):
+    def broken(a, astar):
+        raise InternalInconsistencyError("split summands overlap")
+
+    monkeypatch.setattr(tdpair.cli, "analyze_pair", broken)
+    rc, out, err = run_cli(capsys, ["verify", stored_kraw2])
+    assert rc == 3
+    assert out == ""
+    assert err == "internal error: split summands overlap\n"
 
 
 def test_verify_beta_contradiction(stored_kraw2, tmp_path, capsys):

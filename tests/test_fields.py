@@ -100,6 +100,25 @@ def test_fp_elements():
     assert len(set(elems)) == 5
 
 
+def test_fp_equals_only_canonical_int():
+    assert Fp(3, 101) == 3 and 3 == Fp(3, 101)
+    assert Fp(3, 101) != 104 and Fp(3, 101) != -98
+    assert Fp(104, 101) == Fp(3, 101)
+    assert len({Fp(3, 101), 104, 3}) == 2
+    assert {Fp(3, 101): "a"}[3] == "a"
+
+
+fp_or_int = st.one_of(
+    st.integers(min_value=-10, max_value=20),
+    st.builds(Fp, st.integers(min_value=-10, max_value=20), st.just(7)))
+
+
+@given(fp_or_int, fp_or_int)
+def test_fp_equal_values_hash_alike(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+
+
 residues = st.integers(min_value=0, max_value=100)
 
 

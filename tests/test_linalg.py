@@ -1,7 +1,8 @@
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tdpair import (DecompositionError, DimensionError,
@@ -12,7 +13,7 @@ from tdpair import (DecompositionError, DimensionError,
                     nilpotent_exp_scaled, projectors_from_direct_sum, rank,
                     rank_kernel, solve_right, subspace_intersect,
                     subspace_sum)
-from tdpair.linalg import charpoly_rational, rational_roots
+from tdpair.linalg import charpoly, rational_roots
 
 GF5 = PrimeField(5)
 
@@ -101,10 +102,10 @@ def test_solve_right():
 
 
 def test_charpoly_pinned():
-    assert charpoly_rational(Matrix.diagonal(QQ, [2, 3])) == \
+    assert charpoly(Matrix.diagonal(QQ, [2, 3])) == \
         [Fraction(1), Fraction(-5), Fraction(6)]
     companion = Matrix(QQ, [[0, 0, 4], [1, 0, -3], [0, 1, 2]])
-    assert charpoly_rational(companion) == \
+    assert charpoly(companion) == \
         [Fraction(1), Fraction(-2), Fraction(3), Fraction(-4)]
 
 
@@ -139,6 +140,95 @@ def test_eigenvalues_prime_field():
     data = eigenvalues_in_field(Matrix(GF5, [[0, 1], [-1, 0]]))
     assert data.diagonalizable
     assert sorted(lam.val for lam, _ in data.pairs) == [2, 3]
+
+
+def scanned_eigenpairs(m):
+    """Reference for eigenvalues_in_field over GF(p): the kernel of
+    m - lam I for every element lam of the field."""
+    ident = Matrix.identity(m.field, m.nrows)
+    pairs = []
+    for lam in m.field.elements():
+        _, ker = rank_kernel(m - ident.scale(lam))
+        if ker.dim:
+            pairs.append((lam, ker))
+    return pairs
+
+
+@st.composite
+def prime_field_matrices(draw):
+    """Square matrices over small prime fields, n up to 6 so that n >= p
+    occurs.  Half are triangular matrices moved by a unitriangular
+    similarity, whose eigenvalues all lie in the field, often repeated."""
+    field = PrimeField(draw(st.sampled_from([2, 3, 5, 7, 13])))
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.integers(min_value=0, max_value=field.p - 1)
+    square = st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    rows = draw(square)
+    if not draw(st.booleans()):
+        return Matrix(field, rows)
+    upper = Matrix(field, [[x if j >= i else 0 for j, x in enumerate(row)]
+                           for i, row in enumerate(rows)])
+    lower = Matrix(field, [[1 if j == i else x if j < i else 0
+                            for j, x in enumerate(row)]
+                           for i, row in enumerate(draw(square))])
+    return lower * upper * inverse(lower)
+
+
+@given(prime_field_matrices())
+def test_eigenvalues_match_field_scan(m):
+    data = eigenvalues_in_field(m)
+    expected = scanned_eigenpairs(m)
+    assert list(data.pairs) == expected
+    assert data.diagonalizable == (sum(k.dim for _, k in expected) == m.nrows)
+
+
+large_rationals = st.builds(Fraction,
+                            st.integers(min_value=-10 ** 12,
+                                        max_value=10 ** 12),
+                            st.integers(min_value=1, max_value=1000))
+
+
+@st.composite
+def unimodular(draw, n):
+    """L U with L lower and U upper unitriangular integer matrices."""
+    small = st.integers(min_value=-3, max_value=3)
+    rows = st.lists(st.lists(small, min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+    lower, upper = draw(rows), draw(rows)
+    lower = Matrix(QQ, [[1 if j == i else x if j < i else 0
+                         for j, x in enumerate(row)]
+                        for i, row in enumerate(lower)])
+    upper = Matrix(QQ, [[1 if j == i else x if j > i else 0
+                         for j, x in enumerate(row)]
+                        for i, row in enumerate(upper)])
+    return lower * upper
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_eigenvalues_of_conjugated_rational_diagonal(data):
+    values = data.draw(st.lists(large_rationals, min_size=1, max_size=4,
+                                unique=True))
+    mults = data.draw(st.lists(st.integers(min_value=1, max_value=3),
+                               min_size=len(values), max_size=len(values)))
+    assume(sum(mults) <= 6)
+    diag = [v for v, k in zip(values, mults) for _ in range(k)]
+    u = data.draw(unimodular(len(diag)))
+    m = u * Matrix.diagonal(QQ, diag) * inverse(u)
+    result = eigenvalues_in_field(m)
+    assert result.diagonalizable
+    expected = sorted(zip(values, mults))
+    assert [(lam, space.dim) for lam, space in result.pairs] == expected
+
+
+def test_large_rational_eigenvalues_in_time():
+    k = Fraction(10 ** 12 + 39, 7)
+    start = time.perf_counter()
+    data = eigenvalues_in_field(Matrix.diagonal(QQ, [k, -k, 1]))
+    assert time.perf_counter() - start < 2
+    assert [lam for lam, _ in data.pairs] == [-k, Fraction(1), k]
+    assert data.diagonalizable
 
 
 def test_lagrange_idempotents_pinned():
