@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
+from .bridge import _denom_ef, _denom_fe
 from .errors import (InternalInconsistencyError, NotLeonardSystemError,
                      SingularMatrixError)
 from .fields import Field, Scalar
@@ -429,35 +430,25 @@ def check_section11(sys: TridiagonalSystem,
         out.append(ScalarResidual("section11.c.phi", (i,),
                                   lhs - _gap_rhs(i)))
 
-    def _denom_fe(seq: Sequence[Scalar], i: int, j: int) -> Scalar:
-        val = field.one
-        for k in range(i, j):
-            val = val * (seq[j] - seq[k])
-        return val
-
-    def _denom_ef(seq: Sequence[Scalar], i: int, j: int) -> Scalar:
-        val = field.one
-        for k in range(i + 1, j + 1):
-            val = val * (seq[i] - seq[k])
-        return val
-
     for i in range(d + 1):
         for j in range(i + 2, d + 1):
             total = field.zero
             for s in range(i, j + 1):
-                total = total + th[s] / (_denom_ef(ts, i, s)
-                                         * _denom_fe(ts, s, j))
+                total = total + th[s] / (_denom_ef(field, ts, i, s)
+                                         * _denom_fe(field, ts, s, j))
             for s in range(max(0, i - 1), min(j, d - 1) + 1):
                 total = total + data.phi_at(s + 1) / (
-                    _denom_ef(ts, i, s + 1) * _denom_fe(ts, s, j))
+                    _denom_ef(field, ts, i, s + 1)
+                    * _denom_fe(field, ts, s, j))
             out.append(ScalarResidual("section11.sums", (i, j), total))
             total = field.zero
             for s in range(i, j + 1):
-                total = total + ts[s] / (_denom_ef(th, i, s)
-                                         * _denom_fe(th, s, j))
+                total = total + ts[s] / (_denom_ef(field, th, i, s)
+                                         * _denom_fe(field, th, s, j))
             for s in range(max(0, i - 1), min(j, d - 1) + 1):
                 total = total + data.phi_at(s + 1) / (
-                    _denom_ef(th, i, s + 1) * _denom_fe(th, s, j))
+                    _denom_ef(field, th, i, s + 1)
+                    * _denom_fe(field, th, s, j))
             out.append(ScalarResidual("section11.sums.dual", (i, j), total))
 
     def phi_or_zero(i: int) -> Scalar:

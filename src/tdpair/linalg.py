@@ -462,46 +462,82 @@ def eigenvalues_in_field(m: Matrix) -> EigenData:
 
 
 def lagrange_idempotents(m: Matrix, thetas: Sequence[Scalar]) -> List[Matrix]:
-    """Primitive idempotents of a diagonalizable matrix via the Lagrange
-    product: E_i = prod_{j != i} (M - theta_j I) / (theta_i - theta_j).
+    """Primitive idempotents E_i of a diagonalizable matrix, in the order of
+    its eigenvalue list thetas.
 
-    Raises NotDiagonalizableError when the defining facts fail, which
-    happens exactly when m is not diagonalizable with eigenvalue list
-    thetas.
+    The eigenspace bases B_i, side by side, form one invertible matrix P,
+    and E_i is B_i times the matching rows of P^-1.  The two products
+    P^-1 P = I and M P = P diag(theta) together say that the E_i are
+    orthogonal idempotents with sum I and sum theta_i E_i = M.
+
+    Raises NotDiagonalizableError when m is not diagonalizable with
+    eigenvalue list thetas.
     """
     m._require_square()
     field = m.field
     ths = [field.coerce(t) for t in thetas]
     if len(set(ths)) != len(ths):
         raise DimensionError("repeated eigenvalue in idempotent construction")
+    # with one eigenvalue the fact that fails is M = theta I, with more
+    # it is orthogonality
+    if len(ths) > 1:
+        failure = "idempotent orthogonality failed"
+    else:
+        failure = "idempotents do not resolve the identity"
+    failure += "; matrix is not diagonalizable with the given eigenvalues"
     n = m.nrows
     ident = Matrix.identity(field, n)
-    shifted = [m - ident.scale(t) for t in ths]
+    bases = [rank_kernel(m - ident.scale(t))[1].basis for t in ths]
+    if not all(bases) or sum(len(b) for b in bases) != n:
+        raise NotDiagonalizableError(failure)
+    # eigenspaces of distinct eigenvalues are independent, so P is square
+    # and invertible
+    p = Matrix.from_columns(field, [col for b in bases for col in b])
+    p_inv = inverse(p)
+    p_diag = Matrix.from_columns(field, [tuple(t * x for x in col)
+                                         for t, b in zip(ths, bases)
+                                         for col in b])
+    if p_inv * p != ident or m * p != p_diag:
+        raise NotDiagonalizableError(failure)
     idems = []
-    for i, ti in enumerate(ths):
-        acc = ident
-        for j, tj in enumerate(ths):
-            if j == i:
-                continue
-            acc = acc * shifted[j].scale(field.one / (ti - tj))
-        idems.append(acc)
-    total = Matrix.zeros(field, n, n)
-    recon = Matrix.zeros(field, n, n)
-    for i, e in enumerate(idems):
-        for j, f in enumerate(idems):
-            prod = e * f
-            expect = e if i == j else Matrix.zeros(field, n, n)
-            if prod != expect:
-                raise NotDiagonalizableError(
-                    "idempotent orthogonality failed; matrix is not "
-                    "diagonalizable with the given eigenvalues")
-        total = total + e
-        recon = recon + e.scale(ths[i])
-    if total != ident or recon != m:
-        raise NotDiagonalizableError(
-            "idempotents do not resolve the identity; matrix is not "
-            "diagonalizable with the given eigenvalues")
+    offset = 0
+    for b in bases:
+        rows = p_inv.rows[offset:offset + len(b)]
+        idems.append(Matrix.from_columns(field, b)
+                     * Matrix(field, rows, _trusted=True))
+        offset += len(b)
     return idems
+
+
+def rank_factorization(m: Matrix) -> Optional[Tuple[Matrix, Matrix]]:
+    """(B, C) with m = B C, or None when m is zero.
+
+    B is the canonical basis of m's column space and C holds the rows of m
+    at B's pivot rows, so B has full column rank and C full row rank.  Hence
+    rank(X m) = rank(X B), and rank(m X m') = rank(C X B') for the factors
+    (B', C') of m': ranks of products with idempotents or projectors are
+    ranks of thin blocks.
+    """
+    space = Subspace.column_space(m)
+    if not space.dim:
+        return None
+    return (space.basis_matrix(),
+            Matrix(m.field, tuple(m.rows[p] for p in space.pivots),
+                   _trusted=True))
+
+
+def rank_right(x: Matrix, factors: Optional[Tuple[Matrix, Matrix]]) -> int:
+    """rank(X M) from the rank factorization (B, C) of M: rank(X B)."""
+    return 0 if factors is None else rank(x * factors[0])
+
+
+def rank_between(left: Optional[Tuple[Matrix, Matrix]], x: Matrix,
+                 right: Optional[Tuple[Matrix, Matrix]]) -> int:
+    """rank(M X M') from the rank factorizations of M and M': the rank of
+    the thin block C X B'."""
+    if left is None or right is None:
+        return 0
+    return rank(left[1] * (x * right[0]))
 
 
 def projectors_from_direct_sum(parts: Sequence[Subspace]) -> List[Matrix]:

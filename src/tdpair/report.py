@@ -1,13 +1,11 @@
 """Run the check suite on a system and assemble a deterministic report.
 
-Checks may execute concurrently; assembly is sequential in a fixed order,
-and serialized reports are byte-identical across runs.
+Checks run one after another in a fixed order, and serialized reports
+are byte-identical across runs.
 """
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -105,19 +103,10 @@ class VerificationReport:
         }
 
 
-def _resolve_workers(max_workers: Optional[int]) -> int:
-    if max_workers is not None:
-        return max(1, int(max_workers))
-    try:
-        return max(1, int(os.environ.get("TDPAIR_THREADS", "")))
-    except ValueError:
-        return 1
-
-
 def run_all_checks(sys: TridiagonalSystem,
                    params: Optional[RelationParameters] = None,
-                   checks: Optional[Sequence[str]] = None,
-                   max_workers: Optional[int] = None) -> VerificationReport:
+                   checks: Optional[Sequence[str]] = None
+                   ) -> VerificationReport:
     """Run the selected checks (all by default) and assemble the report.
 
     Checks not applicable to the input (the multiplicity-free suite on a
@@ -174,25 +163,13 @@ def run_all_checks(sys: TridiagonalSystem,
         return CheckResult(check_id, STATUS_PASS if clean else STATUS_FAIL,
                            None, residuals, tables, elapsed)
 
-    runnable = [c for c in wanted if c not in skip]
-    outcomes: Dict[str, CheckResult] = {}
-    workers = _resolve_workers(max_workers)
-    if workers > 1 and len(runnable) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {c: pool.submit(execute, c) for c in runnable}
-            for c in runnable:
-                outcomes[c] = futures[c].result()
-    else:
-        for c in runnable:
-            outcomes[c] = execute(c)
-
     results = []
     for c in wanted:
         if c in skip:
             results.append(CheckResult(c, STATUS_SKIPPED, skip[c],
                                        (), (), 0.0))
         else:
-            results.append(outcomes[c])
+            results.append(execute(c))
 
     rel_a, rel_astar = check_tridiagonal_relations(sys, params)
     relation_residuals = (Residual("relations.A", (), rel_a),

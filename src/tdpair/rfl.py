@@ -12,7 +12,7 @@ from typing import Dict, List, Optional
 
 from .errors import InternalInconsistencyError
 from .fields import Scalar
-from .linalg import rank
+from .linalg import rank_between, rank_factorization, rank_right
 from .matrix import Matrix, commutator
 from .results import RankEntry, RankTable, Residual
 from .systems import (RelationParameters, TridiagonalSystem,
@@ -228,13 +228,20 @@ def check_section5(sys: TridiagonalSystem, rfl: RFLDecomposition,
 def check_section10(sys: TridiagonalSystem, rfl: RFLDecomposition
                     ) -> RankTable:
     """Observed against predicted ranks for powers of R and L between dual
-    eigenspaces, and for the two-sided sandwiches of powers of A and A*."""
+    eigenspaces, and for the two-sided sandwiches of powers of A and A*.
+
+    Each idempotent enters through its rank factorization, so every rank
+    is taken of an n x rho_j or rho_i x rho_j block instead of an n x n
+    product.
+    """
     d = sys.d
     rho = sys.shape
     r_pow = _powers(rfl.raising, d)
     l_pow = _powers(rfl.lowering, d)
     a_pow = _powers(sys.A, d)
     astar_pow = _powers(sys.Astar, d)
+    e = [rank_factorization(x) for x in sys.E]
+    es = [rank_factorization(x) for x in sys.Estar]
     entries: List[RankEntry] = []
     for i in range(d + 1):
         for j in range(i, d + 1):
@@ -242,21 +249,19 @@ def check_section10(sys: TridiagonalSystem, rfl: RFLDecomposition
             expected_up = rho[i] if i + j <= d else rho[j]
             expected_down = rho[j] if i + j >= d else rho[i]
             entries.append(RankEntry(
-                "R_power", i, j, rank(r_pow[k] * sys.Estar[i]), expected_up))
+                "R_power", i, j, rank_right(r_pow[k], es[i]), expected_up))
             entries.append(RankEntry(
-                "L_power", i, j, rank(l_pow[k] * sys.Estar[j]),
+                "L_power", i, j, rank_right(l_pow[k], es[j]),
                 expected_down))
             low = min(rho[i], rho[j])
             entries.append(RankEntry(
-                "EsAEs", i, j,
-                rank(sys.Estar[i] * a_pow[k] * sys.Estar[j]), low))
+                "EsAEs", i, j, rank_between(es[i], a_pow[k], es[j]), low))
             entries.append(RankEntry(
-                "EsAEs_rev", i, j,
-                rank(sys.Estar[j] * a_pow[k] * sys.Estar[i]), low))
+                "EsAEs_rev", i, j, rank_between(es[j], a_pow[k], es[i]),
+                low))
             entries.append(RankEntry(
-                "EAsE", i, j,
-                rank(sys.E[i] * astar_pow[k] * sys.E[j]), low))
+                "EAsE", i, j, rank_between(e[i], astar_pow[k], e[j]), low))
             entries.append(RankEntry(
-                "EAsE_rev", i, j,
-                rank(sys.E[j] * astar_pow[k] * sys.E[i]), low))
+                "EAsE_rev", i, j, rank_between(e[j], astar_pow[k], e[i]),
+                low))
     return RankTable("section10", tuple(entries))

@@ -10,6 +10,7 @@ from typing import List, Tuple
 
 from .errors import InternalInconsistencyError
 from .linalg import (Subspace, projectors_from_direct_sum, rank,
+                     rank_between, rank_factorization, rank_right,
                      subspace_intersect, subspace_sum)
 from .matrix import Matrix
 from .results import RankEntry, RankTable, Residual
@@ -230,12 +231,19 @@ def check_split_bijectivity(sys: TridiagonalSystem,
                             split: SplitDecomposition) -> RankTable:
     """Observed against predicted ranks for powers of the shifted maps
     between summands, and for the pairings of each summand with its
-    eigenspace and dual eigenspace."""
+    eigenspace and dual eigenspace.
+
+    Projectors and idempotents enter through their rank factorizations, so
+    every rank is taken of an n x rho_j or rho_i x rho_j block.
+    """
     d = sys.d
     rho = sys.shape
-    proj = split.projectors
-    r_pow = [Matrix.identity(sys.field, sys.n)]
-    l_pow = [Matrix.identity(sys.field, sys.n)]
+    proj = [rank_factorization(f) for f in split.projectors]
+    e = [rank_factorization(x) for x in sys.E]
+    es = [rank_factorization(x) for x in sys.Estar]
+    ident = Matrix.identity(sys.field, sys.n)
+    r_pow = [ident]
+    l_pow = [ident]
     for _ in range(d):
         r_pow.append(r_pow[-1] * split.raising)
         l_pow.append(l_pow[-1] * split.lowering)
@@ -244,18 +252,18 @@ def check_split_bijectivity(sys: TridiagonalSystem,
         for j in range(i, d + 1):
             k = j - i
             entries.append(RankEntry(
-                "calR", i, j, rank(r_pow[k] * proj[i]),
+                "calR", i, j, rank_right(r_pow[k], proj[i]),
                 rho[i] if i + j <= d else rho[j]))
             entries.append(RankEntry(
-                "calL", i, j, rank(l_pow[k] * proj[j]),
+                "calL", i, j, rank_right(l_pow[k], proj[j]),
                 rho[j] if i + j >= d else rho[i]))
     for i in range(d + 1):
         entries.append(RankEntry(
-            "FEstar", i, i, rank(proj[i] * sys.Estar[i]), rho[i]))
+            "FEstar", i, i, rank_between(proj[i], ident, es[i]), rho[i]))
         entries.append(RankEntry(
-            "EstarF", i, i, rank(sys.Estar[i] * proj[i]), rho[i]))
+            "EstarF", i, i, rank_between(es[i], ident, proj[i]), rho[i]))
         entries.append(RankEntry(
-            "FE", i, i, rank(proj[i] * sys.E[i]), rho[i]))
+            "FE", i, i, rank_between(proj[i], ident, e[i]), rho[i]))
         entries.append(RankEntry(
-            "EF", i, i, rank(sys.E[i] * proj[i]), rho[i]))
+            "EF", i, i, rank_between(e[i], ident, proj[i]), rho[i]))
     return RankTable("section7", tuple(entries))

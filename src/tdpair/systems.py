@@ -15,7 +15,7 @@ from .errors import (ContradictionError, FieldMismatchError,
                      InternalInconsistencyError, MalformedInputError)
 from .fields import Field, Fp, PrimeField, QQ, Scalar, field_from_descriptor
 from .linalg import (Subspace, eigenvalues_in_field, lagrange_idempotents,
-                     rank)
+                     rank, rank_factorization)
 from .matrix import Matrix
 
 REASON_NOT_DIAGONALIZABLE = "not diagonalizable"
@@ -108,16 +108,30 @@ class RelationParameters:
 # -- pair recognition ------------------------------------------------------
 
 
-def _adjacency(idems: Sequence[Matrix], other: Matrix) -> List[set]:
-    """Vertex i ~ j when either mixed block E_i other E_j or its reverse
-    is nonzero; the orderings that work are exactly the path traversals."""
-    k = len(idems)
-    cached = [other * e for e in idems]
+def _block_pattern(idems: Sequence[Matrix], other: Matrix
+                   ) -> Tuple[Tuple[int, ...], Tuple[Tuple[bool, ...], ...]]:
+    """Ranks of nonzero idempotents, and nonzero[i][j]: whether the block
+    E_i other E_j is nonzero.
+
+    With E_i = B_i C_i its rank factorization, B_i of full column rank and
+    C_i of full row rank, that block is zero exactly when the
+    rho_i x rho_j block C_i other B_j is.
+    """
+    factors = [rank_factorization(e) for e in idems]
+    images = [other * b for b, _ in factors]
+    nonzero = tuple(tuple(not (c * img).is_zero() for img in images)
+                    for _, c in factors)
+    return tuple(b.ncols for b, _ in factors), nonzero
+
+
+def _adjacency(nonzero: Sequence[Sequence[bool]]) -> List[set]:
+    """Vertex i ~ j when either mixed block E_i X E_j or its reverse is
+    nonzero; the orderings that work are exactly the path traversals."""
+    k = len(nonzero)
     adj = [set() for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            if (not (idems[i] * cached[j]).is_zero()
-                    or not (idems[j] * cached[i]).is_zero()):
+            if nonzero[i][j] or nonzero[j][i]:
                 adj[i].add(j)
                 adj[j].add(i)
     return adj
@@ -333,10 +347,8 @@ def _find_invariant_subspace(a: Matrix, b: Matrix,
     return None
 
 
-def _compute_shape(d: int, e_list: Sequence[Matrix],
-                   estar_list: Sequence[Matrix]) -> Tuple[int, ...]:
-    rho = [rank(e) for e in e_list]
-    rho_star = [rank(e) for e in estar_list]
+def _compute_shape(d: int, rho: Sequence[int],
+                   rho_star: Sequence[int]) -> Tuple[int, ...]:
     for i in range(d + 1):
         if not (rho[i] == rho[d - i] == rho_star[i] == rho_star[d - i]):
             raise InternalInconsistencyError(
@@ -349,63 +361,54 @@ def _compute_shape(d: int, e_list: Sequence[Matrix],
     return tuple(rho)
 
 
-def _validate_idempotent_family(m: Matrix, idems: Sequence[Matrix],
-                                thetas: Sequence[Scalar]) -> None:
-    field = m.field
-    n = m.nrows
-    zero = Matrix.zeros(field, n, n)
-    total = zero
-    recon = zero
-    for i, e in enumerate(idems):
-        for j, f in enumerate(idems):
-            prod = e * f
-            expect = e if i == j else zero
-            if prod != expect:
-                raise InternalInconsistencyError(
-                    "idempotent family is not orthogonal")
-        total = total + e
-        recon = recon + e.scale(thetas[i])
-    if total != Matrix.identity(field, n):
-        raise InternalInconsistencyError("idempotents do not sum to I")
-    if recon != m:
-        raise InternalInconsistencyError(
-            "matrix does not equal its spectral reconstruction")
-
-
-def _validate_tridiagonal_action(b: Matrix, idems: Sequence[Matrix],
-                                 label: str) -> None:
-    d = len(idems) - 1
-    cached = [b * e for e in idems]
-    for i in range(d + 1):
-        for j in range(d + 1):
-            block = idems[i] * cached[j]
+def _require_tridiagonal(nonzero: Sequence[Sequence[bool]],
+                         order: Sequence[int], label: str) -> None:
+    """The ordering's off-path blocks vanish and its adjacent blocks do not,
+    read from the block pattern by index."""
+    for i, oi in enumerate(order):
+        for j, oj in enumerate(order):
             gap = abs(i - j)
-            if gap > 1 and not block.is_zero():
+            if gap > 1 and nonzero[oi][oj]:
                 raise InternalInconsistencyError(
                     f"{label}: off-tridiagonal block ({i},{j}) is nonzero")
-            if gap == 1 and block.is_zero():
+            if gap == 1 and not nonzero[oi][oj]:
                 raise InternalInconsistencyError(
                     f"{label}: adjacent block ({i},{j}) vanishes")
 
 
-def _assemble_system(field: Field, a: Matrix, astar: Matrix,
-                     e_list: Sequence[Matrix], estar_list: Sequence[Matrix],
-                     theta: Sequence[Scalar], thetastar: Sequence[Scalar]
+class _Family:
+    """The idempotents of one matrix in a fixed base order, with their
+    eigenvalues, ranks and block pattern against the other matrix.  An
+    ordering of the family is a list of base positions."""
+
+    def __init__(self, m: Matrix, idems: Sequence[Matrix],
+                 thetas: Sequence[Scalar], other: Matrix):
+        self.m = m
+        self.idems = tuple(idems)
+        self.thetas = tuple(thetas)
+        self.ranks, self.nonzero = _block_pattern(idems, other)
+
+
+def _assemble_system(field: Field, fam: _Family, fam_star: _Family,
+                     order: Sequence[int], order_star: Sequence[int]
                      ) -> TridiagonalSystem:
-    d = len(theta) - 1
-    if len(thetastar) - 1 != d:
+    d = len(order) - 1
+    if len(order_star) - 1 != d:
         raise InternalInconsistencyError("eigenvalue counts differ")
-    _validate_idempotent_family(a, e_list, theta)
-    _validate_idempotent_family(astar, estar_list, thetastar)
-    _validate_tridiagonal_action(astar, e_list, "dual action on eigenspaces")
-    _validate_tridiagonal_action(a, estar_list, "action on dual eigenspaces")
-    shape = _compute_shape(d, e_list, estar_list)
-    if sum(shape) != a.nrows:
+    _require_tridiagonal(fam.nonzero, order, "dual action on eigenspaces")
+    _require_tridiagonal(fam_star.nonzero, order_star,
+                         "action on dual eigenspaces")
+    shape = _compute_shape(d, [fam.ranks[i] for i in order],
+                           [fam_star.ranks[i] for i in order_star])
+    if sum(shape) != fam.m.nrows:
         raise InternalInconsistencyError("shape does not sum to dimension")
-    return TridiagonalSystem(field=field, d=d, A=a, Astar=astar,
-                             E=tuple(e_list), Estar=tuple(estar_list),
-                             theta=tuple(theta), thetastar=tuple(thetastar),
-                             shape=shape)
+    return TridiagonalSystem(
+        field=field, d=d, A=fam.m, Astar=fam_star.m,
+        E=tuple(fam.idems[i] for i in order),
+        Estar=tuple(fam_star.idems[i] for i in order_star),
+        theta=tuple(fam.thetas[i] for i in order),
+        thetastar=tuple(fam_star.thetas[i] for i in order_star),
+        shape=shape)
 
 
 def analyze_pair(a: Matrix, astar: Matrix) -> PairAnalysis:
@@ -435,13 +438,13 @@ def analyze_pair(a: Matrix, astar: Matrix) -> PairAnalysis:
 
     thetas = [lam for lam, _ in eig_a.pairs]
     thetastars = [lam for lam, _ in eig_astar.pairs]
-    idems = lagrange_idempotents(a, thetas)
-    idems_star = lagrange_idempotents(astar, thetastars)
+    fam = _Family(a, lagrange_idempotents(a, thetas), thetas, astar)
+    fam_star = _Family(astar, lagrange_idempotents(astar, thetastars),
+                       thetastars, a)
 
     orders = []
-    for label, own_idems, other in (("first", idems, astar),
-                                    ("second", idems_star, a)):
-        adj = _adjacency(own_idems, other)
+    for label, family in (("first", fam), ("second", fam_star)):
+        adj = _adjacency(family.nonzero)
         comps = _components(adj)
         if len(comps) > 1:
             return PairAnalysis((), Rejection(
@@ -482,13 +485,8 @@ def analyze_pair(a: Matrix, astar: Matrix) -> PairAnalysis:
     variants_a = [order_a] if len(order_a) == 1 else [order_a, order_a[::-1]]
     variants_b = ([order_astar] if len(order_astar) == 1
                   else [order_astar, order_astar[::-1]])
-    systems = []
-    for oa in variants_a:
-        for ob in variants_b:
-            systems.append(_assemble_system(
-                field, a, astar,
-                [idems[i] for i in oa], [idems_star[i] for i in ob],
-                [thetas[i] for i in oa], [thetastars[i] for i in ob]))
+    systems = [_assemble_system(field, fam, fam_star, oa, ob)
+               for oa in variants_a for ob in variants_b]
     return PairAnalysis(tuple(systems), None)
 
 
@@ -500,7 +498,8 @@ def verify_pair(a: Matrix, astar: Matrix) -> List[TridiagonalSystem]:
 
 def compute_shape(sys: TridiagonalSystem) -> Tuple[int, ...]:
     """Recompute the shape from idempotent ranks and cross-check it."""
-    shape = _compute_shape(sys.d, sys.E, sys.Estar)
+    shape = _compute_shape(sys.d, [rank(e) for e in sys.E],
+                           [rank(e) for e in sys.Estar])
     if shape != sys.shape:
         raise InternalInconsistencyError("stored shape disagrees with ranks")
     return shape
@@ -616,19 +615,21 @@ RELATIVE_KEYS = ("star", "down", "downdown", "times")
 def relative(sys: TridiagonalSystem, which: str) -> TridiagonalSystem:
     """One of the four companion systems obtained by swapping the pair
     and/or reversing an ordering; the result is revalidated."""
-    e, es = list(sys.E), list(sys.Estar)
-    th, ths = list(sys.theta), list(sys.thetastar)
-    if which == "star":
-        data = (sys.Astar, sys.A, es, e, ths, th)
-    elif which == "down":
-        data = (sys.A, sys.Astar, e, es[::-1], th, ths[::-1])
-    elif which == "downdown":
-        data = (sys.A, sys.Astar, e[::-1], es, th[::-1], ths)
-    elif which == "times":
-        data = (sys.Astar, sys.A, es[::-1], e[::-1], ths[::-1], th[::-1])
-    else:
+    if which not in RELATIVE_KEYS:
         raise MalformedInputError(f"unknown relative {which!r}; "
                                   f"use one of {RELATIVE_KEYS}")
+    fam = _Family(sys.A, sys.E, sys.theta, sys.Astar)
+    fam_star = _Family(sys.Astar, sys.Estar, sys.thetastar, sys.A)
+    up = list(range(sys.d + 1))
+    down = up[::-1]
+    if which == "star":
+        data = (fam_star, fam, up, up)
+    elif which == "down":
+        data = (fam, fam_star, up, down)
+    elif which == "downdown":
+        data = (fam, fam_star, down, up)
+    else:
+        data = (fam_star, fam, down, down)
     return _assemble_system(sys.field, *data)
 
 
@@ -688,9 +689,11 @@ def system_from_json(doc: dict) -> TridiagonalSystem:
     n = a.nrows
     if generated_algebra_dimension(a, astar) < n * n:
         raise MalformedInputError("stored pair is not irreducible")
+    stored = list(range(len(theta)))
     try:
-        return _assemble_system(field, a, astar, e_list, estar_list,
-                                theta, thetastar)
+        return _assemble_system(field, _Family(a, e_list, theta, astar),
+                                _Family(astar, estar_list, thetastar, a),
+                                stored, stored)
     except InternalInconsistencyError as exc:
         raise MalformedInputError(f"stored ordering is not standard: {exc}") \
             from exc

@@ -190,18 +190,18 @@ large_rationals = st.builds(Fraction,
 
 
 @st.composite
-def unimodular(draw, n):
+def unimodular(draw, n, field=QQ):
     """L U with L lower and U upper unitriangular integer matrices."""
     small = st.integers(min_value=-3, max_value=3)
     rows = st.lists(st.lists(small, min_size=n, max_size=n),
                     min_size=n, max_size=n)
     lower, upper = draw(rows), draw(rows)
-    lower = Matrix(QQ, [[1 if j == i else x if j < i else 0
-                         for j, x in enumerate(row)]
-                        for i, row in enumerate(lower)])
-    upper = Matrix(QQ, [[1 if j == i else x if j > i else 0
-                         for j, x in enumerate(row)]
-                        for i, row in enumerate(upper)])
+    lower = Matrix(field, [[1 if j == i else x if j < i else 0
+                            for j, x in enumerate(row)]
+                           for i, row in enumerate(lower)])
+    upper = Matrix(field, [[1 if j == i else x if j > i else 0
+                            for j, x in enumerate(row)]
+                           for i, row in enumerate(upper)])
     return lower * upper
 
 
@@ -231,6 +231,46 @@ def test_large_rational_eigenvalues_in_time():
     assert data.diagonalizable
 
 
+def lagrange_product_idempotents(m, thetas):
+    """Reference for lagrange_idempotents: the Lagrange product
+    E_i = prod_{j != i} (M - theta_j I) / (theta_i - theta_j)."""
+    field = m.field
+    ident = Matrix.identity(field, m.nrows)
+    idems = []
+    for i, ti in enumerate(thetas):
+        acc = ident
+        for j, tj in enumerate(thetas):
+            if j != i:
+                acc = acc * (m - ident.scale(tj)).scale(field.one / (ti - tj))
+        idems.append(acc)
+    return idems
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_idempotents_match_lagrange_product(data):
+    field = data.draw(st.sampled_from(
+        [QQ, PrimeField(5), PrimeField(7), PrimeField(101)]))
+    if field is QQ:
+        scalars = st.fractions(min_value=-20, max_value=20,
+                               max_denominator=5)
+    else:
+        scalars = st.integers(min_value=0, max_value=field.p - 1)
+    values = data.draw(st.lists(scalars, min_size=1, max_size=4,
+                                unique=True))
+    mults = data.draw(st.lists(st.integers(min_value=1, max_value=3),
+                               min_size=len(values), max_size=len(values)))
+    assume(sum(mults) <= 6)
+    diag = [v for v, k in zip(values, mults) for _ in range(k)]
+    u = data.draw(unimodular(len(diag), field))
+    m = u * Matrix.diagonal(field, diag) * inverse(u)
+    thetas = [field.coerce(v) for v in data.draw(st.permutations(values))]
+    idems = lagrange_idempotents(m, thetas)
+    assert idems == lagrange_product_idempotents(m, thetas)
+    assert [rank(e) for e in idems] == \
+        [mults[values.index(t if field is QQ else t.val)] for t in thetas]
+
+
 def test_lagrange_idempotents_pinned():
     a = Matrix(QQ, [[0, 1], [1, 0]])
     e_plus, e_minus = lagrange_idempotents(a, [1, -1])
@@ -250,6 +290,19 @@ def test_lagrange_idempotents_reject_nondiagonalizable():
         lagrange_idempotents(jordan, [1, 2])
     with pytest.raises(DimensionError):
         lagrange_idempotents(jordan, [1, 1])
+
+
+def test_lagrange_idempotents_reject_wrong_eigenvalues():
+    m = Matrix.diagonal(QQ, [1, 1, 2])
+    # a missing eigenvalue, and a value that is not an eigenvalue
+    for thetas in ([1], [2], [1, 3], [1, 2, 3], []):
+        with pytest.raises(NotDiagonalizableError) as info:
+            lagrange_idempotents(m, thetas)
+        first = ("idempotent orthogonality failed" if len(thetas) > 1
+                 else "idempotents do not resolve the identity")
+        assert str(info.value) == (
+            f"{first}; matrix is not diagonalizable with the given "
+            "eigenvalues")
 
 
 def test_projectors_from_direct_sum_pinned():

@@ -1,7 +1,6 @@
-"""Report assembly: check selection, skip semantics, worker-count
-independence, and the serialized document shape."""
+"""Report assembly: check selection, skip semantics and the serialized
+document shape."""
 import dataclasses
-import json
 from fractions import Fraction
 
 import pytest
@@ -83,20 +82,6 @@ def test_wrong_parameters_fail_report(kraw3):
     report = run_all_checks(kraw3, params=bad, checks=("section10",))
     assert not report.ok
     assert any(not r.is_zero for r in report.relation_residuals)
-
-
-def test_worker_count_does_not_change_output(multiplicity_system):
-    doc1 = run_all_checks(multiplicity_system, max_workers=1).to_json()
-    doc4 = run_all_checks(multiplicity_system, max_workers=4).to_json()
-    assert json.dumps(doc1, sort_keys=True) == json.dumps(doc4, sort_keys=True)
-
-
-def test_thread_env_var(kraw3, monkeypatch):
-    base = run_all_checks(kraw3).to_json()
-    monkeypatch.setenv("TDPAIR_THREADS", "3")
-    assert run_all_checks(kraw3).to_json() == base
-    monkeypatch.setenv("TDPAIR_THREADS", "not a number")
-    assert run_all_checks(kraw3).to_json() == base
 
 
 def test_document_shape(kraw3):

@@ -248,6 +248,34 @@ def test_system_from_json_rejects():
             system_from_json(doc)
 
 
+@pytest.mark.parametrize("breakage, message", [
+    ({"theta": ["1", "3", "-1", "-3"]},
+     "stored ordering is not standard: dual action on eigenspaces: "
+     "off-tridiagonal block (0,2) is nonzero"),
+    ({"theta": ["3", "-1", "1", "-3"]},
+     "stored ordering is not standard: dual action on eigenspaces: "
+     "adjacent block (0,1) vanishes"),
+    ({"thetastar": ["3", "1", "-3", "-1"]},
+     "stored ordering is not standard: action on dual eigenspaces: "
+     "adjacent block (1,2) vanishes"),
+    ({"theta": ["3", "1", "-1", "5"]},
+     "stored eigenvalues are invalid: idempotent orthogonality failed; "
+     "matrix is not diagonalizable with the given eigenvalues"),
+    ({"theta": ["3", "1", "-1", "3"]},
+     "stored eigenvalues are invalid: repeated eigenvalue in idempotent "
+     "construction"),
+])
+def test_system_from_json_messages(breakage, message):
+    s = next(x for x in verify_pair(*pair_d3())
+             if x.theta[0] == 3 and x.thetastar[0] == 3)
+    doc = system_to_json(s)
+    assert doc["theta"] == doc["thetastar"] == ["3", "1", "-1", "-3"]
+    doc.update(breakage)
+    with pytest.raises(MalformedInputError) as info:
+        system_from_json(doc)
+    assert str(info.value) == message
+
+
 def test_matrix_from_json_rejects():
     with pytest.raises(MalformedInputError):
         matrix_from_json(QQ, [["1", "x"]], "A")
