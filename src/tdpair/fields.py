@@ -166,9 +166,6 @@ class RationalField:
             return self.parse(x)
         raise FieldMismatchError(f"not a rational scalar: {x!r}")
 
-    def is_element(self, x) -> bool:
-        return isinstance(x, Fraction)
-
     def parse(self, text: str) -> Fraction:
         if not isinstance(text, str) or not _SCALAR_RE.match(text.strip()):
             raise ScalarParseError(f"bad rational literal: {text!r}")
@@ -222,9 +219,6 @@ class PrimeField:
         if isinstance(x, str):
             return self.parse(x)
         raise FieldMismatchError(f"not a GF({self.p}) scalar: {x!r}")
-
-    def is_element(self, x) -> bool:
-        return isinstance(x, Fp) and x.p == self.p
 
     def parse(self, text: str) -> Fp:
         if not isinstance(text, str) or not _SCALAR_RE.match(text.strip()):

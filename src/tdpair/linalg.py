@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (DecompositionError, DimensionError,
                      FactorialInversionError, FieldMismatchError,
@@ -18,33 +18,57 @@ from .fields import Field, PrimeField, Scalar, is_prime
 from .matrix import Matrix
 
 
-def _rref(rows: List[List[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot columns)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        if inv != 1:
-            rows[r] = [x / inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+def _reduce(rows: Iterable[Tuple[int, Sequence[Scalar]]],
+            vec: Sequence[Scalar]) -> List[Scalar]:
+    """vec minus its components along echelon rows given as (pivot, row)
+    pairs, each row 1 at its pivot and 0 at the pivots of the rows after
+    it; so each subtraction keeps the entries already cleared."""
+    v = list(vec)
+    for piv, row in rows:
+        f = v[piv]
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
+def _insert(rows: Dict[int, List[Scalar]],
+            vec: Sequence[Scalar]) -> Optional[List[Scalar]]:
+    """Reduce vec against the echelon rows keyed by pivot, in insertion
+    order.  A nonzero remainder is scaled to 1 at its first nonzero entry,
+    kept under that pivot and returned; None when vec is in their span."""
+    v = _reduce(rows.items(), vec)
+    for piv, x in enumerate(v):
+        if x:
+            if x != 1:
+                inv = 1 / x
+                v = [inv * a for a in v]
+            rows[piv] = v
+            return v
+    return None
+
+
+def _echelon(rows: Sequence[Sequence[Scalar]]) -> Dict[int, List[Scalar]]:
+    """Echelon rows, keyed by pivot, spanning the same space as rows."""
+    out: Dict[int, List[Scalar]] = {}
+    width = len(rows[0]) if rows else 0
+    for row in rows:
+        if len(out) == width:
             break
-    return rows, pivots
+        _insert(out, row)
+    return out
+
+
+def _rref(rows: Sequence[Sequence[Scalar]]
+          ) -> Tuple[List[List[Scalar]], List[int]]:
+    """Reduced row echelon form: (the nonzero rows, their pivot columns)."""
+    echelon = _echelon(rows)
+    pivots = sorted(echelon)
+    # a row is 0 left of its pivot, so reducing each row against the rows
+    # below it, from the last one up, clears every pivot column
+    done: List[Tuple[int, List[Scalar]]] = []
+    for p in reversed(pivots):
+        done.append((p, _reduce(done, echelon[p])))
+    return [row for _, row in reversed(done)], pivots
 
 
 class Subspace:
@@ -72,11 +96,7 @@ class Subspace:
         for row in rows:
             if len(row) != ambient:
                 raise DimensionError("column length does not match ambient")
-        if rows:
-            rows, pivots = _rref(rows)
-            rows = rows[:len(pivots)]
-        else:
-            pivots = []
+        rows, pivots = _rref(rows)
         return cls(field, ambient, rows, pivots, _trusted=True)
 
     @classmethod
@@ -104,19 +124,11 @@ class Subspace:
             raise DimensionError("zero subspace has no basis matrix")
         return Matrix.from_columns(self.field, self.basis)
 
-    def _reduce(self, vec: Sequence[Scalar]) -> List[Scalar]:
-        v = list(vec)
-        for col, piv in zip(self.basis, self.pivots):
-            f = v[piv]
-            if f:
-                v = [a - f * b for a, b in zip(v, col)]
-        return v
-
     def contains(self, vec: Sequence) -> bool:
         v = [self.field.coerce(x) for x in vec]
         if len(v) != self.ambient:
             raise DimensionError("vector length does not match ambient")
-        return not any(self._reduce(v))
+        return not any(_reduce(zip(self.pivots, self.basis), v))
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -186,7 +198,8 @@ def rank_kernel(m: Matrix) -> Tuple[int, Subspace]:
 
 
 def rank(m: Matrix) -> int:
-    return rank_kernel(m)[0]
+    """The number of pivots of one elimination of m's rows."""
+    return len(_echelon(m.rows))
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -40,10 +40,15 @@ class SectionFiveCoefficients:
 
 
 def compute_rfl(sys: TridiagonalSystem) -> RFLDecomposition:
-    """Split A into raising + flat + lowering along the dual eigenspaces.
+    """Split A into raising + flat + lowering along the dual eigenspaces:
+    R = sum E*_(i+1) A E*_i, F = sum E*_i A E*_i, L = sum E*_(i-1) A E*_i.
 
-    All structural facts (sum, nilpotency, intertwining with the dual
-    idempotents) are verified at construction.
+    With the E*_i orthogonal idempotents summing to I, R, F and L move
+    each dual eigenspace up one step, fix it and move it down one step by
+    their definition, and they sum to A because A acts tridiagonally on
+    the dual eigenspaces, which every TridiagonalSystem is checked for
+    when it is assembled.  The identities they should satisfy are
+    reported by check_section5 and check_section10.
     """
     field = sys.field
     n = sys.n
@@ -58,33 +63,6 @@ def compute_rfl(sys: TridiagonalSystem) -> RFLDecomposition:
         flat = flat + estar[i] * a_estar[i]
         if i > 0:
             lowering = lowering + estar[i - 1] * a_estar[i]
-    if raising + flat + lowering != sys.A:
-        raise InternalInconsistencyError("R + F + L != A")
-    r_pow = _powers(raising, d + 1)
-    l_pow = _powers(lowering, d + 1)
-    if not r_pow[d + 1].is_zero() or not l_pow[d + 1].is_zero():
-        raise InternalInconsistencyError("R or L is not nilpotent")
-    for i in range(d + 1):
-        if not (r_pow[d - i + 1] * estar[i]).is_zero():
-            raise InternalInconsistencyError(f"R^(d-i+1) E*_{i} != 0")
-        if not (l_pow[i + 1] * estar[i]).is_zero():
-            raise InternalInconsistencyError(f"L^(i+1) E*_{i} != 0")
-        if flat * estar[i] != estar[i] * flat:
-            raise InternalInconsistencyError(f"F does not commute with E*_{i}")
-        if i < d:
-            blk = estar[i + 1] * a_estar[i]
-            if blk != raising * estar[i] or blk != estar[i + 1] * raising:
-                raise InternalInconsistencyError(
-                    f"raising block at {i} disagrees with R")
-        blk = estar[i] * a_estar[i]
-        if blk != flat * estar[i] or blk != estar[i] * flat:
-            raise InternalInconsistencyError(
-                f"flat block at {i} disagrees with F")
-        if i > 0:
-            blk = estar[i - 1] * a_estar[i]
-            if blk != lowering * estar[i] or blk != estar[i - 1] * lowering:
-                raise InternalInconsistencyError(
-                    f"lowering block at {i} disagrees with L")
     return RFLDecomposition(system=sys, raising=raising, flat=flat,
                             lowering=lowering)
 

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import InternalInconsistencyError
-from .linalg import (Subspace, projectors_from_direct_sum, rank,
-                     rank_between, rank_factorization, rank_right,
-                     subspace_intersect, subspace_sum)
+from .linalg import (Subspace, projectors_from_direct_sum, rank_between,
+                     rank_factorization, rank_right, subspace_intersect,
+                     subspace_sum)
 from .matrix import Matrix
 from .results import RankEntry, RankTable, Residual
 from .systems import TridiagonalSystem
@@ -30,14 +30,17 @@ class SplitDecomposition:
 
 def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
     """Intersect each dual-eigenspace prefix with the matching eigenspace
-    suffix and package the resulting direct sum.
+    suffix and package the resulting direct sum: the summands, their
+    projectors F_i, the shifted maps A - sum theta_i F_i and
+    A* - sum thetastar_i F_i, and the transition map sum F_i E*_i with
+    its inverse sum E*_i F_i.
 
-    Construction-time checks: summand dimensions reproduce the shape, the
-    summands accumulate back to both flags, A moves each summand up at most
-    one step while A* moves it down at most one step, the shifted maps are
-    nilpotent summand by summand, and the transition map built from the
-    projector/dual-idempotent products is invertible with the stated
-    two-sided inverse.
+    A summand whose dimension is off the shape is an internal error, and
+    a sum that is not direct a DecompositionError, because the projectors
+    need the summands to fill the space.  The facts the decomposition
+    should satisfy (the block actions of A and A*, nilpotency, the
+    transition identities and ranks) are left to check_section7 and
+    check_split_bijectivity, which report them.
     """
     field = sys.field
     n = sys.n
@@ -65,19 +68,6 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
 
     projectors = projectors_from_direct_sum(summands)
 
-    acc = Subspace.zero(field, n)
-    for i in range(d + 1):
-        acc = subspace_sum(acc, summands[i])
-        if acc != dual_prefix[i]:
-            raise InternalInconsistencyError(
-                f"summands 0..{i} do not fill the dual-eigenspace prefix")
-    acc = Subspace.zero(field, n)
-    for i in range(d, -1, -1):
-        acc = subspace_sum(acc, summands[i])
-        if acc != suffix[i]:
-            raise InternalInconsistencyError(
-                f"summands {i}..{d} do not fill the eigenspace suffix")
-
     shift = Matrix.zeros(field, n, n)
     for i in range(d + 1):
         shift = shift + projectors[i].scale(sys.theta[i])
@@ -87,89 +77,11 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
         shift = shift + projectors[i].scale(sys.thetastar[i])
     lowering = sys.Astar - shift
 
-    for j in range(d + 1):
-        af = sys.A * projectors[j]
-        asf = sys.Astar * projectors[j]
-        for i in range(d + 1):
-            blk = projectors[i] * af
-            if i == j:
-                if blk != projectors[i].scale(sys.theta[i]):
-                    raise InternalInconsistencyError(
-                        f"A does not act by theta_{i} on summand {i}")
-            elif i == j + 1:
-                if blk != raising * projectors[j] \
-                        or blk != projectors[i] * raising:
-                    raise InternalInconsistencyError(
-                        f"raising block at {j} disagrees with the shifted map")
-            elif not blk.is_zero():
-                raise InternalInconsistencyError(
-                    f"A maps summand {j} into summand {i}")
-            blk = projectors[i] * asf
-            if i == j:
-                if blk != projectors[i].scale(sys.thetastar[i]):
-                    raise InternalInconsistencyError(
-                        f"A* does not act by thetastar_{i} on summand {i}")
-            elif i == j - 1:
-                if blk != lowering * projectors[j] \
-                        or blk != projectors[i] * lowering:
-                    raise InternalInconsistencyError(
-                        f"lowering block at {j} disagrees with the shifted map")
-            elif not blk.is_zero():
-                raise InternalInconsistencyError(
-                    f"A* maps summand {j} into summand {i}")
-
-    r_pow = [Matrix.identity(field, n)]
-    l_pow = [Matrix.identity(field, n)]
-    for _ in range(d + 1):
-        r_pow.append(r_pow[-1] * raising)
-        l_pow.append(l_pow[-1] * lowering)
-    if not r_pow[d + 1].is_zero() or not l_pow[d + 1].is_zero():
-        raise InternalInconsistencyError("a shifted map is not nilpotent")
-    for i in range(d + 1):
-        if not (r_pow[d - i + 1] * projectors[i]).is_zero():
-            raise InternalInconsistencyError(
-                f"raising map survives {d - i + 1} steps from summand {i}")
-        if not (l_pow[i + 1] * projectors[i]).is_zero():
-            raise InternalInconsistencyError(
-                f"lowering map survives {i + 1} steps from summand {i}")
-
     psi = Matrix.zeros(field, n, n)
     psi_inv = Matrix.zeros(field, n, n)
     for i in range(d + 1):
         psi = psi + projectors[i] * sys.Estar[i]
         psi_inv = psi_inv + sys.Estar[i] * projectors[i]
-    ident = Matrix.identity(field, n)
-    if psi * psi_inv != ident or psi_inv * psi != ident:
-        raise InternalInconsistencyError(
-            "transition map candidates are not mutually inverse")
-
-    for i in range(d + 1):
-        for j in range(i + 1, d + 1):
-            if not (projectors[j] * sys.Estar[i]).is_zero():
-                raise InternalInconsistencyError(
-                    f"projector {j} does not kill dual eigenspace {i}")
-            if not (sys.Estar[j] * projectors[i]).is_zero():
-                raise InternalInconsistencyError(
-                    f"dual idempotent {j} does not kill summand {i}")
-        fe = projectors[i] * sys.Estar[i]
-        ef = sys.Estar[i] * projectors[i]
-        if fe * projectors[i] != projectors[i]:
-            raise InternalInconsistencyError(
-                f"projector {i} is not recovered through dual eigenspace {i}")
-        if ef * sys.Estar[i] != sys.Estar[i]:
-            raise InternalInconsistencyError(
-                f"dual idempotent {i} is not recovered through summand {i}")
-        for prod, what in ((fe, "projector * dual idempotent"),
-                           (ef, "dual idempotent * projector"),
-                           (projectors[i] * sys.E[i], "projector * idempotent"),
-                           (sys.E[i] * projectors[i], "idempotent * projector")):
-            if rank(prod) != sys.shape[i]:
-                raise InternalInconsistencyError(
-                    f"{what} at {i} drops rank below the shape")
-        if Subspace.column_space(psi * sys.Estar[i]) != summands[i]:
-            raise InternalInconsistencyError(
-                f"transition map does not carry dual eigenspace {i} "
-                f"onto summand {i}")
 
     return SplitDecomposition(system=sys, summands=tuple(summands),
                               projectors=tuple(projectors),

@@ -14,8 +14,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (ContradictionError, FieldMismatchError,
                      InternalInconsistencyError, MalformedInputError)
 from .fields import Field, Fp, PrimeField, QQ, Scalar, field_from_descriptor
-from .linalg import (Subspace, eigenvalues_in_field, lagrange_idempotents,
-                     rank, rank_factorization)
+from .linalg import (Subspace, _insert, eigenvalues_in_field,
+                     lagrange_idempotents, rank, rank_factorization)
 from .matrix import Matrix
 
 REASON_NOT_DIAGONALIZABLE = "not diagonalizable"
@@ -55,12 +55,6 @@ class TridiagonalSystem:
 
     def is_leonard(self) -> bool:
         return all(r == 1 for r in self.shape)
-
-    def eigenspace(self, i: int) -> Subspace:
-        return Subspace.column_space(self.E[i])
-
-    def dual_eigenspace(self, i: int) -> Subspace:
-        return Subspace.column_space(self.Estar[i])
 
 
 @dataclass(frozen=True)
@@ -243,33 +237,19 @@ def _closure_dim_modp(a_rows: List[List[int]], b_rows: List[List[int]],
 
 def _closure_dim_exact(a: Matrix, b: Matrix) -> int:
     """Dimension of the unital algebra generated by a and b, exactly."""
-    field = a.field
     n = a.nrows
-    n2 = n * n
-    basis: Dict[int, Tuple[Scalar, ...]] = {}
-
-    def reduce_insert(vec: List[Scalar]) -> bool:
-        for piv, bvec in basis.items():
-            f = vec[piv]
-            if f:
-                vec = [x - f * y for x, y in zip(vec, bvec)]
-        for idx, x in enumerate(vec):
-            if x:
-                inv = field.one / x
-                basis[idx] = tuple(inv * v for v in vec)
-                return True
-        return False
-
-    ident = Matrix.identity(field, n)
+    rows: Dict[int, List[Scalar]] = {}
+    ident = Matrix.identity(a.field, n)
     queue = [ident]
-    reduce_insert([x for row in ident.rows for x in row])
-    while queue and len(basis) < n2:
+    _insert(rows, [x for row in ident.rows for x in row])
+    while queue and len(rows) < n * n:
         mat = queue.pop()
         for gen in (a, b):
             prod = gen * mat
-            if reduce_insert([x for row in prod.rows for x in row]):
+            flat = [x for row in prod.rows for x in row]
+            if _insert(rows, flat) is not None:
                 queue.append(prod)
-    return len(basis)
+    return len(rows)
 
 
 def generated_algebra_dimension(a: Matrix, b: Matrix) -> int:
@@ -299,34 +279,16 @@ def _cyclic_subspace(a: Matrix, b: Matrix, seed: Sequence[Scalar]) -> Subspace:
     """Smallest subspace containing seed and invariant under a and b."""
     field = a.field
     n = a.nrows
-    basis: Dict[int, Tuple[Scalar, ...]] = {}
-    vectors: List[Tuple[Scalar, ...]] = []
-
-    def reduce_insert(vec: Sequence[Scalar]) -> bool:
-        v = list(vec)
-        for piv, bvec in basis.items():
-            f = v[piv]
-            if f:
-                v = [x - f * y for x, y in zip(v, bvec)]
-        for idx, x in enumerate(v):
-            if x:
-                inv = field.one / x
-                reduced = tuple(inv * y for y in v)
-                basis[idx] = reduced
-                vectors.append(reduced)
-                return True
-        return False
-
-    queue = [tuple(field.coerce(x) for x in seed)]
-    reduce_insert(queue[0])
-    queue = list(vectors)
-    while queue and len(basis) < n:
+    rows: Dict[int, List[Scalar]] = {}
+    first = _insert(rows, [field.coerce(x) for x in seed])
+    queue = [] if first is None else [first]
+    while queue and len(rows) < n:
         vec = queue.pop()
         for gen in (a, b):
-            img = gen.apply(vec)
-            if reduce_insert(img):
-                queue.append(vectors[-1])
-    return Subspace.from_columns(field, n, vectors)
+            row = _insert(rows, gen.apply(vec))
+            if row is not None:
+                queue.append(row)
+    return Subspace.from_columns(field, n, list(rows.values()))
 
 
 def _find_invariant_subspace(a: Matrix, b: Matrix,

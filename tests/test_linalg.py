@@ -13,7 +13,7 @@ from tdpair import (DecompositionError, DimensionError,
                     nilpotent_exp_scaled, projectors_from_direct_sum, rank,
                     rank_kernel, solve_right, subspace_intersect,
                     subspace_sum)
-from tdpair.linalg import charpoly, rational_roots
+from tdpair.linalg import _rref, charpoly, rational_roots
 
 GF5 = PrimeField(5)
 
@@ -269,6 +269,56 @@ def test_idempotents_match_lagrange_product(data):
     assert idems == lagrange_product_idempotents(m, thetas)
     assert [rank(e) for e in idems] == \
         [mults[values.index(t if field is QQ else t.val)] for t in thetas]
+
+
+@st.composite
+def rank_deficient(draw):
+    """U D V with U, V unimodular and D of r nonzero diagonal entries, so
+    that its rank is r, over QQ, GF(5) or GF(101)."""
+    field = draw(st.sampled_from([QQ, GF5, PrimeField(101)]))
+    rows = draw(st.integers(min_value=1, max_value=5))
+    cols = draw(st.integers(min_value=1, max_value=5))
+    r = draw(st.integers(min_value=0, max_value=min(rows, cols)))
+    nonzero = st.integers(min_value=1, max_value=4)
+    diag = [[draw(nonzero) if i == j < r else 0 for j in range(cols)]
+            for i in range(rows)]
+    m = (draw(unimodular(rows, field)) * Matrix(field, diag)
+         * draw(unimodular(cols, field)))
+    return m, r
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_deficient())
+def test_rank_counts_pivots(case):
+    m, r = case
+    rk, kernel = rank_kernel(m)
+    assert rank(m) == rk == m.ncols - kernel.dim == r
+
+
+def gauss_jordan(rows):
+    """Reference for _rref: column-by-column Gauss-Jordan elimination."""
+    rows = [list(row) for row in rows]
+    pivots, r = [], 0
+    for c in range(len(rows[0]) if rows else 0):
+        at = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if at is None:
+            continue
+        rows[r], rows[at] = rows[at], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_deficient())
+def test_rref_matches_gauss_jordan(case):
+    m, _ = case
+    assert _rref(m.rows) == gauss_jordan(m.rows)
 
 
 def test_lagrange_idempotents_pinned():

@@ -10,7 +10,8 @@ from tdpair import (ContradictionError, MalformedInputError, Matrix,
                     check_tridiagonal_relations, compute_relation_parameters,
                     compute_shape, matrix_from_json, relative,
                     system_from_json, system_to_json, verify_pair)
-from tdpair.systems import RELATIVE_KEYS
+from tdpair.systems import (RELATIVE_KEYS, _closure_dim_exact,
+                            _cyclic_subspace)
 
 
 def pair_d2():
@@ -147,6 +148,22 @@ def test_rejection_common_eigenvector():
     assert analysis.rejection is not None
     assert analysis.rejection.reason == REASON_REDUCIBLE
     assert analysis.systems == ()
+
+
+def test_spin_and_exact_closure():
+    # two copies of an irreducible pair; the seed's span under both is the
+    # diagonal copy, reached only after several steps
+    a, astar = pair_d2()
+    two = Matrix.identity(QQ, 2)
+    big_a, big_astar = two.kron(a), two.kron(astar)
+    w = _cyclic_subspace(big_a, big_astar, (1, 0, 0, 1, 0, 0))
+    assert w.dim == 3
+    for col in w.basis_columns():
+        assert w.contains(big_a.apply(col))
+        assert w.contains(big_astar.apply(col))
+    # each copy generates all 3 x 3 matrices, and both copies move together
+    assert _closure_dim_exact(a, astar) == 9
+    assert _closure_dim_exact(big_a, big_astar) == 9
 
 
 def test_rejection_not_diagonalizable():
