@@ -383,6 +383,20 @@ def _roots_mod_p(f: list, p: int) -> List[int]:
     return sorted(roots)
 
 
+def irreducible_mod_p(f: List[int], p: int) -> bool:
+    """Whether f, of positive degree over GF(p), is irreducible.
+
+    A reducible f has an irreducible factor of some degree k <= deg f / 2,
+    and such factors are exactly the common ones of f and x^(p^k) - x.
+    """
+    h = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        h = _poly_powmod(h, p, f, p)
+        if len(_poly_gcd(f, _minus_monomial(h, 1, p), p)) > 1:
+            return False
+    return True
+
+
 def _integer_roots(f: List[int]) -> List[int]:
     """Integer roots of a monic integer polynomial f (ascending degree).
 

@@ -116,13 +116,6 @@ def section5_coefficients(sys: TridiagonalSystem,
                                    eplus=eplus, eminus=eminus)
 
 
-def _require_annihilates(op: Matrix, proj: Matrix, what: str) -> None:
-    if not (op * proj).is_zero():
-        raise InternalInconsistencyError(
-            f"indeterminate coefficient would multiply a nonvanishing "
-            f"term: {what}")
-
-
 def check_section5(sys: TridiagonalSystem, rfl: RFLDecomposition,
                    params: Optional[RelationParameters] = None
                    ) -> List[Residual]:
@@ -167,30 +160,25 @@ def check_section5(sys: TridiagonalSystem, rfl: RFLDecomposition,
     frf = f * rf
     rf2 = r * f2
 
+    # a term whose coefficient is undetermined must vanish on its own, and
+    # is reported by itself when it does not
     for i in range(1, d + 1):
-        acc = (lrl.scale(beta + 2) + lf2 - flf.scale(beta) + f2l
+        low = (lrl.scale(beta + 2) + lf2 - flf.scale(beta) + f2l
                - (lf + fl).scale(gamma) - l.scale(rho))
-        if co.eminus[i] is None:
-            _require_annihilates(rl2, estar[i], f"R L^2 E*_{i}")
-        else:
-            acc = acc + rl2.scale(co.eminus[i])
-        if co.eplus[i] is None:
-            _require_annihilates(l2r, estar[i], f"L^2 R E*_{i}")
-        else:
-            acc = acc + l2r.scale(co.eplus[i])
-        out.append(Residual("section5.ii.low", (i,), acc * estar[i]))
-
-        acc = (rlr.scale(beta + 2) + f2r - frf.scale(beta) + rf2
-               - (fr + rf).scale(gamma) - r.scale(rho))
-        if co.eminus[i] is None:
-            _require_annihilates(r2l, estar[i - 1], f"R^2 L E*_{i - 1}")
-        else:
-            acc = acc + r2l.scale(co.eminus[i])
-        if co.eplus[i] is None:
-            _require_annihilates(lr2, estar[i - 1], f"L R^2 E*_{i - 1}")
-        else:
-            acc = acc + lr2.scale(co.eplus[i])
-        out.append(Residual("section5.ii.high", (i,), acc * estar[i - 1]))
+        high = (rlr.scale(beta + 2) + f2r - frf.scale(beta) + rf2
+                - (fr + rf).scale(gamma) - r.scale(rho))
+        for name, acc, terms, proj in (
+                ("section5.ii.low", low, (rl2, l2r), estar[i]),
+                ("section5.ii.high", high, (r2l, lr2), estar[i - 1])):
+            stray = []
+            for coeff, term in zip((co.eminus[i], co.eplus[i]), terms):
+                if coeff is None:
+                    stray.append(term * proj)
+                else:
+                    acc = acc + term.scale(coeff)
+            out.append(Residual(name, (i,), acc * proj))
+            out.extend(Residual(name, (i,), t) for t in stray
+                       if not t.is_zero())
 
     com_lr = commutator(f, lr)
     com_rl = commutator(f, rl)

@@ -8,14 +8,17 @@ pair has no common invariant subspace.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (ContradictionError, FieldMismatchError,
                      InternalInconsistencyError, MalformedInputError)
-from .fields import Field, Fp, PrimeField, QQ, Scalar, field_from_descriptor
-from .linalg import (Subspace, _insert, eigenvalues_in_field,
-                     lagrange_idempotents, rank, rank_factorization)
+from .fields import Field, PrimeField, Scalar, field_from_descriptor
+from .linalg import (Subspace, _echelon, _insert, charpoly,
+                     eigenvalues_in_field, irreducible_mod_p,
+                     lagrange_idempotents, rank, rank_factorization,
+                     rank_kernel)
 from .matrix import Matrix
 
 REASON_NOT_DIAGONALIZABLE = "not diagonalizable"
@@ -26,14 +29,19 @@ REASON_DIAMETER = "diameter mismatch"
 
 SCHEMA_VERSION = 1
 
-_FAST_CLOSURE_PRIME = (1 << 61) - 1
-
 
 @dataclass(frozen=True)
 class Rejection:
-    """Why a pair of matrices is not a tridiagonal pair (or undecided)."""
+    """Why a pair of matrices is not a tridiagonal pair (or undecided).
+
+    A reducible rejection carries a proper nonzero common invariant
+    subspace as its witness; the witness takes no part in equality and is
+    not serialized.
+    """
     reason: str
     detail: str = ""
+    witness: Optional[Subspace] = dataclasses.field(default=None,
+                                                    compare=False)
 
 
 @dataclass(frozen=True)
@@ -102,20 +110,17 @@ class RelationParameters:
 # -- pair recognition ------------------------------------------------------
 
 
-def _block_pattern(idems: Sequence[Matrix], other: Matrix
-                   ) -> Tuple[Tuple[int, ...], Tuple[Tuple[bool, ...], ...]]:
-    """Ranks of nonzero idempotents, and nonzero[i][j]: whether the block
-    E_i other E_j is nonzero.
+def _block_pattern(factors: Sequence[Tuple[Matrix, Matrix]], other: Matrix
+                   ) -> Tuple[Tuple[bool, ...], ...]:
+    """nonzero[i][j]: whether the block E_i other E_j is nonzero.
 
     With E_i = B_i C_i its rank factorization, B_i of full column rank and
     C_i of full row rank, that block is zero exactly when the
     rho_i x rho_j block C_i other B_j is.
     """
-    factors = [rank_factorization(e) for e in idems]
     images = [other * b for b, _ in factors]
-    nonzero = tuple(tuple(not (c * img).is_zero() for img in images)
-                    for _, c in factors)
-    return tuple(b.ncols for b, _ in factors), nonzero
+    return tuple(tuple(not (c * img).is_zero() for img in images)
+                 for _, c in factors)
 
 
 def _adjacency(nonzero: Sequence[Sequence[bool]]) -> List[set]:
@@ -176,137 +181,146 @@ def _path_order(adj: List[set]) -> Optional[List[int]]:
     return order
 
 
-def _flatten_int(m: Matrix, p: int) -> Optional[List[int]]:
-    """Entries of m as residues mod p, or None if a denominator vanishes."""
-    out = []
-    for row in m.rows:
-        for x in row:
-            if isinstance(x, Fp):
-                out.append(x.val)
-            else:
-                den = x.denominator % p
-                if den == 0:
-                    return None
-                out.append(x.numerator % p * pow(den, -1, p) % p)
-    return out
+# -- irreducibility ----------------------------------------------------------
+#
+# Let e be an idempotent of the algebra T generated by A and A*, of rank rho,
+# with rank factorization e = B C (so C B = I).  V is irreducible exactly
+# when (a) T e V = V, (b) no nonzero submodule W has e W = 0, and (c) eV is
+# an irreducible module of eTe: a proper submodule W either has eW = 0, or
+# has eW = eV and then contains TeV, or cuts eV in a proper eTe-submodule.
+# (a) and (b) are two spins; for rho = 1, (c) holds trivially.
+
+# Primes modulo which a rational characteristic polynomial is tried; one
+# that keeps it irreducible proves it irreducible over the rationals.
+_CERTIFYING_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def _closure_dim_modp(a_rows: List[List[int]], b_rows: List[List[int]],
-                      n: int, p: int) -> int:
-    """Dimension of the word span of two n x n residue matrices mod p."""
-    n2 = n * n
-    basis: Dict[int, List[int]] = {}
+def _spin(gens: Sequence[Matrix], seeds: Iterable[Sequence[Scalar]]
+          ) -> Dict[int, List[Scalar]]:
+    """Echelon rows, keyed by pivot, of the smallest subspace that contains
+    the seeds and is invariant under gens.
 
-    def reduce_insert(vec: List[int]) -> bool:
-        for piv, bvec in basis.items():
-            f = vec[piv]
-            if f:
-                vec = [(x - f * y) % p for x, y in zip(vec, bvec)]
-        for idx, x in enumerate(vec):
-            if x:
-                inv = pow(x, -1, p)
-                vec = [v * inv % p for v in vec]
-                basis[idx] = vec
-                return True
-        return False
-
-    def matmul(x_rows, y_rows):
-        out = []
-        for xr in x_rows:
-            acc = [0] * n
-            for k, xv in enumerate(xr):
-                if xv:
-                    yr = y_rows[k]
-                    for j, yv in enumerate(yr):
-                        if yv:
-                            acc[j] = (acc[j] + xv * yv) % p
-            out.append(acc)
-        return out
-
-    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    queue = [ident]
-    reduce_insert([x for row in ident for x in row])
-    while queue and len(basis) < n2:
-        mat = queue.pop()
-        for gen in (a_rows, b_rows):
-            prod = matmul(gen, mat)
-            if reduce_insert([x for row in prod for x in row]):
-                queue.append(prod)
-    return len(basis)
-
-
-def _closure_dim_exact(a: Matrix, b: Matrix) -> int:
-    """Dimension of the unital algebra generated by a and b, exactly."""
-    n = a.nrows
-    rows: Dict[int, List[Scalar]] = {}
-    ident = Matrix.identity(a.field, n)
-    queue = [ident]
-    _insert(rows, [x for row in ident.rows for x in row])
-    while queue and len(rows) < n * n:
-        mat = queue.pop()
-        for gen in (a, b):
-            prod = gen * mat
-            flat = [x for row in prod.rows for x in row]
-            if _insert(rows, flat) is not None:
-                queue.append(prod)
-    return len(rows)
-
-
-def generated_algebra_dimension(a: Matrix, b: Matrix) -> int:
-    """Dimension of the unital matrix algebra generated by a and b.
-
-    A closure modulo a fixed large prime runs first; its dimension is a
-    lower bound for the exact one, so reaching n^2 certifies the exact
-    answer and anything smaller falls back to exact arithmetic.
+    A seed of length k n stands for k columns of length n stacked, each
+    generator acting on every column: so the same spin runs on vectors and
+    on n x k matrices.
     """
-    n = a.nrows
-    if isinstance(a.field, PrimeField):
-        p = a.field.p
-    else:
-        p = _FAST_CLOSURE_PRIME
-    fa = _flatten_int(a, p)
-    fb = _flatten_int(b, p)
-    if fa is not None and fb is not None:
-        a_rows = [fa[i * n:(i + 1) * n] for i in range(n)]
-        b_rows = [fb[i * n:(i + 1) * n] for i in range(n)]
-        dim = _closure_dim_modp(a_rows, b_rows, n, p)
-        if dim == n * n or isinstance(a.field, PrimeField):
-            return dim
-    return _closure_dim_exact(a, b)
-
-
-def _cyclic_subspace(a: Matrix, b: Matrix, seed: Sequence[Scalar]) -> Subspace:
-    """Smallest subspace containing seed and invariant under a and b."""
-    field = a.field
-    n = a.nrows
+    n = gens[0].nrows
     rows: Dict[int, List[Scalar]] = {}
-    first = _insert(rows, [field.coerce(x) for x in seed])
-    queue = [] if first is None else [first]
-    while queue and len(rows) < n:
+    queue = [row for row in (_insert(rows, seed) for seed in seeds)
+             if row is not None]
+    width = len(queue[0]) if queue else 0
+    while queue and len(rows) < width:
         vec = queue.pop()
-        for gen in (a, b):
-            row = _insert(rows, gen.apply(vec))
+        for gen in gens:
+            image = [x for k in range(0, width, n)
+                     for x in gen.apply(vec[k:k + n])]
+            row = _insert(rows, image)
             if row is not None:
                 queue.append(row)
-    return Subspace.from_columns(field, n, list(rows.values()))
+    return rows
 
 
-def _find_invariant_subspace(a: Matrix, b: Matrix,
-                             extra_seeds: Sequence[Sequence[Scalar]]
-                             ) -> Optional[Subspace]:
-    field = a.field
-    n = a.nrows
-    seeds: List[Tuple[Scalar, ...]] = []
-    ident = Matrix.identity(field, n)
-    seeds.extend(ident.columns())
-    seeds.extend(tuple(s) for s in extra_seeds)
-    for seed in seeds:
-        if not any(seed):
+def _witness(field: Field, rows: Dict[int, List[Scalar]], n: int,
+             dual: bool = False) -> Optional[Rejection]:
+    """The reducible rejection when spun rows span a proper subspace of
+    F^n: that subspace, or for a spin of the dual space its annihilator;
+    None when they span everything."""
+    if len(rows) == n:
+        return None
+    if dual:
+        space = rank_kernel(Matrix(field, list(rows.values())))[1]
+    else:
+        space = Subspace.from_columns(field, n, rows.values())
+    return Rejection(REASON_REDUCIBLE,
+                     f"a common invariant subspace of dimension {space.dim} "
+                     "exists", space)
+
+
+def _has_irreducible_charpoly(s: Matrix) -> bool:
+    """Whether the characteristic polynomial of s is irreducible over its
+    field; over the rationals, whether it stays irreducible modulo one of
+    _CERTIFYING_PRIMES that divides no denominator, which proves it."""
+    coeffs = charpoly(s)[::-1]
+    if isinstance(s.field, PrimeField):
+        return irreducible_mod_p([c.val for c in coeffs], s.field.p)
+    for p in _CERTIFYING_PRIMES:
+        if all(c.denominator % p for c in coeffs) and irreducible_mod_p(
+                [c.numerator * pow(c.denominator, -1, p) % p
+                 for c in coeffs], p):
+            return True
+    return False
+
+
+def _condensed_verdict(gens: Tuple[Matrix, Matrix],
+                       duals: Tuple[Matrix, Matrix], b: Matrix, c: Matrix
+                       ) -> Optional[Rejection]:
+    """Condition (c) for rho > 1, given (a) and (b).
+
+    S = { C t B : t in T } is eTe acting on eV in the basis B.  When S is
+    the scalars every line of eV is a submodule.  An element of S whose
+    characteristic polynomial is irreducible leaves no proper subspace of
+    eV invariant.  For an eigenvector x of an element s, the spin of B x is
+    proper exactly when S x is; and when its eigenspace is a line, Norton's
+    test settles (c) with the dual spin of y C, for y spanning the left
+    eigenspace.  For rho = 2 the first element that is not a scalar
+    decides.
+    """
+    field, n, rho = b.field, b.nrows, b.ncols
+    # T B, as n x rho matrices, and S spanned by C times them
+    blocks = _spin(gens, [[x for col in b.columns() for x in col]])
+    elements = _echelon([[x for k in range(0, n * rho, n)
+                          for x in c.apply(vec[k:k + n])]
+                         for vec in blocks.values()])
+    if len(elements) == 1:
+        return _witness(field, _spin(gens, [b.column(0)]), n)
+    ident = Matrix.identity(field, rho)
+    for flat in elements.values():
+        s = Matrix.from_columns(field, [flat[k:k + rho]
+                                        for k in range(0, rho * rho, rho)])
+        if s == ident.scale(s.entry(0, 0)):
             continue
-        w = _cyclic_subspace(a, b, seed)
-        if 0 < w.dim < n:
-            return w
-    return None
+        pairs = eigenvalues_in_field(s).pairs
+        # without a root in the field, a polynomial of degree at most 3 is
+        # irreducible
+        if not pairs and (rho <= 3 or _has_irreducible_charpoly(s)):
+            return None
+        for _, space in pairs:
+            for x in space.basis:
+                found = _witness(field, _spin(gens, [b.apply(x)]), n)
+                if found:
+                    return found
+        simple = [lam for lam, space in pairs if space.dim == 1]
+        if simple:
+            _, left = rank_kernel((s - ident.scale(simple[0])).transpose())
+            return _witness(field, _spin(
+                duals, [c.transpose().apply(left.basis[0])]), n, dual=True)
+    primes = ", ".join(str(p) for p in _CERTIFYING_PRIMES)
+    tried = ("" if isinstance(field, PrimeField)
+             else f" (primes tried: {primes})")
+    return Rejection(
+        REASON_UNDETERMINED,
+        f"the smallest idempotent has rank {rho} and neither a witness nor "
+        f"an irreducibility certificate was found{tried}")
+
+
+def _irreducibility(fam: "_Family", fam_star: "_Family"
+                    ) -> Optional[Rejection]:
+    """None when the pair has no common invariant subspace besides 0 and
+    the whole space; otherwise a reducible rejection with its witness, or
+    an undetermined one.
+
+    e is the first idempotent of smallest rank, A's before A*'s, each
+    family in base order.
+    """
+    field, n = fam.m.field, fam.m.nrows
+    gens = (fam.m, fam_star.m)
+    duals = (fam.m.transpose(), fam_star.m.transpose())
+    b, c = min(fam.factors + fam_star.factors, key=lambda f: f[0].ncols)
+    found = (_witness(field, _spin(gens, b.columns()), n)
+             or _witness(field, _spin(duals, c.rows), n, dual=True))
+    if found or b.ncols == 1:
+        return found
+    return _condensed_verdict(gens, duals, b, c)
 
 
 def _compute_shape(d: int, rho: Sequence[int],
@@ -340,15 +354,17 @@ def _require_tridiagonal(nonzero: Sequence[Sequence[bool]],
 
 class _Family:
     """The idempotents of one matrix in a fixed base order, with their
-    eigenvalues, ranks and block pattern against the other matrix.  An
-    ordering of the family is a list of base positions."""
+    eigenvalues, rank factorizations, ranks and block pattern against the
+    other matrix.  An ordering of the family is a list of base positions."""
 
     def __init__(self, m: Matrix, idems: Sequence[Matrix],
                  thetas: Sequence[Scalar], other: Matrix):
         self.m = m
         self.idems = tuple(idems)
         self.thetas = tuple(thetas)
-        self.ranks, self.nonzero = _block_pattern(idems, other)
+        self.factors = tuple(rank_factorization(e) for e in idems)
+        self.ranks = tuple(b.ncols for b, _ in self.factors)
+        self.nonzero = _block_pattern(self.factors, other)
 
 
 def _assemble_system(field: Field, fam: _Family, fam_star: _Family,
@@ -409,11 +425,14 @@ def analyze_pair(a: Matrix, astar: Matrix) -> PairAnalysis:
         adj = _adjacency(family.nonzero)
         comps = _components(adj)
         if len(comps) > 1:
+            witness = Subspace.from_columns(
+                field, n, [col for i in comps[0]
+                           for col in family.factors[i][0].columns()])
             return PairAnalysis((), Rejection(
                 REASON_REDUCIBLE,
                 f"the {label} matrix's eigenspace graph is disconnected; "
                 f"the eigenspaces of component {comps[0]} span a proper "
-                "common invariant subspace"))
+                "common invariant subspace", witness))
         order = _path_order(adj)
         if order is None:
             return PairAnalysis((), Rejection(
@@ -427,21 +446,9 @@ def analyze_pair(a: Matrix, astar: Matrix) -> PairAnalysis:
             REASON_DIAMETER,
             f"{len(thetas)} eigenvalues against {len(thetastars)}"))
 
-    dim = generated_algebra_dimension(a, astar)
-    if dim < n * n:
-        seeds = []
-        for _, space in list(eig_a.pairs) + list(eig_astar.pairs):
-            seeds.extend(space.basis_columns())
-        witness = _find_invariant_subspace(a, astar, seeds)
-        if witness is not None:
-            return PairAnalysis((), Rejection(
-                REASON_REDUCIBLE,
-                f"a common invariant subspace of dimension {witness.dim} "
-                "exists"))
-        return PairAnalysis((), Rejection(
-            REASON_UNDETERMINED,
-            f"generated algebra has dimension {dim} < {n * n} but no "
-            "invariant subspace was found"))
+    rejection = _irreducibility(fam, fam_star)
+    if rejection is not None:
+        return PairAnalysis((), rejection)
 
     order_a, order_astar = orders
     variants_a = [order_a] if len(order_a) == 1 else [order_a, order_a[::-1]]
@@ -648,14 +655,18 @@ def system_from_json(doc: dict) -> TridiagonalSystem:
     except Exception as exc:
         raise MalformedInputError(f"stored eigenvalues are invalid: {exc}") \
             from exc
-    n = a.nrows
-    if generated_algebra_dimension(a, astar) < n * n:
+    fam = _Family(a, e_list, theta, astar)
+    fam_star = _Family(astar, estar_list, thetastar, a)
+    rejection = _irreducibility(fam, fam_star)
+    if rejection is not None and rejection.reason == REASON_REDUCIBLE:
         raise MalformedInputError("stored pair is not irreducible")
+    if rejection is not None:
+        raise MalformedInputError(
+            f"stored pair's irreducibility is undetermined: "
+            f"{rejection.detail}")
     stored = list(range(len(theta)))
     try:
-        return _assemble_system(field, _Family(a, e_list, theta, astar),
-                                _Family(astar, estar_list, thetastar, a),
-                                stored, stored)
+        return _assemble_system(field, fam, fam_star, stored, stored)
     except InternalInconsistencyError as exc:
         raise MalformedInputError(f"stored ordering is not standard: {exc}") \
             from exc

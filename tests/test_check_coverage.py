@@ -10,7 +10,7 @@ import re
 import pytest
 
 import tdpair
-from tdpair import (Matrix, Subspace, change_of_basis_reps,
+from tdpair import (Matrix, Subspace, change_of_basis_reps, check_diagrams,
                     check_master_identity, check_section5, check_section7,
                     check_split_bijectivity, compute_rfl, compute_split,
                     inverse, leonard_data, subspace_sum)
@@ -122,6 +122,36 @@ def test_section5_reports_rfl_fact(system, fact, part, name):
     else:
         rfl = replace(rfl, **{part: getattr(rfl, part).scale(2)})
     assert name in failing(check_section5(system, rfl))
+
+
+def rl_swapped(rfl):
+    return replace(rfl, raising=rfl.lowering, lowering=rfl.raising)
+
+
+def fl_swapped(rfl):
+    return replace(rfl, flat=rfl.lowering, lowering=rfl.flat)
+
+
+def r_doubled(rfl):
+    return replace(rfl, raising=rfl.raising.scale(2))
+
+
+# corruptions on which section5 met a nonvanishing term with an
+# undetermined coefficient, or a diagram residual disagreed with its direct
+# form; both are now reported as residuals under the check's own names
+CORRUPT_RFL = [(rl_swapped, {"section5.ii.low", "diagrams.raise"}),
+               (fl_swapped, {"section5.iii", "diagrams.flat"}),
+               (r_doubled, {"section5.ii.high", "diagrams.raise"})]
+
+
+@pytest.mark.parametrize("corrupt,names", CORRUPT_RFL,
+                         ids=[c[0].__name__ for c in CORRUPT_RFL])
+def test_corrupted_rfl_fails_checks(system, corrupt, names):
+    rfl = corrupt(compute_rfl(system))
+    split = compute_split(system)
+    got = failing(check_section5(system, rfl)
+                  + check_diagrams(system, split, rfl))
+    assert names <= got
 
 
 def test_master_reports_off_band_blocks_of_a(system):

@@ -13,7 +13,8 @@ from tdpair import (DecompositionError, DimensionError,
                     nilpotent_exp_scaled, projectors_from_direct_sum, rank,
                     rank_kernel, solve_right, subspace_intersect,
                     subspace_sum)
-from tdpair.linalg import _rref, charpoly, rational_roots
+from tdpair.linalg import (_poly_divmod, _rref, charpoly, irreducible_mod_p,
+                           rational_roots)
 
 GF5 = PrimeField(5)
 
@@ -440,3 +441,33 @@ def test_projector_ranges(cols):
     for col in part.basis_columns():
         assert projs[0].apply(col) == tuple(col)
         assert all(not v for v in projs[1].apply(col))
+
+
+def _monic(p, degree):
+    """Every monic polynomial of the degree over GF(p), ascending."""
+    if degree == 0:
+        yield [1]
+        return
+    for rest in _monic(p, degree - 1):
+        for c in range(p):
+            yield [c] + rest
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_irreducible_mod_p_matches_trial_division(p):
+    for degree in range(1, 5):
+        for f in _monic(p, degree):
+            reducible = any(
+                not _poly_divmod(f, g, p)[1]
+                for k in range(1, degree // 2 + 1) for g in _monic(p, k))
+            assert irreducible_mod_p(f, p) == (not reducible), f
+
+
+def test_irreducible_mod_p_examples():
+    assert irreducible_mod_p([1, 0, 1], 3)          # x^2 + 1, -1 a non-square
+    assert not irreducible_mod_p([1, 0, 1], 5)      # 2^2 = -1 mod 5
+    for p in (3, 5, 7, 11):
+        # x^4 + 1 is irreducible over QQ but splits modulo every prime
+        assert not irreducible_mod_p([1, 0, 0, 0, 1], p)
+    assert irreducible_mod_p([1, 0, 1, 0, 0, 1], 2)  # x^5 + x^2 + 1
+    assert not irreducible_mod_p([1, 1, 0, 0, 0, 1], 2)  # x^5 + x + 1

@@ -6,12 +6,11 @@ import pytest
 from tdpair import (ContradictionError, MalformedInputError, Matrix,
                     PrimeField, QQ, REASON_DIAMETER,
                     REASON_NOT_DIAGONALIZABLE, REASON_NO_ORDERING,
-                    REASON_REDUCIBLE, analyze_pair,
+                    REASON_REDUCIBLE, Subspace, analyze_pair,
                     check_tridiagonal_relations, compute_relation_parameters,
                     compute_shape, matrix_from_json, relative,
                     system_from_json, system_to_json, verify_pair)
-from tdpair.systems import (RELATIVE_KEYS, _closure_dim_exact,
-                            _cyclic_subspace)
+from tdpair.systems import RELATIVE_KEYS, _spin
 
 
 def pair_d2():
@@ -156,14 +155,13 @@ def test_spin_and_exact_closure():
     a, astar = pair_d2()
     two = Matrix.identity(QQ, 2)
     big_a, big_astar = two.kron(a), two.kron(astar)
-    w = _cyclic_subspace(big_a, big_astar, (1, 0, 0, 1, 0, 0))
+    rows = _spin((big_a, big_astar), [[QQ.coerce(x)
+                                       for x in (1, 0, 0, 1, 0, 0)]])
+    w = Subspace.from_columns(QQ, 6, rows.values())
     assert w.dim == 3
     for col in w.basis_columns():
         assert w.contains(big_a.apply(col))
         assert w.contains(big_astar.apply(col))
-    # each copy generates all 3 x 3 matrices, and both copies move together
-    assert _closure_dim_exact(a, astar) == 9
-    assert _closure_dim_exact(big_a, big_astar) == 9
 
 
 def test_rejection_not_diagonalizable():
