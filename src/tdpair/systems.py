@@ -658,12 +658,12 @@ def system_from_json(doc: dict) -> TridiagonalSystem:
     fam = _Family(a, e_list, theta, astar)
     fam_star = _Family(astar, estar_list, thetastar, a)
     rejection = _irreducibility(fam, fam_star)
-    if rejection is not None and rejection.reason == REASON_REDUCIBLE:
-        raise MalformedInputError("stored pair is not irreducible")
     if rejection is not None:
         raise MalformedInputError(
-            f"stored pair's irreducibility is undetermined: "
-            f"{rejection.detail}")
+            "stored pair is not irreducible"
+            if rejection.reason == REASON_REDUCIBLE
+            else "stored pair's irreducibility is undetermined: "
+            + rejection.detail)
     stored = list(range(len(theta)))
     try:
         return _assemble_system(field, fam, fam_star, stored, stored)
