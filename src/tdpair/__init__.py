@@ -27,8 +27,9 @@ from .systems import (PairAnalysis, REASON_DIAMETER,
                       RelationParameters, SCHEMA_VERSION, TridiagonalSystem,
                       analyze_pair, check_tridiagonal_relations,
                       compute_relation_parameters, compute_shape,
-                      matrix_from_json, relative, system_from_json,
-                      system_to_json, verify_pair)
+                      generated_algebra_dimension, matrix_from_json,
+                      relative, system_from_json, system_to_json,
+                      verify_pair)
 from .results import RankEntry, RankTable, Residual, ScalarResidual, all_zero
 from .rfl import (RFLDecomposition, SectionFiveCoefficients, check_section5,
                   check_section10, compute_rfl, section5_coefficients)
@@ -71,7 +72,7 @@ __all__ = [
     "compute_split", "construct_krawtchouk", "construct_leonard",
     "corollary_flat_operator", "corollary_lower_operator",
     "eigenvalues_in_field", "field_from_descriptor",
-    "inverse", "is_krawtchouk_type",
+    "generated_algebra_dimension", "inverse", "is_krawtchouk_type",
     "is_prime", "kronecker_sum_candidate", "lagrange_idempotents",
     "leonard_data", "master_rhs_operator", "matrix_from_json",
     "nilpotency_index", "nilpotent_exp_scaled", "projectors_from_direct_sum",

@@ -220,6 +220,25 @@ def _spin(gens: Sequence[Matrix], seeds: Iterable[Sequence[Scalar]]
     return rows
 
 
+def generated_algebra_dimension(a: Matrix, b: Matrix) -> int:
+    """Dimension of the unital matrix algebra generated by a and b, spanned
+    by words in them.  Words rather than reduced rows are multiplied on,
+    which keeps rational entries small.  Recognition does not use it; it
+    costs O(n^6) field operations."""
+    n = a.nrows
+    rows: Dict[int, List[Scalar]] = {}
+    queue = [Matrix.identity(a.field, n)]
+    _insert(rows, [x for row in queue[0].rows for x in row])
+    while queue and len(rows) < n * n:
+        word = queue.pop()
+        for gen in (a, b):
+            prod = gen * word
+            if _insert(rows, [x for row in prod.rows for x in row]
+                       ) is not None:
+                queue.append(prod)
+    return len(rows)
+
+
 def _witness(field: Field, rows: Dict[int, List[Scalar]], n: int,
              dual: bool = False) -> Optional[Rejection]:
     """The reducible rejection when spun rows span a proper subspace of
@@ -251,8 +270,7 @@ def _has_irreducible_charpoly(s: Matrix) -> bool:
     return False
 
 
-def _condensed_verdict(gens: Tuple[Matrix, Matrix],
-                       duals: Tuple[Matrix, Matrix], b: Matrix, c: Matrix
+def _condensed_verdict(gens: Tuple[Matrix, Matrix], b: Matrix, c: Matrix
                        ) -> Optional[Rejection]:
     """Condition (c) for rho > 1, given (a) and (b).
 
@@ -260,10 +278,11 @@ def _condensed_verdict(gens: Tuple[Matrix, Matrix],
     the scalars every line of eV is a submodule.  An element of S whose
     characteristic polynomial is irreducible leaves no proper subspace of
     eV invariant.  For an eigenvector x of an element s, the spin of B x is
-    proper exactly when S x is; and when its eigenspace is a line, Norton's
-    test settles (c) with the dual spin of y C, for y spanning the left
-    eigenspace.  For rho = 2 the first element that is not a scalar
-    decides.
+    proper exactly when S x is.  For rho = 2 and a pair satisfying the
+    other axioms, the first element that is not a scalar decides: an
+    invariant line of eV is an eigenline of every element, and an
+    irreducible eV makes S a quadratic field, since S = M_2 would make the
+    pair absolutely irreducible and so sharp.
     """
     field, n, rho = b.field, b.nrows, b.ncols
     # T B, as n x rho matrices, and S spanned by C times them
@@ -289,11 +308,6 @@ def _condensed_verdict(gens: Tuple[Matrix, Matrix],
                 found = _witness(field, _spin(gens, [b.apply(x)]), n)
                 if found:
                     return found
-        simple = [lam for lam, space in pairs if space.dim == 1]
-        if simple:
-            _, left = rank_kernel((s - ident.scale(simple[0])).transpose())
-            return _witness(field, _spin(
-                duals, [c.transpose().apply(left.basis[0])]), n, dual=True)
     primes = ", ".join(str(p) for p in _CERTIFYING_PRIMES)
     tried = ("" if isinstance(field, PrimeField)
              else f" (primes tried: {primes})")
@@ -320,7 +334,7 @@ def _irreducibility(fam: "_Family", fam_star: "_Family"
              or _witness(field, _spin(duals, c.rows), n, dual=True))
     if found or b.ncols == 1:
         return found
-    return _condensed_verdict(gens, duals, b, c)
+    return _condensed_verdict(gens, b, c)
 
 
 def _compute_shape(d: int, rho: Sequence[int],

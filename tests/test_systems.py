@@ -8,8 +8,9 @@ from tdpair import (ContradictionError, MalformedInputError, Matrix,
                     REASON_NOT_DIAGONALIZABLE, REASON_NO_ORDERING,
                     REASON_REDUCIBLE, Subspace, analyze_pair,
                     check_tridiagonal_relations, compute_relation_parameters,
-                    compute_shape, matrix_from_json, relative,
-                    system_from_json, system_to_json, verify_pair)
+                    compute_shape, generated_algebra_dimension,
+                    matrix_from_json, relative, system_from_json,
+                    system_to_json, verify_pair)
 from tdpair.systems import RELATIVE_KEYS, _spin
 
 
@@ -162,6 +163,9 @@ def test_spin_and_exact_closure():
     for col in w.basis_columns():
         assert w.contains(big_a.apply(col))
         assert w.contains(big_astar.apply(col))
+    # each copy generates all 3 x 3 matrices, and both copies move together
+    assert generated_algebra_dimension(a, astar) == 9
+    assert generated_algebra_dimension(big_a, big_astar) == 9
 
 
 def test_rejection_not_diagonalizable():
