@@ -7,18 +7,16 @@ index gaps of two or more.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from .errors import InternalInconsistencyError
 from .fields import Field, Scalar
+from .frame import BlockMatrix, Frame, frame_of
 from .matrix import Matrix
 from .results import Residual
 from .rfl import RFLDecomposition
 from .split import SplitDecomposition
 from .systems import (RelationParameters, TridiagonalSystem,
                       compute_relation_parameters)
-
-_Cache = Tuple[List[Matrix], List[Matrix], List[Matrix], List[Matrix]]
 
 
 def _denom_fe(field: Field, seq: Sequence[Scalar], i: int, j: int) -> Scalar:
@@ -35,15 +33,46 @@ def _denom_ef(field: Field, seq: Sequence[Scalar], i: int, j: int) -> Scalar:
     return out
 
 
-def _word_cache(sys: TridiagonalSystem, split: SplitDecomposition) -> _Cache:
-    ident = Matrix.identity(sys.field, sys.n)
-    l_pow, r_pow = [ident], [ident]
-    for _ in range(sys.d + 1):
-        l_pow.append(l_pow[-1] * split.lowering)
-        r_pow.append(r_pow[-1] * split.raising)
-    la_r = [l_pow[a] * split.raising for a in range(sys.d + 1)]
-    ra_l = [r_pow[a] * split.lowering for a in range(sys.d + 1)]
-    return l_pow, r_pow, la_r, ra_l
+def _assembled(sys: TridiagonalSystem, fr: Frame, i: int, j: int,
+               right: BlockMatrix, dual: bool = False) -> BlockMatrix:
+    """The assembled operator at (i, j) in the split basis, or its mirror
+    with the two eigenvalue sequences and the two shifted maps exchanged,
+    times right.  Each term is multiplied by right before the sum, so a
+    product with one block column touches one block per term."""
+    field, d = sys.field, sys.d
+    th, ts = (sys.thetastar, sys.theta) if dual else (sys.theta,
+                                                       sys.thetastar)
+    # the gap products _denom_ef(ts, i, r) and _denom_fe(ts, s, j), grown
+    # one factor at a time
+    low, high = max(0, i - 1), min(j + 1, d)
+    ef, fe = {i: field.one}, {j: field.one}
+    for r in range(i + 1, high + 1):
+        ef[r] = ef[r - 1] * (ts[i] - ts[r])
+    for s in range(j - 1, low - 1, -1):
+        fe[s] = fe[s + 1] * (ts[j] - ts[s])
+    terms = []
+    if j >= i:
+        coeff = field.zero
+        for s in range(i, j + 1):
+            coeff = coeff + th[s] / (ef[s] * fe[s])
+        terms.append(((fr.r_pow if dual else fr.l_pow)[j - i], coeff))
+    for s in range(low, min(j, d - 1) + 1):
+        terms.append((fr.words[dual][s + 1 - i, j - s],
+                      field.one / (ef[s + 1] * fe[s])))
+    op = BlockMatrix(field, fr.sizes, {})
+    for word, c in terms:
+        op = op + (word * right).scale(c)
+    return op
+
+
+def _grid(sys: TridiagonalSystem, fr: Frame, i: int, j: int) -> BlockMatrix:
+    """F_i E*_i A E*_j minus the assembled operator times F_j E*_j, with
+    rows in the split basis and columns in the dual basis; kept on the
+    frame, since the diagrams compare against the band of the grid."""
+    if (i, j) not in fr.memo:
+        fr.memo[i, j] = fr.fe_qp[i] * (fr.es_pp[i] * fr.a_pp * fr.es_pp[j]) \
+            - _assembled(sys, fr, i, j, fr.fe_qp[j])
+    return fr.memo[i, j]
 
 
 def check_descent(sys: TridiagonalSystem,
@@ -52,49 +81,30 @@ def check_descent(sys: TridiagonalSystem,
     diagonal one through a power of the lowering map divided by a product
     of dual eigenvalue gaps, on both sides."""
     d, field = sys.d, sys.field
-    proj, estar, ts = split.projectors, sys.Estar, sys.thetastar
-    l_pow = [Matrix.identity(field, sys.n)]
-    for _ in range(d):
-        l_pow.append(l_pow[-1] * split.lowering)
+    fr = frame_of(sys, split)
+    ts, l_pow = sys.thetastar, fr.l_pow
     out: List[Residual] = []
     for i in range(d + 1):
         for j in range(i, d + 1):
-            lhs = proj[i] * estar[j]
-            rhs = (l_pow[j - i] * proj[j] * estar[j]).scale(
+            lhs = fr.f[i] * fr.es_qp[j]
+            rhs = (l_pow[j - i] * fr.fe_qp[j]).scale(
                 field.one / _denom_fe(field, ts, i, j))
-            out.append(Residual("descent.FE", (i, j), lhs - rhs))
-            lhs = estar[i] * proj[j]
-            rhs = (estar[i] * proj[i] * l_pow[j - i]).scale(
+            out.append(fr.residual("descent.FE", (i, j), lhs - rhs, "QP"))
+            lhs = fr.es_pp[i] * fr.f_pq[j]
+            rhs = (fr.ef_pq[i] * l_pow[j - i]).scale(
                 field.one / _denom_ef(field, ts, i, j))
-            out.append(Residual("descent.EF", (i, j), lhs - rhs))
+            out.append(fr.residual("descent.EF", (i, j), lhs - rhs, "PQ"))
     return out
 
 
 def master_rhs_operator(sys: TridiagonalSystem, split: SplitDecomposition,
-                        i: int, j: int,
-                        _cache: Optional[_Cache] = None) -> Matrix:
+                        i: int, j: int) -> Matrix:
     """The operator carrying the diagonal projector/dual-idempotent product
     at j to the mixed product of A at (i, j): an eigenvalue-weighted scalar
     times a lowering power, plus one raising step sandwiched between
     lowering powers for each crossing position."""
-    field = sys.field
-    d = sys.d
-    ts = sys.thetastar
-    if _cache is None:
-        _cache = _word_cache(sys, split)
-    l_pow, _, la_r, _ = _cache
-    op = Matrix.zeros(field, sys.n, sys.n)
-    if j >= i:
-        coeff = field.zero
-        for s in range(i, j + 1):
-            coeff = coeff + sys.theta[s] / (
-                _denom_ef(field, ts, i, s) * _denom_fe(field, ts, s, j))
-        op = op + l_pow[j - i].scale(coeff)
-    for s in range(max(0, i - 1), min(j, d - 1) + 1):
-        r = s + 1
-        denom = _denom_ef(field, ts, i, r) * _denom_fe(field, ts, s, j)
-        op = op + (la_r[r - i] * l_pow[j - s]).scale(field.one / denom)
-    return op
+    fr = frame_of(sys, split)
+    return fr.original(_assembled(sys, fr, i, j, fr.r_pow[0]), "QQ")
 
 
 def corollary_flat_operator(sys: TridiagonalSystem,
@@ -136,49 +146,21 @@ def corollary_lower_operator(sys: TridiagonalSystem,
 def check_master_identity(sys: TridiagonalSystem,
                           split: SplitDecomposition) -> List[Residual]:
     """Residuals of the mixed projector/dual-idempotent products of A
-    against the assembled operators over the full index grid, plus the
-    direct forms at index gaps one and zero.
-
-    The assembled operator is asserted to agree entrywise with the
-    independently coded direct form wherever both exist."""
+    against the assembled operators over the full index grid, repeated
+    under the names of the direct forms at index gaps one and zero: the
+    assembled operator is the raising map at (j + 1, j), and
+    corollary_flat_operator and corollary_lower_operator at (j, j) and
+    (j - 1, j), for every pair of shifted maps."""
     d = sys.d
-    cache = _word_cache(sys, split)
-    proj, estar = split.projectors, sys.Estar
-    fe_diag = [proj[j] * estar[j] for j in range(d + 1)]
-    a_estar = [sys.A * estar[j] for j in range(d + 1)]
-    out: List[Residual] = []
-    for j in range(d + 1):
-        for i in range(d + 1):
-            op = master_rhs_operator(sys, split, i, j, cache)
-            lhs = proj[i] * (estar[i] * a_estar[j])
-            out.append(Residual("master.grid", (i, j), lhs - op * fe_diag[j]))
-    for j in range(d):
-        if master_rhs_operator(sys, split, j + 1, j, cache) != split.raising:
-            raise InternalInconsistencyError(
-                f"assembled operator at ({j + 1}, {j}) is not the "
-                f"raising map")
-        out.append(Residual(
-            "master.raise", (j,),
-            proj[j + 1] * (estar[j + 1] * a_estar[j])
-            - split.raising * fe_diag[j]))
-    for j in range(d + 1):
-        direct = corollary_flat_operator(sys, split, j)
-        if master_rhs_operator(sys, split, j, j, cache) != direct:
-            raise InternalInconsistencyError(
-                f"assembled operator at ({j}, {j}) disagrees with its "
-                f"direct form")
-        out.append(Residual(
-            "master.flat", (j,),
-            proj[j] * (estar[j] * a_estar[j]) - direct * fe_diag[j]))
-    for j in range(1, d + 1):
-        direct = corollary_lower_operator(sys, split, j)
-        if master_rhs_operator(sys, split, j - 1, j, cache) != direct:
-            raise InternalInconsistencyError(
-                f"assembled operator at ({j - 1}, {j}) disagrees with its "
-                f"direct form")
-        out.append(Residual(
-            "master.lower", (j,),
-            proj[j - 1] * (estar[j - 1] * a_estar[j]) - direct * fe_diag[j]))
+    fr = frame_of(sys, split)
+    grid = {(i, j): fr.residual("master.grid", (i, j),
+                                _grid(sys, fr, i, j), "QP")
+            for j in range(d + 1) for i in range(d + 1)}
+    out = list(grid.values())
+    for name, gap, js in (("master.raise", 1, range(d)),
+                          ("master.flat", 0, range(d + 1)),
+                          ("master.lower", -1, range(1, d + 1))):
+        out += [Residual(name, (j,), grid[j + gap, j].matrix) for j in js]
     return out
 
 
@@ -192,32 +174,28 @@ def check_diagrams(sys: TridiagonalSystem, split: SplitDecomposition,
     matching direct-form residual, by their difference under the same
     name."""
     d = sys.d
-    psi = split.transition
-    estar = sys.Estar
-    proj = split.projectors
-    a_estar = [sys.A * e for e in estar]
+    fr = frame_of(sys, split)
+    psi = fr.psi_qp
     out: List[Residual] = []
 
-    def report(name: str, j: int, res: Matrix, direct: Matrix) -> None:
-        out.append(Residual(name, (j,), res))
-        if res != direct:
-            out.append(Residual(name, (j,), res - direct))
+    def report(name: str, j: int, lead: BlockMatrix, i: int) -> None:
+        # (lead - op psi) E*_j, op the assembled operator at (i, j): the
+        # raising map at (j + 1, j), the direct forms at (j, j), (j - 1, j)
+        res = lead * fr.es_pp[j] \
+            - _assembled(sys, fr, i, j, psi * fr.es_pp[j])
+        out.append(fr.residual(name, (j,), res, "QP"))
+        diff = res - _grid(sys, fr, i, j)
+        if not diff.is_zero():
+            out.append(fr.residual(name, (j,), diff, "QP"))
 
+    up, flat, down = (psi * fr.conj(part, "PP")
+                      for part in (rfl.raising, rfl.flat, rfl.lowering))
     for j in range(d):
-        report("diagrams.raise", j,
-               (psi * rfl.raising - split.raising * psi) * estar[j],
-               proj[j + 1] * (estar[j + 1] * a_estar[j])
-               - split.raising * (proj[j] * estar[j]))
+        report("diagrams.raise", j, up, j + 1)
     for j in range(d + 1):
-        op = corollary_flat_operator(sys, split, j)
-        report("diagrams.flat", j, (psi * rfl.flat - op * psi) * estar[j],
-               proj[j] * (estar[j] * a_estar[j]) - op * (proj[j] * estar[j]))
+        report("diagrams.flat", j, flat, j)
     for j in range(1, d + 1):
-        op = corollary_lower_operator(sys, split, j)
-        report("diagrams.lower", j,
-               (psi * rfl.lowering - op * psi) * estar[j],
-               proj[j - 1] * (estar[j - 1] * a_estar[j])
-               - op * (proj[j] * estar[j]))
+        report("diagrams.lower", j, down, j - 1)
     return out
 
 
@@ -231,44 +209,29 @@ def check_section9(sys: TridiagonalSystem, split: SplitDecomposition,
     appropriate summands."""
     if params is None:
         params = compute_relation_parameters(sys)
-    d, field = sys.d, sys.field
+    d = sys.d
     th, ts = sys.theta, sys.thetastar
-    proj = split.projectors
-    cache = _word_cache(sys, split)
-    l_pow, r_pow, _, ra_l = cache
+    fr = frame_of(sys, split)
+    proj = fr.f
     out: List[Residual] = []
     for i in range(d + 1):
         for j in range(i + 2, d + 1):
-            op = master_rhs_operator(sys, split, i, j, cache)
-            out.append(Residual("section9.low", (i, j), op * proj[j]))
-            coeff = field.zero
-            for s in range(i, j + 1):
-                coeff = coeff + ts[s] / (
-                    _denom_ef(field, th, i, s) * _denom_fe(field, th, s, j))
-            dual = r_pow[j - i].scale(coeff)
-            for s in range(max(0, i - 1), min(j, d - 1) + 1):
-                r = s + 1
-                denom = _denom_ef(field, th, i, r) \
-                    * _denom_fe(field, th, s, j)
-                dual = dual + (ra_l[j - s] * r_pow[r - i]).scale(
-                    field.one / denom)
-            out.append(Residual("section9.high", (i, j), dual * proj[i]))
+            out.append(fr.residual("section9.low", (i, j),
+                                   _assembled(sys, fr, i, j, proj[j])))
+            out.append(fr.residual(
+                "section9.high", (i, j),
+                _assembled(sys, fr, i, j, proj[i], dual=True)))
     if d >= 2:
         beta1 = params.beta + 1
-        rr, ll = split.raising, split.lowering
-        l2, l3 = l_pow[2], l_pow[3]
-        r2, r3 = r_pow[2], r_pow[3]
-        base_low = rr * l3 - (ll * rr * l2).scale(beta1) \
-            + (l2 * rr * ll).scale(beta1) - l3 * rr
-        base_high = r3 * ll - (r2 * ll * rr).scale(beta1) \
-            + (rr * ll * r2).scale(beta1) - ll * r3
+        base = [w[0, 3] - w[1, 2].scale(beta1) + w[2, 1].scale(beta1)
+                - w[3, 0] for w in (fr.words[0], fr.words[1])]
         for j in range(2, d + 1):
             e_j = (th[j - 1] - th[j - 2]) * (ts[j - 1] - ts[j - 2]) \
                 - (th[j - 1] - th[j]) * (ts[j - 1] - ts[j])
-            out.append(Residual(
+            out.append(fr.residual(
                 "section9.cubic.low", (j,),
-                (base_low - l2.scale(beta1 * e_j)) * proj[j]))
-            out.append(Residual(
+                (base[0] - fr.l_pow[2].scale(beta1 * e_j)) * proj[j]))
+            out.append(fr.residual(
                 "section9.cubic.high", (j,),
-                (base_high - r2.scale(beta1 * e_j)) * proj[j - 2]))
+                (base[1] - fr.r_pow[2].scale(beta1 * e_j)) * proj[j - 2]))
     return out

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import InternalInconsistencyError
-from .linalg import (Subspace, projectors_from_direct_sum, rank_between,
-                     rank_factorization, rank_right, subspace_intersect,
-                     subspace_sum)
+from .frame import frame_of
+from .linalg import (Subspace, projectors_from_direct_sum,
+                     subspace_intersect, subspace_sum)
 from .matrix import Matrix
 from .results import RankEntry, RankTable, Residual
 from .systems import TridiagonalSystem
@@ -95,47 +95,46 @@ def check_section7(sys: TridiagonalSystem,
     nilpotency of the shifted maps, and the projector/dual-idempotent
     recovery identities."""
     d = sys.d
-    proj = split.projectors
+    fr = frame_of(sys, split)
+    proj, es_qp, r_pow = fr.f, fr.es_qp, fr.r_pow
+    res = fr.residual
     out: List[Residual] = []
     for j in range(d + 1):
-        af = sys.A * proj[j]
-        asf = sys.Astar * proj[j]
+        af = fr.a * proj[j]
+        asf = fr.astar * proj[j]
         for i in range(d + 1):
             blk = proj[i] * af
             if i == j:
-                out.append(Residual("section7.A.diag", (i,),
-                                    blk - proj[i].scale(sys.theta[i])))
+                out.append(res("section7.A.diag", (i,),
+                               blk - proj[i].scale(sys.theta[i])))
             elif i == j + 1:
-                out.append(Residual("section7.A.sub", (j,),
-                                    blk - split.raising * proj[j]))
+                out.append(res("section7.A.sub", (j,),
+                               blk - r_pow[1] * proj[j]))
             else:
-                out.append(Residual("section7.A.zero", (i, j), blk))
+                out.append(res("section7.A.zero", (i, j), blk))
             blk = proj[i] * asf
             if i == j:
-                out.append(Residual("section7.Astar.diag", (i,),
-                                    blk - proj[i].scale(sys.thetastar[i])))
+                out.append(res("section7.Astar.diag", (i,),
+                               blk - proj[i].scale(sys.thetastar[i])))
             elif i == j - 1:
-                out.append(Residual("section7.Astar.super", (j,),
-                                    blk - split.lowering * proj[j]))
+                out.append(res("section7.Astar.super", (j,),
+                               blk - fr.l_pow[1] * proj[j]))
             else:
-                out.append(Residual("section7.Astar.zero", (i, j), blk))
-    out.append(Residual("section7.nilR", (), split.raising ** (d + 1)))
-    out.append(Residual("section7.nilL", (), split.lowering ** (d + 1)))
-    ident = Matrix.identity(sys.field, sys.n)
-    out.append(Residual("section7.psi", (),
-                        split.transition * split.transition_inv - ident))
+                out.append(res("section7.Astar.zero", (i, j), blk))
+    out.append(res("section7.nilR", (), r_pow[d + 1]))
+    out.append(res("section7.nilL", (), fr.l_pow[d + 1]))
+    out.append(res("section7.psi", (),
+                   fr.psi_qp * fr.psi_inv_pq - r_pow[0]))
     for i in range(d + 1):
-        out.append(Residual(
-            "section7.FEsF", (i,),
-            proj[i] * sys.Estar[i] * proj[i] - proj[i]))
-        out.append(Residual(
-            "section7.EsFEs", (i,),
-            sys.Estar[i] * proj[i] * sys.Estar[i] - sys.Estar[i]))
+        out.append(res("section7.FEsF", (i,),
+                       fr.fe_qp[i] * fr.f_pq[i] - proj[i]))
+        out.append(res("section7.EsFEs", (i,),
+                       fr.ef_pq[i] * es_qp[i] - fr.es_pp[i], "PP"))
         for j in range(i + 1, d + 1):
-            out.append(Residual("section7.FEs.tri", (j, i),
-                                proj[j] * sys.Estar[i]))
-            out.append(Residual("section7.EsF.tri", (j, i),
-                                sys.Estar[j] * proj[i]))
+            out.append(res("section7.FEs.tri", (j, i),
+                           proj[j] * es_qp[i], "QP"))
+            out.append(res("section7.EsF.tri", (j, i),
+                           fr.es_pp[j] * fr.f_pq[i], "PQ"))
     return out
 
 
@@ -143,39 +142,27 @@ def check_split_bijectivity(sys: TridiagonalSystem,
                             split: SplitDecomposition) -> RankTable:
     """Observed against predicted ranks for powers of the shifted maps
     between summands, and for the pairings of each summand with its
-    eigenspace and dual eigenspace.
-
-    Projectors and idempotents enter through their rank factorizations, so
-    every rank is taken of an n x rho_j or rho_i x rho_j block.
-    """
+    eigenspace and dual eigenspace, each the rank of the nonzero blocks of
+    a product in the split and dual bases."""
     d = sys.d
     rho = sys.shape
-    proj = [rank_factorization(f) for f in split.projectors]
-    e = [rank_factorization(x) for x in sys.E]
-    es = [rank_factorization(x) for x in sys.Estar]
-    ident = Matrix.identity(sys.field, sys.n)
-    r_pow = [ident]
-    l_pow = [ident]
-    for _ in range(d):
-        r_pow.append(r_pow[-1] * split.raising)
-        l_pow.append(l_pow[-1] * split.lowering)
+    fr = frame_of(sys, split)
+    proj = fr.f
     entries: List[RankEntry] = []
     for i in range(d + 1):
         for j in range(i, d + 1):
             k = j - i
             entries.append(RankEntry(
-                "calR", i, j, rank_right(r_pow[k], proj[i]),
+                "calR", i, j, (fr.r_pow[k] * proj[i]).rank(),
                 rho[i] if i + j <= d else rho[j]))
             entries.append(RankEntry(
-                "calL", i, j, rank_right(l_pow[k], proj[j]),
+                "calL", i, j, (fr.l_pow[k] * proj[j]).rank(),
                 rho[j] if i + j >= d else rho[i]))
     for i in range(d + 1):
+        entries.append(RankEntry("FEstar", i, i, fr.fe_qp[i].rank(), rho[i]))
+        entries.append(RankEntry("EstarF", i, i, fr.ef_pq[i].rank(), rho[i]))
         entries.append(RankEntry(
-            "FEstar", i, i, rank_between(proj[i], ident, es[i]), rho[i]))
+            "FE", i, i, (proj[i] * fr.e[i]).rank(), rho[i]))
         entries.append(RankEntry(
-            "EstarF", i, i, rank_between(es[i], ident, proj[i]), rho[i]))
-        entries.append(RankEntry(
-            "FE", i, i, rank_between(proj[i], ident, e[i]), rho[i]))
-        entries.append(RankEntry(
-            "EF", i, i, rank_between(e[i], ident, proj[i]), rho[i]))
+            "EF", i, i, (fr.e[i] * proj[i]).rank(), rho[i]))
     return RankTable("section7", tuple(entries))

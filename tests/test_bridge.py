@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -84,6 +86,54 @@ def test_master_operator_matches_corollaries(kraw4):
         if j >= 1:
             assert master_rhs_operator(s, split, j - 1, j) == \
                 corollary_lower_operator(s, split, j)
+
+
+def random_maps(s, seed):
+    rng = random.Random(seed)
+    return [Matrix(s.field, [[rng.randint(-5, 5) for _ in range(s.n)]
+                             for _ in range(s.n)]) for _ in range(2)]
+
+
+def test_assembled_operator_is_the_direct_forms_for_any_maps(
+        kraw4, multiplicity_system):
+    """At index gaps one and zero the assembled operator is the raising
+    map and the two direct forms as polynomials in the shifted maps, so
+    the identities hold with any matrices in their place; which is why
+    master.raise, master.flat and master.lower are grid residuals."""
+    for seed, s in enumerate((kraw4, multiplicity_system)):
+        raising, lowering = random_maps(s, seed)
+        split = dataclasses.replace(compute_split(s), raising=raising,
+                                    lowering=lowering)
+        for j in range(s.d + 1):
+            if j + 1 <= s.d:
+                assert master_rhs_operator(s, split, j + 1, j) == raising
+            assert master_rhs_operator(s, split, j, j) == \
+                corollary_flat_operator(s, split, j)
+            if j >= 1:
+                assert master_rhs_operator(s, split, j - 1, j) == \
+                    corollary_lower_operator(s, split, j)
+
+
+def test_master_and_section9_take_few_full_products(monkeypatch):
+    """The grid and the annihilation identities are evaluated block by
+    block in the split and dual bases: the n x n products are those that
+    change bases, not O(d) per grid entry."""
+    d = 16
+    s, _ = construct_krawtchouk(
+        KrawtchoukParams(field=QQ, d=d, p=Fraction(1, 3)))
+    split = compute_split(s)
+    full = []
+    matmul = Matrix._matmul
+
+    def spy(a, b):
+        if a.nrows == a.ncols == b.ncols == s.n:
+            full.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "_matmul", spy)
+    assert all_zero(check_master_identity(s, split))
+    assert all_zero(check_section9(s, split))
+    assert len(full) <= 2 * (d + 1) ** 2
 
 
 def test_master_far_below_is_zero(kraw4):
