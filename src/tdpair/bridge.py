@@ -70,7 +70,7 @@ def _grid(sys: TridiagonalSystem, fr: Frame, i: int, j: int) -> BlockMatrix:
     rows in the split basis and columns in the dual basis; kept on the
     frame, since the diagrams compare against the band of the grid."""
     if (i, j) not in fr.memo:
-        fr.memo[i, j] = fr.fe_qp[i] * (fr.es_pp[i] * fr.a_pp * fr.es_pp[j]) \
+        fr.memo[i, j] = fr.fe_qp[i] * fr.a_es_pp[j] \
             - _assembled(sys, fr, i, j, fr.fe_qp[j])
     return fr.memo[i, j]
 

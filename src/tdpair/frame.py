@@ -138,11 +138,12 @@ class Frame:
                         [c for x in es if x for c in x[0].columns()])}
         conj = self.conj
         self.a, self.astar = conj(sys.A, "QQ"), conj(sys.Astar, "QQ")
-        self.a_pp = conj(sys.A, "PP")
         self.f = [conj(x, "QQ") for x in f]
         self.f_pq = [conj(x, "PQ") for x in f]
         self.es_pp = [conj(x, "PP") for x in es]
         self.es_qp = [conj(x, "QP") for x in es]
+        a_pp = conj(sys.A, "PP")
+        self.a_es_pp = [a_pp * x for x in self.es_pp]
         self.e = [conj(rank_factorization(x), "QQ") for x in sys.E]
         self.psi_qp = conj(split.transition, "QP")
         self.psi_inv_pq = conj(split.transition_inv, "PQ")

@@ -1,48 +1,33 @@
-"""Compare the command-line output of two source trees byte for byte.
+"""Compare the command-line output of a base source tree with this one's,
+byte for byte.
 
-    python tests/compare_outputs.py BASE [HEAD]
+    python tests/compare_outputs.py BASE
 
 Builds the inputs of the benchmark workloads family, eigen-scan and
 reject-mix for seeds 1 to 3 from `perfbench/workloads.py` of the tree
 holding this script, and runs `construct`, `verify` and `report` (JSON and
-CSV) on them through `tdpair.cli.main`, once with each tree's `src` on the
-path.  HEAD defaults to the tree holding this script.  Exits 1 when any
-run differs in standard output, standard error or exit code.  pytest does
-not collect this file.
+CSV) on them through `tdpair.cli.main`, once with BASE's `src` on the path
+and once with this tree's.  Exits 1 when any run differs in standard
+output, standard error or exit code.  pytest does not collect this file.
 """
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
-import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 
 
-def _call(cli, argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = cli.main(argv)
-        except Exception:   # a crash is reported as a difference
-            rc = None
-            err.write(traceback.format_exc())
-    return {"argv": argv, "rc": rc, "out": out.getvalue(),
-            "err": err.getvalue()}
-
-
 def emit(tree: str) -> None:
     """Run every command with tree's `src` first on the path and print
     one JSON record per run."""
     sys.path[:0] = [str(Path(tree).resolve() / "src"), str(ROOT / "perfbench")]
-    from exact import texts
+    from run import _call, _pair_doc
     from workloads import WORKLOADS
     from tdpair import cli
 
@@ -54,30 +39,24 @@ def emit(tree: str) -> None:
                 for case in build(seed):
                     path = f"{workload}-{seed}-{case.label}.json"
                     if case.construct is None:
-                        field = ({"kind": "rational"} if case.prime is None
-                                 else {"kind": "prime", "p": case.prime})
-                        Path(path).write_text(json.dumps({
-                            "schema": 1, "field": field,
-                            "A": [texts(r, case.prime) for r in case.a],
-                            "Astar": [texts(r, case.prime)
-                                      for r in case.astar]}),
-                            encoding="utf-8")
+                        Path(path).write_text(_pair_doc(case),
+                                              encoding="utf-8")
                     else:
-                        runs.append(_call(cli, ["construct"]
-                                          + case.construct))
-                        if runs[-1]["rc"] == 0:
-                            Path(path).write_text(runs[-1]["out"],
+                        argv = ["construct"] + case.construct
+                        runs.append([argv, *_call(cli, argv)])
+                        if runs[-1][1] == 0:
+                            Path(path).write_text(runs[-1][2],
                                                   encoding="utf-8")
                     if case.verified:
                         for argv in (["verify", path], ["report", path],
                                      ["report", path, "--format", "csv"]):
-                            runs.append(_call(cli, argv))
+                            runs.append([argv, *_call(cli, argv)])
         os.chdir(ROOT)
     json.dump(runs, sys.stdout)
 
 
-def runs_of(tree: str) -> list:
-    done = subprocess.run([sys.executable, __file__, "--emit", tree],
+def runs_of(tree) -> list:
+    done = subprocess.run([sys.executable, __file__, "--emit", str(tree)],
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -86,11 +65,11 @@ def main(argv) -> int:
     if argv[:1] == ["--emit"]:
         emit(argv[1])
         return 0
-    if len(argv) not in (1, 2):
+    if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    base, head = runs_of(argv[0]), runs_of(argv[1] if argv[1:] else ROOT)
-    differ = [b["argv"] for b, h in zip(base, head) if b != h]
+    base, head = runs_of(argv[0]), runs_of(ROOT)
+    differ = [b[0] for b, h in zip(base, head) if b != h]
     if len(base) != len(head):
         differ.append(f"{len(base)} runs against {len(head)}")
     for what in differ:

@@ -75,43 +75,32 @@ def test_master_prime_field():
     assert all_zero(check_master_identity(system, split))
 
 
-def test_master_operator_matches_corollaries(kraw4):
-    s = kraw4
-    split = compute_split(s)
-    for j in range(s.d + 1):
-        if j + 1 <= s.d:
-            assert master_rhs_operator(s, split, j + 1, j) == split.raising
-        assert master_rhs_operator(s, split, j, j) == \
-            corollary_flat_operator(s, split, j)
-        if j >= 1:
-            assert master_rhs_operator(s, split, j - 1, j) == \
-                corollary_lower_operator(s, split, j)
-
-
 def random_maps(s, seed):
     rng = random.Random(seed)
     return [Matrix(s.field, [[rng.randint(-5, 5) for _ in range(s.n)]
                              for _ in range(s.n)]) for _ in range(2)]
 
 
-def test_assembled_operator_is_the_direct_forms_for_any_maps(
-        kraw4, multiplicity_system):
+def test_master_operator_matches_corollaries(kraw4, multiplicity_system):
     """At index gaps one and zero the assembled operator is the raising
     map and the two direct forms as polynomials in the shifted maps, so
-    the identities hold with any matrices in their place; which is why
-    master.raise, master.flat and master.lower are grid residuals."""
+    the identities hold with the split's maps and with random matrices in
+    their place; which is why master.raise, master.flat and master.lower
+    are grid residuals."""
     for seed, s in enumerate((kraw4, multiplicity_system)):
-        raising, lowering = random_maps(s, seed)
-        split = dataclasses.replace(compute_split(s), raising=raising,
-                                    lowering=lowering)
-        for j in range(s.d + 1):
-            if j + 1 <= s.d:
-                assert master_rhs_operator(s, split, j + 1, j) == raising
-            assert master_rhs_operator(s, split, j, j) == \
-                corollary_flat_operator(s, split, j)
-            if j >= 1:
-                assert master_rhs_operator(s, split, j - 1, j) == \
-                    corollary_lower_operator(s, split, j)
+        true = compute_split(s)
+        for split in (true, dataclasses.replace(
+                true, **dict(zip(("raising", "lowering"),
+                                 random_maps(s, seed))))):
+            for j in range(s.d + 1):
+                if j + 1 <= s.d:
+                    assert master_rhs_operator(s, split, j + 1, j) == \
+                        split.raising
+                assert master_rhs_operator(s, split, j, j) == \
+                    corollary_flat_operator(s, split, j)
+                if j >= 1:
+                    assert master_rhs_operator(s, split, j - 1, j) == \
+                        corollary_lower_operator(s, split, j)
 
 
 def test_master_and_section9_take_few_full_products(monkeypatch):

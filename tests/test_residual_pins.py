@@ -1,8 +1,12 @@
 """The residuals the split-side checks report, pinned by SHA-256 on valid
 and corrupted inputs.  A passing input has only zero residuals, so the
 golden `verify` hashes never see a nonzero residual's `residual-norm0`;
-the corrupted inputs here do, and the digests pin every record, the
-section7 rank table with them."""
+the corrupted inputs here do, and the digests pin every record with the
+entries of its residual matrix, the section7 rank table with them.
+
+The E* corruptions keep the split and the RFL parts of the valid system
+and hand the checks a non-idempotent E*_0: doubled, with its column space
+kept, or E*_0 + 2 E*_1, with a larger one."""
 import dataclasses
 import hashlib
 import json
@@ -14,7 +18,7 @@ from tdpair import (check_descent, check_diagrams, check_master_identity,
                     compute_rfl, compute_split)
 
 from test_check_coverage import CORRUPT_RFL, SPLIT_CASES
-from test_rank_tables import SYSTEMS
+from test_rank_tables import SYSTEMS, merged
 
 
 def a_off_band(system):
@@ -23,87 +27,104 @@ def a_off_band(system):
         system, A=system.A + es[2] * system.A * system.A * es[0])
 
 
+def estar_doubled(estar):
+    return (estar[0].scale(2),) + tuple(estar[1:])
+
+
+ESTAR_CORRUPTIONS = {"estar_doubled": estar_doubled, "estar_merged": merged}
 SPLIT_CORRUPTIONS = {c.__name__: c for _, c, _ in SPLIT_CASES}
 RFL_CORRUPTIONS = {c.__name__: c for c, _ in CORRUPT_RFL}
 
 PINS = {
     "krawtchouk-gf101": {
         "none":
-            "402f5e850ecc29b91d35f0f4f86bdda9724bbed8ec67dd216751ebd1af701ca4",
+            "f096625e89d55bb396a202b6194468856e47506ebe9e30b0e759ada8cd44c52f",
         "lowering_off_band":
-            "82ef8def81fc58c26b90f6de91b648f25f6975e1d8533a98ae7e903de00ddf4a",
+            "df5fa9087252a5886a619923e82bd03bda14e4e4d3f6e3ac0444aae7c34aef73",
         "lowering_plus_fd":
-            "3de1e200941cc3d441171b514d53763ae15eae103587e6b2fd856eb7fa362b99",
+            "7beed5425be448bc759692d2aa636ebe523c1909d13e8fdd9647feae70e0088b",
         "projectors_merged":
-            "a3e366f7ac4c4650131906cb84c3058b5e489423fc076466c9c94196b81346ee",
+            "40900ef11fc2957ff9e923fecae3d7c6668b1d6f55ff284a82d9b4651c4e223b",
         "projectors_swapped":
-            "78504383e0f5cffda4a3e1c8f49bec852d4bff25c8e8fee1955046bd60591784",
+            "c17bc2a3040db5b91cf48793a6ef94a436642a0f6e8d1fef593821e4266023a9",
         "psi_inv_doubled":
-            "245485736378e6e07b21c056fdbffafbca853c12bc3589ccd7637b0630eb72b3",
+            "c955bb4b37c190dc2d8cf6c0fcc36e104b2a4a285a642d85436bf11463399731",
         "raising_off_band":
-            "af582b602d276609e2026cd3df722cb2e0d9acad6ebb850e44b4606359baa8c0",
+            "4b0ea9e10e85488138b545c80f11d52346a05047f4ad51b02a6087e5ca4f0e38",
         "raising_plus_f0":
-            "838fa6574b932738a83e33687f893fc82ef244378af43b122679271b00d44bbe",
+            "5afe87d4bc47717c19044585c69b283efc096561a167a4eab0e5492a23788883",
         "fl_swapped":
-            "7111c9571cee6449957a40ed2849b0ba3dc70d5d304d000d904e6fa06f6ebcfd",
+            "980513631e66526361b8ca9c10a96043373f6b74b5e773628f6c18659de1595e",
         "r_doubled":
-            "3755e28a190a5231f0c628cea9d842114642813bbe09044f5b39167475554557",
+            "98bfa82c6417aec314265944beab7cf6d88f5e578b76a103d4db76258111894a",
         "rl_swapped":
-            "41a2a347221da1ef4867c6d291e6c4acb33aadebe9b75d5efd008aa7d8b899ac",
+            "32fa398295cead2a19d6a2cddee6a72d9a3a38f3d028a85cb80ffd18f7d7a5d6",
         "a_off_band":
-            "efedbd48c457592d91c40a2a1742180b06c78a0541da680e2644287264faa9c3",
+            "7e305f1f0eadc93cd4db9cd662ee74837a8470774dc20cf8e0ab326475d1f956",
+        "estar_doubled":
+            "f16a24604dae14f8433a53ace456101e87bb397a041acacae46b70125873ceb9",
+        "estar_merged":
+            "d4afa45c90e745888414939a4d2682378846a05ea56a86a5b6f4911f5d432f06",
     },
     "krawtchouk-qq": {
         "none":
-            "60ddcf2f20daf7d4b681c5a80bf17296a7773322fd09d20f27bc0ae873037a57",
+            "9d77debfc967f8d98702b8e79b0f8bb89cf5e9f1a7a4892af65a3d1362c97e97",
         "lowering_off_band":
-            "488126c334d346772f823f170f9170cafc7e906182cb501dac95e2c26d8bf9e1",
+            "a436942e4c4eb8eace29f3f69db3ce4bf9f345cfe9b05a23155d37d836aca909",
         "lowering_plus_fd":
-            "130aeaecae70c95e33fa217dc55d66283d2f99394a4362548f824342ec9fad01",
+            "5b9a0f3378e09170ee5fe5680076c0aa58b7527a6d8c6040603b32db440fda13",
         "projectors_merged":
-            "df55b7d4b920233c7f839369f19b737cf8b032289f0bbd8b1f739c72682eaba4",
+            "c05b9f52d079969a52a9755940e39d673d74eb89d68de0db808a8bdece3aa8d4",
         "projectors_swapped":
-            "2f3b24f3778a77c207820659c092682454c1429228423ce56bf002ca2c9dc097",
+            "2b0c928f7357379643322f83222ca50840420dc91027516d39828a91a9562d60",
         "psi_inv_doubled":
-            "03fc2a386e2f25b1492bf4ae6b27c68d706dcff104c310895246def7917ff764",
+            "bae6ded48e2a7b9f88e2c0be11f4d5731168c88767d32da51fb00d9b4568e907",
         "raising_off_band":
-            "3249a2661a899116df12d6ccaba1ddc68b9dcffdf24b6d903cf25720cc289329",
+            "0cf1d0fc15b661627dcdbf1eda912fffcd497c2c8955b72919c326f7fc26f9ce",
         "raising_plus_f0":
-            "d1a2e499eedc546790c6c5dadc7b5af3731de462ceed13673b777fc611273db1",
+            "99a7f323a7724c0d211d76e007620af03205b08a48b04a1906d702eea89511d9",
         "fl_swapped":
-            "097221e37150f80e1e34e7b5afc609ed6235fa2ff73e7f0b6c1667eb67aaabae",
+            "b2c1441406a3e832007e926657b4bcebb0d3265a87a3c63520daa829aac35d62",
         "r_doubled":
-            "71ad887e193976e790a3668c3e1709da3956c7e85e0db6a994da2d955745d8cf",
+            "f9c3090273a20566e3cf2e57c60b2ac7acc42c59f6d1bd008ba8d7d1a2e72a60",
         "rl_swapped":
-            "bb788d79f7297fdf23004300bb547d5168616842718f220305d9fc523f378aca",
+            "4b335df6cbf8a396173b717f309081d1cd1055c0145fbd2dcbd21d066c6f6604",
         "a_off_band":
-            "c5494d10174411998ee9032ec7df30c1895dc02bbec3b797f9d7bfeb4832c4bb",
+            "edd3c1c2357479c1b633b2929607b191c34cbb929b0e58694c27f7a670f8336f",
+        "estar_doubled":
+            "0158b24111da01bc88fde0becf113240602f3ff68a650d9e32890e485bfb7ecd",
+        "estar_merged":
+            "bc53fe1531e0334dbfb74f6c88f19dd7f9fe135f24f26af779c0a3aa5d05b779",
     },
     "tensor-sum": {
         "none":
-            "5c1ca6cca301372257f7aa1c65df168e8031378376a2d88021c42f89e15da0f8",
+            "56bc82e3abb9def331fcea36be6944b6a5ee0b655e6496f135283e58648f2067",
         "lowering_off_band":
-            "4bac55312c3bbb309d77e62e9e61851cec8a79bebb0dbf3a853a5d2ae99d61c5",
+            "aac7c70c5013d8eaa4da19a283e2be07399b4aa3ab9ac6252675eae865057a22",
         "lowering_plus_fd":
-            "226e7bde9c9f9b42d4d0832bb1a0a7e6ddcc71edc53bf3ee4de132791c224b95",
+            "26a64ac8182225cb9793fc4961daaa2efc9c2d8a76faaf692a9c5f28cae93dee",
         "projectors_merged":
-            "48e15d4fcb1b649a2f9ef61e92915a44335bd7c190a285e13a64e4bbb5d83288",
+            "f60b3b3576299e2ddc68d513ab04dde4900d05b699c0aff1c348e08fcdca2afc",
         "projectors_swapped":
-            "02fa8965383d8d5c0d5f1064855ca669489253a8f9c4b61c04d1f2c7e87016fe",
+            "52169075096de4074652993866f95499ff52981a2a1d0f810d58d383727c64da",
         "psi_inv_doubled":
-            "92e97fdb926470546c4956ab97051f0bf01980b9148d01e86239ffc02fb69b82",
+            "4230f0ec638902d9ed7c4e436e881243252ecc6f73d1b1411d3fbc3c971355d0",
         "raising_off_band":
-            "c98cefa677070b35919c9f2f03826a8787681d878681272a782d3d7efa367a85",
+            "4d3d6172b3bd078e926ef49f36e1f94a7dfc0a9042a2afb3c4230b2b80b1d61a",
         "raising_plus_f0":
-            "36e0d0f9b760631d2e9a0085ba81d8c846b14526c3c4a89ef39b34c9b1976dae",
+            "0f4ba6f50376e23afa449d8c269c021661d867a8445a6cdb61ef98884b5a2c46",
         "fl_swapped":
-            "ddb558a98e4d870347a02726e5d551b780b7b027200825650d008eea705d34f3",
+            "ed23e399770262afa758d8343f0b8200dc0ee71b3332c47c1d4c1f53e5a6b4b7",
         "r_doubled":
-            "18bd391f24d62a2c791cc45b29edcc546338dfdaedf4d18be6f2762e399aea8e",
+            "0566801d3f646b8b946c52a51be6fbc3d8e5b935adc5fc5607651325f575c3e0",
         "rl_swapped":
-            "903c1bc907b389aaa6bb7040d1be5cd75e2c2c521054d747bf34e6d6c72161eb",
+            "c169382ba78ead552dca93c3063aa78940d043f0050ba4e62647b1802c2d824b",
         "a_off_band":
-            "37efa6c8a427cfa33022625aae06d2154a48a50defe747f364a610159d6abb18",
+            "39b31395b4a76f88771f57b1ad7ac8990494175bddeeef3b58d4e6dd23856729",
+        "estar_doubled":
+            "ef5e2414683b30ec6d8c08ca40ad2639bf41dfc157595729cafaca2700f2faef",
+        "estar_merged":
+            "32e5fbab6fda0973cd078e8bd796ec7938db0b64ae854e0b3edfed46cabd08c8",
     },
 }
 
@@ -112,6 +133,9 @@ def digest(system, corruption):
     if corruption == "a_off_band":
         system = a_off_band(system)
     split, rfl = compute_split(system), compute_rfl(system)
+    if corruption in ESTAR_CORRUPTIONS:
+        system = dataclasses.replace(
+            system, Estar=ESTAR_CORRUPTIONS[corruption](system.Estar))
     if corruption in SPLIT_CORRUPTIONS:
         split = SPLIT_CORRUPTIONS[corruption](split)
     if corruption in RFL_CORRUPTIONS:
@@ -121,14 +145,18 @@ def digest(system, corruption):
                  + check_master_identity(system, split)
                  + check_diagrams(system, split, rfl)
                  + check_section9(system, split))
-    text = json.dumps([r.to_json() for r in residuals]
+    text = json.dumps([dict(r.to_json(),
+                            entries=[list(map(str, row))
+                                     for row in r.matrix.rows])
+                       for r in residuals]
                       + [check_split_bijectivity(system, split).to_json()])
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 CASES = [(name, corruption) for name in sorted(SYSTEMS)
          for corruption in ["none", *sorted(SPLIT_CORRUPTIONS),
-                            *sorted(RFL_CORRUPTIONS), "a_off_band"]]
+                            *sorted(RFL_CORRUPTIONS), "a_off_band",
+                            *sorted(ESTAR_CORRUPTIONS)]]
 
 
 @pytest.mark.parametrize("name,corruption", CASES,
