@@ -7,7 +7,7 @@ index gaps of two or more.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .fields import Field, Scalar
 from .frame import BlockMatrix, Frame, frame_of
@@ -19,18 +19,44 @@ from .systems import (RelationParameters, TridiagonalSystem,
                       compute_relation_parameters)
 
 
-def _denom_fe(field: Field, seq: Sequence[Scalar], i: int, j: int) -> Scalar:
-    out = field.one
-    for k in range(i, j):
-        out = out * (seq[j] - seq[k])
+def _gap_products(field: Field, top: Scalar,
+                  seq: Sequence[Scalar]) -> List[Scalar]:
+    """1, (top - seq[0]), (top - seq[0])(top - seq[1]), ...: the products
+    of the gaps from top to the members of seq, one factor at a time."""
+    out = [field.one]
+    for x in seq:
+        out.append(out[-1] * (top - x))
     return out
 
 
-def _denom_ef(field: Field, seq: Sequence[Scalar], i: int, j: int) -> Scalar:
-    out = field.one
-    for k in range(i + 1, j + 1):
-        out = out * (seq[i] - seq[k])
-    return out
+def _coefficients(field: Field, th: Sequence[Scalar], ts: Sequence[Scalar],
+                  i: int, j: int
+                  ) -> Tuple[Optional[Scalar], List[Tuple[int, Scalar]]]:
+    """The assembled operator at (i, j) is lead L^(j-i), present for
+    j >= i, plus c_s L^(s+1-i) R L^(j-s) summed over the crossing
+    positions s; returns lead and the pairs (s, c_s).  With ef[r] the gap
+    product of ts_i to ts_(i+1) .. ts_r and fe[s] that of ts_j to
+    ts_s .. ts_(j-1), lead is the sum of th_s / (ef[s] fe[s]) over
+    i <= s <= j and c_s = 1 / (ef[s+1] fe[s])."""
+    d = len(ts) - 1
+    low, high = max(0, i - 1), min(j + 1, d)
+    ef = _gap_products(field, ts[i], ts[i + 1:high + 1])   # ef[r - i]
+    fe = _gap_products(field, ts[j], ts[low:j][::-1])       # fe[j - s]
+    lead = None
+    if j >= i:
+        lead = field.zero
+        for s in range(i, j + 1):
+            lead = lead + th[s] / (ef[s - i] * fe[j - s])
+    return lead, [(s, field.one / (ef[s + 1 - i] * fe[j - s]))
+                  for s in range(low, min(j, d - 1) + 1)]
+
+
+def _cubic_term(th: Sequence[Scalar], ts: Sequence[Scalar], j: int) -> Scalar:
+    """e_j: the cubic relations at j hold up to (beta + 1) e_j times the
+    square of the shifted map, and the phi recurrence up to
+    (beta + 1) e_j."""
+    return (th[j - 1] - th[j - 2]) * (ts[j - 1] - ts[j - 2]) \
+        - (th[j - 1] - th[j]) * (ts[j - 1] - ts[j])
 
 
 def _assembled(sys: TridiagonalSystem, fr: Frame, i: int, j: int,
@@ -39,27 +65,13 @@ def _assembled(sys: TridiagonalSystem, fr: Frame, i: int, j: int,
     with the two eigenvalue sequences and the two shifted maps exchanged,
     times right.  Each term is multiplied by right before the sum, so a
     product with one block column touches one block per term."""
-    field, d = sys.field, sys.d
     th, ts = (sys.thetastar, sys.theta) if dual else (sys.theta,
                                                        sys.thetastar)
-    # the gap products _denom_ef(ts, i, r) and _denom_fe(ts, s, j), grown
-    # one factor at a time
-    low, high = max(0, i - 1), min(j + 1, d)
-    ef, fe = {i: field.one}, {j: field.one}
-    for r in range(i + 1, high + 1):
-        ef[r] = ef[r - 1] * (ts[i] - ts[r])
-    for s in range(j - 1, low - 1, -1):
-        fe[s] = fe[s + 1] * (ts[j] - ts[s])
-    terms = []
-    if j >= i:
-        coeff = field.zero
-        for s in range(i, j + 1):
-            coeff = coeff + th[s] / (ef[s] * fe[s])
-        terms.append(((fr.r_pow if dual else fr.l_pow)[j - i], coeff))
-    for s in range(low, min(j, d - 1) + 1):
-        terms.append((fr.words[dual][s + 1 - i, j - s],
-                      field.one / (ef[s + 1] * fe[s])))
-    op = BlockMatrix(field, fr.sizes, {})
+    lead, cross = _coefficients(sys.field, th, ts, i, j)
+    terms = [] if lead is None else [
+        ((fr.r_pow if dual else fr.l_pow)[j - i], lead)]
+    terms += [(fr.words[dual][s + 1 - i, j - s], c) for s, c in cross]
+    op = BlockMatrix(sys.field, fr.sizes, {})
     for word, c in terms:
         op = op + (word * right).scale(c)
     return op
@@ -85,14 +97,14 @@ def check_descent(sys: TridiagonalSystem,
     ts, l_pow = sys.thetastar, fr.l_pow
     out: List[Residual] = []
     for i in range(d + 1):
+        ef = _gap_products(field, ts[i], ts[i + 1:])
         for j in range(i, d + 1):
+            fe = _gap_products(field, ts[j], ts[i:j])
             lhs = fr.f[i] * fr.es_qp[j]
-            rhs = (l_pow[j - i] * fr.fe_qp[j]).scale(
-                field.one / _denom_fe(field, ts, i, j))
+            rhs = (l_pow[j - i] * fr.fe_qp[j]).scale(field.one / fe[-1])
             out.append(fr.residual("descent.FE", (i, j), lhs - rhs, "QP"))
             lhs = fr.es_pp[i] * fr.f_pq[j]
-            rhs = (fr.ef_pq[i] * l_pow[j - i]).scale(
-                field.one / _denom_ef(field, ts, i, j))
+            rhs = (fr.ef_pq[i] * l_pow[j - i]).scale(field.one / ef[j - i])
             out.append(fr.residual("descent.EF", (i, j), lhs - rhs, "PQ"))
     return out
 
@@ -226,8 +238,7 @@ def check_section9(sys: TridiagonalSystem, split: SplitDecomposition,
         base = [w[0, 3] - w[1, 2].scale(beta1) + w[2, 1].scale(beta1)
                 - w[3, 0] for w in (fr.words[0], fr.words[1])]
         for j in range(2, d + 1):
-            e_j = (th[j - 1] - th[j - 2]) * (ts[j - 1] - ts[j - 2]) \
-                - (th[j - 1] - th[j]) * (ts[j - 1] - ts[j])
+            e_j = _cubic_term(th, ts, j)
             out.append(fr.residual(
                 "section9.cubic.low", (j,),
                 (base[0] - fr.l_pow[2].scale(beta1 * e_j)) * proj[j]))

@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence
 
 from .errors import SingularMatrixError
 from .linalg import inverse, rank, rank_factorization
-from .matrix import Matrix
+from .matrix import Matrix, powers
 from .results import Residual
 
 _NONE: Dict[int, Matrix] = {}
@@ -113,14 +113,6 @@ def _basis(field, n: int, columns: List[Sequence]) -> tuple:
     return ident, ident
 
 
-def _powers(m: BlockMatrix, top: int) -> List[BlockMatrix]:
-    out = [BlockMatrix(m.field, m.sizes, {
-        i: {i: Matrix.identity(m.field, k)} for i, k in enumerate(m.sizes)})]
-    for _ in range(top):
-        out.append(out[-1] * m)
-    return out
-
-
 class Frame:
     """The operators of a system and its split decomposition in the split
     basis Q and the dual basis P.  Names give the bases as in "QP": rows
@@ -152,8 +144,11 @@ class Frame:
         # F_i E*_i and E*_i F_i
         self.fe_qp = [f * e for f, e in zip(self.f, self.es_qp)]
         self.ef_pq = [e * f for e, f in zip(self.es_pp, self.f_pq)]
-        self.r_pow = _powers(conj(split.raising, "QQ"), sys.d + 1)
-        self.l_pow = _powers(conj(split.lowering, "QQ"), sys.d + 1)
+        ident = BlockMatrix(self.field, self.sizes, {
+            i: {i: Matrix.identity(self.field, k)}
+            for i, k in enumerate(self.sizes)})
+        self.r_pow = powers(ident, conj(split.raising, "QQ"), sys.d + 1)
+        self.l_pow = powers(ident, conj(split.lowering, "QQ"), sys.d + 1)
 
     @cached_property
     def words(self) -> Dict[int, Dict[tuple, BlockMatrix]]:

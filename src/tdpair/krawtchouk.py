@@ -11,7 +11,7 @@ from typing import List, Optional, Tuple
 from .errors import (FieldMismatchError, InternalInconsistencyError,
                      KrawtchoukTypeError)
 from .fields import Field, Scalar
-from .leonard import LeonardData, leonard_data
+from .leonard import LeonardData, _rep_dual_a, leonard_data
 from .linalg import nilpotent_exp_scaled
 from .matrix import Matrix, commutator
 from .results import Residual
@@ -77,18 +77,9 @@ def construct_krawtchouk(params: KrawtchoukParams
     The scalar data extracted from the resulting system is asserted to
     reproduce the closed forms entrywise.
     """
-    field, d = params.field, params.d
     want = closed_form_data(params)
-    rows = [[field.zero] * (d + 1) for _ in range(d + 1)]
-    for i in range(d + 1):
-        rows[i][i] = want.a[i]
-        if i < d:
-            rows[i + 1][i] = want.c_at(i + 1)
-        if i >= 1:
-            rows[i - 1][i] = want.b_at(i - 1)
-    a = Matrix(field, rows)
-    astar = Matrix.diagonal(field, want.theta)
-    analysis = analyze_pair(a, astar)
+    analysis = analyze_pair(_rep_dual_a(want),
+                            Matrix.diagonal(params.field, want.theta))
     if analysis.rejection is not None:
         raise InternalInconsistencyError(
             f"family member rejected: {analysis.rejection.reason}")

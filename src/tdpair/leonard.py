@@ -9,10 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .bridge import _denom_ef, _denom_fe
+from .bridge import _coefficients, _cubic_term, _gap_products
 from .errors import (InternalInconsistencyError, NotLeonardSystemError,
                      SingularMatrixError)
 from .fields import Field, Scalar
+from .frame import frame_of
 from .linalg import inverse
 from .matrix import Matrix
 from .results import Residual, ScalarResidual
@@ -52,10 +53,7 @@ class LeonardData:
         return self.c[i - 1]
 
     def taustar_at(self, i: int, lam: Scalar) -> Scalar:
-        out = self.field.one
-        for k in range(i):
-            out = out * (lam - self.thetastar[k])
-        return out
+        return _gap_products(self.field, lam, self.thetastar[:i])[-1]
 
     def to_json(self) -> dict:
         text = self.field.to_text
@@ -90,28 +88,23 @@ def _first_nonzero_column(m: Matrix) -> Tuple[Scalar, ...]:
     raise InternalInconsistencyError("projection has no nonzero column")
 
 
-def _rep_primary_a(data: LeonardData) -> Matrix:
-    field, d = data.field, data.d
-    rows = [[field.zero] * (d + 1) for _ in range(d + 1)]
-    for i in range(d + 1):
-        rows[i][i] = data.a[i]
-        if i < d:
-            rows[i + 1][i] = field.one
-        if i >= 1:
-            rows[i - 1][i] = data.x_at(i)
+def _tridiagonal(field: Field, diag: Sequence[Scalar], sub: Sequence[Scalar],
+                 sup: Sequence[Scalar]) -> Matrix:
+    """The matrix with diag on its diagonal, sub just below it and sup
+    just above it; a short sub or sup leaves the rest of its band 0."""
+    rows = [[field.zero] * len(diag) for _ in diag]
+    for i, v in enumerate(diag):
+        rows[i][i] = v
+    for i, v in enumerate(sub):
+        rows[i + 1][i] = v
+    for i, v in enumerate(sup):
+        rows[i][i + 1] = v
     return Matrix(field, rows)
 
 
 def _rep_dual_a(data: LeonardData) -> Matrix:
-    field, d = data.field, data.d
-    rows = [[field.zero] * (d + 1) for _ in range(d + 1)]
-    for i in range(d + 1):
-        rows[i][i] = data.a[i]
-        if i < d:
-            rows[i + 1][i] = data.c_at(i + 1)
-        if i >= 1:
-            rows[i - 1][i] = data.b_at(i - 1)
-    return Matrix(field, rows)
+    """The matrix of A in the dual basis."""
+    return _tridiagonal(data.field, data.a, data.c, data.b)
 
 
 def _basis(field: Field, cols: Sequence[Sequence[Scalar]],
@@ -170,13 +163,8 @@ def leonard_data(sys: TridiagonalSystem,
             raise InternalInconsistencyError(
                 f"split-superdiagonal scalar {i} vanishes")
 
-    def taustar_val(i: int) -> Scalar:
-        out = field.one
-        for k in range(i):
-            out = out * (sys.thetastar[i] - sys.thetastar[k])
-        return out
-
-    tsd = [taustar_val(i) for i in range(d + 1)]
+    ts = sys.thetastar
+    tsd = [_gap_products(field, ts[i], ts[:i])[-1] for i in range(d + 1)]
     b_list = [phi_list[i] * tsd[i] / tsd[i + 1] for i in range(d)]
     c_list = [(x_list[i - 1] / phi_list[i - 1]) * tsd[i] / tsd[i - 1]
               for i in range(1, d + 1)]
@@ -224,19 +212,8 @@ def construct_leonard(theta: Sequence, thetastar: Sequence, phi: Sequence,
     if any(not v for v in ph):
         raise NotLeonardSystemError(
             "a split-superdiagonal scalar vanishes")
-    d = len(th) - 1
-    rows = [[field.zero] * (d + 1) for _ in range(d + 1)]
-    for i in range(d + 1):
-        rows[i][i] = th[i]
-        if i < d:
-            rows[i + 1][i] = field.one
-    a = Matrix(field, rows)
-    rows = [[field.zero] * (d + 1) for _ in range(d + 1)]
-    for i in range(d + 1):
-        rows[i][i] = ts[i]
-        if i >= 1:
-            rows[i - 1][i] = ph[i - 1]
-    astar = Matrix(field, rows)
+    a = _tridiagonal(field, th, [field.one] * len(ph), ())
+    astar = _tridiagonal(field, ts, (), ph)
     analysis = analyze_pair(a, astar)
     if analysis.rejection is not None:
         raise NotLeonardSystemError(
@@ -291,8 +268,8 @@ def change_of_basis_reps(sys: TridiagonalSystem,
     primary = (b1i * sys.A * b1, b1i * sys.Astar * b1)
     split_rep = (b2i * sys.A * b2, b2i * sys.Astar * b2)
     dual = (b3i * sys.A * b3, b3i * sys.Astar * b3)
-    for got, want, what in ((primary, (_rep_primary_a(data), diag_ts),
-                             "primary"),
+    primary_a = _tridiagonal(field, data.a, [field.one] * d, data.x)
+    for got, want, what in ((primary, (primary_a, diag_ts), "primary"),
                             (dual, (_rep_dual_a(data), diag_ts), "dual")):
         if got[0] != want[0]:
             raise InternalInconsistencyError(
@@ -315,7 +292,11 @@ def check_section11(sys: TridiagonalSystem,
     expressions of each through the split-superdiagonal scalars, the
     vanishing double sums at index gaps of two or more, the
     split-superdiagonal recurrence, and the projector eigenvalue
-    identities for one raising-lowering turn."""
+    identities for one raising-lowering turn.
+
+    The expressions through phi and the double sums are the coefficients
+    of the assembled operator at index gaps 0, 1 and 2 or more, with
+    phi_(s+1) in place of the crossing word at s."""
     if split is None:
         split = compute_split(sys)
     if params is None:
@@ -334,111 +315,66 @@ def check_section11(sys: TridiagonalSystem,
         out.append(ScalarResidual("section11.threeterm.a", (i,),
                                   lhs - gamma))
 
-    def x_or_zero(i: int) -> Scalar:
-        return data.x_at(i) if 1 <= i <= d else field.zero
-
     for i in range(1, d + 1):
-        acc = x_or_zero(i) * (beta + 2) + data.a[i] * data.a[i] \
+        acc = data.x_at(i) * (beta + 2) + data.a[i] * data.a[i] \
             - data.a[i - 1] * data.a[i] * beta \
             + data.a[i - 1] * data.a[i - 1] \
             - gamma * (data.a[i] + data.a[i - 1]) - rho
-        em = co.eminus[i]
-        if em is None:
-            if x_or_zero(i - 1):
-                raise InternalInconsistencyError(
-                    f"indeterminate backward coefficient at {i} would "
-                    f"multiply a nonzero scalar")
-        else:
-            acc = acc + em * x_or_zero(i - 1)
-        ep = co.eplus[i]
-        if ep is None:
-            if x_or_zero(i + 1):
-                raise InternalInconsistencyError(
-                    f"indeterminate forward coefficient at {i} would "
-                    f"multiply a nonzero scalar")
-        else:
-            acc = acc + ep * x_or_zero(i + 1)
+        # eminus is undetermined only at 1 and eplus only at d, where they
+        # would multiply x_0 = x_(d+1) = 0
+        if i >= 2:
+            acc = acc + co.eminus[i] * data.x_at(i - 1)
+        if i <= d - 1:
+            acc = acc + co.eplus[i] * data.x_at(i + 1)
         out.append(ScalarResidual("section11.sixterm.x", (i,), acc))
 
-    for i in range(d + 1):
-        rhs = th[i]
-        if i >= 1:
-            rhs = rhs + data.phi_at(i) / (ts[i] - ts[i - 1])
-        if i <= d - 1:
-            rhs = rhs + data.phi_at(i + 1) / (ts[i] - ts[i + 1])
-        out.append(ScalarResidual("section11.a.phi", (i,),
-                                  data.a[i] - rhs))
+    def assembled(i: int, j: int, dual: bool = False) -> Scalar:
+        lead, cross = _coefficients(field, *((ts, th) if dual else (th, ts)),
+                                    i, j)
+        for s, c in cross:
+            lead = lead + c * data.phi_at(s + 1)
+        return lead
 
-    def _gap_rhs(i: int) -> Scalar:
-        rhs = -data.phi_at(i) - (th[i - 1] - th[i]) * (ts[i - 1] - ts[i])
-        if i >= 2:
-            rhs = rhs + data.phi_at(i - 1) * (ts[i] - ts[i - 1]) \
-                / (ts[i] - ts[i - 2])
-        if i <= d - 1:
-            rhs = rhs + data.phi_at(i + 1) * (ts[i - 1] - ts[i]) \
-                / (ts[i - 1] - ts[i + 1])
-        return rhs
+    for i in range(d + 1):
+        out.append(ScalarResidual("section11.a.phi", (i,),
+                                  data.a[i] - assembled(i, i)))
 
     for i in range(1, d + 1):
         gap = ts[i - 1] - ts[i]
-        lhs = gap * gap * data.x_at(i) / data.phi_at(i)
-        out.append(ScalarResidual("section11.x.phi", (i,),
-                                  lhs - _gap_rhs(i)))
-        lhs = data.c_at(i) * gap * gap \
-            * data.taustar_at(i - 1, ts[i - 1]) / data.taustar_at(i, ts[i])
-        out.append(ScalarResidual("section11.c.phi", (i,),
-                                  lhs - _gap_rhs(i)))
+        rhs = assembled(i - 1, i)
+        out.append(ScalarResidual(
+            "section11.x.phi", (i,),
+            gap * gap * (data.x_at(i) / data.phi_at(i) - rhs)))
+        out.append(ScalarResidual(
+            "section11.c.phi", (i,),
+            gap * gap * (data.c_at(i) * data.taustar_at(i - 1, ts[i - 1])
+                         / data.taustar_at(i, ts[i]) - rhs)))
 
     for i in range(d + 1):
         for j in range(i + 2, d + 1):
-            total = field.zero
-            for s in range(i, j + 1):
-                total = total + th[s] / (_denom_ef(field, ts, i, s)
-                                         * _denom_fe(field, ts, s, j))
-            for s in range(max(0, i - 1), min(j, d - 1) + 1):
-                total = total + data.phi_at(s + 1) / (
-                    _denom_ef(field, ts, i, s + 1)
-                    * _denom_fe(field, ts, s, j))
-            out.append(ScalarResidual("section11.sums", (i, j), total))
-            total = field.zero
-            for s in range(i, j + 1):
-                total = total + ts[s] / (_denom_ef(field, th, i, s)
-                                         * _denom_fe(field, th, s, j))
-            for s in range(max(0, i - 1), min(j, d - 1) + 1):
-                total = total + data.phi_at(s + 1) / (
-                    _denom_ef(field, th, i, s + 1)
-                    * _denom_fe(field, th, s, j))
-            out.append(ScalarResidual("section11.sums.dual", (i, j), total))
+            out.append(ScalarResidual("section11.sums", (i, j),
+                                      assembled(i, j)))
+            out.append(ScalarResidual("section11.sums.dual", (i, j),
+                                      assembled(i, j, dual=True)))
 
     def phi_or_zero(i: int) -> Scalar:
         return data.phi_at(i) if 1 <= i <= d else field.zero
 
     beta1 = beta + 1
     for j in range(2, d + 1):
-        e_j = (th[j - 1] - th[j - 2]) * (ts[j - 1] - ts[j - 2]) \
-            - (th[j - 1] - th[j]) * (ts[j - 1] - ts[j])
         lhs = phi_or_zero(j - 2) - beta1 * phi_or_zero(j - 1) \
             + beta1 * phi_or_zero(j) - phi_or_zero(j + 1)
         out.append(ScalarResidual("section11.phi.recurrence", (j,),
-                                  lhs - beta1 * e_j))
+                                  lhs - beta1 * _cubic_term(th, ts, j)))
 
-    proj = split.projectors
-    rl = split.raising * split.lowering
-    lr = split.lowering * split.raising
+    # one raising-lowering turn on each summand, as block products
+    fr = frame_of(sys, split)
+    rl = fr.r_pow[1] * fr.l_pow[1]
+    lr = fr.l_pow[1] * fr.r_pow[1]
     for i in range(1, d + 1):
-        base = rl * proj[i]
-        if proj[i] * rl != base \
-                or split.raising * proj[i - 1] * split.lowering != base:
-            raise InternalInconsistencyError(
-                f"one-turn operator at {i} splits inconsistently")
-        out.append(Residual("section11.RL.phi", (i,),
-                            base - proj[i].scale(data.phi_at(i))))
+        out.append(fr.residual("section11.RL.phi", (i,), rl * fr.f[i]
+                               - fr.f[i].scale(data.phi_at(i))))
     for i in range(d):
-        base = lr * proj[i]
-        if proj[i] * lr != base \
-                or split.lowering * proj[i + 1] * split.raising != base:
-            raise InternalInconsistencyError(
-                f"reverse one-turn operator at {i} splits inconsistently")
-        out.append(Residual("section11.LR.phi", (i,),
-                            base - proj[i].scale(data.phi_at(i + 1))))
+        out.append(fr.residual("section11.LR.phi", (i,), lr * fr.f[i]
+                               - fr.f[i].scale(data.phi_at(i + 1))))
     return out

@@ -179,22 +179,27 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def rank_kernel(m: Matrix) -> Tuple[int, Subspace]:
-    """Rank and kernel (as a canonical Subspace) of a matrix."""
-    rows = [list(row) for row in m.rows]
-    rref_rows, pivots = _rref(rows)
-    rank = len(pivots)
-    ncols = m.ncols
-    free_cols = [c for c in range(ncols) if c not in set(pivots)]
+    """Rank and kernel (as a canonical Subspace) of a matrix.
+
+    The rows are eliminated with their columns reversed, so each reduced
+    row is 0 right of its pivot column and at the other pivots.  The
+    kernel vector of a free column f is then 1 at f and nonzero elsewhere
+    only at pivot columns right of f: these vectors are already the
+    canonical basis, with the free columns as its pivots."""
+    n = m.ncols
+    rows, pivots = _rref([row[::-1] for row in m.rows])
+    pivot_rows = {n - 1 - p: row[::-1] for p, row in zip(pivots, rows)}
+    free = [c for c in range(n) if c not in pivot_rows]
     zero, one = m.field.zero, m.field.one
-    kernel_cols = []
-    for f in free_cols:
-        vec = [zero] * ncols
+    basis = []
+    for f in free:
+        vec = [zero] * n
         vec[f] = one
-        for r, p in enumerate(pivots):
-            if rref_rows[r][f]:
-                vec[p] = -rref_rows[r][f]
-        kernel_cols.append(vec)
-    return rank, Subspace.from_columns(m.field, ncols, kernel_cols)
+        for p, row in pivot_rows.items():
+            if row[f]:
+                vec[p] = -row[f]
+        basis.append(vec)
+    return len(pivots), Subspace(m.field, n, basis, free, _trusted=True)
 
 
 def rank(m: Matrix) -> int:

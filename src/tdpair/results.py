@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from .matrix import Matrix
 from .fields import Scalar
@@ -47,13 +47,7 @@ class ScalarResidual:
     def norm0(self) -> int:
         return 0 if self.is_zero else 1
 
-    def to_json(self) -> dict:
-        return {
-            "check-id": self.check_id,
-            "index": list(self.index),
-            "residual-is-zero": self.is_zero,
-            "residual-norm0": self.norm0,
-        }
+    to_json = Residual.to_json
 
 
 AnyResidual = Union[Residual, ScalarResidual]

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 from .errors import InternalInconsistencyError
 from .fields import Scalar
 from .linalg import rank_between, rank_factorization, rank_right
-from .matrix import Matrix, commutator
+from .matrix import Matrix, commutator, powers
 from .results import RankEntry, RankTable, Residual
 from .systems import (RelationParameters, TridiagonalSystem,
                       compute_relation_parameters)
@@ -65,13 +65,6 @@ def compute_rfl(sys: TridiagonalSystem) -> RFLDecomposition:
             lowering = lowering + estar[i - 1] * a_estar[i]
     return RFLDecomposition(system=sys, raising=raising, flat=flat,
                             lowering=lowering)
-
-
-def _powers(m: Matrix, top: int) -> List[Matrix]:
-    out = [Matrix.identity(m.field, m.nrows)]
-    for _ in range(top):
-        out.append(out[-1] * m)
-    return out
 
 
 def section5_coefficients(sys: TridiagonalSystem,
@@ -202,10 +195,9 @@ def check_section10(sys: TridiagonalSystem, rfl: RFLDecomposition
     """
     d = sys.d
     rho = sys.shape
-    r_pow = _powers(rfl.raising, d)
-    l_pow = _powers(rfl.lowering, d)
-    a_pow = _powers(sys.A, d)
-    astar_pow = _powers(sys.Astar, d)
+    ident = Matrix.identity(sys.field, sys.n)
+    r_pow, l_pow, a_pow, astar_pow = (powers(ident, m, d) for m in (
+        rfl.raising, rfl.lowering, sys.A, sys.Astar))
     e = [rank_factorization(x) for x in sys.E]
     es = [rank_factorization(x) for x in sys.Estar]
     entries: List[RankEntry] = []

@@ -4,16 +4,18 @@ to a check: each case below breaks one such fact in a decomposition (or,
 for R + F + L = A, in the system) and shows that the check reporting it
 fails.  The facts that hold by how the decompositions are defined are
 tested on the constructed ones."""
+import ast
 import dataclasses
 import re
+from pathlib import Path
 
 import pytest
 
 import tdpair
 from tdpair import (Matrix, Subspace, change_of_basis_reps, check_diagrams,
                     check_master_identity, check_section5, check_section7,
-                    check_split_bijectivity, compute_rfl, compute_split,
-                    inverse, leonard_data, subspace_sum)
+                    check_section11, check_split_bijectivity, compute_rfl,
+                    compute_split, inverse, leonard_data, subspace_sum)
 
 from test_rank_tables import SYSTEMS, merged, swapped
 
@@ -102,6 +104,49 @@ def test_section7_reports_split_fact(system, fact, corrupt, name):
     split = corrupt(compute_split(system))
     assert name in failing(check_section7(system, split),
                            [check_split_bijectivity(system, split)])
+
+
+@pytest.mark.parametrize("name", ["krawtchouk-qq", "krawtchouk-gf101"])
+@pytest.mark.parametrize("fact,corrupt,_", SPLIT_CASES, ids=ids(SPLIT_CASES))
+def test_section11_reports_split_fact(name, fact, corrupt, _):
+    """section11 reads the projectors and both shifted maps.  A split with
+    one of them corrupted fails its one-turn identities RL.phi or LR.phi,
+    and section7, which reports how the split is assembled, fails too."""
+    system = SYSTEMS[name]()
+    valid = compute_split(system)
+    split = corrupt(valid)
+    got = failing(check_section11(system, split,
+                                  data=leonard_data(system, valid)))
+    if all(getattr(split, part) == getattr(valid, part)
+           for part in ("projectors", "raising", "lowering")):
+        assert not got
+    else:
+        assert got & {"section11.RL.phi", "section11.LR.phi"}
+        assert any(n.startswith("section7.")
+                   for n in failing(check_section7(system, split)))
+
+
+def test_checks_raise_no_internal_errors():
+    """Checks verify: a check reports a broken identity as a residual, so
+    no check_* function raises InternalInconsistencyError itself."""
+    found, checks = [], 0
+    for path in sorted((Path(__file__).resolve().parent.parent
+                        / "src" / "tdpair").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not (isinstance(fn, ast.FunctionDef)
+                    and fn.name.startswith("check_")):
+                continue
+            checks += 1
+            for node in ast.walk(fn):
+                exc = getattr(node, "exc", None) \
+                    if isinstance(node, ast.Raise) else None
+                if isinstance(exc, ast.Call):
+                    exc = exc.func
+                if isinstance(exc, ast.Name) \
+                        and exc.id == "InternalInconsistencyError":
+                    found.append(f"{path.name}:{node.lineno} {fn.name}")
+    assert checks and not found
 
 
 # the identities of R, F and L on the dual eigenspaces; a decomposition

@@ -322,6 +322,31 @@ def test_rref_matches_gauss_jordan(case):
     assert _rref(m.rows) == gauss_jordan(m.rows)
 
 
+def rank_kernel_by_two_eliminations(m):
+    """Reference for rank_kernel: the kernel read off the reduced rows,
+    then brought to canonical form by a second elimination."""
+    rows, pivots = _rref(m.rows)
+    kernel = []
+    for f in (c for c in range(m.ncols) if c not in pivots):
+        vec = [m.field.zero] * m.ncols
+        vec[f] = m.field.one
+        for r, p in enumerate(pivots):
+            if rows[r][f]:
+                vec[p] = -rows[r][f]
+        kernel.append(vec)
+    return len(pivots), Subspace.from_columns(m.field, m.ncols, kernel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_deficient())
+def test_rank_kernel_matches_two_eliminations(case):
+    m, _ = case
+    rk, kernel = rank_kernel(m)
+    ref_rk, ref = rank_kernel_by_two_eliminations(m)
+    assert rk == ref_rk
+    assert (kernel.basis, kernel.pivots) == (ref.basis, ref.pivots)
+
+
 def test_lagrange_idempotents_pinned():
     a = Matrix(QQ, [[0, 1], [1, 0]])
     e_plus, e_minus = lagrange_idempotents(a, [1, -1])
