@@ -6,19 +6,25 @@ entries of its residual matrix, the section7 rank table with them.
 
 The E* corruptions keep the split and the RFL parts of the valid system
 and hand the checks a non-idempotent E*_0: doubled, with its column space
-kept, or E*_0 + 2 E*_1, with a larger one."""
+kept, or E*_0 + 2 E*_1, with a larger one.
+
+The residuals and rank table of the RFL-side checks, section5 and
+section10, are pinned the same way, and so is what compute_rfl and
+compute_split build from a corrupted family of idempotents, or the class
+of the error compute_split raises on it."""
 import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from tdpair import (check_descent, check_diagrams, check_master_identity,
-                    check_section7, check_section9, check_split_bijectivity,
+from tdpair import (TdpairError, check_descent, check_diagrams,
+                    check_master_identity, check_section5, check_section7,
+                    check_section9, check_section10, check_split_bijectivity,
                     compute_rfl, compute_split)
 
 from test_check_coverage import CORRUPT_RFL, SPLIT_CASES
-from test_rank_tables import SYSTEMS, merged
+from test_rank_tables import SYSTEMS, merged, swapped
 
 
 def a_off_band(system):
@@ -129,7 +135,8 @@ PINS = {
 }
 
 
-def digest(system, corruption):
+def corrupted(system, corruption):
+    """The system, its split and its RFL parts with one corruption."""
     if corruption == "a_off_band":
         system = a_off_band(system)
     split, rfl = compute_split(system), compute_rfl(system)
@@ -140,17 +147,28 @@ def digest(system, corruption):
         split = SPLIT_CORRUPTIONS[corruption](split)
     if corruption in RFL_CORRUPTIONS:
         rfl = RFL_CORRUPTIONS[corruption](rfl)
+    return system, split, rfl
+
+
+def entries(m):
+    return [list(map(str, row)) for row in m.rows]
+
+
+def sha256(residuals, tables):
+    text = json.dumps([dict(r.to_json(), entries=entries(r.matrix))
+                       for r in residuals]
+                      + [t.to_json() for t in tables])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def digest(system, corruption):
+    system, split, rfl = corrupted(system, corruption)
     residuals = (check_section7(system, split)
                  + check_descent(system, split)
                  + check_master_identity(system, split)
                  + check_diagrams(system, split, rfl)
                  + check_section9(system, split))
-    text = json.dumps([dict(r.to_json(),
-                            entries=[list(map(str, row))
-                                     for row in r.matrix.rows])
-                       for r in residuals]
-                      + [check_split_bijectivity(system, split).to_json()])
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256(residuals, [check_split_bijectivity(system, split)])
 
 
 CASES = [(name, corruption) for name in sorted(SYSTEMS)
@@ -163,3 +181,148 @@ CASES = [(name, corruption) for name in sorted(SYSTEMS)
                          ids=[f"{n}-{c}" for n, c in CASES])
 def test_residuals_pinned(name, corruption):
     assert digest(SYSTEMS[name](), corruption) == PINS[name][corruption]
+
+
+RFL_PINS = {
+    "krawtchouk-gf101": {
+        "none":
+            "2f8a3f1d12460376fff42d2e0e7ef0da924e151a8739ab467aa1e3cd5c4a2f44",
+        "a_off_band":
+            "2f8a3f1d12460376fff42d2e0e7ef0da924e151a8739ab467aa1e3cd5c4a2f44",
+        "estar_doubled":
+            "2f8a3f1d12460376fff42d2e0e7ef0da924e151a8739ab467aa1e3cd5c4a2f44",
+        "estar_merged":
+            "fbe6ff2af4957e675391e9ab1903a7252d7cc26f68de73e7df913ca850faae95",
+        "fl_swapped":
+            "a6c7f325b6c7fa13826e771edf98d242ab0886c59fb82c989419097f29e78324",
+        "r_doubled":
+            "bc8f357bf862894ce5caded085ccf6466a283964af04ff96287fcb0ccd4b8b8e",
+        "rl_swapped":
+            "8b83b420e76793c42049aee08a0c285a901de3d4f4c6a2f4eca3a624aeb4a4e7",
+    },
+    "krawtchouk-qq": {
+        "none":
+            "9d059230b2c9298ba796dbb34745bd0413d2c3cce9f6e9f15a13b6ef9b905e51",
+        "a_off_band":
+            "9d059230b2c9298ba796dbb34745bd0413d2c3cce9f6e9f15a13b6ef9b905e51",
+        "estar_doubled":
+            "9d059230b2c9298ba796dbb34745bd0413d2c3cce9f6e9f15a13b6ef9b905e51",
+        "estar_merged":
+            "6ab75e85b57b2927e5473f6ef7a1563dfb68b7e15145ae88a292965ba7891767",
+        "fl_swapped":
+            "b834ef7334df724241f96ded321cc1d68ce5f2bed11091eb95972dd2d429c11f",
+        "r_doubled":
+            "fb46548272f06d4e700f4811a601284341cd702b82fc1f01a660cff455fd8c40",
+        "rl_swapped":
+            "0cb4692d6c3f8fa88e1bf88d67a5422649cabf6fc146860f9541b3e77e5a4983",
+    },
+    "tensor-sum": {
+        "none":
+            "3431cff54e4d1455df9e26f5c5d4e75ae6c7a65e5a38938a49bc2603a5f3287c",
+        "a_off_band":
+            "3431cff54e4d1455df9e26f5c5d4e75ae6c7a65e5a38938a49bc2603a5f3287c",
+        "estar_doubled":
+            "3431cff54e4d1455df9e26f5c5d4e75ae6c7a65e5a38938a49bc2603a5f3287c",
+        "estar_merged":
+            "840cecdb486d4833d24324b09ef33226412b8b5831e3f17c36d221643791c4d0",
+        "fl_swapped":
+            "2abe340da62b27b7615a1441eb9aa1e090fa6ff1259b8f547a2305b38bf6af04",
+        "r_doubled":
+            "794766fa9439c7303900f48c5273603ebf3ff5172a1be664eff04d49a3017c5c",
+        "rl_swapped":
+            "ee9e216c04bf44144dc47b9e91e1565b222ed9e35e9d1f37f38a1bc774e275ba",
+    },
+}
+
+
+def rfl_digest(system, corruption):
+    system, _, rfl = corrupted(system, corruption)
+    return sha256(check_section5(system, rfl),
+                  [check_section10(system, rfl)])
+
+
+RFL_CASES = [(name, corruption) for name in sorted(SYSTEMS)
+             for corruption in ["none", "a_off_band",
+                                *sorted(ESTAR_CORRUPTIONS),
+                                *sorted(RFL_CORRUPTIONS)]]
+
+
+@pytest.mark.parametrize("name,corruption", RFL_CASES,
+                         ids=[f"{n}-{c}" for n, c in RFL_CASES])
+def test_rfl_residuals_pinned(name, corruption):
+    assert rfl_digest(SYSTEMS[name](), corruption) \
+        == RFL_PINS[name][corruption]
+
+
+# (family, corruption) by name; E*_0 doubled keeps the column spaces, the
+# merged families E_0 + 2 E_1 or E*_0 + 2 E*_1 do not, and on E* the
+# stacked bases of the dual eigenspaces are then no basis
+FAMILY_CORRUPTIONS = {
+    "estar_doubled": ("Estar", estar_doubled),
+    "estar_merged": ("Estar", merged),
+    "e_merged": ("E", merged),
+    "e_swapped": ("E", lambda e: swapped(e, 0, 1)),
+}
+
+CONSTRUCTOR_PINS = {
+    "krawtchouk-gf101": {
+        "e_merged":
+            "ea7f0638a2b333819a0a556ef0050a437601f73a997ea4e76ad076490537b3cc",
+        "e_swapped":
+            "ac5c74d8f74bc6cc5f230ecf8142dda2563a1eb16004db9fcf91352c262ba379",
+        "estar_doubled":
+            "1d17de443edded3aa505d98266ad41780a6357e32868d99b5eed3ef8a18a0333",
+        "estar_merged":
+            "3cbfb0542f190e0cd86f7b4b49f671a6d52025c20cb87aedf39193fb02ba4f89",
+    },
+    "krawtchouk-qq": {
+        "e_merged":
+            "522dbb0217f6f3b48be367a09b62bd4a039f66bcdbd0c59cd245dbd8ef75df97",
+        "e_swapped":
+            "0884ddf359dd5470a77ed473c9de07971540e8c08443cfefbc62d108c1358fcd",
+        "estar_doubled":
+            "8a471b480d4403a7ae521de3ae75061c6138e33ffcd83adc8a5b73af2063b6a0",
+        "estar_merged":
+            "cb7c000488260944b9904f6de932b7041a4b7f26bf72ffca90ba51f4735b73ec",
+    },
+    "tensor-sum": {
+        "e_merged":
+            "6902b765a1c9d826d6228ecc6c8a5c7c9fe044fb0b82b9793ead32468b46263c",
+        "e_swapped":
+            "92ca4a7b2ed9cd9fe4bd2c8fdd164f902ecd12bb3b675bb11feb1731b72cc91e",
+        "estar_doubled":
+            "f1a873302937121021b48a73a1b44700868b5614cccb2c69f57ae2d325f1329d",
+        "estar_merged":
+            "aa91ec87853729c3af5bbae6fd219c2844c7f4cb930959c6c27d5a7e05065066",
+    },
+}
+
+
+def constructor_digest(system, corruption):
+    part, corrupt = FAMILY_CORRUPTIONS[corruption]
+    system = dataclasses.replace(
+        system, **{part: corrupt(getattr(system, part))})
+    rfl = compute_rfl(system)
+    out = [entries(m) for m in (rfl.raising, rfl.flat, rfl.lowering)]
+    try:
+        split = compute_split(system)
+    except TdpairError as exc:
+        out.append(type(exc).__name__)
+    else:
+        out += [[list(map(str, col)) for col in s.basis]
+                for s in split.summands]
+        out += [entries(m) for m in (*split.projectors, split.raising,
+                                     split.lowering, split.transition,
+                                     split.transition_inv)]
+    return hashlib.sha256(json.dumps(out).encode("utf-8")).hexdigest()
+
+
+CONSTRUCTOR_CASES = [(name, corruption) for name in sorted(SYSTEMS)
+                     for corruption in sorted(FAMILY_CORRUPTIONS)]
+
+
+@pytest.mark.parametrize("name,corruption", CONSTRUCTOR_CASES,
+                         ids=[f"{n}-{c}" for n, c in CONSTRUCTOR_CASES])
+def test_constructors_pinned_on_corrupted_families(name, corruption):
+    assert constructor_digest(SYSTEMS[name](), corruption) \
+        == CONSTRUCTOR_PINS[name][corruption]
