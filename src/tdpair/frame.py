@@ -1,18 +1,20 @@
-"""A system and its split decomposition in two bases, as block matrices.
+"""A system in its dual basis, and with its split decomposition in two
+bases, as block matrices.
 
 Q stacks the bases of the summands U_i, P those of the dual eigenspaces;
 X from the basis b to the basis a is a^-1 X b, cut into blocks by the
-shape.  There each F_i and E*_i is one diagonal block and the shifted maps
-one block diagonal, so products touch few blocks.  Nothing of this is
-assumed: operators are conjugated in full and a block is dropped only when
-its entries vanish, so a corrupted input keeps its off-band blocks.  Only
-a nonzero residual is carried back to the original basis.
+shape.  There each F_i and E*_i is one diagonal block and R, F, L and the
+shifted maps one block diagonal each, so products touch few blocks.
+Nothing of this is assumed: operators are conjugated in full and a block
+is dropped only when its entries vanish, so a corrupted input keeps its
+off-band blocks.  Only a nonzero residual is carried back to the original
+basis.
 """
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import SingularMatrixError
 from .linalg import inverse, rank, rank_factorization
@@ -101,42 +103,56 @@ class BlockMatrix:
         return rank(self._stacked(sorted(self.rows), cols))
 
 
-def _basis(field, n: int, columns: List[Sequence]) -> tuple:
-    """(B, B^-1) for the columns, or the identity when they are no basis."""
+def _basis(field, n: int, columns: List[Sequence]) -> Tuple[tuple, bool]:
+    """(B, B^-1) for the columns and True, or the identity and False when
+    they are no basis."""
     if len(columns) == n:
         b = Matrix.from_columns(field, columns)
         try:
-            return b, inverse(b)
+            return (b, inverse(b)), True
         except SingularMatrixError:
             pass
     ident = Matrix.identity(field, n)
-    return ident, ident
+    return (ident, ident), False
 
 
 class Frame:
-    """The operators of a system and its split decomposition in the split
-    basis Q and the dual basis P.  Names give the bases as in "QP": rows
-    in Q, columns in P; operators named without one are in "QQ"."""
+    """The operators of a system in the dual basis P and, with its split
+    decomposition, in the split basis Q.  Names give the bases as in
+    "QP": rows in Q, columns in P; operators named without one are in
+    "QQ".  The system's frame, without a split, is the one place where
+    each E_i and E*_i is factored, and the frame of a split starts from
+    it.  When the stacked bases of the dual eigenspaces are no basis (a
+    corrupted family of idempotents), P is the identity and is_basis is
+    False."""
 
-    def __init__(self, sys, split):
-        self.field, self.n, self.sizes = sys.field, sys.n, sys.shape
-        # idempotents and projectors enter through their rank factorizations
-        es, f = ([rank_factorization(x) for x in xs]
-                 for xs in (sys.Estar, split.projectors))
-        self.bases = {
-            "Q": _basis(sys.field, sys.n,
-                        [c for s in split.summands for c in s.basis]),
-            "P": _basis(sys.field, sys.n,
-                        [c for x in es if x for c in x[0].columns()])}
+    def __init__(self, sys, split=None):
+        if split is None:
+            self.field, self.n, self.sizes = sys.field, sys.n, sys.shape
+            # idempotents enter through their rank factorizations (B, C)
+            self.e_fac, self.es_fac = ([rank_factorization(x) for x in xs]
+                                       for xs in (sys.E, sys.Estar))
+            p, self.is_basis = _basis(
+                sys.field, sys.n,
+                [c for x in self.es_fac if x for c in x[0].columns()])
+            self.bases = {"P": p}
+            self.a_pp = self.conj(sys.A, "PP")
+            self.es_pp = [self.conj(x, "PP") for x in self.es_fac]
+            self.a_es_pp = [self.a_pp * x for x in self.es_pp]
+            return
+        # the dual side is the system's, shared
+        vars(self).update(vars(frame_of(sys)))
+        self.bases = dict(self.bases, Q=_basis(
+            sys.field, sys.n,
+            [c for s in split.summands for c in s.basis])[0])
         conj = self.conj
+        # projectors enter through their rank factorizations
+        f = [rank_factorization(x) for x in split.projectors]
         self.a, self.astar = conj(sys.A, "QQ"), conj(sys.Astar, "QQ")
         self.f = [conj(x, "QQ") for x in f]
         self.f_pq = [conj(x, "PQ") for x in f]
-        self.es_pp = [conj(x, "PP") for x in es]
-        self.es_qp = [conj(x, "QP") for x in es]
-        a_pp = conj(sys.A, "PP")
-        self.a_es_pp = [a_pp * x for x in self.es_pp]
-        self.e = [conj(rank_factorization(x), "QQ") for x in sys.E]
+        self.es_qp = [conj(x, "QP") for x in self.es_fac]
+        self.e = [conj(x, "QQ") for x in self.e_fac]
         self.psi_qp = conj(split.transition, "QP")
         self.psi_inv_pq = conj(split.transition_inv, "PQ")
         # results one check computes and another reuses
@@ -144,9 +160,7 @@ class Frame:
         # F_i E*_i and E*_i F_i
         self.fe_qp = [f * e for f, e in zip(self.f, self.es_qp)]
         self.ef_pq = [e * f for e, f in zip(self.es_pp, self.f_pq)]
-        ident = BlockMatrix(self.field, self.sizes, {
-            i: {i: Matrix.identity(self.field, k)}
-            for i, k in enumerate(self.sizes)})
+        ident = BlockMatrix.of(Matrix.identity(self.field, self.n), self.sizes)
         self.r_pow = powers(ident, conj(split.raising, "QQ"), sys.d + 1)
         self.l_pow = powers(ident, conj(split.lowering, "QQ"), sys.d + 1)
 
@@ -183,11 +197,13 @@ class Frame:
         return Residual(check_id, index, self.original(x, bases))
 
 
-def frame_of(sys, split) -> Frame:
-    """The frame of sys and split, built once and kept on split; a split
-    passed with another system gets a frame of its own."""
-    held = split.__dict__.get("_frame")
-    if held is None or held[0] is not sys:
-        held = (sys, Frame(sys, split))
-        object.__setattr__(split, "_frame", held)
+def frame_of(sys, split=None) -> Frame:
+    """The frame of sys, kept on sys, or of sys and split, kept on split;
+    each is built once, and a split passed with another system gets a
+    frame of its own."""
+    owner, key = (sys, None) if split is None else (split, sys)
+    held = owner.__dict__.get("_frame")
+    if held is None or held[0] is not key:
+        held = (key, Frame(sys, split))
+        object.__setattr__(owner, "_frame", held)
     return held[1]

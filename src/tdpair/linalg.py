@@ -523,14 +523,9 @@ def lagrange_idempotents(m: Matrix, thetas: Sequence[Scalar]) -> List[Matrix]:
     if not all(bases) or sum(len(b) for b in bases) != n:
         raise NotDiagonalizableError(failure)
     # eigenspaces of distinct eigenvalues are independent, so P is square
-    # and invertible
-    p = Matrix.from_columns(field, [col for b in bases for col in b])
-    p_inv = inverse(p)
-    p_diag = Matrix.from_columns(field, [tuple(t * x for x in col)
-                                         for t, b in zip(ths, bases)
-                                         for col in b])
-    if p_inv * p != ident or m * p != p_diag:
-        raise NotDiagonalizableError(failure)
+    # and invertible; its columns are eigenvectors, so M P = P diag(theta)
+    p_inv = inverse(Matrix.from_columns(field, [col for b in bases
+                                                for col in b]))
     idems = []
     offset = 0
     for b in bases:
@@ -556,11 +551,6 @@ def rank_factorization(m: Matrix) -> Optional[Tuple[Matrix, Matrix]]:
     return (space.basis_matrix(),
             Matrix(m.field, tuple(m.rows[p] for p in space.pivots),
                    _trusted=True))
-
-
-def rank_right(x: Matrix, factors: Optional[Tuple[Matrix, Matrix]]) -> int:
-    """rank(X M) from the rank factorization (B, C) of M: rank(X B)."""
-    return 0 if factors is None else rank(x * factors[0])
 
 
 def rank_between(left: Optional[Tuple[Matrix, Matrix]], x: Matrix,

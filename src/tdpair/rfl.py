@@ -8,11 +8,12 @@ A = R + F + L and both R and L are nilpotent of index at most d + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional
 
-from .errors import InternalInconsistencyError
 from .fields import Scalar
-from .linalg import rank_between, rank_factorization, rank_right
+from .frame import BlockMatrix, frame_of
+from .linalg import rank_between
 from .matrix import Matrix, commutator, powers
 from .results import RankEntry, RankTable, Residual
 from .systems import (RelationParameters, TridiagonalSystem,
@@ -41,7 +42,8 @@ class SectionFiveCoefficients:
 
 def compute_rfl(sys: TridiagonalSystem) -> RFLDecomposition:
     """Split A into raising + flat + lowering along the dual eigenspaces:
-    R = sum E*_(i+1) A E*_i, F = sum E*_i A E*_i, L = sum E*_(i-1) A E*_i.
+    R = sum E*_(i+1) A E*_i, F = sum E*_i A E*_i, L = sum E*_(i-1) A E*_i,
+    each sum taken as block products in the dual basis and carried back.
 
     With the E*_i orthogonal idempotents summing to I, R, F and L move
     each dual eigenspace up one step, fix it and move it down one step by
@@ -50,19 +52,13 @@ def compute_rfl(sys: TridiagonalSystem) -> RFLDecomposition:
     when it is assembled.  The identities they should satisfy are
     reported by check_section5 and check_section10.
     """
-    field = sys.field
-    n = sys.n
-    d = sys.d
-    estar = sys.Estar
-    a_estar = [sys.A * e for e in estar]
-    zero = Matrix.zeros(field, n, n)
-    raising, flat, lowering = zero, zero, zero
-    for i in range(d + 1):
-        if i < d:
-            raising = raising + estar[i + 1] * a_estar[i]
-        flat = flat + estar[i] * a_estar[i]
-        if i > 0:
-            lowering = lowering + estar[i - 1] * a_estar[i]
+    fr = frame_of(sys)
+    es, a_es = fr.es_pp, fr.a_es_pp
+    zero = BlockMatrix(sys.field, fr.sizes, {})
+    parts = (sum((es[i + 1] * a_es[i] for i in range(sys.d)), zero),
+             sum((es[i] * a_es[i] for i in range(sys.d + 1)), zero),
+             sum((es[i - 1] * a_es[i] for i in range(1, sys.d + 1)), zero))
+    raising, flat, lowering = (fr.original(x, "PP") for x in parts)
     return RFLDecomposition(system=sys, raising=raising, flat=flat,
                             lowering=lowering)
 
@@ -93,18 +89,6 @@ def section5_coefficients(sys: TridiagonalSystem,
         eminus[1] = None
     for i in range(2, d + 1):
         eminus[i] = (ts(i - 1) - ts(i - 3)) / (ts(i - 1) - ts(i))
-    for i in range(2, d):
-        if not gplus[i]:
-            raise InternalInconsistencyError(f"gplus[{i}] vanishes")
-    for i in range(3, d + 1):
-        if not gminus[i]:
-            raise InternalInconsistencyError(f"gminus[{i}] vanishes")
-    for i in range(1, d - 1):
-        if not eplus[i]:
-            raise InternalInconsistencyError(f"eplus[{i}] vanishes")
-    for i in range(3, d + 1):
-        if not eminus[i]:
-            raise InternalInconsistencyError(f"eminus[{i}] vanishes")
     return SectionFiveCoefficients(gplus=gplus, gminus=gminus,
                                    eplus=eplus, eminus=eminus)
 
@@ -114,15 +98,19 @@ def check_section5(sys: TridiagonalSystem, rfl: RFLDecomposition,
                    ) -> List[Residual]:
     """Residuals of the three-term identities (part i), the six-term
     identities (part ii), and the flat-commutator balance (part iii),
-    each restricted to its dual eigenspace."""
+    each restricted to its dual eigenspace, as block products in the dual
+    basis."""
     if params is None:
         params = compute_relation_parameters(sys)
     co = section5_coefficients(sys, params)
     d = sys.d
-    estar = sys.Estar
-    r, f, l = rfl.raising, rfl.flat, rfl.lowering
+    frame = frame_of(sys)
+    estar = frame.es_pp
+    r, f, l = (frame.conj(x, "PP")
+               for x in (rfl.raising, rfl.flat, rfl.lowering))
     gamma, rho = params.gamma, params.rho
     beta = params.beta
+    res = partial(frame.residual, bases="PP")
 
     l2, r2 = l * l, r * r
     fl, lf = f * l, l * f
@@ -135,10 +123,10 @@ def check_section5(sys: TridiagonalSystem, rfl: RFLDecomposition,
     for i in range(2, d + 1):
         low = ((f * l2).scale(co.gminus[i]) + l * fl
                + (l2 * f).scale(co.gplus[i]) - l2.scale(gamma))
-        out.append(Residual("section5.i.low", (i,), low * estar[i]))
+        out.append(res("section5.i.low", (i,), low * estar[i]))
         high = ((r2 * f).scale(co.gminus[i]) + r * fr
                 + (f * r2).scale(co.gplus[i]) - r2.scale(gamma))
-        out.append(Residual("section5.i.high", (i,), high * estar[i - 2]))
+        out.append(res("section5.i.high", (i,), high * estar[i - 2]))
 
     rl2 = r * l2
     lrl = l * rl
@@ -169,8 +157,8 @@ def check_section5(sys: TridiagonalSystem, rfl: RFLDecomposition,
                     stray.append(term * proj)
                 else:
                     acc = acc + term.scale(coeff)
-            out.append(Residual(name, (i,), acc * proj))
-            out.extend(Residual(name, (i,), t) for t in stray
+            out.append(res(name, (i,), acc * proj))
+            out.extend(res(name, (i,), t) for t in stray
                        if not t.is_zero())
 
     com_lr = commutator(f, lr)
@@ -180,7 +168,7 @@ def check_section5(sys: TridiagonalSystem, rfl: RFLDecomposition,
                             - params.thetastar_ext(sys, i + 1))
         right = com_rl.scale(params.thetastar_ext(sys, i - 1)
                              - params.thetastar_ext(sys, i))
-        out.append(Residual("section5.iii", (i,), (left - right) * estar[i]))
+        out.append(res("section5.iii", (i,), (left - right) * estar[i]))
     return out
 
 
@@ -189,17 +177,19 @@ def check_section10(sys: TridiagonalSystem, rfl: RFLDecomposition
     """Observed against predicted ranks for powers of R and L between dual
     eigenspaces, and for the two-sided sandwiches of powers of A and A*.
 
-    Each idempotent enters through its rank factorization, so every rank
-    is taken of an n x rho_j or rho_i x rho_j block instead of an n x n
-    product.
+    The ranks on the dual side are those of block products in the dual
+    basis; each E_i enters through its rank factorization, so the ranks
+    of E_i A*^k E_j are taken of rho_i x rho_j blocks.
     """
     d = sys.d
     rho = sys.shape
-    ident = Matrix.identity(sys.field, sys.n)
-    r_pow, l_pow, a_pow, astar_pow = (powers(ident, m, d) for m in (
-        rfl.raising, rfl.lowering, sys.A, sys.Astar))
-    e = [rank_factorization(x) for x in sys.E]
-    es = [rank_factorization(x) for x in sys.Estar]
+    fr = frame_of(sys)
+    ident = BlockMatrix.of(Matrix.identity(sys.field, sys.n), fr.sizes)
+    r_pow, l_pow = (powers(ident, fr.conj(m, "PP"), d)
+                    for m in (rfl.raising, rfl.lowering))
+    a_pow = powers(ident, fr.a_pp, d)
+    astar_pow = powers(Matrix.identity(sys.field, sys.n), sys.Astar, d)
+    e, es = fr.e_fac, fr.es_pp
     entries: List[RankEntry] = []
     for i in range(d + 1):
         for j in range(i, d + 1):
@@ -207,16 +197,14 @@ def check_section10(sys: TridiagonalSystem, rfl: RFLDecomposition
             expected_up = rho[i] if i + j <= d else rho[j]
             expected_down = rho[j] if i + j >= d else rho[i]
             entries.append(RankEntry(
-                "R_power", i, j, rank_right(r_pow[k], es[i]), expected_up))
+                "R_power", i, j, (r_pow[k] * es[i]).rank(), expected_up))
             entries.append(RankEntry(
-                "L_power", i, j, rank_right(l_pow[k], es[j]),
-                expected_down))
+                "L_power", i, j, (l_pow[k] * es[j]).rank(), expected_down))
             low = min(rho[i], rho[j])
             entries.append(RankEntry(
-                "EsAEs", i, j, rank_between(es[i], a_pow[k], es[j]), low))
+                "EsAEs", i, j, (es[i] * a_pow[k] * es[j]).rank(), low))
             entries.append(RankEntry(
-                "EsAEs_rev", i, j, rank_between(es[j], a_pow[k], es[i]),
-                low))
+                "EsAEs_rev", i, j, (es[j] * a_pow[k] * es[i]).rank(), low))
             entries.append(RankEntry(
                 "EAsE", i, j, rank_between(e[i], astar_pow[k], e[j]), low))
             entries.append(RankEntry(

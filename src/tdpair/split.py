@@ -6,12 +6,12 @@ its summand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from itertools import accumulate
+from typing import Dict, List, Tuple
 
 from .errors import InternalInconsistencyError
 from .frame import frame_of
-from .linalg import (Subspace, projectors_from_direct_sum,
-                     subspace_intersect, subspace_sum)
+from .linalg import Subspace, _insert, projectors_from_direct_sum
 from .matrix import Matrix
 from .results import RankEntry, RankTable, Residual
 from .systems import TridiagonalSystem
@@ -35,31 +35,35 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
     A* - sum thetastar_i F_i, and the transition map sum F_i E*_i with
     its inverse sum E*_i F_i.
 
-    A summand whose dimension is off the shape is an internal error, and
-    a sum that is not direct a DecompositionError, because the projectors
-    need the summands to fill the space.  The facts the decomposition
-    should satisfy (the block actions of A and A*, nilpotency, the
-    transition identities and ranks) are left to check_section7 and
+    In the dual basis each prefix spans the first coordinates, so once
+    the bases of V_d, ..., V_i are in one echelon keyed by their last
+    nonzero coordinate, the rows ending inside the prefix span U_i.
+    Dual eigenspaces whose bases are no basis, or a summand whose
+    dimension is off the shape, are an internal error, and a sum that is
+    not direct a DecompositionError, because the projectors need the
+    summands to fill the space.  The facts the decomposition should
+    satisfy (the block actions of A and A*, nilpotency, the transition
+    identities and ranks) are left to check_section7 and
     check_split_bijectivity, which report them.
     """
-    field = sys.field
-    n = sys.n
-    d = sys.d
-
-    dual_prefix: List[Subspace] = []
-    acc = Subspace.zero(field, n)
-    for i in range(d + 1):
-        acc = subspace_sum(acc, Subspace.column_space(sys.Estar[i]))
-        dual_prefix.append(acc)
-    suffix_rev: List[Subspace] = []
-    acc = Subspace.zero(field, n)
+    field, n, d = sys.field, sys.n, sys.d
+    fr = frame_of(sys)
+    if not fr.is_basis:
+        raise InternalInconsistencyError(
+            "the bases of the dual eigenspaces are not a basis")
+    p, p_inv = fr.bases["P"]
+    ends = list(accumulate(x[0].ncols if x else 0 for x in fr.es_fac))
+    # rows reversed, so that the echelon's pivot is the last coordinate
+    rows: Dict[int, list] = {}
+    summands: List[Subspace] = []
     for i in range(d, -1, -1):
-        acc = subspace_sum(acc, Subspace.column_space(sys.E[i]))
-        suffix_rev.append(acc)
-    suffix = list(reversed(suffix_rev))
-
-    summands = [subspace_intersect(dual_prefix[i], suffix[i])
-                for i in range(d + 1)]
+        if fr.e_fac[i]:
+            for col in (p_inv * fr.e_fac[i][0]).columns():
+                _insert(rows, col[::-1])
+        summands.append(Subspace.from_columns(
+            field, n, [p.apply(row[::-1]) for piv, row in rows.items()
+                       if piv >= n - ends[i]]))
+    summands.reverse()
     for i in range(d + 1):
         if summands[i].dim != sys.shape[i]:
             raise InternalInconsistencyError(
@@ -68,20 +72,13 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
 
     projectors = projectors_from_direct_sum(summands)
 
-    shift = Matrix.zeros(field, n, n)
-    for i in range(d + 1):
-        shift = shift + projectors[i].scale(sys.theta[i])
-    raising = sys.A - shift
-    shift = Matrix.zeros(field, n, n)
-    for i in range(d + 1):
-        shift = shift + projectors[i].scale(sys.thetastar[i])
-    lowering = sys.Astar - shift
-
-    psi = Matrix.zeros(field, n, n)
-    psi_inv = Matrix.zeros(field, n, n)
-    for i in range(d + 1):
-        psi = psi + projectors[i] * sys.Estar[i]
-        psi_inv = psi_inv + sys.Estar[i] * projectors[i]
+    zero = Matrix.zeros(field, n, n)
+    raising = sys.A - sum((f.scale(t) for f, t in zip(projectors, sys.theta)),
+                          zero)
+    lowering = sys.Astar - sum((f.scale(t) for f, t
+                                in zip(projectors, sys.thetastar)), zero)
+    psi = sum((f * e for f, e in zip(projectors, sys.Estar)), zero)
+    psi_inv = sum((e * f for f, e in zip(projectors, sys.Estar)), zero)
 
     return SplitDecomposition(system=sys, summands=tuple(summands),
                               projectors=tuple(projectors),

@@ -128,14 +128,17 @@ def test_section11_reports_split_fact(name, fact, corrupt, _):
 
 def test_checks_raise_no_internal_errors():
     """Checks verify: a check reports a broken identity as a residual, so
-    no check_* function raises InternalInconsistencyError itself."""
+    no check_* function raises InternalInconsistencyError itself, and
+    neither does section5_coefficients, which section5 and section11
+    share."""
     found, checks = [], 0
     for path in sorted((Path(__file__).resolve().parent.parent
                         / "src" / "tdpair").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for fn in ast.walk(tree):
             if not (isinstance(fn, ast.FunctionDef)
-                    and fn.name.startswith("check_")):
+                    and (fn.name.startswith("check_")
+                         or fn.name == "section5_coefficients")):
                 continue
             checks += 1
             for node in ast.walk(fn):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tdpair import (CHECK_IDS, KrawtchoukParams, MalformedInputError, QQ,
-                    analyze_pair, compute_relation_parameters,
+                    Subspace, analyze_pair, compute_relation_parameters,
                     construct_krawtchouk, kronecker_sum_candidate,
                     run_all_checks)
 
@@ -105,3 +105,20 @@ def test_skipped_entry_carries_reason(multiplicity_system):
     entry = report.to_json()["checks"][0]
     assert entry["status"] == "skipped"
     assert entry["skip-reason"] == "an eigenspace has dimension above one"
+
+
+def test_each_idempotent_factored_once(kraw3, monkeypatch):
+    """All checks on a fresh system factor each E_i, E*_i and F_i once:
+    the system's dual frame holds the factors of the E_i and E*_i, and the
+    split's frame adds those of the F_i."""
+    system = dataclasses.replace(kraw3)
+    spaces = []
+    column_space = Subspace.column_space.__func__
+
+    def counted(cls, m):
+        spaces.append(m)
+        return column_space(cls, m)
+
+    monkeypatch.setattr(Subspace, "column_space", classmethod(counted))
+    assert run_all_checks(system).ok
+    assert len(spaces) == 3 * (system.d + 1)
