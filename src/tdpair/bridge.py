@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .fields import Field, Scalar
-from .frame import BlockMatrix, Frame, frame_of
+from .frame import Frame, SparseMatrix, frame_of
 from .matrix import Matrix
 from .results import Residual
 from .rfl import RFLDecomposition
@@ -60,24 +60,26 @@ def _cubic_term(th: Sequence[Scalar], ts: Sequence[Scalar], j: int) -> Scalar:
 
 
 def _assembled(sys: TridiagonalSystem, fr: Frame, i: int, j: int,
-               right: BlockMatrix, dual: bool = False) -> BlockMatrix:
+               right: SparseMatrix, dual: bool = False) -> SparseMatrix:
     """The assembled operator at (i, j) in the split basis, or its mirror
     with the two eigenvalue sequences and the two shifted maps exchanged,
-    times right.  Each term is multiplied by right before the sum, so a
-    product with one block column touches one block per term."""
+    times right.  Each term is multiplied by right before the sum, so
+    when right is nonzero in the columns of one summand only, each
+    product touches only the entries of those columns."""
     th, ts = (sys.thetastar, sys.theta) if dual else (sys.theta,
                                                        sys.thetastar)
     lead, cross = _coefficients(sys.field, th, ts, i, j)
     terms = [] if lead is None else [
         ((fr.r_pow if dual else fr.l_pow)[j - i], lead)]
     terms += [(fr.words[dual][s + 1 - i, j - s], c) for s, c in cross]
-    op = BlockMatrix(sys.field, fr.sizes, {})
+    op = SparseMatrix(sys.field, sys.n, {})
     for word, c in terms:
         op = op + (word * right).scale(c)
     return op
 
 
-def _grid(sys: TridiagonalSystem, fr: Frame, i: int, j: int) -> BlockMatrix:
+def _grid(sys: TridiagonalSystem, fr: Frame, i: int, j: int
+          ) -> SparseMatrix:
     """F_i E*_i A E*_j minus the assembled operator times F_j E*_j, with
     rows in the split basis and columns in the dual basis; kept on the
     frame, since the diagrams compare against the band of the grid."""
@@ -190,7 +192,7 @@ def check_diagrams(sys: TridiagonalSystem, split: SplitDecomposition,
     psi = fr.psi_qp
     out: List[Residual] = []
 
-    def report(name: str, j: int, lead: BlockMatrix, i: int) -> None:
+    def report(name: str, j: int, lead: SparseMatrix, i: int) -> None:
         # (lead - op psi) E*_j, op the assembled operator at (i, j): the
         # raising map at (j + 1, j), the direct forms at (j, j), (j - 1, j)
         res = lead * fr.es_pp[j] \

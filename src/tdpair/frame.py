@@ -1,106 +1,91 @@
 """A system in its dual basis, and with its split decomposition in two
-bases, as block matrices.
+bases, as sparse matrices.
 
 Q stacks the bases of the summands U_i, P those of the dual eigenspaces;
-X from the basis b to the basis a is a^-1 X b, cut into blocks by the
-shape.  There each F_i and E*_i is one diagonal block and R, F, L and the
-shifted maps one block diagonal each, so products touch few blocks.
-Nothing of this is assumed: operators are conjugated in full and a block
-is dropped only when its entries vanish, so a corrupted input keeps its
-off-band blocks.  Only a nonzero residual is carried back to the original
-basis.
+X from the basis b to the basis a is a^-1 X b, kept as its nonzero
+entries.  There each F_i and E*_i has entries in one diagonal block of
+the shape and R, F, L and the shifted maps in one block diagonal each, so
+products touch few entries.  Nothing of this is assumed: operators are
+conjugated in full and an entry is dropped only when it is zero, so a
+corrupted input keeps its off-band entries.  Only a nonzero residual is
+carried back to the original basis.
 """
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import SingularMatrixError
-from .linalg import inverse, rank, rank_factorization
+from .linalg import _echelon, inverse, rank_factorization
 from .matrix import Matrix, powers
 from .results import Residual
 
-_NONE: Dict[int, Matrix] = {}
+_NONE: Dict[int, object] = {}
 
 
-class BlockMatrix:
-    """A square matrix over a partition of its coordinates, holding only
-    its nonzero blocks: rows[i][j] is the block at (i, j)."""
+class SparseMatrix:
+    """An n x n matrix holding only its nonzero entries: rows[i][j] is the
+    entry at (i, j), and a row with none is absent."""
 
-    __slots__ = ("field", "sizes", "rows")
+    __slots__ = ("field", "n", "rows")
 
-    def __init__(self, field, sizes: Sequence[int],
-                 rows: Dict[int, Dict[int, Matrix]]):
-        self.field, self.sizes = field, sizes
+    def __init__(self, field, n: int, rows: Dict[int, Dict[int, object]]):
+        self.field, self.n = field, n
         self.rows = {i: row for i, row in rows.items() if row}
 
     @classmethod
-    def of(cls, m: Matrix, sizes: Sequence[int]) -> "BlockMatrix":
-        cuts = list(zip(accumulate(sizes, initial=0), accumulate(sizes)))
-        owner = [j for j, k in enumerate(sizes) for _ in range(k)]
-        rows = {}
-        for i, (r0, r1) in enumerate(cuts):
-            band = m.rows[r0:r1]
-            hit = {owner[c] for row in band for c, x in enumerate(row) if x}
-            rows[i] = {j: Matrix(m.field, tuple(row[slice(*cuts[j])]
-                                                for row in band),
-                                 _trusted=True) for j in sorted(hit)}
-        return cls(m.field, sizes, rows)
-
-    def _stacked(self, block_rows, block_cols) -> Matrix:
-        zero, sizes = self.field.zero, self.sizes
-        out = []
-        for i in block_rows:
-            row = self.rows.get(i, _NONE)
-            blks = [row[j].rows if j in row
-                    else ((zero,) * sizes[j],) * sizes[i] for j in block_cols]
-            out.extend(sum(parts, ()) for parts in zip(*blks))
-        return Matrix(self.field, tuple(out), _trusted=True)
+    def of(cls, m: Matrix) -> "SparseMatrix":
+        return cls(m.field, m.nrows, {
+            i: {j: x for j, x in enumerate(row) if x}
+            for i, row in enumerate(m.rows)})
 
     def dense(self) -> Matrix:
-        every = range(len(self.sizes))
-        return self._stacked(every, every)
+        zero, every = self.field.zero, range(self.n)
+        return Matrix(self.field, tuple(
+            tuple(self.rows.get(i, _NONE).get(j, zero) for j in every)
+            for i in every), _trusted=True)
 
     def is_zero(self) -> bool:
         return not self.rows
 
-    def scale(self, c) -> "BlockMatrix":
-        return BlockMatrix(self.field, self.sizes, {
-            i: {j: m.scale(c) for j, m in row.items()} if c else {}
+    def scale(self, c) -> "SparseMatrix":
+        c = self.field.coerce(c)
+        return SparseMatrix(self.field, self.n, {
+            i: {j: c * x for j, x in row.items()} if c else {}
             for i, row in self.rows.items()})
 
-    def __add__(self, other: "BlockMatrix") -> "BlockMatrix":
+    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         rows = {i: dict(row) for i, row in self.rows.items()}
         for i, row in other.rows.items():
             acc = rows.setdefault(i, {})
-            for j, m in row.items():
-                m = acc[j] + m if j in acc else m
-                if m.is_zero():
+            for j, x in row.items():
+                x = acc[j] + x if j in acc else x
+                if not x:
                     del acc[j]
                 else:
-                    acc[j] = m
-        return BlockMatrix(self.field, self.sizes, rows)
+                    acc[j] = x
+        return SparseMatrix(self.field, self.n, rows)
 
-    def __sub__(self, other: "BlockMatrix") -> "BlockMatrix":
+    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         return self + other.scale(-self.field.one)
 
-    def __mul__(self, other: "BlockMatrix") -> "BlockMatrix":
-        rows = {}
+    def __mul__(self, other: "SparseMatrix") -> "SparseMatrix":
+        rows, right = {}, other.rows
         for i, row in self.rows.items():
-            acc: Dict[int, Matrix] = {}
+            acc: Dict[int, object] = {}
             for k, a in row.items():
-                for j, b in other.rows.get(k, _NONE).items():
+                for j, b in right.get(k, _NONE).items():
                     acc[j] = acc[j] + a * b if j in acc else a * b
-            rows[i] = {j: m for j, m in acc.items() if not m.is_zero()}
-        return BlockMatrix(self.field, self.sizes, rows)
+            rows[i] = {j: x for j, x in acc.items() if x}
+        return SparseMatrix(self.field, self.n, rows)
 
     def rank(self) -> int:
-        """The rank of the nonzero block rows and columns alone."""
-        if not self.rows:
-            return 0
+        """The rank of the nonzero rows restricted to the nonzero
+        columns."""
+        zero = self.field.zero
         cols = sorted({j for row in self.rows.values() for j in row})
-        return rank(self._stacked(sorted(self.rows), cols))
+        return len(_echelon([[row.get(j, zero) for j in cols]
+                             for _, row in sorted(self.rows.items())]))
 
 
 def _basis(field, n: int, columns: List[Sequence]) -> Tuple[tuple, bool]:
@@ -122,13 +107,14 @@ class Frame:
     "QP": rows in Q, columns in P; operators named without one are in
     "QQ".  The system's frame, without a split, is the one place where
     each E_i and E*_i is factored, and the frame of a split starts from
-    it.  When the stacked bases of the dual eigenspaces are no basis (a
-    corrupted family of idempotents), P is the identity and is_basis is
-    False."""
+    it.  Each operator is a SparseMatrix; only carrying one back to the
+    original basis makes it dense.  When the stacked bases of the dual
+    eigenspaces are no basis (a corrupted family of idempotents), P is
+    the identity and is_basis is False."""
 
     def __init__(self, sys, split=None):
         if split is None:
-            self.field, self.n, self.sizes = sys.field, sys.n, sys.shape
+            self.field, self.n = sys.field, sys.n
             # idempotents enter through their rank factorizations (B, C)
             self.e_fac, self.es_fac = ([rank_factorization(x) for x in xs]
                                        for xs in (sys.E, sys.Estar))
@@ -156,16 +142,16 @@ class Frame:
         self.psi_qp = conj(split.transition, "QP")
         self.psi_inv_pq = conj(split.transition_inv, "PQ")
         # results one check computes and another reuses
-        self.memo: Dict[tuple, BlockMatrix] = {}
+        self.memo: Dict[tuple, SparseMatrix] = {}
         # F_i E*_i and E*_i F_i
         self.fe_qp = [f * e for f, e in zip(self.f, self.es_qp)]
         self.ef_pq = [e * f for e, f in zip(self.es_pp, self.f_pq)]
-        ident = BlockMatrix.of(Matrix.identity(self.field, self.n), self.sizes)
+        ident = SparseMatrix.of(Matrix.identity(self.field, self.n))
         self.r_pow = powers(ident, conj(split.raising, "QQ"), sys.d + 1)
         self.l_pow = powers(ident, conj(split.lowering, "QQ"), sys.d + 1)
 
     @cached_property
-    def words(self) -> Dict[int, Dict[tuple, BlockMatrix]]:
+    def words(self) -> Dict[int, Dict[tuple, SparseMatrix]]:
         """words[dual][a, b]: L^a R L^b, or R^b L R^a, for a + b <= d + 1."""
         out, top = {}, len(self.l_pow)
         for dual, (pw, mid) in enumerate(((self.l_pow, self.r_pow[1]),
@@ -176,23 +162,23 @@ class Frame:
                 for a in range(top) for b in range(top - a)}
         return out
 
-    def conj(self, x, bases: str) -> BlockMatrix:
+    def conj(self, x, bases: str) -> SparseMatrix:
         """x from the basis bases[1] to the basis bases[0]; x is a matrix,
         the factors (B, C) of one, or None for zero."""
         left, right = self.bases[bases[0]][1], self.bases[bases[1]][0]
         if x is None:
-            return BlockMatrix(self.field, self.sizes, {})
+            return SparseMatrix(self.field, self.n, {})
         if isinstance(x, tuple):
-            return BlockMatrix.of((left * x[0]) * (x[1] * right), self.sizes)
-        return BlockMatrix.of(left * x * right, self.sizes)
+            return SparseMatrix.of((left * x[0]) * (x[1] * right))
+        return SparseMatrix.of(left * x * right)
 
-    def original(self, x: BlockMatrix, bases: str) -> Matrix:
+    def original(self, x: SparseMatrix, bases: str) -> Matrix:
         """x carried back from the frame to the original basis."""
         if x.is_zero():
             return Matrix.zeros(self.field, self.n, self.n)
         return self.bases[bases[0]][0] * x.dense() * self.bases[bases[1]][1]
 
-    def residual(self, check_id: str, index: tuple, x: BlockMatrix,
+    def residual(self, check_id: str, index: tuple, x: SparseMatrix,
                  bases: str = "QQ") -> Residual:
         return Residual(check_id, index, self.original(x, bases))
 

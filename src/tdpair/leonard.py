@@ -367,7 +367,7 @@ def check_section11(sys: TridiagonalSystem,
         out.append(ScalarResidual("section11.phi.recurrence", (j,),
                                   lhs - beta1 * _cubic_term(th, ts, j)))
 
-    # one raising-lowering turn on each summand, as block products
+    # one raising-lowering turn on each summand, as sparse products
     fr = frame_of(sys, split)
     rl = fr.r_pow[1] * fr.l_pow[1]
     lr = fr.l_pow[1] * fr.r_pow[1]

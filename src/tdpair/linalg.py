@@ -497,10 +497,11 @@ def lagrange_idempotents(m: Matrix, thetas: Sequence[Scalar]) -> List[Matrix]:
     """Primitive idempotents E_i of a diagonalizable matrix, in the order of
     its eigenvalue list thetas.
 
-    The eigenspace bases B_i, side by side, form one invertible matrix P,
-    and E_i is B_i times the matching rows of P^-1.  The two products
-    P^-1 P = I and M P = P diag(theta) together say that the E_i are
-    orthogonal idempotents with sum I and sum theta_i E_i = M.
+    Eigenspaces of distinct eigenvalues are independent, so when their
+    dimensions sum to n the space is their direct sum, and E_i is the
+    projector onto the i-th eigenspace along the others: the E_i are
+    orthogonal idempotents with sum I, and sum theta_i E_i = M because M
+    acts as theta_i on the i-th eigenspace.
 
     Raises NotDiagonalizableError when m is not diagonalizable with
     eigenvalue list thetas.
@@ -517,23 +518,11 @@ def lagrange_idempotents(m: Matrix, thetas: Sequence[Scalar]) -> List[Matrix]:
     else:
         failure = "idempotents do not resolve the identity"
     failure += "; matrix is not diagonalizable with the given eigenvalues"
-    n = m.nrows
-    ident = Matrix.identity(field, n)
-    bases = [rank_kernel(m - ident.scale(t))[1].basis for t in ths]
-    if not all(bases) or sum(len(b) for b in bases) != n:
+    ident = Matrix.identity(field, m.nrows)
+    spaces = [rank_kernel(m - ident.scale(t))[1] for t in ths]
+    if not all(s.dim for s in spaces) or sum(s.dim for s in spaces) != m.nrows:
         raise NotDiagonalizableError(failure)
-    # eigenspaces of distinct eigenvalues are independent, so P is square
-    # and invertible; its columns are eigenvectors, so M P = P diag(theta)
-    p_inv = inverse(Matrix.from_columns(field, [col for b in bases
-                                                for col in b]))
-    idems = []
-    offset = 0
-    for b in bases:
-        rows = p_inv.rows[offset:offset + len(b)]
-        idems.append(Matrix.from_columns(field, b)
-                     * Matrix(field, rows, _trusted=True))
-        offset += len(b)
-    return idems
+    return projectors_from_direct_sum(spaces)
 
 
 def rank_factorization(m: Matrix) -> Optional[Tuple[Matrix, Matrix]]:

@@ -265,7 +265,7 @@ def commutator(x: Matrix, y: Matrix) -> Matrix:
 
 def powers(ident, m, top: int) -> list:
     """ident, m, m^2, ..., m^top, each the one before times m; m is a
-    Matrix or a frame.BlockMatrix, ident the identity of its kind."""
+    Matrix or a frame.SparseMatrix, ident the identity of its kind."""
     out = [ident]
     for _ in range(top):
         out.append(out[-1] * m)

@@ -12,7 +12,7 @@ from functools import partial
 from typing import Dict, List, Optional
 
 from .fields import Scalar
-from .frame import BlockMatrix, frame_of
+from .frame import SparseMatrix, frame_of
 from .linalg import rank_between
 from .matrix import Matrix, commutator, powers
 from .results import RankEntry, RankTable, Residual
@@ -43,7 +43,7 @@ class SectionFiveCoefficients:
 def compute_rfl(sys: TridiagonalSystem) -> RFLDecomposition:
     """Split A into raising + flat + lowering along the dual eigenspaces:
     R = sum E*_(i+1) A E*_i, F = sum E*_i A E*_i, L = sum E*_(i-1) A E*_i,
-    each sum taken as block products in the dual basis and carried back.
+    each sum taken as sparse products in the dual basis and carried back.
 
     With the E*_i orthogonal idempotents summing to I, R, F and L move
     each dual eigenspace up one step, fix it and move it down one step by
@@ -54,7 +54,7 @@ def compute_rfl(sys: TridiagonalSystem) -> RFLDecomposition:
     """
     fr = frame_of(sys)
     es, a_es = fr.es_pp, fr.a_es_pp
-    zero = BlockMatrix(sys.field, fr.sizes, {})
+    zero = SparseMatrix(sys.field, sys.n, {})
     parts = (sum((es[i + 1] * a_es[i] for i in range(sys.d)), zero),
              sum((es[i] * a_es[i] for i in range(sys.d + 1)), zero),
              sum((es[i - 1] * a_es[i] for i in range(1, sys.d + 1)), zero))
@@ -98,8 +98,8 @@ def check_section5(sys: TridiagonalSystem, rfl: RFLDecomposition,
                    ) -> List[Residual]:
     """Residuals of the three-term identities (part i), the six-term
     identities (part ii), and the flat-commutator balance (part iii),
-    each restricted to its dual eigenspace, as block products in the dual
-    basis."""
+    each restricted to its dual eigenspace, as sparse products in the
+    dual basis."""
     if params is None:
         params = compute_relation_parameters(sys)
     co = section5_coefficients(sys, params)
@@ -177,14 +177,15 @@ def check_section10(sys: TridiagonalSystem, rfl: RFLDecomposition
     """Observed against predicted ranks for powers of R and L between dual
     eigenspaces, and for the two-sided sandwiches of powers of A and A*.
 
-    The ranks on the dual side are those of block products in the dual
-    basis; each E_i enters through its rank factorization, so the ranks
-    of E_i A*^k E_j are taken of rho_i x rho_j blocks.
+    The ranks on the dual side are those of sparse products in the dual
+    basis, restricted to their nonzero rows and columns; each E_i enters
+    through its rank factorization, so the ranks of E_i A*^k E_j are taken
+    of rho_i x rho_j matrices.
     """
     d = sys.d
     rho = sys.shape
     fr = frame_of(sys)
-    ident = BlockMatrix.of(Matrix.identity(sys.field, sys.n), fr.sizes)
+    ident = SparseMatrix.of(Matrix.identity(sys.field, sys.n))
     r_pow, l_pow = (powers(ident, fr.conj(m, "PP"), d)
                     for m in (rfl.raising, rfl.lowering))
     a_pow = powers(ident, fr.a_pp, d)

@@ -139,8 +139,8 @@ def check_split_bijectivity(sys: TridiagonalSystem,
                             split: SplitDecomposition) -> RankTable:
     """Observed against predicted ranks for powers of the shifted maps
     between summands, and for the pairings of each summand with its
-    eigenspace and dual eigenspace, each the rank of the nonzero blocks of
-    a product in the split and dual bases."""
+    eigenspace and dual eigenspace, each the rank of the nonzero rows and
+    columns of a sparse product in the split and dual bases."""
     d = sys.d
     rho = sys.shape
     fr = frame_of(sys, split)

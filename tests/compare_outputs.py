@@ -5,9 +5,11 @@ byte for byte.
 
 Builds the inputs of the benchmark workloads family, eigen-scan and
 reject-mix for seeds 1 to 3 from `perfbench/workloads.py` of the tree
-holding this script, and runs `construct`, `verify` and `report` (JSON and
-CSV) on them through `tdpair.cli.main`, once with BASE's `src` on the path
-and once with this tree's.  Exits 1 when any run differs in standard
+holding this script, and two larger ones with its builders: QQ
+Krawtchouk d = 14, and the tensor sum of QQ Krawtchouk pairs of diameters
+2 and 4 (n = 15, shape 1, 2, 3, 3, 3, 2, 1).  Runs `construct`, `verify`
+and `report` (JSON and CSV) on them through `tdpair.cli.main`, once with
+BASE's `src` on the path and once with this tree's.  Exits 1 when any run differs in standard
 output, standard error or exit code.  pytest does not collect this file.
 """
 from __future__ import annotations
@@ -17,6 +19,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,29 +31,32 @@ def emit(tree: str) -> None:
     one JSON record per run."""
     sys.path[:0] = [str(Path(tree).resolve() / "src"), str(ROOT / "perfbench")]
     from run import _call, _pair_doc
-    from workloads import WORKLOADS
+    from workloads import WORKLOADS, krawtchouk_case, tensor_case
     from tdpair import cli
 
+    cases = [(f"{workload}-{seed}-{case.label}", case)
+             for workload, build in WORKLOADS.items()
+             for seed in SEEDS for case in build(seed)]
+    cases += [(case.label, case) for case in (
+        krawtchouk_case("krawtchouk-qq-d14", 14, Fraction(1, 3), None),
+        tensor_case("tensor-qq-2x4",
+                    ((2, Fraction(1, 3)), (4, Fraction(3, 4))), None))]
     runs = []
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        for workload, build in WORKLOADS.items():
-            for seed in SEEDS:
-                for case in build(seed):
-                    path = f"{workload}-{seed}-{case.label}.json"
-                    if case.construct is None:
-                        Path(path).write_text(_pair_doc(case),
-                                              encoding="utf-8")
-                    else:
-                        argv = ["construct"] + case.construct
-                        runs.append([argv, *_call(cli, argv)])
-                        if runs[-1][1] == 0:
-                            Path(path).write_text(runs[-1][2],
-                                                  encoding="utf-8")
-                    if case.verified:
-                        for argv in (["verify", path], ["report", path],
-                                     ["report", path, "--format", "csv"]):
-                            runs.append([argv, *_call(cli, argv)])
+        for name, case in cases:
+            path = f"{name}.json"
+            if case.construct is None:
+                Path(path).write_text(_pair_doc(case), encoding="utf-8")
+            else:
+                argv = ["construct"] + case.construct
+                runs.append([argv, *_call(cli, argv)])
+                if runs[-1][1] == 0:
+                    Path(path).write_text(runs[-1][2], encoding="utf-8")
+            if case.verified:
+                for argv in (["verify", path], ["report", path],
+                             ["report", path, "--format", "csv"]):
+                    runs.append([argv, *_call(cli, argv)])
         os.chdir(ROOT)
     json.dump(runs, sys.stdout)
 

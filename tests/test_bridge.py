@@ -104,9 +104,9 @@ def test_master_operator_matches_corollaries(kraw4, multiplicity_system):
 
 
 def test_master_and_section9_take_few_full_products(monkeypatch):
-    """The grid and the annihilation identities are evaluated block by
-    block in the split and dual bases: the n x n products are those that
-    change bases, not O(d) per grid entry."""
+    """The grid and the annihilation identities are evaluated as sparse
+    products in the split and dual bases: the n x n products are those
+    that change bases, not O(d) per grid entry."""
     d = 16
     s, _ = construct_krawtchouk(
         KrawtchoukParams(field=QQ, d=d, p=Fraction(1, 3)))

@@ -1,0 +1,102 @@
+"""SparseMatrix against the dense Matrix as oracle, over QQ and GF(101)."""
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tdpair import Matrix, PrimeField, QQ, rank
+from tdpair.frame import SparseMatrix
+
+GF101 = PrimeField(101)
+
+
+@st.composite
+def matrices(draw, count):
+    """A field, and count square matrices over it of one size up to 6,
+    about half of whose entries are zero."""
+    field = draw(st.sampled_from([QQ, GF101]))
+    n = draw(st.integers(min_value=1, max_value=6))
+    if field is QQ:
+        nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    else:
+        nonzero = st.integers(min_value=1, max_value=100)
+    entry = st.one_of(st.just(0), nonzero)
+    square = st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    return field, [Matrix(field, draw(square)) for _ in range(count)]
+
+
+def canonical(s: SparseMatrix) -> SparseMatrix:
+    """s, after asserting that it keeps no zero entry and no empty row."""
+    for i, row in s.rows.items():
+        assert row and 0 <= i < s.n
+        assert all(x and 0 <= j < s.n for j, x in row.items())
+    return s
+
+
+@settings(deadline=None)
+@given(matrices(1))
+def test_round_trip(drawn):
+    _, (m,) = drawn
+    s = canonical(SparseMatrix.of(m))
+    assert s.dense() == m
+    assert s.is_zero() == m.is_zero()
+    assert s.rank() == rank(m)
+
+
+@settings(deadline=None)
+@given(matrices(2))
+def test_arithmetic_matches_dense(drawn):
+    _, (a, b) = drawn
+    sa, sb = SparseMatrix.of(a), SparseMatrix.of(b)
+    for sparse, dense in ((sa + sb, a + b), (sa - sb, a - b),
+                          (sa * sb, a * b)):
+        assert canonical(sparse).dense() == dense
+        assert sparse.is_zero() == dense.is_zero()
+        assert sparse.rank() == rank(dense)
+
+
+@settings(deadline=None)
+@given(matrices(1), st.integers(min_value=-202, max_value=202),
+       st.integers(min_value=1, max_value=5))
+def test_scale_matches_dense(drawn, num, den):
+    field, (m,) = drawn
+    # 101 is zero in GF(101)
+    for c in (num, Fraction(num, den) if field is QQ else num, 0, 101):
+        assert canonical(SparseMatrix.of(m).scale(c)).dense() == m.scale(c)
+
+
+@settings(deadline=None)
+@given(matrices(2))
+def test_cancellations(drawn):
+    """Sums and products that cancel to zero keep no entry: X - X, X plus
+    its negative, and products with powers of a nilpotent factor."""
+    field, (x, m) = drawn
+    n = x.nrows
+    sx = SparseMatrix.of(x)
+    assert (sx - sx).rows == {}
+    assert (sx + sx.scale(-1)).rows == {}
+    # the strictly upper triangle of m is nilpotent of index at most n
+    nil = Matrix(field, [[v if j > i else 0 for j, v in enumerate(row)]
+                         for i, row in enumerate(m.rows)])
+    sparse, dense = SparseMatrix.of(nil), nil
+    power = SparseMatrix.of(Matrix.identity(field, n))
+    for _ in range(n):
+        power = power * sparse
+    assert power.rows == {}
+    assert (sx * power).rows == {} and (power * sx).rows == {}
+    assert canonical(sx * sparse).dense() == x * dense
+    assert (sx * sparse).rank() == rank(x * dense)
+
+
+def test_zero_and_identity():
+    for field in (QQ, GF101):
+        zero = SparseMatrix(field, 3, {})
+        assert zero.is_zero() and zero.rank() == 0
+        assert zero.dense() == Matrix.zeros(field, 3, 3)
+        ident = SparseMatrix.of(Matrix.identity(field, 3))
+        assert ident.rank() == 3 and not ident.is_zero()
+        assert (ident * ident).dense() == Matrix.identity(field, 3)
+        # rows given empty are dropped when the matrix is made
+        assert SparseMatrix(field, 3, {0: {}, 1: {2: field.one}}).rows \
+            == {1: {2: field.one}}
