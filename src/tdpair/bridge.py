@@ -174,7 +174,9 @@ def check_master_identity(sys: TridiagonalSystem,
     for name, gap, js in (("master.raise", 1, range(d)),
                           ("master.flat", 0, range(d + 1)),
                           ("master.lower", -1, range(1, d + 1))):
-        out += [Residual(name, (j,), grid[j + gap, j].matrix) for j in js]
+        for j in js:
+            g = grid[j + gap, j]
+            out.append(Residual(name, (j,), lambda g=g: g.matrix, g.is_zero))
     return out
 
 

@@ -8,7 +8,7 @@ the shape and R, F, L and the shifted maps in one block diagonal each, so
 products touch few entries.  Nothing of this is assumed: operators are
 conjugated in full and an entry is dropped only when it is zero, so a
 corrupted input keeps its off-band entries.  Only a nonzero residual is
-carried back to the original basis.
+carried back to the original basis, and only when its matrix is read.
 """
 from __future__ import annotations
 
@@ -180,7 +180,14 @@ class Frame:
 
     def residual(self, check_id: str, index: tuple, x: SparseMatrix,
                  bases: str = "QQ") -> Residual:
-        return Residual(check_id, index, self.original(x, bases))
+        """x as a residual, carried back on first read of its matrix; a
+        zero x keeps no reference to the frame."""
+        if x.is_zero():
+            field, n = self.field, self.n
+            return Residual(check_id, index,
+                            lambda: Matrix.zeros(field, n, n), True)
+        return Residual(check_id, index,
+                        lambda: self.original(x, bases), False)
 
 
 def frame_of(sys, split=None) -> Frame:

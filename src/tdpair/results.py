@@ -2,26 +2,34 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from functools import cached_property
+from typing import Callable, List, Optional, Tuple, Union
 
 from .matrix import Matrix
 from .fields import Scalar
 
 
-@dataclass(frozen=True)
 class Residual:
-    """A matrix residual for one instance of an identity."""
-    check_id: str
-    index: Tuple[int, ...]
-    matrix: Matrix
+    """A matrix residual for one instance of an identity.  matrix is a
+    Matrix, scanned once here, or a function building it on first read,
+    with is_zero given; reports read is_zero and norm0 many times.
+    Residuals compare by identity."""
+
+    def __init__(self, check_id: str, index: Tuple[int, ...],
+                 matrix: Union[Matrix, Callable[[], Matrix]],
+                 is_zero: Optional[bool] = None):
+        self.check_id, self.index, self._matrix = check_id, index, matrix
+        self.is_zero = matrix.is_zero() if is_zero is None else is_zero
 
     @property
-    def is_zero(self) -> bool:
-        return self.matrix.is_zero()
+    def matrix(self) -> Matrix:
+        if not isinstance(self._matrix, Matrix):
+            self._matrix = self._matrix()
+        return self._matrix
 
-    @property
+    @cached_property
     def norm0(self) -> int:
-        return self.matrix.nonzero_count()
+        return 0 if self.is_zero else self.matrix.nonzero_count()
 
     def to_json(self) -> dict:
         return {
@@ -98,7 +106,3 @@ class RankTable:
 
 def all_zero(residuals) -> bool:
     return all(r.is_zero for r in residuals)
-
-
-def failing(residuals) -> list:
-    return [r for r in residuals if not r.is_zero]

@@ -8,8 +8,10 @@ reject-mix for seeds 1 to 3 from `perfbench/workloads.py` of the tree
 holding this script, and two larger ones with its builders: QQ
 Krawtchouk d = 14, and the tensor sum of QQ Krawtchouk pairs of diameters
 2 and 4 (n = 15, shape 1, 2, 3, 3, 3, 2, 1).  Runs `construct`, `verify`
-and `report` (JSON and CSV) on them through `tdpair.cli.main`, once with
-BASE's `src` on the path and once with this tree's.  Exits 1 when any run differs in standard
+and `report` (JSON and CSV) on them through `tdpair.cli.main`, and on each
+accepted benchmark input also `verify --checks master,section11`, which
+takes the subset path of the check suite; once with BASE's `src` on the
+path and once with this tree's.  Exits 1 when any run differs in standard
 output, standard error or exit code.  pytest does not collect this file.
 """
 from __future__ import annotations
@@ -37,6 +39,7 @@ def emit(tree: str) -> None:
     cases = [(f"{workload}-{seed}-{case.label}", case)
              for workload, build in WORKLOADS.items()
              for seed in SEEDS for case in build(seed)]
+    accepted = {name for name, case in cases if case.reason is None}
     cases += [(case.label, case) for case in (
         krawtchouk_case("krawtchouk-qq-d14", 14, Fraction(1, 3), None),
         tensor_case("tensor-qq-2x4",
@@ -57,6 +60,9 @@ def emit(tree: str) -> None:
                 for argv in (["verify", path], ["report", path],
                              ["report", path, "--format", "csv"]):
                     runs.append([argv, *_call(cli, argv)])
+            if name in accepted:
+                argv = ["verify", path, "--checks", "master,section11"]
+                runs.append([argv, *_call(cli, argv)])
         os.chdir(ROOT)
     json.dump(runs, sys.stdout)
 

@@ -9,6 +9,7 @@ from tdpair import (CHECK_IDS, KrawtchoukParams, MalformedInputError, QQ,
                     Subspace, analyze_pair, compute_relation_parameters,
                     construct_krawtchouk, kronecker_sum_candidate,
                     run_all_checks)
+from tdpair.frame import Frame
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +123,20 @@ def test_each_idempotent_factored_once(kraw3, monkeypatch):
     monkeypatch.setattr(Subspace, "column_space", classmethod(counted))
     assert run_all_checks(system).ok
     assert len(spaces) == 3 * (system.d + 1)
+
+
+def test_accepted_system_carries_nothing_back(kraw3, monkeypatch):
+    """On a system every check accepts, each residual is zero in the
+    frame, so the report and its JSON carry no residual back to the
+    input's basis; only compute_rfl carries back R, F and L."""
+    system = dataclasses.replace(kraw3)
+    carried = []
+    original = Frame.original
+
+    def counted(self, x, bases):
+        carried.append(bases)
+        return original(self, x, bases)
+
+    monkeypatch.setattr(Frame, "original", counted)
+    assert run_all_checks(system).to_json()["ok"]
+    assert len(carried) == 3

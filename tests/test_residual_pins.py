@@ -11,17 +11,22 @@ kept, or E*_0 + 2 E*_1, with a larger one.
 The residuals and rank table of the RFL-side checks, section5 and
 section10, are pinned the same way, and so is what compute_rfl and
 compute_split build from a corrupted family of idempotents, or the class
-of the error compute_split raises on it."""
+of the error compute_split raises on it.
+
+A residual knows whether it is zero before its matrix is built; on the
+same cases, every matrix residual of every check must agree with its
+matrix, whichever is read first."""
 import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from tdpair import (TdpairError, check_descent, check_diagrams,
+from tdpair import (Matrix, TdpairError, check_descent, check_diagrams,
                     check_master_identity, check_section5, check_section7,
-                    check_section9, check_section10, check_split_bijectivity,
-                    compute_rfl, compute_split)
+                    check_section9, check_section10, check_section11,
+                    check_section12, check_split_bijectivity, compute_rfl,
+                    compute_split, is_krawtchouk_type, leonard_data)
 
 from test_check_coverage import CORRUPT_RFL, SPLIT_CASES
 from test_rank_tables import SYSTEMS, merged, swapped
@@ -181,6 +186,45 @@ CASES = [(name, corruption) for name in sorted(SYSTEMS)
                          ids=[f"{n}-{c}" for n, c in CASES])
 def test_residuals_pinned(name, corruption):
     assert digest(SYSTEMS[name](), corruption) == PINS[name][corruption]
+
+
+def matrix_residuals(valid, corruption):
+    """The system with one corruption and the residuals with a matrix of
+    every check that reports them.  section11 takes the scalar data of
+    the valid system, as test_section11_reports_split_fact does;
+    section12 runs where the report runs it, on the arithmetic family,
+    and its exponential of the lowering map needs that map nilpotent."""
+    system, split, rfl = corrupted(valid, corruption)
+    out = (check_section5(system, rfl) + check_section7(system, split)
+           + check_descent(system, split)
+           + check_master_identity(system, split)
+           + check_diagrams(system, split, rfl)
+           + check_section9(system, split))
+    if is_krawtchouk_type(system) and not corruption.startswith("lowering"):
+        out += check_section12(system, rfl, split)
+    if valid.is_leonard():
+        out += check_section11(system, split, data=leonard_data(valid))
+    return system, [r for r in out if hasattr(r, "matrix")]
+
+
+@pytest.mark.parametrize("name,corruption", CASES,
+                         ids=[f"{n}-{c}" for n, c in CASES])
+def test_lazy_flags_agree_with_matrices(name, corruption):
+    """is_zero and norm0, read before matrix on one run and after it on a
+    fresh one, agree with the matrix, and a zero residual's matrix is the
+    n x n zero."""
+    for flags_first in (True, False):
+        system, residuals = matrix_residuals(SYSTEMS[name](), corruption)
+        zero = Matrix.zeros(system.field, system.n, system.n)
+        for r in residuals:
+            if flags_first:
+                flags = r.is_zero, r.norm0
+                m = r.matrix
+            else:
+                m = r.matrix
+                flags = r.is_zero, r.norm0
+            assert flags == (m.is_zero(), m.nonzero_count())
+            assert not r.is_zero or m == zero
 
 
 RFL_PINS = {

@@ -8,10 +8,13 @@ from tdpair import (ContradictionError, MalformedInputError, Matrix,
                     REASON_NOT_DIAGONALIZABLE, REASON_NO_ORDERING,
                     REASON_REDUCIBLE, Subspace, analyze_pair,
                     check_tridiagonal_relations, compute_relation_parameters,
-                    compute_shape, generated_algebra_dimension,
-                    matrix_from_json, relative, system_from_json,
-                    system_to_json, verify_pair)
+                    compute_shape, construct_leonard,
+                    generated_algebra_dimension, matrix_from_json, relative,
+                    run_all_checks, system_from_json, system_to_json,
+                    verify_pair)
 from tdpair.systems import RELATIVE_KEYS, _spin
+
+from test_rank_tables import krawtchouk_prime, krawtchouk_rational
 
 
 def pair_d2():
@@ -227,6 +230,33 @@ def test_relatives_are_systems():
         assert r.shape == s.shape
         ra, rb = check_tridiagonal_relations(r)
         assert ra.is_zero() and rb.is_zero()
+
+
+RELATIVE_SOURCES = {
+    "krawtchouk-qq-d3": krawtchouk_rational,
+    "krawtchouk-gf101-d4": krawtchouk_prime,
+    "leonard-quadratic": lambda: construct_leonard(
+        [0, 1, 4, 9], [0, 1, 2, 3], [9, 8, 3], QQ)[0],
+}
+
+
+@pytest.mark.parametrize("source", sorted(RELATIVE_SOURCES))
+@pytest.mark.parametrize("key", RELATIVE_KEYS)
+def test_relative_parameters(source, key):
+    """Each relative passes every check and keeps beta; down and downdown
+    reverse one sequence and keep (gamma, gamma*, rho, rho*), star and
+    times exchange the sequences and swap gamma with gamma* and rho with
+    rho*.  At d >= 3 beta is forced by the sequences."""
+    s = RELATIVE_SOURCES[source]()
+    assert s.d >= 3
+    r = relative(s, key)
+    assert run_all_checks(r).ok
+    p, q = compute_relation_parameters(s), compute_relation_parameters(r)
+    assert q.beta == p.beta
+    expected = (p.gamma, p.gammastar, p.rho, p.rhostar)
+    if key in ("star", "times"):
+        expected = (p.gammastar, p.gamma, p.rhostar, p.rho)
+    assert (q.gamma, q.gammastar, q.rho, q.rhostar) == expected
 
 
 def test_json_round_trip():
