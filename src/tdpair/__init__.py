@@ -19,8 +19,7 @@ from .matrix import Matrix, commutator
 from .linalg import (EigenData, Subspace, eigenvalues_in_field, inverse,
                      lagrange_idempotents, nilpotency_index,
                      nilpotent_exp_scaled, projectors_from_direct_sum, rank,
-                     rank_kernel, solve_right, subspace_intersect,
-                     subspace_sum)
+                     rank_kernel, solve_right)
 from .systems import (PairAnalysis, REASON_DIAMETER,
                       REASON_NOT_DIAGONALIZABLE, REASON_NO_ORDERING,
                       REASON_REDUCIBLE, REASON_UNDETERMINED, Rejection,
@@ -28,8 +27,7 @@ from .systems import (PairAnalysis, REASON_DIAMETER,
                       analyze_pair, check_tridiagonal_relations,
                       compute_relation_parameters, compute_shape,
                       generated_algebra_dimension, matrix_from_json,
-                      relative, system_from_json, system_to_json,
-                      verify_pair)
+                      relative, system_from_json, system_to_json)
 from .results import RankEntry, RankTable, Residual, ScalarResidual, all_zero
 from .rfl import (RFLDecomposition, SectionFiveCoefficients, check_section5,
                   check_section10, compute_rfl, section5_coefficients)
@@ -77,6 +75,6 @@ __all__ = [
     "leonard_data", "master_rhs_operator", "matrix_from_json",
     "nilpotency_index", "nilpotent_exp_scaled", "projectors_from_direct_sum",
     "rank", "rank_kernel", "relative", "run_all_checks",
-    "section5_coefficients", "solve_right", "subspace_intersect",
-    "subspace_sum", "system_from_json", "system_to_json", "verify_pair",
+    "section5_coefficients", "solve_right", "system_from_json",
+    "system_to_json",
 ]

@@ -6,8 +6,9 @@ X from the basis b to the basis a is a^-1 X b, kept as its nonzero
 entries.  There each F_i and E*_i has entries in one diagonal block of
 the shape and R, F, L and the shifted maps in one block diagonal each, so
 products touch few entries.  Nothing of this is assumed: operators are
-conjugated in full and an entry is dropped only when it is zero, so a
-corrupted input keeps its off-band entries.  Only a nonzero residual is
+conjugated in full, or are exact products and sums of ones that were,
+and an entry is dropped only when it is zero, so a corrupted input keeps
+its off-band entries.  Only a nonzero residual is
 carried back to the original basis, and only when its matrix is read.
 """
 from __future__ import annotations
@@ -128,27 +129,50 @@ class Frame:
             return
         # the dual side is the system's, shared
         vars(self).update(vars(frame_of(sys)))
-        self.bases = dict(self.bases, Q=_basis(
-            sys.field, sys.n,
-            [c for s in split.summands for c in s.basis])[0])
-        conj = self.conj
-        # projectors enter through their rank factorizations
-        f = [rank_factorization(x) for x in split.projectors]
+        # compute_split keeps Q and Q^-1 on the split it builds; a split
+        # without them, or passed with another system, is conjugated
+        kept = split.__dict__.get("_factors")
+        kept = kept[1:] if kept and kept[0] is sys else None
+        field, n, conj = self.field, self.n, self.conj
+        self.bases = dict(self.bases, Q=kept or _basis(
+            field, n, [c for s in split.summands for c in s.basis])[0])
         self.a, self.astar = conj(sys.A, "QQ"), conj(sys.Astar, "QQ")
-        self.f = [conj(x, "QQ") for x in f]
-        self.f_pq = [conj(x, "PQ") for x in f]
-        self.es_qp = [conj(x, "QP") for x in self.es_fac]
         self.e = [conj(x, "QQ") for x in self.e_fac]
-        self.psi_qp = conj(split.transition, "QP")
-        self.psi_inv_pq = conj(split.transition_inv, "PQ")
+        if kept:
+            # F_i is the identity on block i of Q
+            block = [i for i, s in enumerate(split.summands)
+                     for _ in range(s.dim)]
+            self.f = [SparseMatrix(field, n, {
+                k: {k: field.one} for k, b in enumerate(block) if b == i})
+                for i in range(sys.d + 1)]
+            # A - sum theta_i F_i and A* - sum thetastar_i F_i
+            raising, lowering = (x - SparseMatrix(field, n, {
+                k: {k: th[b]} for k, b in enumerate(block) if th[b]})
+                for x, th in ((self.a, sys.theta),
+                              (self.astar, sys.thetastar)))
+        else:
+            # projectors enter through their rank factorizations
+            self.f = [conj(rank_factorization(x), "QQ")
+                      for x in split.projectors]
+            raising, lowering = (conj(x, "QQ")
+                                 for x in (split.raising, split.lowering))
+        # for T = P^-1 Q, F_i in PQ is T F_i and E*_i in QP is T^-1 E*_i
+        (p, p_inv), (q, q_inv) = self.bases["P"], self.bases["Q"]
+        t, t_inv = SparseMatrix.of(p_inv * q), SparseMatrix.of(q_inv * p)
+        self.f_pq = [t * x for x in self.f]
+        self.es_qp = [t_inv * x for x in self.es_pp]
         # results one check computes and another reuses
         self.memo: Dict[tuple, SparseMatrix] = {}
-        # F_i E*_i and E*_i F_i
+        # F_i E*_i and E*_i F_i, which psi and psi^-1 sum
         self.fe_qp = [f * e for f, e in zip(self.f, self.es_qp)]
         self.ef_pq = [e * f for e, f in zip(self.es_pp, self.f_pq)]
-        ident = SparseMatrix.of(Matrix.identity(self.field, self.n))
-        self.r_pow = powers(ident, conj(split.raising, "QQ"), sys.d + 1)
-        self.l_pow = powers(ident, conj(split.lowering, "QQ"), sys.d + 1)
+        zero = SparseMatrix(field, n, {})
+        self.psi_qp, self.psi_inv_pq = (
+            (sum(self.fe_qp, zero), sum(self.ef_pq, zero)) if kept else
+            (conj(split.transition, "QP"), conj(split.transition_inv, "PQ")))
+        ident = SparseMatrix.of(Matrix.identity(field, n))
+        self.r_pow = powers(ident, raising, sys.d + 1)
+        self.l_pow = powers(ident, lowering, sys.d + 1)
 
     @cached_property
     def words(self) -> Dict[int, Dict[tuple, SparseMatrix]]:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import (FieldMismatchError, InternalInconsistencyError,
-                     KrawtchoukTypeError)
+                     KrawtchoukTypeError, NotNilpotentError)
 from .fields import Field, Scalar
 from .leonard import LeonardData, _rep_dual_a, leonard_data
 from .linalg import nilpotent_exp_scaled
@@ -118,8 +118,9 @@ def check_section12(sys: TridiagonalSystem,
     commutator relations, the grading of the dual-eigenspace parts under
     A*, their reconstruction from iterated commutators, the five bracket
     identities, the exponential form of the transition map with its three
-    intertwining laws, and the vanishing of high iterated commutators of
-    the shifted maps."""
+    intertwining laws (or the (d+1)-st power of a lowering map that is not
+    nilpotent), and the vanishing of high iterated commutators of the
+    shifted maps."""
     if not is_krawtchouk_type(sys):
         raise KrawtchoukTypeError(
             "eigenvalue sequences are not the arithmetic family d - 2i")
@@ -181,25 +182,30 @@ def check_section12(sys: TridiagonalSystem,
     out.append(Residual("section12.bracket.FLR",
                         (), commutator(f, commutator(l, r))))
 
-    exp_half = nilpotent_exp_scaled(cal_l, half)
-    exp_neg = nilpotent_exp_scaled(cal_l, -half)
-    out.append(Residual("section12.exp.psi", (),
-                        split.transition - exp_half))
-    out.append(Residual("section12.exp.psi_inv", (),
-                        split.transition_inv - exp_neg))
-    out.append(Residual("section12.exp.unit", (),
-                        exp_half * exp_neg - ident))
-    out.append(Residual("section12.exp.R", (),
-                        exp_half * r - cal_r * exp_half))
-    out.append(Residual(
-        "section12.exp.F", (),
-        exp_half * f
-        - (a - cal_r + commutator(cal_l, cal_r).scale(half)) * exp_half))
-    out.append(Residual(
-        "section12.exp.L", (),
-        exp_half * l
-        - (commutator(cal_l, commutator(cal_l, cal_r)).scale(eighth)
-           - cal_l) * exp_half))
+    try:
+        exp_half = nilpotent_exp_scaled(cal_l, half)
+        exp_neg = nilpotent_exp_scaled(cal_l, -half)
+    except NotNilpotentError:
+        out.append(Residual("section12.exp.nil", (), cal_l ** (d + 1)))
+    else:
+        out.append(Residual("section12.exp.psi", (),
+                            split.transition - exp_half))
+        out.append(Residual("section12.exp.psi_inv", (),
+                            split.transition_inv - exp_neg))
+        out.append(Residual("section12.exp.unit", (),
+                            exp_half * exp_neg - ident))
+        out.append(Residual("section12.exp.R", (),
+                            exp_half * r - cal_r * exp_half))
+        out.append(Residual(
+            "section12.exp.F", (),
+            exp_half * f
+            - (a - cal_r + commutator(cal_l, cal_r).scale(half))
+            * exp_half))
+        out.append(Residual(
+            "section12.exp.L", (),
+            exp_half * l
+            - (commutator(cal_l, commutator(cal_l, cal_r)).scale(eighth)
+               - cal_l) * exp_half))
 
     ad_l = commutator(cal_l, commutator(cal_l, cal_r))
     ad_r = commutator(cal_r, commutator(cal_r, cal_l))

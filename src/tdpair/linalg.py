@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -104,11 +105,6 @@ class Subspace:
         return cls(field, ambient, [], [], _trusted=True)
 
     @classmethod
-    def full(cls, field: Field, ambient: int) -> "Subspace":
-        cols = Matrix.identity(field, ambient).columns()
-        return cls(field, ambient, cols, range(ambient), _trusted=True)
-
-    @classmethod
     def column_space(cls, m: Matrix) -> "Subspace":
         return cls.from_columns(m.field, m.nrows, m.columns())
 
@@ -130,10 +126,6 @@ class Subspace:
             raise DimensionError("vector length does not match ambient")
         return not any(_reduce(zip(self.pivots, self.basis), v))
 
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        self._check_compatible(other)
-        return all(other.contains(col) for col in self.basis)
-
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field:
             raise FieldMismatchError("subspaces over different fields")
@@ -151,31 +143,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    a._check_compatible(b)
-    return Subspace.from_columns(a.field, a.ambient,
-                                 list(a.basis) + list(b.basis))
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked joint-membership system."""
-    a._check_compatible(b)
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.field, a.ambient)
-    stacked = Matrix.from_columns(
-        a.field, list(a.basis) + [tuple(-x for x in col) for col in b.basis])
-    _, ker = rank_kernel(stacked)
-    members = []
-    for col in ker.basis:
-        coeffs = col[:a.dim]
-        vec = [a.field.zero] * a.ambient
-        for c, bcol in zip(coeffs, a.basis):
-            if c:
-                vec = [v + c * x for v, x in zip(vec, bcol)]
-        members.append(vec)
-    return Subspace.from_columns(a.field, a.ambient, members)
 
 
 def rank_kernel(m: Matrix) -> Tuple[int, Subspace]:
@@ -551,43 +518,38 @@ def rank_between(left: Optional[Tuple[Matrix, Matrix]], x: Matrix,
     return rank(left[1] * (x * right[0]))
 
 
-def projectors_from_direct_sum(parts: Sequence[Subspace]) -> List[Matrix]:
-    """Projectors onto each summand of a direct-sum decomposition.
-
-    The concatenated basis must be square and invertible; otherwise the
-    sum is not direct and DecompositionError is raised.
-    """
+def direct_sum(parts: Sequence[Subspace]) -> Tuple[Matrix, Matrix, list]:
+    """(B, B^-1, factors) for B the stacked bases of the summands of a
+    direct sum.  The projector onto a summand along the others is the
+    product of its factors, its block of B's columns and of B^-1's rows,
+    None for a zero summand.  A B that is not square and invertible is a
+    sum that is not direct, and DecompositionError is raised."""
     if not parts:
         raise DecompositionError("no summands given")
-    field = parts[0].field
-    ambient = parts[0].ambient
-    cols = []
-    spans = []
+    field, ambient = parts[0].field, parts[0].ambient
     for part in parts:
         part._check_compatible(parts[0])
-        cols.extend(part.basis)
-        spans.append(part.dim)
-    if sum(spans) != ambient:
+    cols = [col for part in parts for col in part.basis]
+    if len(cols) != ambient:
         raise DecompositionError(
-            f"summand dimensions total {sum(spans)}, ambient is {ambient}")
+            f"summand dimensions total {len(cols)}, ambient is {ambient}")
     basis = Matrix.from_columns(field, cols)
     try:
         binv = inverse(basis)
     except SingularMatrixError as exc:
         raise DecompositionError("sum of subspaces is not direct") from exc
-    projectors = []
-    offset = 0
-    for k in spans:
-        block_cols = [basis.column(offset + i) for i in range(k)]
-        block_rows = [binv.rows[offset + i] for i in range(k)]
-        if k == 0:
-            projectors.append(Matrix.zeros(field, ambient, ambient))
-        else:
-            left = Matrix.from_columns(field, block_cols)
-            right = Matrix(field, tuple(block_rows), _trusted=True)
-            projectors.append(left * right)
-        offset += k
-    return projectors
+    ends = list(accumulate(part.dim for part in parts))
+    return basis, binv, [
+        (Matrix(field, tuple(row[lo:hi] for row in basis.rows), _trusted=True),
+         Matrix(field, binv.rows[lo:hi], _trusted=True)) if hi > lo else None
+        for lo, hi in zip([0] + ends, ends)]
+
+
+def projectors_from_direct_sum(parts: Sequence[Subspace]) -> List[Matrix]:
+    """Projectors onto each summand of a direct sum; see direct_sum."""
+    _, _, factors = direct_sum(parts)
+    zero = Matrix.zeros(parts[0].field, parts[0].ambient, parts[0].ambient)
+    return [f[0] * f[1] if f else zero for f in factors]
 
 
 def nilpotency_index(m: Matrix) -> int:

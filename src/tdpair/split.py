@@ -11,7 +11,7 @@ from typing import Dict, List, Tuple
 
 from .errors import InternalInconsistencyError
 from .frame import frame_of
-from .linalg import Subspace, _insert, projectors_from_direct_sum
+from .linalg import Subspace, _insert, direct_sum
 from .matrix import Matrix
 from .results import RankEntry, RankTable, Residual
 from .systems import TridiagonalSystem
@@ -45,6 +45,11 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
     satisfy (the block actions of A and A*, nilpotency, the transition
     identities and ranks) are left to check_section7 and
     check_split_bijectivity, which report them.
+
+    F_i is Q_i C_i, for Q_i and C_i the i-th column block of the stacked
+    summand bases Q and row block of Q^-1, and E*_i = B*_i C*_i; each map
+    is one product of thin factors, psi = sum Q_i (C_i B*_i) C*_i.  Q and
+    Q^-1 are kept on the split, keyed to sys, for its frame.
     """
     field, n, d = sys.field, sys.n, sys.d
     fr = frame_of(sys)
@@ -70,20 +75,31 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
                 f"summand {i} has dimension {summands[i].dim}, "
                 f"expected {sys.shape[i]}")
 
-    projectors = projectors_from_direct_sum(summands)
-
+    q, q_inv, factors = direct_sum(summands)
     zero = Matrix.zeros(field, n, n)
-    raising = sys.A - sum((f.scale(t) for f, t in zip(projectors, sys.theta)),
-                          zero)
-    lowering = sys.Astar - sum((f.scale(t) for f, t
-                                in zip(projectors, sys.thetastar)), zero)
-    psi = sum((f * e for f, e in zip(projectors, sys.Estar)), zero)
-    psi_inv = sum((e * f for f, e in zip(projectors, sys.Estar)), zero)
 
-    return SplitDecomposition(system=sys, summands=tuple(summands),
-                              projectors=tuple(projectors),
-                              raising=raising, lowering=lowering,
-                              transition=psi, transition_inv=psi_inv)
+    def total(terms) -> Matrix:
+        """sum x y over (x, y) in terms, as one product of stacked x, y"""
+        terms = list(terms)
+        return Matrix.from_columns(
+            field, [c for x, _ in terms for c in x.columns()]) * Matrix(
+            field, tuple(r for _, y in terms for r in y.rows), _trusted=True)
+
+    pairs = [(f, es) for f, es in zip(factors, fr.es_fac) if f and es]
+    split = SplitDecomposition(
+        system=sys, summands=tuple(summands),
+        projectors=tuple(f[0] * f[1] if f else zero for f in factors),
+        raising=sys.A - total((f[0].scale(t), f[1])
+                              for f, t in zip(factors, sys.theta) if f),
+        lowering=sys.Astar - total((f[0].scale(t), f[1])
+                                   for f, t in zip(factors, sys.thetastar)
+                                   if f),
+        transition=total((q_i * (c_i * b), c)
+                         for (q_i, c_i), (b, c) in pairs),
+        transition_inv=total((b * (c * q_i), c_i)
+                             for (q_i, c_i), (b, c) in pairs))
+    object.__setattr__(split, "_factors", (sys, q, q_inv))
+    return split
 
 
 def check_section7(sys: TridiagonalSystem,

@@ -473,12 +473,6 @@ def analyze_pair(a: Matrix, astar: Matrix) -> PairAnalysis:
     return PairAnalysis(tuple(systems), None)
 
 
-def verify_pair(a: Matrix, astar: Matrix) -> List[TridiagonalSystem]:
-    """All tridiagonal systems on the pair (a, astar); empty when the pair
-    fails an axiom."""
-    return list(analyze_pair(a, astar).systems)
-
-
 def compute_shape(sys: TridiagonalSystem) -> Tuple[int, ...]:
     """Recompute the shape from idempotent ranks and cross-check it."""
     shape = _compute_shape(sys.d, [rank(e) for e in sys.E],

@@ -1,0 +1,40 @@
+"""Subspace sums, intersections and containment, built only from the
+package's public Subspace and rank_kernel.  The tests use them as an
+oracle apart from the echelon compute_split reads its summands off: each
+summand U_i against its definition, a dual-eigenspace prefix intersected
+with an eigenspace suffix."""
+from tdpair import Matrix, Subspace, rank_kernel
+
+
+def full(field, ambient: int) -> Subspace:
+    return Subspace.from_columns(
+        field, ambient, Matrix.identity(field, ambient).columns())
+
+
+def is_subspace_of(a: Subspace, b: Subspace) -> bool:
+    a._check_compatible(b)
+    return all(b.contains(col) for col in a.basis)
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    a._check_compatible(b)
+    return Subspace.from_columns(a.field, a.ambient,
+                                 list(a.basis) + list(b.basis))
+
+
+def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
+    """Intersection via the kernel of the stacked joint-membership system."""
+    a._check_compatible(b)
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero(a.field, a.ambient)
+    stacked = Matrix.from_columns(
+        a.field, list(a.basis) + [tuple(-x for x in col) for col in b.basis])
+    _, ker = rank_kernel(stacked)
+    members = []
+    for col in ker.basis:
+        vec = [a.field.zero] * a.ambient
+        for c, bcol in zip(col[:a.dim], a.basis):
+            if c:
+                vec = [v + c * x for v, x in zip(vec, bcol)]
+        members.append(vec)
+    return Subspace.from_columns(a.field, a.ambient, members)

@@ -14,9 +14,11 @@ import pytest
 import tdpair
 from tdpair import (Matrix, Subspace, change_of_basis_reps, check_diagrams,
                     check_master_identity, check_section5, check_section7,
-                    check_section11, check_split_bijectivity, compute_rfl,
-                    compute_split, inverse, leonard_data, subspace_sum)
+                    check_section11, check_section12,
+                    check_split_bijectivity, compute_rfl, compute_split,
+                    inverse, leonard_data)
 
+from subspaces import subspace_sum
 from test_rank_tables import SYSTEMS, merged, swapped
 
 replace = dataclasses.replace
@@ -124,6 +126,26 @@ def test_section11_reports_split_fact(name, fact, corrupt, _):
         assert got & {"section11.RL.phi", "section11.LR.phi"}
         assert any(n.startswith("section7.")
                    for n in failing(check_section7(system, split)))
+
+
+@pytest.mark.parametrize("name", ["krawtchouk-qq", "krawtchouk-gf101"])
+@pytest.mark.parametrize("corrupt", [lowering_off_band, lowering_plus_fd],
+                         ids=["lowering_off_band", "lowering_plus_fd"])
+def test_section12_reports_non_nilpotent_lowering(name, corrupt):
+    """A lowering map that is not nilpotent has no exponential, so
+    section12 reports its (d+1)-st power, section12.exp.nil, in place of
+    the six section12.exp residuals, and fails instead of raising."""
+    system = SYSTEMS[name]()
+    valid = compute_split(system)
+    split = corrupt(valid)
+    got = check_section12(system, compute_rfl(system), split)
+    exp = [r for r in got if r.check_id.startswith("section12.exp.")]
+    assert [r.check_id for r in exp] == ["section12.exp.nil"]
+    assert not exp[0].is_zero
+    assert exp[0].matrix == split.lowering ** (system.d + 1)
+    assert "section12.exp.nil" not in {
+        r.check_id for r in check_section12(system, compute_rfl(system),
+                                            valid)}
 
 
 def test_checks_raise_no_internal_errors():

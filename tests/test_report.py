@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from tdpair import (CHECK_IDS, KrawtchoukParams, MalformedInputError, QQ,
-                    Subspace, analyze_pair, compute_relation_parameters,
-                    construct_krawtchouk, kronecker_sum_candidate,
+from tdpair import (CHECK_IDS, KrawtchoukParams, MalformedInputError,
+                    Matrix, QQ, Subspace, analyze_pair,
+                    compute_relation_parameters, compute_split,
+                    construct_krawtchouk, inverse, kronecker_sum_candidate,
                     run_all_checks)
+from tdpair import frame, leonard, linalg
 from tdpair.frame import Frame
 
 
@@ -109,20 +111,30 @@ def test_skipped_entry_carries_reason(multiplicity_system):
 
 
 def test_each_idempotent_factored_once(kraw3, monkeypatch):
-    """All checks on a fresh system factor each E_i, E*_i and F_i once:
-    the system's dual frame holds the factors of the E_i and E*_i, and the
-    split's frame adds those of the F_i."""
+    """All checks on a fresh system factor each E_i and E*_i once, in the
+    system's dual frame, and invert the split's stacked summand bases Q
+    once: the split's frame reads its projectors off the factors
+    compute_split keeps and factors none of them again."""
     system = dataclasses.replace(kraw3)
-    spaces = []
+    spaces, inverted = [], []
     column_space = Subspace.column_space.__func__
 
     def counted(cls, m):
         spaces.append(m)
         return column_space(cls, m)
 
+    def counted_inverse(m):
+        inverted.append(m)
+        return inverse(m)
+
+    q = Matrix.from_columns(system.field, [
+        c for s in compute_split(kraw3).summands for c in s.basis])
     monkeypatch.setattr(Subspace, "column_space", classmethod(counted))
+    for module in (linalg, frame, leonard):
+        monkeypatch.setattr(module, "inverse", counted_inverse)
     assert run_all_checks(system).ok
-    assert len(spaces) == 3 * (system.d + 1)
+    assert len(spaces) == 2 * (system.d + 1)
+    assert sum(m == q for m in inverted) == 1
 
 
 def test_accepted_system_carries_nothing_back(kraw3, monkeypatch):

@@ -15,7 +15,9 @@ of the error compute_split raises on it.
 
 A residual knows whether it is zero before its matrix is built; on the
 same cases, every matrix residual of every check must agree with its
-matrix, whichever is read first."""
+matrix, whichever is read first, and the split frame read off the factors
+compute_split keeps must equal the one that conjugates the split's
+fields."""
 import dataclasses
 import hashlib
 import json
@@ -26,7 +28,10 @@ from tdpair import (Matrix, TdpairError, check_descent, check_diagrams,
                     check_master_identity, check_section5, check_section7,
                     check_section9, check_section10, check_section11,
                     check_section12, check_split_bijectivity, compute_rfl,
-                    compute_split, is_krawtchouk_type, leonard_data)
+                    compute_split, inverse, is_krawtchouk_type,
+                    leonard_data)
+from tdpair import frame
+from tdpair.frame import Frame, frame_of
 
 from test_check_coverage import CORRUPT_RFL, SPLIT_CASES
 from test_rank_tables import SYSTEMS, merged, swapped
@@ -192,15 +197,14 @@ def matrix_residuals(valid, corruption):
     """The system with one corruption and the residuals with a matrix of
     every check that reports them.  section11 takes the scalar data of
     the valid system, as test_section11_reports_split_fact does;
-    section12 runs where the report runs it, on the arithmetic family,
-    and its exponential of the lowering map needs that map nilpotent."""
+    section12 runs where the report runs it, on the arithmetic family."""
     system, split, rfl = corrupted(valid, corruption)
     out = (check_section5(system, rfl) + check_section7(system, split)
            + check_descent(system, split)
            + check_master_identity(system, split)
            + check_diagrams(system, split, rfl)
            + check_section9(system, split))
-    if is_krawtchouk_type(system) and not corruption.startswith("lowering"):
+    if is_krawtchouk_type(system):
         out += check_section12(system, rfl, split)
     if valid.is_leonard():
         out += check_section11(system, split, data=leonard_data(valid))
@@ -225,6 +229,46 @@ def test_lazy_flags_agree_with_matrices(name, corruption):
                 flags = r.is_zero, r.norm0
             assert flags == (m.is_zero(), m.nonzero_count())
             assert not r.is_zero or m == zero
+
+
+FRAME_OPERATORS = ("a", "astar", "f", "f_pq", "es_qp", "e", "psi_qp",
+                   "psi_inv_pq", "fe_qp", "ef_pq", "r_pow", "l_pow")
+
+
+def sparse_rows(x):
+    return [m.rows for m in x] if isinstance(x, list) else x.rows
+
+
+@pytest.mark.parametrize("name,corruption", CASES,
+                         ids=[f"{n}-{c}" for n, c in CASES])
+def test_kept_factors_give_the_conjugated_frame(name, corruption):
+    """The split frame read off what compute_split keeps equals the frame
+    of the same split replaced, which conjugates the split's fields, on
+    every operator and on Q and Q^-1.  The E* cases pass the split with a
+    system other than the one that built it, and conjugate too."""
+    system, split, _ = corrupted(SYSTEMS[name](), corruption)
+    got = Frame(system, split)
+    want = Frame(system, dataclasses.replace(split))
+    for op in FRAME_OPERATORS:
+        assert sparse_rows(getattr(got, op)) \
+            == sparse_rows(getattr(want, op)), op
+    assert got.bases["Q"] == want.bases["Q"]
+
+
+def test_split_with_another_system_falls_back(monkeypatch):
+    """Only the system that built a split reads its kept factors; an equal
+    copy of it inverts Q again to conjugate the split's fields."""
+    system = SYSTEMS["krawtchouk-qq"]()
+    other = dataclasses.replace(system)
+    split = compute_split(system)
+    frame_of(system), frame_of(other)
+    inverted = []
+    monkeypatch.setattr(frame, "inverse",
+                        lambda m: inverted.append(m) or inverse(m))
+    Frame(system, split)
+    assert not inverted
+    Frame(other, split)
+    assert inverted == [frame_of(system, split).bases["Q"][0]]
 
 
 RFL_PINS = {

@@ -6,7 +6,7 @@ from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, all_zero,
                     check_section5, check_section10,
                     compute_relation_parameters, compute_rfl,
                     construct_krawtchouk, kronecker_sum_candidate,
-                    section5_coefficients, verify_pair)
+                    section5_coefficients)
 
 
 @pytest.fixture(scope="module")

@@ -5,8 +5,9 @@ import pytest
 from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, Subspace,
                     all_zero, check_section7, check_split_bijectivity,
                     compute_split, construct_krawtchouk,
-                    kronecker_sum_candidate, nilpotency_index,
-                    subspace_intersect, subspace_sum)
+                    kronecker_sum_candidate, nilpotency_index)
+
+from subspaces import subspace_intersect, subspace_sum
 
 
 @pytest.fixture(scope="module")

@@ -10,8 +10,7 @@ from tdpair import (ContradictionError, MalformedInputError, Matrix,
                     check_tridiagonal_relations, compute_relation_parameters,
                     compute_shape, construct_leonard,
                     generated_algebra_dimension, matrix_from_json, relative,
-                    run_all_checks, system_from_json, system_to_json,
-                    verify_pair)
+                    run_all_checks, system_from_json, system_to_json)
 from tdpair.systems import RELATIVE_KEYS, _spin
 
 from test_rank_tables import krawtchouk_prime, krawtchouk_rational
@@ -45,7 +44,7 @@ def test_analyze_d2_finds_four_orderings():
 
 
 def test_idempotent_identities():
-    s = verify_pair(*pair_d2())[0]
+    s = analyze_pair(*pair_d2()).systems[0]
     n = s.n
     zero = Matrix.zeros(QQ, n, n)
     for fam, m, ths in ((s.E, s.A, s.theta), (s.Estar, s.Astar, s.thetastar)):
@@ -63,7 +62,7 @@ def test_idempotent_identities():
 
 
 def test_block_tridiagonal_action():
-    s = verify_pair(*pair_d3())[0]
+    s = analyze_pair(*pair_d3()).systems[0]
     zero = Matrix.zeros(QQ, s.n, s.n)
     for i in range(s.d + 1):
         for j in range(s.d + 1):
@@ -97,7 +96,7 @@ def test_d1_swap_pair_gives_four_systems():
 
 
 def test_parameters_krawtchouk_values():
-    for s in verify_pair(*pair_d3()):
+    for s in analyze_pair(*pair_d3()).systems:
         params = compute_relation_parameters(s)
         assert params.beta == 2
         assert params.gamma == 0 and params.gammastar == 0
@@ -108,7 +107,7 @@ def test_parameters_krawtchouk_values():
 
 def test_extended_eigenvalues():
     want = tuple(Fraction(v) for v in (3, 1, -1, -3))
-    s = next(x for x in verify_pair(*pair_d3())
+    s = next(x for x in analyze_pair(*pair_d3()).systems
              if x.theta == want and x.thetastar == want)
     params = compute_relation_parameters(s)
     assert params.theta_m1 == Fraction(5)
@@ -122,14 +121,14 @@ def test_extended_eigenvalues():
 
 
 def test_beta_override():
-    s3 = verify_pair(*pair_d3())[0]
+    s3 = analyze_pair(*pair_d3()).systems[0]
     with pytest.raises(ContradictionError):
         compute_relation_parameters(s3, beta=5)
     assert compute_relation_parameters(s3, beta=2).beta == 2
 
     # small diameters leave beta free; gamma follows the balanced extension
-    s1 = verify_pair(Matrix.diagonal(QQ, [2, 1]),
-                     Matrix(QQ, [[0, 1], [1, 0]]))[0]
+    s1 = analyze_pair(Matrix.diagonal(QQ, [2, 1]),
+                      Matrix(QQ, [[0, 1], [1, 0]])).systems[0]
     assert s1.d == 1
     params = compute_relation_parameters(s1, beta=4)
     assert params.gamma == (1 - Fraction(4, 2)) * (s1.theta[0] + s1.theta[1])
@@ -138,7 +137,7 @@ def test_beta_override():
 
 
 def test_relations_fail_with_wrong_parameters():
-    s = verify_pair(*pair_d3())[0]
+    s = analyze_pair(*pair_d3()).systems[0]
     params = compute_relation_parameters(s)
     skewed = dataclasses.replace(params, gamma=params.gamma + 1)
     ra, _ = check_tridiagonal_relations(s, skewed)
@@ -200,7 +199,7 @@ def test_rejection_diameter_mismatch():
 
 
 def test_relatives():
-    s = next(x for x in verify_pair(*pair_d2())
+    s = next(x for x in analyze_pair(*pair_d2()).systems
              if x.theta == tuple(Fraction(v) for v in (2, 0, -2)))
     star = relative(s, "star")
     assert star.A == s.Astar and star.theta == s.thetastar
@@ -224,7 +223,7 @@ def test_relatives():
 
 
 def test_relatives_are_systems():
-    s = verify_pair(*pair_d2())[0]
+    s = analyze_pair(*pair_d2()).systems[0]
     for key in RELATIVE_KEYS:
         r = relative(s, key)
         assert r.shape == s.shape
@@ -260,7 +259,7 @@ def test_relative_parameters(source, key):
 
 
 def test_json_round_trip():
-    s = verify_pair(*pair_d2())[0]
+    s = analyze_pair(*pair_d2()).systems[0]
     doc = system_to_json(s)
     back = system_from_json(doc)
     assert back.A == s.A and back.Astar == s.Astar
@@ -272,7 +271,7 @@ def test_json_round_trip_prime_field():
     gf = PrimeField(101)
     a = Matrix(gf, [[0, 2, 0], [1, 0, 1], [0, 2, 0]])
     astar = Matrix.diagonal(gf, [2, 0, -2])
-    s = verify_pair(a, astar)[0]
+    s = analyze_pair(a, astar).systems[0]
     doc = system_to_json(s)
     assert doc["field"] == {"kind": "prime", "p": 101}
     back = system_from_json(doc)
@@ -280,7 +279,7 @@ def test_json_round_trip_prime_field():
 
 
 def test_system_from_json_rejects():
-    s = verify_pair(*pair_d2())[0]
+    s = analyze_pair(*pair_d2()).systems[0]
     good = system_to_json(s)
     shuffled = [good["theta"][1], good["theta"][0], good["theta"][2]]
     for breakage in (
@@ -315,7 +314,7 @@ def test_system_from_json_rejects():
      "construction"),
 ])
 def test_system_from_json_messages(breakage, message):
-    s = next(x for x in verify_pair(*pair_d3())
+    s = next(x for x in analyze_pair(*pair_d3()).systems
              if x.theta[0] == 3 and x.thetastar[0] == 3)
     doc = system_to_json(s)
     assert doc["theta"] == doc["thetastar"] == ["3", "1", "-1", "-3"]
