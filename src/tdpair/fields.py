@@ -55,10 +55,13 @@ class Fp:
     __slots__ = ("val", "p")
 
     def __init__(self, val: int, p: int):
-        object.__setattr__(self, "val", val % p)
-        object.__setattr__(self, "p", p)
+        _set_val(self, val % p)
+        _set_p(self, p)
 
     def __setattr__(self, name, value):
+        raise AttributeError("Fp is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Fp is immutable")
 
     def _other_val(self, other):
@@ -141,6 +144,11 @@ class Fp:
     def __str__(self):
         return str(self.val)
 
+
+# The slot descriptors' setters, bound once, so that making a residue skips
+# the lookup by attribute name that object.__setattr__ makes on each call.
+_set_val = Fp.val.__set__
+_set_p = Fp.p.__set__
 
 Scalar = Union[Fraction, Fp]
 

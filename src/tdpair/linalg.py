@@ -101,10 +101,6 @@ class Subspace:
         return cls(field, ambient, rows, pivots, _trusted=True)
 
     @classmethod
-    def zero(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, [], [], _trusted=True)
-
-    @classmethod
     def column_space(cls, m: Matrix) -> "Subspace":
         return cls.from_columns(m.field, m.nrows, m.columns())
 
@@ -119,12 +115,6 @@ class Subspace:
         if not self.basis:
             raise DimensionError("zero subspace has no basis matrix")
         return Matrix.from_columns(self.field, self.basis)
-
-    def contains(self, vec: Sequence) -> bool:
-        v = [self.field.coerce(x) for x in vec]
-        if len(v) != self.ambient:
-            raise DimensionError("vector length does not match ambient")
-        return not any(_reduce(zip(self.pivots, self.basis), v))
 
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field:

@@ -19,7 +19,7 @@ from .linalg import (Subspace, _echelon, _insert, charpoly,
                      eigenvalues_in_field, irreducible_mod_p,
                      lagrange_idempotents, rank, rank_factorization,
                      rank_kernel)
-from .matrix import Matrix
+from .matrix import Matrix, commutator
 
 REASON_NOT_DIAGONALIZABLE = "not diagonalizable"
 REASON_NO_ORDERING = "no standard ordering"
@@ -564,21 +564,20 @@ def compute_relation_parameters(sys: TridiagonalSystem,
 def check_tridiagonal_relations(sys: TridiagonalSystem,
                                 params: Optional[RelationParameters] = None
                                 ) -> Tuple[Matrix, Matrix]:
-    """Residual matrices of the two expanded cubic commutation relations;
-    both are zero exactly when the relations hold."""
+    """Residual matrices of the two cubic commutation relations; both are
+    zero exactly when the relations hold.  Each is one commutator,
+    [x, x^2 y - beta xyx + y x^2 - gamma (xy + yx) - rho y], for (x, y) =
+    (A, Astar) with gamma, rho and for (Astar, A) with gammastar, rhostar;
+    expanded, it is the cubic of the paper's relations."""
     if params is None:
         params = compute_relation_parameters(sys)
     a, b = sys.A, sys.Astar
 
     def residual(x: Matrix, y: Matrix, gamma: Scalar, rho: Scalar) -> Matrix:
-        x2 = x * x
-        x3 = x2 * x
-        bp1 = params.beta + sys.field.one
-        lhs = (x3 * y - (x2 * (y * x)).scale(bp1)
-               + (x * (y * x2)).scale(bp1) - y * x3)
-        rhs = ((x2 * y - y * x2).scale(gamma)
-               + (x * y - y * x).scale(rho))
-        return lhs - rhs
+        xy, yx = x * y, y * x
+        inner = (x * xy - (xy * x).scale(params.beta) + yx * x
+                 - (xy + yx).scale(gamma) - y.scale(rho))
+        return commutator(x, inner)
 
     return (residual(a, b, params.gamma, params.rho),
             residual(b, a, params.gammastar, params.rhostar))

@@ -5,9 +5,10 @@ byte for byte.
 
 Builds the inputs of the benchmark workloads family, eigen-scan and
 reject-mix for seeds 1 to 3 from `perfbench/workloads.py` of the tree
-holding this script, and two larger ones with its builders: QQ
-Krawtchouk d = 14, and the tensor sum of QQ Krawtchouk pairs of diameters
-2 and 4 (n = 15, shape 1, 2, 3, 3, 3, 2, 1).  Runs `construct`, `verify`
+holding this script, and four more with its builders: QQ Krawtchouk
+d = 14, the tensor sum of QQ Krawtchouk pairs of diameters 2 and 4 (n = 15,
+shape 1, 2, 3, 3, 3, 2, 1), and Krawtchouk d = 6 with p = 3 over
+GF(2^31 - 1) and GF(2^61 - 1), whose residues are large.  Runs `construct`, `verify`
 and `report` (JSON and CSV) on them through `tdpair.cli.main`, and on each
 accepted benchmark input also `verify --checks master,section11`, which
 takes the subset path of the check suite; once with BASE's `src` on the
@@ -43,7 +44,9 @@ def emit(tree: str) -> None:
     cases += [(case.label, case) for case in (
         krawtchouk_case("krawtchouk-qq-d14", 14, Fraction(1, 3), None),
         tensor_case("tensor-qq-2x4",
-                    ((2, Fraction(1, 3)), (4, Fraction(3, 4))), None))]
+                    ((2, Fraction(1, 3)), (4, Fraction(3, 4))), None),
+        krawtchouk_case("krawtchouk-m31-d6", 6, 3, 2 ** 31 - 1),
+        krawtchouk_case("krawtchouk-m61-d6", 6, 3, 2 ** 61 - 1))]
     runs = []
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)

@@ -1,9 +1,19 @@
-"""Subspace sums, intersections and containment, built only from the
-package's public Subspace and rank_kernel.  The tests use them as an
+"""The zero subspace, membership, containment, sums and intersections,
+built only from the package's public Subspace and rank_kernel.  The tests use them as an
 oracle apart from the echelon compute_split reads its summands off: each
 summand U_i against its definition, a dual-eigenspace prefix intersected
 with an eigenspace suffix."""
 from tdpair import Matrix, Subspace, rank_kernel
+
+
+def zero(field, ambient: int) -> Subspace:
+    return Subspace.from_columns(field, ambient, [])
+
+
+def contains(space: Subspace, vec) -> bool:
+    """Whether vec lies in space: adding it leaves the dimension alone."""
+    return Subspace.from_columns(space.field, space.ambient,
+                                 list(space.basis) + [vec]).dim == space.dim
 
 
 def full(field, ambient: int) -> Subspace:
@@ -13,7 +23,7 @@ def full(field, ambient: int) -> Subspace:
 
 def is_subspace_of(a: Subspace, b: Subspace) -> bool:
     a._check_compatible(b)
-    return all(b.contains(col) for col in a.basis)
+    return all(contains(b, col) for col in a.basis)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -26,7 +36,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection via the kernel of the stacked joint-membership system."""
     a._check_compatible(b)
     if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.field, a.ambient)
+        return zero(a.field, a.ambient)
     stacked = Matrix.from_columns(
         a.field, list(a.basis) + [tuple(-x for x in col) for col in b.basis])
     _, ker = rank_kernel(stacked)

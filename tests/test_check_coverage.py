@@ -18,7 +18,7 @@ from tdpair import (Matrix, Subspace, change_of_basis_reps, check_diagrams,
                     check_split_bijectivity, compute_rfl, compute_split,
                     inverse, leonard_data)
 
-from subspaces import subspace_sum
+from subspaces import subspace_sum, zero
 from test_rank_tables import SYSTEMS, merged, swapped
 
 replace = dataclasses.replace
@@ -261,9 +261,8 @@ def test_definitional_facts(system):
     ident = Matrix.identity(system.field, system.n)
     assert split.transition_inv * split.transition == ident
     # the summands fill the dual-eigenspace prefixes and eigenspace suffixes
-    zero = Subspace.zero(system.field, system.n)
     for flag, order in ((es, range(d + 1)), (system.E, range(d, -1, -1))):
-        spaces = summands = zero
+        spaces = summands = zero(system.field, system.n)
         for i in order:
             spaces = subspace_sum(spaces, Subspace.column_space(flag[i]))
             summands = subspace_sum(summands, split.summands[i])

@@ -12,6 +12,8 @@ except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tdpair.cli
 from tdpair import CHECK_IDS, SCHEMA_VERSION, InternalInconsistencyError
@@ -255,6 +257,64 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_parser_built_once_on_first_call(capsys):
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tdpair.cli as c; "
+         "print(c._build_parser.cache_info().currsize)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "0\n"
+    assert main(["verify"]) == 2
+    first = capsys.readouterr()
+    assert main(["verify"]) == 2
+    assert capsys.readouterr() == first
+    assert "usage: tdpair verify" in first.err
+    assert main(["construct", "krawtchouk", "--d", "1"]) == 0
+    assert tdpair.cli._build_parser.cache_info().currsize == 1
+
+
+# text with the characters json escapes: quotes, backslashes, controls,
+# non-ASCII, astral and lone surrogates
+json_strings = st.text(
+    st.one_of(st.characters(),
+              st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028'
+                              '\ud800\U0001f600')),
+    max_size=6)
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-10 ** 40, max_value=-2 ** 63),
+    st.floats(), json_strings)
+json_docs = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(json_strings, inner, max_size=4)),
+    max_leaves=24)
+
+
+@given(json_docs)
+def test_json_writer_matches_json_dumps(doc):
+    assert (tdpair.cli._json_text(doc)
+            == json.dumps(doc, sort_keys=True, indent=2))
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], (), {"a": {}, "b": [], "c": [[], {}], "d": [{"e": []}]},
+    [[[]]], {"": ""}, -2 ** 100, 0.1, float("nan"), float("-inf"),
+    {"z": 1, "a": True, "m": None}])
+def test_json_writer_edge_documents(doc):
+    assert (tdpair.cli._json_text(doc)
+            == json.dumps(doc, sort_keys=True, indent=2))
+
+
+def test_json_writer_refuses_what_json_refuses():
+    for doc in ({"a": object()}, [1, {1, 2}], b"bytes"):
+        with pytest.raises(TypeError):
+            json.dumps(doc, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            tdpair.cli._json_text(doc)
 
 
 def test_verify_is_byte_deterministic(stored_kraw2, capsys, monkeypatch):

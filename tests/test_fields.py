@@ -165,3 +165,77 @@ def test_field_equality():
     assert PrimeField(7) == PrimeField(7)
     assert PrimeField(7) != PrimeField(11)
     assert PrimeField(7) != QQ
+
+
+# every residue operator against int arithmetic mod p, over small and large
+# primes, with operands of either sign and far outside [0, p)
+some_primes = st.sampled_from([2, 3, 101, 2 ** 31 - 1, 2 ** 61 - 1])
+any_ints = st.integers(min_value=-2 ** 130, max_value=2 ** 130)
+
+
+@given(some_primes, any_ints, any_ints)
+def test_fp_operators_match_int_arithmetic(p, a, b):
+    x, y = Fp(a, p), Fp(b, p)
+    assert (x.val, x.p) == (a % p, p)
+    for got, want in ((x + y, a + b), (x + b, a + b), (b + x, a + b),
+                      (x - y, a - b), (x - b, a - b), (b - x, b - a),
+                      (x * y, a * b), (x * b, a * b), (b * x, a * b),
+                      (-x, -a), (x ** 3, a ** 3)):
+        assert type(got) is Fp and got.p == p and got.val == want % p
+    if b % p:
+        for got in (x / y, x / b, a / y):
+            assert got.val == a * pow(b, -1, p) % p
+        assert (y ** -2).val == pow(b, -2, p)
+    else:
+        for quotient in (lambda: x / y, lambda: x / b, lambda: a / y,
+                         lambda: y ** -1):
+            with pytest.raises(ZeroDivisionError):
+                quotient()
+    assert (x == y) == (a % p == b % p) and (x != y) == (a % p != b % p)
+    assert x == a % p and (x == a) == (0 <= a < p)
+    assert bool(x) == (a % p != 0)
+    assert str(x) == str(a % p) and repr(x) == f"Fp({a % p}, {p})"
+    if x == y:
+        assert hash(x) == hash(y)
+    if x == b:
+        assert hash(x) == hash(b)
+
+
+def test_fp_equality_and_hash_with_ints():
+    assert Fp(3, 101) != 104 and not Fp(3, 101) == 104
+    assert Fp(3, 101) == 3 and hash(Fp(3, 101)) == hash(3)
+    assert Fp(104, 101) == Fp(3, 101)
+    assert hash(Fp(104, 101)) == hash(Fp(3, 101))
+
+
+@pytest.mark.parametrize("op", [
+    lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+    lambda x, y: x / y, lambda x, y: x == y, lambda x, y: x != y])
+def test_fp_mixed_primes_raise(op):
+    with pytest.raises(FieldMismatchError):
+        op(Fp(2, 5), Fp(3, 7))
+    with pytest.raises(FieldMismatchError):
+        op(Fp(3, 7), Fp(2, 5))
+
+
+@pytest.mark.parametrize("op", [
+    lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+    lambda x, y: x / y])
+def test_fp_refuses_bool_and_other_types(op):
+    for other in (True, False, 1.0, Fraction(1, 2), "1"):
+        with pytest.raises(TypeError):
+            op(Fp(3, 7), other)
+        with pytest.raises(TypeError):
+            op(other, Fp(3, 7))
+    assert Fp(1, 7) != True and Fp(0, 7) != False  # noqa: E712
+
+
+def test_fp_is_immutable():
+    x = Fp(3, 7)
+    for name, value in (("val", 4), ("p", 11), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+    for name in ("val", "p"):
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert (x.val, x.p) == (3, 7)

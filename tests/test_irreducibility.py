@@ -23,6 +23,7 @@ from tdpair import (MalformedInputError, Matrix, PrimeField, QQ,
 from tdpair.linalg import _echelon
 from tdpair.systems import _condensed_verdict, _Family, _irreducibility
 
+from subspaces import contains
 from test_rejections import (direct_sum_pair, equal_tensor_pair,
                              flat_varphi_pair)
 
@@ -33,8 +34,8 @@ def assert_witness(a, astar, rejection):
     w = rejection.witness
     assert 0 < w.dim < a.nrows
     for col in w.basis_columns():
-        assert w.contains(a.apply(col))
-        assert w.contains(astar.apply(col))
+        assert contains(w, a.apply(col))
+        assert contains(w, astar.apply(col))
     return w
 
 

@@ -7,7 +7,7 @@ from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, Subspace,
                     compute_split, construct_krawtchouk,
                     kronecker_sum_candidate, nilpotency_index)
 
-from subspaces import subspace_intersect, subspace_sum
+from subspaces import subspace_intersect, subspace_sum, zero
 
 
 @pytest.fixture(scope="module")
@@ -59,10 +59,10 @@ def test_summands_are_the_prefix_suffix_intersections(kraw3):
     s = kraw3
     split = compute_split(s)
     for i in range(s.d + 1):
-        prefix = Subspace.zero(QQ, s.n)
+        prefix = zero(QQ, s.n)
         for k in range(i + 1):
             prefix = subspace_sum(prefix, Subspace.column_space(s.Estar[k]))
-        suffix = Subspace.zero(QQ, s.n)
+        suffix = zero(QQ, s.n)
         for k in range(i, s.d + 1):
             suffix = subspace_sum(suffix, Subspace.column_space(s.E[k]))
         assert subspace_intersect(prefix, suffix) == split.summands[i]

@@ -13,6 +13,7 @@ from tdpair import (ContradictionError, MalformedInputError, Matrix,
                     run_all_checks, system_from_json, system_to_json)
 from tdpair.systems import RELATIVE_KEYS, _spin
 
+from subspaces import contains
 from test_rank_tables import krawtchouk_prime, krawtchouk_rational
 
 
@@ -163,8 +164,8 @@ def test_spin_and_exact_closure():
     w = Subspace.from_columns(QQ, 6, rows.values())
     assert w.dim == 3
     for col in w.basis_columns():
-        assert w.contains(big_a.apply(col))
-        assert w.contains(big_astar.apply(col))
+        assert contains(w, big_a.apply(col))
+        assert contains(w, big_astar.apply(col))
     # each copy generates all 3 x 3 matrices, and both copies move together
     assert generated_algebra_dimension(a, astar) == 9
     assert generated_algebra_dimension(big_a, big_astar) == 9
@@ -237,6 +238,38 @@ RELATIVE_SOURCES = {
     "leonard-quadratic": lambda: construct_leonard(
         [0, 1, 4, 9], [0, 1, 2, 3], [9, 8, 3], QQ)[0],
 }
+
+
+def expanded_cubic(x, y, beta, gamma, rho):
+    """x^3 y - (beta + 1)(x^2 y x - x y x^2) - y x^3 - gamma(x^2 y - y x^2)
+    - rho(x y - y x), each product formed on its own."""
+    bp1 = beta + 1
+    return (x * x * x * y - (x * x * y * x).scale(bp1)
+            + (x * y * x * x).scale(bp1) - y * x * x * x
+            - (x * x * y - y * x * x).scale(gamma)
+            - (x * y - y * x).scale(rho))
+
+
+def perturbed_astar(s):
+    """s with one entry of Astar, at (0, n - 1), raised by 1."""
+    rows = [list(row) for row in s.Astar.rows]
+    rows[0][-1] += 1
+    return dataclasses.replace(s, Astar=Matrix(s.field, rows))
+
+
+@pytest.mark.parametrize("source", sorted(RELATIVE_SOURCES))
+@pytest.mark.parametrize("perturb", [False, True])
+def test_relations_match_the_expanded_cubic(source, perturb):
+    s = RELATIVE_SOURCES[source]()
+    params = compute_relation_parameters(s)
+    if perturb:
+        s = perturbed_astar(s)
+    a, b = s.A, s.Astar
+    ra, rb = check_tridiagonal_relations(s, params)
+    assert ra == expanded_cubic(a, b, params.beta, params.gamma, params.rho)
+    assert rb == expanded_cubic(b, a, params.beta, params.gammastar,
+                                params.rhostar)
+    assert (ra.is_zero() and rb.is_zero()) != perturb
 
 
 @pytest.mark.parametrize("source", sorted(RELATIVE_SOURCES))
