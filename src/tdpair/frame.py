@@ -129,16 +129,16 @@ class Frame:
             return
         # the dual side is the system's, shared
         vars(self).update(vars(frame_of(sys)))
-        # compute_split keeps Q and Q^-1 on the split it builds; a split
-        # without them, or passed with another system, is conjugated
+        # compute_split keeps Q, Q^-1 and the factors of F_i on its split; a
+        # split without them, or passed with another system, is conjugated
         kept = split.__dict__.get("_factors")
         kept = kept[1:] if kept and kept[0] is sys else None
         field, n, conj = self.field, self.n, self.conj
-        self.bases = dict(self.bases, Q=kept or _basis(
+        self.bases = dict(self.bases, Q=kept[:2] if kept else _basis(
             field, n, [c for s in split.summands for c in s.basis])[0])
         self.a, self.astar = conj(sys.A, "QQ"), conj(sys.Astar, "QQ")
-        self.e = [conj(x, "QQ") for x in self.e_fac]
         if kept:
+            self.f_fac = kept[2]
             # F_i is the identity on block i of Q
             block = [i for i, s in enumerate(split.summands)
                      for _ in range(s.dim)]
@@ -152,8 +152,8 @@ class Frame:
                               (self.astar, sys.thetastar)))
         else:
             # projectors enter through their rank factorizations
-            self.f = [conj(rank_factorization(x), "QQ")
-                      for x in split.projectors]
+            self.f_fac = [rank_factorization(x) for x in split.projectors]
+            self.f = [conj(x, "QQ") for x in self.f_fac]
             raising, lowering = (conj(x, "QQ")
                                  for x in (split.raising, split.lowering))
         # for T = P^-1 Q, F_i in PQ is T F_i and E*_i in QP is T^-1 E*_i

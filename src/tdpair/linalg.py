@@ -90,6 +90,9 @@ class Subspace:
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Subspace is immutable")
+
     @classmethod
     def from_columns(cls, field: Field, ambient: int,
                      columns: Sequence[Sequence]) -> "Subspace":
@@ -499,13 +502,13 @@ def rank_factorization(m: Matrix) -> Optional[Tuple[Matrix, Matrix]]:
                    _trusted=True))
 
 
-def rank_between(left: Optional[Tuple[Matrix, Matrix]], x: Matrix,
+def rank_between(left: Optional[Tuple[Matrix, Matrix]], x: Optional[Matrix],
                  right: Optional[Tuple[Matrix, Matrix]]) -> int:
     """rank(M X M') from the rank factorizations of M and M': the rank of
-    the thin block C X B'."""
+    the thin block C X B', or of C B' for rank(M M') when x is None."""
     if left is None or right is None:
         return 0
-    return rank(left[1] * (x * right[0]))
+    return rank(left[1] * (right[0] if x is None else x * right[0]))
 
 
 def direct_sum(parts: Sequence[Subspace]) -> Tuple[Matrix, Matrix, list]:

@@ -38,6 +38,9 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Matrix is immutable")
+
     # -- construction helpers -------------------------------------------
 
     @classmethod

@@ -11,7 +11,7 @@ from typing import Dict, List, Tuple
 
 from .errors import InternalInconsistencyError
 from .frame import frame_of
-from .linalg import Subspace, _insert, direct_sum
+from .linalg import Subspace, _insert, direct_sum, rank_between
 from .matrix import Matrix
 from .results import RankEntry, RankTable, Residual
 from .systems import TridiagonalSystem
@@ -48,8 +48,9 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
 
     F_i is Q_i C_i, for Q_i and C_i the i-th column block of the stacked
     summand bases Q and row block of Q^-1, and E*_i = B*_i C*_i; each map
-    is one product of thin factors, psi = sum Q_i (C_i B*_i) C*_i.  Q and
-    Q^-1 are kept on the split, keyed to sys, for its frame.
+    is one product of thin factors, psi = sum Q_i (C_i B*_i) C*_i.  Q,
+    Q^-1 and the factors (Q_i, C_i) are kept on the split, keyed to sys,
+    for its frame.
     """
     field, n, d = sys.field, sys.n, sys.d
     fr = frame_of(sys)
@@ -98,7 +99,7 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
                          for (q_i, c_i), (b, c) in pairs),
         transition_inv=total((b * (c * q_i), c_i)
                              for (q_i, c_i), (b, c) in pairs))
-    object.__setattr__(split, "_factors", (sys, q, q_inv))
+    object.__setattr__(split, "_factors", (sys, q, q_inv, factors))
     return split
 
 
@@ -155,8 +156,8 @@ def check_split_bijectivity(sys: TridiagonalSystem,
                             split: SplitDecomposition) -> RankTable:
     """Observed against predicted ranks for powers of the shifted maps
     between summands, and for the pairings of each summand with its
-    eigenspace and dual eigenspace, each the rank of the nonzero rows and
-    columns of a sparse product in the split and dual bases."""
+    eigenspace and dual eigenspace.  Those with E_i are ranks of thin
+    products of factors, the others of sparse products in the two bases."""
     d = sys.d
     rho = sys.shape
     fr = frame_of(sys, split)
@@ -175,7 +176,7 @@ def check_split_bijectivity(sys: TridiagonalSystem,
         entries.append(RankEntry("FEstar", i, i, fr.fe_qp[i].rank(), rho[i]))
         entries.append(RankEntry("EstarF", i, i, fr.ef_pq[i].rank(), rho[i]))
         entries.append(RankEntry(
-            "FE", i, i, (proj[i] * fr.e[i]).rank(), rho[i]))
+            "FE", i, i, rank_between(fr.f_fac[i], None, fr.e_fac[i]), rho[i]))
         entries.append(RankEntry(
-            "EF", i, i, (fr.e[i] * proj[i]).rank(), rho[i]))
+            "EF", i, i, rank_between(fr.e_fac[i], None, fr.f_fac[i]), rho[i]))
     return RankTable("section7", tuple(entries))

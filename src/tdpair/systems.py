@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import (ContradictionError, FieldMismatchError,
                      InternalInconsistencyError, MalformedInputError)
 from .fields import Field, PrimeField, Scalar, field_from_descriptor
-from .linalg import (Subspace, _echelon, _insert, charpoly,
+from .linalg import (Subspace, _echelon, _insert, charpoly, direct_sum,
                      eigenvalues_in_field, irreducible_mod_p,
                      lagrange_idempotents, rank, rank_factorization,
                      rank_kernel)
@@ -367,16 +367,17 @@ def _require_tridiagonal(nonzero: Sequence[Sequence[bool]],
 
 
 class _Family:
-    """The idempotents of one matrix in a fixed base order, with their
-    eigenvalues, rank factorizations, ranks and block pattern against the
-    other matrix.  An ordering of the family is a list of base positions."""
+    """The idempotents E_i = B_i C_i of one matrix in a fixed base order,
+    from their rank factorizations (B_i, C_i), with their eigenvalues,
+    ranks and block pattern against the other matrix.  An ordering of the
+    family is a list of base positions."""
 
-    def __init__(self, m: Matrix, idems: Sequence[Matrix],
+    def __init__(self, m: Matrix, factors: Sequence[Tuple[Matrix, Matrix]],
                  thetas: Sequence[Scalar], other: Matrix):
         self.m = m
-        self.idems = tuple(idems)
+        self.factors = tuple(factors)
+        self.idems = tuple(b * c for b, c in self.factors)
         self.thetas = tuple(thetas)
-        self.factors = tuple(rank_factorization(e) for e in idems)
         self.ranks = tuple(b.ncols for b, _ in self.factors)
         self.nonzero = _block_pattern(self.factors, other)
 
@@ -428,11 +429,11 @@ def analyze_pair(a: Matrix, astar: Matrix) -> PairAnalysis:
             REASON_NOT_DIAGONALIZABLE,
             "second matrix is not diagonalizable over the base field"))
 
-    thetas = [lam for lam, _ in eig_a.pairs]
-    thetastars = [lam for lam, _ in eig_astar.pairs]
-    fam = _Family(a, lagrange_idempotents(a, thetas), thetas, astar)
-    fam_star = _Family(astar, lagrange_idempotents(astar, thetastars),
-                       thetastars, a)
+    # direct_sum's blocks are rank factorizations: C_i = E_i's pivot rows
+    fam, fam_star = (
+        _Family(m, direct_sum([s for _, s in eig.pairs])[2],
+                [lam for lam, _ in eig.pairs], other)
+        for m, eig, other in ((a, eig_a, astar), (astar, eig_astar, a)))
 
     orders = []
     for label, family in (("first", fam), ("second", fam_star)):
@@ -455,10 +456,10 @@ def analyze_pair(a: Matrix, astar: Matrix) -> PairAnalysis:
                 "path, so no ordering is block-tridiagonal"))
         orders.append(order)
 
-    if len(thetas) != len(thetastars):
+    if len(fam.thetas) != len(fam_star.thetas):
         return PairAnalysis((), Rejection(
             REASON_DIAMETER,
-            f"{len(thetas)} eigenvalues against {len(thetastars)}"))
+            f"{len(fam.thetas)} eigenvalues against {len(fam_star.thetas)}"))
 
     rejection = _irreducibility(fam, fam_star)
     if rejection is not None:
@@ -594,8 +595,9 @@ def relative(sys: TridiagonalSystem, which: str) -> TridiagonalSystem:
     if which not in RELATIVE_KEYS:
         raise MalformedInputError(f"unknown relative {which!r}; "
                                   f"use one of {RELATIVE_KEYS}")
-    fam = _Family(sys.A, sys.E, sys.theta, sys.Astar)
-    fam_star = _Family(sys.Astar, sys.Estar, sys.thetastar, sys.A)
+    fam = _Family(sys.A, map(rank_factorization, sys.E), sys.theta, sys.Astar)
+    fam_star = _Family(sys.Astar, map(rank_factorization, sys.Estar),
+                       sys.thetastar, sys.A)
     up = list(range(sys.d + 1))
     down = up[::-1]
     if which == "star":
@@ -662,8 +664,9 @@ def system_from_json(doc: dict) -> TridiagonalSystem:
     except Exception as exc:
         raise MalformedInputError(f"stored eigenvalues are invalid: {exc}") \
             from exc
-    fam = _Family(a, e_list, theta, astar)
-    fam_star = _Family(astar, estar_list, thetastar, a)
+    fam = _Family(a, map(rank_factorization, e_list), theta, astar)
+    fam_star = _Family(astar, map(rank_factorization, estar_list), thetastar,
+                       a)
     rejection = _irreducibility(fam, fam_star)
     if rejection is not None:
         raise MalformedInputError(

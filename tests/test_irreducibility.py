@@ -18,9 +18,9 @@ import pytest
 from tdpair import (MalformedInputError, Matrix, PrimeField, QQ,
                     REASON_REDUCIBLE, REASON_UNDETERMINED, analyze_pair,
                     eigenvalues_in_field, generated_algebra_dimension,
-                    inverse, lagrange_idempotents, run_all_checks,
-                    system_from_json, system_to_json, systems)
-from tdpair.linalg import _echelon
+                    inverse, run_all_checks, system_from_json,
+                    system_to_json, systems)
+from tdpair.linalg import _echelon, direct_sum
 from tdpair.systems import _condensed_verdict, _Family, _irreducibility
 
 from subspaces import contains
@@ -280,9 +280,9 @@ def test_condensation_matches_closure(name):
     astar = p * a * inverse(p)
     fams = []
     for m, other in ((a, astar), (astar, a)):
-        thetas = [lam for lam, _ in eigenvalues_in_field(m).pairs]
-        fams.append(_Family(m, lagrange_idempotents(m, thetas), thetas,
-                            other))
+        pairs = eigenvalues_in_field(m).pairs
+        fams.append(_Family(m, direct_sum([s for _, s in pairs])[2],
+                            [lam for lam, _ in pairs], other))
     assert min(fams[0].ranks + fams[1].ranks) > 1
     verdict = _irreducibility(*fams)
     dim = algebra_dimension(a, astar)

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdpair import (KrawtchoukParams, Matrix, NotLeonardSystemError,
                     PrimeField, QQ, all_zero, change_of_basis_reps,
                     check_section11, construct_krawtchouk, construct_leonard,
-                    inverse, kronecker_sum_candidate, leonard_data)
+                    inverse, kronecker_sum_candidate, leonard_data,
+                    run_all_checks)
 
 
 @pytest.fixture(scope="module")
@@ -163,3 +166,35 @@ def test_split_superdiagonal_is_phi(kraw3):
         assert astar_rep.entry(i, i) == system.thetastar[i]
     for i in range(1, system.d + 1):
         assert reps.split[0].entry(i, i - 1) == system.field.one
+
+
+@st.composite
+def leonard_inputs(draw):
+    """A field among QQ, GF(7) and GF(101), a diameter d <= 4, and random
+    sequences theta, thetastar of length d + 1 and phi of length d; the
+    eigenvalues are drawn distinct in about half the cases, so that most
+    of those reach the pair analysis."""
+    field = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(101)]))
+    d = draw(st.integers(min_value=0, max_value=4))
+    if field is QQ:
+        scalar = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+    else:
+        scalar = st.integers(min_value=0, max_value=field.p - 1)
+    unique = draw(st.booleans())
+    theta, thetastar = (draw(st.lists(scalar, min_size=d + 1, max_size=d + 1,
+                                      unique=unique)) for _ in range(2))
+    phi = draw(st.lists(scalar, min_size=d, max_size=d))
+    return field, theta, thetastar, phi
+
+
+@settings(max_examples=200, deadline=None)
+@given(leonard_inputs())
+def test_construct_leonard_fuzz(drawn):
+    """Random data either is rejected as no Leonard system or builds one
+    that passes every check; no other exception escapes."""
+    field, theta, thetastar, phi = drawn
+    try:
+        system, _ = construct_leonard(theta, thetastar, phi, field)
+    except NotLeonardSystemError:
+        return
+    assert run_all_checks(system).ok

@@ -41,6 +41,18 @@ def test_subspace_canonical_basis():
     assert c.dim == 2
 
 
+def test_subspace_is_immutable():
+    s = Subspace.from_columns(QQ, 3, [(1, 0, 1), (0, 1, 1)])
+    for name in ("field", "ambient", "basis", "pivots", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, None)
+    for name in ("field", "ambient", "basis", "pivots"):
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert s == Subspace.from_columns(QQ, 3, [(1, 0, 1), (0, 1, 1)])
+    assert s.pivots == (0, 1)
+
+
 def test_subspace_contains():
     s = Subspace.from_columns(QQ, 3, [(1, 0, 1), (0, 1, 1)])
     assert contains(s, (1, 1, 2))

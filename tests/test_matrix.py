@@ -36,6 +36,17 @@ def test_constructor_rejects_bad_shapes():
         Matrix(QQ, [[]])
 
 
+def test_matrix_is_immutable():
+    m = Matrix(QQ, [[1, 2], [3, 4]])
+    for name in ("field", "rows", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, None)
+    for name in ("field", "rows"):
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    assert m.field == QQ and m == Matrix(QQ, [[1, 2], [3, 4]])
+
+
 def test_field_mixing_raises():
     a = Matrix.identity(QQ, 2)
     b = Matrix.identity(GF5, 2)

@@ -145,7 +145,7 @@ def test_section10_corrupted_matches_full_products(system, part):
 
 
 @pytest.mark.parametrize("part",
-                         ["projectors", "merged", "shifted", "Estar"])
+                         ["projectors", "merged", "shifted", "Estar", "E"])
 def test_section7_corrupted_matches_full_products(system, part):
     split = compute_split(system)
     if part == "projectors":
@@ -159,7 +159,7 @@ def test_section7_corrupted_matches_full_products(system, part):
                                     lowering=split.raising)
     else:
         system = dataclasses.replace(
-            system, Estar=swapped(system.Estar, 0, 1))
+            system, **{part: swapped(getattr(system, part), 0, 1)})
     table = check_split_bijectivity(system, split)
     assert table.mismatches()
     assert observed(table) == full_section7(system, split)

@@ -11,10 +11,12 @@ from tdpair import (ContradictionError, MalformedInputError, Matrix,
                     compute_shape, construct_leonard,
                     generated_algebra_dimension, matrix_from_json, relative,
                     run_all_checks, system_from_json, system_to_json)
+from tdpair import linalg, systems
+from tdpair.linalg import rank_factorization
 from tdpair.systems import RELATIVE_KEYS, _spin
 
 from subspaces import contains
-from test_rank_tables import krawtchouk_prime, krawtchouk_rational
+from test_rank_tables import SYSTEMS, krawtchouk_prime, krawtchouk_rational
 
 
 def pair_d2():
@@ -60,6 +62,45 @@ def test_idempotent_identities():
             recon = recon + e.scale(ths[i])
         assert total == Matrix.identity(QQ, n)
         assert recon == m
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_recognition_factors_each_idempotent_once(name, monkeypatch):
+    """analyze_pair takes one kernel per eigenvalue candidate, and every
+    root of the characteristic polynomial of a diagonalizable matrix is
+    an eigenvalue; each family's factors come from the direct sum of
+    those kernels, so no column space is taken.  They are exactly the
+    rank factorizations of the idempotents, which keeps the output the
+    same as factoring each idempotent."""
+    system = SYSTEMS[name]()
+    kernels, spaces, families = [], [], []
+    rank_kernel, init = linalg.rank_kernel, systems._Family.__init__
+    column_space = Subspace.column_space.__func__
+
+    def counted_kernel(m):
+        kernels.append(m)
+        return rank_kernel(m)
+
+    def counted_space(cls, m):
+        spaces.append(m)
+        return column_space(cls, m)
+
+    def recorded(self, *args):
+        init(self, *args)
+        families.append(self)
+
+    for module in (linalg, systems):
+        monkeypatch.setattr(module, "rank_kernel", counted_kernel)
+    monkeypatch.setattr(Subspace, "column_space", classmethod(counted_space))
+    monkeypatch.setattr(systems._Family, "__init__", recorded)
+    analysis = analyze_pair(system.A, system.Astar)
+    monkeypatch.undo()
+    assert analysis.rejection is None
+    assert len(kernels) == 2 * (system.d + 1)
+    assert not spaces
+    assert len(families) == 2
+    for fam in families:
+        assert fam.factors == tuple(map(rank_factorization, fam.idems))
 
 
 def test_block_tridiagonal_action():
