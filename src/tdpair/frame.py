@@ -106,9 +106,9 @@ class Frame:
     """The operators of a system in the dual basis P and, with its split
     decomposition, in the split basis Q.  Names give the bases as in
     "QP": rows in Q, columns in P; operators named without one are in
-    "QQ".  The system's frame, without a split, is the one place where
-    each E_i and E*_i is factored, and the frame of a split starts from
-    it.  Each operator is a SparseMatrix; only carrying one back to the
+    "QQ".  The system's frame, without a split, takes the factors of each
+    E*_i that the system holds, and the frame of a split starts from it.
+    Each operator is a SparseMatrix; only carrying one back to the
     original basis makes it dense.  When the stacked bases of the dual
     eigenspaces are no basis (a corrupted family of idempotents), P is
     the identity and is_basis is False."""
@@ -116,15 +116,12 @@ class Frame:
     def __init__(self, sys, split=None):
         if split is None:
             self.field, self.n = sys.field, sys.n
-            # idempotents enter through their rank factorizations (B, C)
-            self.e_fac, self.es_fac = ([rank_factorization(x) for x in xs]
-                                       for xs in (sys.E, sys.Estar))
             p, self.is_basis = _basis(
                 sys.field, sys.n,
-                [c for x in self.es_fac if x for c in x[0].columns()])
+                [c for x in sys.Estar_factors if x for c in x[0].columns()])
             self.bases = {"P": p}
             self.a_pp = self.conj(sys.A, "PP")
-            self.es_pp = [self.conj(x, "PP") for x in self.es_fac]
+            self.es_pp = [self.conj(x, "PP") for x in sys.Estar_factors]
             self.a_es_pp = [self.a_pp * x for x in self.es_pp]
             return
         # the dual side is the system's, shared

@@ -453,9 +453,9 @@ def eigenvalues_in_field(m: Matrix) -> EigenData:
 # -- idempotents, projectors, nilpotent exponentials ----------------------
 
 
-def lagrange_idempotents(m: Matrix, thetas: Sequence[Scalar]) -> List[Matrix]:
-    """Primitive idempotents E_i of a diagonalizable matrix, in the order of
-    its eigenvalue list thetas.
+def _idempotent_factors(m: Matrix, thetas: Sequence[Scalar]) -> list:
+    """Rank factorizations (B_i, C_i) of the primitive idempotents of a
+    diagonalizable matrix, in the order of its eigenvalue list thetas.
 
     Eigenspaces of distinct eigenvalues are independent, so when their
     dimensions sum to n the space is their direct sum, and E_i is the
@@ -482,7 +482,12 @@ def lagrange_idempotents(m: Matrix, thetas: Sequence[Scalar]) -> List[Matrix]:
     spaces = [rank_kernel(m - ident.scale(t))[1] for t in ths]
     if not all(s.dim for s in spaces) or sum(s.dim for s in spaces) != m.nrows:
         raise NotDiagonalizableError(failure)
-    return projectors_from_direct_sum(spaces)
+    return direct_sum(spaces)[2]
+
+
+def lagrange_idempotents(m: Matrix, thetas: Sequence[Scalar]) -> List[Matrix]:
+    """The products E_i = B_i C_i of _idempotent_factors."""
+    return [b * c for b, c in _idempotent_factors(m, thetas)]
 
 
 def rank_factorization(m: Matrix) -> Optional[Tuple[Matrix, Matrix]]:

@@ -190,7 +190,7 @@ def check_section10(sys: TridiagonalSystem, rfl: RFLDecomposition
                     for m in (rfl.raising, rfl.lowering))
     a_pow = powers(ident, fr.a_pp, d)
     astar_pow = powers(Matrix.identity(sys.field, sys.n), sys.Astar, d)
-    e, es = fr.e_fac, fr.es_pp
+    e, es = sys.E_factors, fr.es_pp
     entries: List[RankEntry] = []
     for i in range(d + 1):
         for j in range(i, d + 1):

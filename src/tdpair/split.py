@@ -53,18 +53,19 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
     for its frame.
     """
     field, n, d = sys.field, sys.n, sys.d
+    e, es = sys.E_factors, sys.Estar_factors
     fr = frame_of(sys)
     if not fr.is_basis:
         raise InternalInconsistencyError(
             "the bases of the dual eigenspaces are not a basis")
     p, p_inv = fr.bases["P"]
-    ends = list(accumulate(x[0].ncols if x else 0 for x in fr.es_fac))
+    ends = list(accumulate(x[0].ncols if x else 0 for x in es))
     # rows reversed, so that the echelon's pivot is the last coordinate
     rows: Dict[int, list] = {}
     summands: List[Subspace] = []
     for i in range(d, -1, -1):
-        if fr.e_fac[i]:
-            for col in (p_inv * fr.e_fac[i][0]).columns():
+        if e[i]:
+            for col in (p_inv * e[i][0]).columns():
                 _insert(rows, col[::-1])
         summands.append(Subspace.from_columns(
             field, n, [p.apply(row[::-1]) for piv, row in rows.items()
@@ -86,7 +87,7 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
             field, [c for x, _ in terms for c in x.columns()]) * Matrix(
             field, tuple(r for _, y in terms for r in y.rows), _trusted=True)
 
-    pairs = [(f, es) for f, es in zip(factors, fr.es_fac) if f and es]
+    pairs = [(f, g) for f, g in zip(factors, es) if f and g]
     split = SplitDecomposition(
         system=sys, summands=tuple(summands),
         projectors=tuple(f[0] * f[1] if f else zero for f in factors),
@@ -158,8 +159,7 @@ def check_split_bijectivity(sys: TridiagonalSystem,
     between summands, and for the pairings of each summand with its
     eigenspace and dual eigenspace.  Those with E_i are ranks of thin
     products of factors, the others of sparse products in the two bases."""
-    d = sys.d
-    rho = sys.shape
+    d, rho, e = sys.d, sys.shape, sys.E_factors
     fr = frame_of(sys, split)
     proj = fr.f
     entries: List[RankEntry] = []
@@ -176,7 +176,7 @@ def check_split_bijectivity(sys: TridiagonalSystem,
         entries.append(RankEntry("FEstar", i, i, fr.fe_qp[i].rank(), rho[i]))
         entries.append(RankEntry("EstarF", i, i, fr.ef_pq[i].rank(), rho[i]))
         entries.append(RankEntry(
-            "FE", i, i, rank_between(fr.f_fac[i], None, fr.e_fac[i]), rho[i]))
+            "FE", i, i, rank_between(fr.f_fac[i], None, e[i]), rho[i]))
         entries.append(RankEntry(
-            "EF", i, i, rank_between(fr.e_fac[i], None, fr.f_fac[i]), rho[i]))
+            "EF", i, i, rank_between(e[i], None, fr.f_fac[i]), rho[i]))
     return RankTable("section7", tuple(entries))

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (ContradictionError, FieldMismatchError,
                      InternalInconsistencyError, MalformedInputError)
 from .fields import Field, PrimeField, Scalar, field_from_descriptor
-from .linalg import (Subspace, _echelon, _insert, charpoly, direct_sum,
-                     eigenvalues_in_field, irreducible_mod_p,
-                     lagrange_idempotents, rank, rank_factorization,
-                     rank_kernel)
+from .linalg import (Subspace, _echelon, _idempotent_factors, _insert,
+                     charpoly, direct_sum, eigenvalues_in_field,
+                     irreducible_mod_p, rank, rank_kernel)
 from .matrix import Matrix, commutator
 
 REASON_NOT_DIAGONALIZABLE = "not diagonalizable"
@@ -46,13 +46,14 @@ class Rejection:
 
 @dataclass(frozen=True)
 class TridiagonalSystem:
-    """A pair with standard orderings of both idempotent families."""
+    """A pair with standard orderings of both idempotent families, each
+    E_i held as its rank factorization (B_i, C_i), or None when zero."""
     field: Field
     d: int
     A: Matrix
     Astar: Matrix
-    E: Tuple[Matrix, ...]
-    Estar: Tuple[Matrix, ...]
+    E_factors: Tuple[Optional[Tuple[Matrix, Matrix]], ...]
+    Estar_factors: Tuple[Optional[Tuple[Matrix, Matrix]], ...]
     theta: Tuple[Scalar, ...]
     thetastar: Tuple[Scalar, ...]
     shape: Tuple[int, ...]
@@ -63,6 +64,16 @@ class TridiagonalSystem:
 
     def is_leonard(self) -> bool:
         return all(r == 1 for r in self.shape)
+
+    @cached_property
+    def E(self) -> Tuple[Matrix, ...]:
+        zero = Matrix.zeros(self.field, self.n, self.n)
+        return tuple(f[0] * f[1] if f else zero for f in self.E_factors)
+
+    @cached_property
+    def Estar(self) -> Tuple[Matrix, ...]:
+        zero = Matrix.zeros(self.field, self.n, self.n)
+        return tuple(f[0] * f[1] if f else zero for f in self.Estar_factors)
 
 
 @dataclass(frozen=True)
@@ -368,7 +379,7 @@ def _require_tridiagonal(nonzero: Sequence[Sequence[bool]],
 
 class _Family:
     """The idempotents E_i = B_i C_i of one matrix in a fixed base order,
-    from their rank factorizations (B_i, C_i), with their eigenvalues,
+    as their rank factorizations (B_i, C_i), with their eigenvalues,
     ranks and block pattern against the other matrix.  An ordering of the
     family is a list of base positions."""
 
@@ -376,7 +387,6 @@ class _Family:
                  thetas: Sequence[Scalar], other: Matrix):
         self.m = m
         self.factors = tuple(factors)
-        self.idems = tuple(b * c for b, c in self.factors)
         self.thetas = tuple(thetas)
         self.ranks = tuple(b.ncols for b, _ in self.factors)
         self.nonzero = _block_pattern(self.factors, other)
@@ -397,8 +407,8 @@ def _assemble_system(field: Field, fam: _Family, fam_star: _Family,
         raise InternalInconsistencyError("shape does not sum to dimension")
     return TridiagonalSystem(
         field=field, d=d, A=fam.m, Astar=fam_star.m,
-        E=tuple(fam.idems[i] for i in order),
-        Estar=tuple(fam_star.idems[i] for i in order_star),
+        E_factors=tuple(fam.factors[i] for i in order),
+        Estar_factors=tuple(fam_star.factors[i] for i in order_star),
         theta=tuple(fam.thetas[i] for i in order),
         thetastar=tuple(fam_star.thetas[i] for i in order_star),
         shape=shape)
@@ -595,9 +605,8 @@ def relative(sys: TridiagonalSystem, which: str) -> TridiagonalSystem:
     if which not in RELATIVE_KEYS:
         raise MalformedInputError(f"unknown relative {which!r}; "
                                   f"use one of {RELATIVE_KEYS}")
-    fam = _Family(sys.A, map(rank_factorization, sys.E), sys.theta, sys.Astar)
-    fam_star = _Family(sys.Astar, map(rank_factorization, sys.Estar),
-                       sys.thetastar, sys.A)
+    fam = _Family(sys.A, sys.E_factors, sys.theta, sys.Astar)
+    fam_star = _Family(sys.Astar, sys.Estar_factors, sys.thetastar, sys.A)
     up = list(range(sys.d + 1))
     down = up[::-1]
     if which == "star":
@@ -648,25 +657,26 @@ def system_from_json(doc: dict) -> TridiagonalSystem:
     field = field_from_descriptor(doc.get("field"))
     a = matrix_from_json(field, doc.get("A"), "A")
     astar = matrix_from_json(field, doc.get("Astar"), "Astar")
-    try:
-        theta = [field.parse(t) for t in doc.get("theta", [])]
-        thetastar = [field.parse(t) for t in doc.get("thetastar", [])]
-    except Exception as exc:
-        raise MalformedInputError(f"bad eigenvalue list: {exc}") from exc
-    if not theta or len(theta) != len(thetastar):
+    eigs = [doc.get(key) for key in ("theta", "thetastar")]
+    if (not all(isinstance(x, list) for x in eigs) or not eigs[0]
+            or len(eigs[0]) != len(eigs[1])):
         raise MalformedInputError("theta and thetastar must be equal-length "
                                   "nonempty lists")
-    if doc.get("d") is not None and doc["d"] != len(theta) - 1:
+    try:
+        theta, thetastar = ([field.parse(t) for t in x] for x in eigs)
+    except Exception as exc:
+        raise MalformedInputError(f"bad eigenvalue list: {exc}") from exc
+    d = doc.get("d")
+    if d is not None and (type(d) is not int or d != len(theta) - 1):
         raise MalformedInputError("d does not match eigenvalue count")
     try:
-        e_list = lagrange_idempotents(a, theta)
-        estar_list = lagrange_idempotents(astar, thetastar)
+        e_fac = _idempotent_factors(a, theta)
+        estar_fac = _idempotent_factors(astar, thetastar)
     except Exception as exc:
         raise MalformedInputError(f"stored eigenvalues are invalid: {exc}") \
             from exc
-    fam = _Family(a, map(rank_factorization, e_list), theta, astar)
-    fam_star = _Family(astar, map(rank_factorization, estar_list), thetastar,
-                       a)
+    fam = _Family(a, e_fac, theta, astar)
+    fam_star = _Family(astar, estar_fac, thetastar, a)
     rejection = _irreducibility(fam, fam_star)
     if rejection is not None:
         raise MalformedInputError(

@@ -7,18 +7,25 @@ Builds the inputs of the benchmark workloads family, eigen-scan and
 reject-mix for seeds 1 to 3 from `perfbench/workloads.py` of the tree
 holding this script, and four more with its builders: QQ Krawtchouk
 d = 14, the tensor sum of QQ Krawtchouk pairs of diameters 2 and 4 (n = 15,
-shape 1, 2, 3, 3, 3, 2, 1), and Krawtchouk d = 6 with p = 3 over
-GF(2^31 - 1) and GF(2^61 - 1), whose residues are large.  Runs `construct`, `verify`
-and `report` (JSON and CSV) on them through `tdpair.cli.main`, and on each
-accepted benchmark input also `verify --checks master,section11`, which
-takes the subset path of the check suite; once with BASE's `src` on the
-path and once with this tree's.  Exits 1 when any run differs in standard
+shape 1, 2, 3, 3, 3, 2, 1), Krawtchouk d = 6 with p = 3 over
+GF(2^31 - 1) and GF(2^61 - 1), whose residues are large, and QQ Krawtchouk
+d = 8 conjugated as U^-1 A U, U^-1 A* U by a unipotent upper triangular U
+with integer entries drawn from [-2, 2] by `random.Random(8)`, so that
+neither matrix is diagonal in the input basis and the factors of the
+idempotents are dense.  Runs `construct`, `verify` and `report` (JSON and
+CSV) on them through `tdpair.cli.main`, the conjugated pair only verified
+and reported, and on each accepted benchmark input also
+`verify --checks master,section11`, which takes the subset path of the
+check suite; once with BASE's `src` on the path and once with this
+tree's.  Exits 1 when any run differs in standard
 output, standard error or exit code.  pytest does not collect this file.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -27,6 +34,26 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+
+
+def conjugated(case, rng):
+    """The case's pair as U^-1 A U and U^-1 A* U, to be verified only, for
+    U unipotent upper triangular with entries above the diagonal drawn
+    from [-2, 2] by rng."""
+    from exact import mul
+    n = len(case.a)
+    u = [[Fraction(rng.randint(-2, 2) if i < j else int(i == j))
+          for j in range(n)] for i in range(n)]
+    # U U^-1 = I gives the rows of U^-1 from the last up
+    inv = [None] * n
+    for i in reversed(range(n)):
+        row = [Fraction(int(k == i)) for k in range(n)]
+        for j in range(i + 1, n):
+            row = [x - u[i][j] * y for x, y in zip(row, inv[j])]
+        inv[i] = row
+    return dataclasses.replace(
+        case, label=case.label + "-conj", construct=None,
+        a=mul(inv, mul(case.a, u)), astar=mul(inv, mul(case.astar, u)))
 
 
 def emit(tree: str) -> None:
@@ -46,7 +73,9 @@ def emit(tree: str) -> None:
         tensor_case("tensor-qq-2x4",
                     ((2, Fraction(1, 3)), (4, Fraction(3, 4))), None),
         krawtchouk_case("krawtchouk-m31-d6", 6, 3, 2 ** 31 - 1),
-        krawtchouk_case("krawtchouk-m61-d6", 6, 3, 2 ** 61 - 1))]
+        krawtchouk_case("krawtchouk-m61-d6", 6, 3, 2 ** 61 - 1),
+        conjugated(krawtchouk_case("krawtchouk-qq-d8", 8, Fraction(1, 3),
+                                   None), random.Random(8)))]
     runs = []
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)

@@ -12,6 +12,7 @@ from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ,
                     check_section10, check_split_bijectivity, compute_rfl,
                     compute_split, construct_krawtchouk,
                     kronecker_sum_candidate, rank)
+from tdpair.linalg import rank_factorization
 
 
 def powers(m, top):
@@ -107,6 +108,15 @@ def swapped(items, i, j):
     return tuple(out)
 
 
+def with_idempotents(system, **families):
+    """The system with the families E and Estar given as matrices, held
+    as the rank factorization of each, which is how a system holds its
+    idempotents."""
+    return dataclasses.replace(system, **{
+        f"{part}_factors": tuple(map(rank_factorization, idems))
+        for part, idems in families.items()})
+
+
 def merged(items):
     """items[0] + 2 items[1] in place of items[0]: larger rank, and no
     longer idempotent."""
@@ -135,9 +145,9 @@ def test_section10_corrupted_matches_full_products(system, part):
         system = dataclasses.replace(
             system, Astar=block_raising(system.Astar, system.E))
     elif part == "merged":
-        system = dataclasses.replace(system, Estar=merged(system.Estar))
+        system = with_idempotents(system, Estar=merged(system.Estar))
     else:
-        system = dataclasses.replace(
+        system = with_idempotents(
             system, **{part: swapped(getattr(system, part), 0, 1)})
     table = check_section10(system, rfl)
     assert table.mismatches()
@@ -158,7 +168,7 @@ def test_section7_corrupted_matches_full_products(system, part):
         split = dataclasses.replace(split, raising=split.lowering,
                                     lowering=split.raising)
     else:
-        system = dataclasses.replace(
+        system = with_idempotents(
             system, **{part: swapped(getattr(system, part), 0, 1)})
     table = check_split_bijectivity(system, split)
     assert table.mismatches()

@@ -34,7 +34,7 @@ from tdpair import frame
 from tdpair.frame import Frame, frame_of
 
 from test_check_coverage import CORRUPT_RFL, SPLIT_CASES
-from test_rank_tables import SYSTEMS, merged, swapped
+from test_rank_tables import SYSTEMS, merged, swapped, with_idempotents
 
 
 def a_off_band(system):
@@ -151,7 +151,7 @@ def corrupted(system, corruption):
         system = a_off_band(system)
     split, rfl = compute_split(system), compute_rfl(system)
     if corruption in ESTAR_CORRUPTIONS:
-        system = dataclasses.replace(
+        system = with_idempotents(
             system, Estar=ESTAR_CORRUPTIONS[corruption](system.Estar))
     if corruption in SPLIT_CORRUPTIONS:
         split = SPLIT_CORRUPTIONS[corruption](split)
@@ -394,7 +394,7 @@ CONSTRUCTOR_PINS = {
 
 def constructor_digest(system, corruption):
     part, corrupt = FAMILY_CORRUPTIONS[corruption]
-    system = dataclasses.replace(
+    system = with_idempotents(
         system, **{part: corrupt(getattr(system, part))})
     rfl = compute_rfl(system)
     out = [entries(m) for m in (rfl.raising, rfl.flat, rfl.lowering)]

@@ -71,10 +71,12 @@ def test_recognition_factors_each_idempotent_once(name, monkeypatch):
     an eigenvalue; each family's factors come from the direct sum of
     those kernels, so no column space is taken.  They are exactly the
     rank factorizations of the idempotents, which keeps the output the
-    same as factoring each idempotent."""
+    same as factoring each idempotent.  Each system holds these factors,
+    so its relatives and the system read back from its JSON take no
+    column space either."""
     system = SYSTEMS[name]()
-    kernels, spaces, families = [], [], []
-    rank_kernel, init = linalg.rank_kernel, systems._Family.__init__
+    kernels, spaces = [], []
+    rank_kernel = linalg.rank_kernel
     column_space = Subspace.column_space.__func__
 
     def counted_kernel(m):
@@ -85,22 +87,21 @@ def test_recognition_factors_each_idempotent_once(name, monkeypatch):
         spaces.append(m)
         return column_space(cls, m)
 
-    def recorded(self, *args):
-        init(self, *args)
-        families.append(self)
-
     for module in (linalg, systems):
         monkeypatch.setattr(module, "rank_kernel", counted_kernel)
     monkeypatch.setattr(Subspace, "column_space", classmethod(counted_space))
-    monkeypatch.setattr(systems._Family, "__init__", recorded)
     analysis = analyze_pair(system.A, system.Astar)
-    monkeypatch.undo()
     assert analysis.rejection is None
     assert len(kernels) == 2 * (system.d + 1)
+    found = list(analysis.systems)
+    found += [relative(s, key) for s in analysis.systems
+              for key in RELATIVE_KEYS]
+    found += [system_from_json(system_to_json(s)) for s in analysis.systems]
+    monkeypatch.undo()
     assert not spaces
-    assert len(families) == 2
-    for fam in families:
-        assert fam.factors == tuple(map(rank_factorization, fam.idems))
+    for s in found:
+        assert s.E_factors == tuple(map(rank_factorization, s.E))
+        assert s.Estar_factors == tuple(map(rank_factorization, s.Estar))
 
 
 def test_block_tridiagonal_action():
@@ -356,15 +357,25 @@ def test_system_from_json_rejects():
     s = analyze_pair(*pair_d2()).systems[0]
     good = system_to_json(s)
     shuffled = [good["theta"][1], good["theta"][0], good["theta"][2]]
-    for breakage in (
+    cases = [(good, breakage) for breakage in (
             {"schema": 99},
             {"field": {"kind": "real"}},
             {"A": [["1", "0"], ["0"]]},
             {"A": "nope"},
             {"theta": shuffled},
             {"d": 1},
-    ):
-        doc = dict(good)
+    )]
+    # on d = 1 with theta = thetastar = [0, 1], a string or an object
+    # would iterate as those eigenvalues and true would equal d
+    line, _ = construct_leonard([0, 1], [0, 1], [1], QQ)
+    assert system_from_json(system_to_json(line)) == line
+    cases += [(system_to_json(line), breakage) for breakage in (
+            {"theta": "01", "thetastar": "01"},
+            {"theta": {"0": "a", "1": "b"}, "thetastar": {"0": "a", "1": "b"}},
+            {"d": True},
+    )]
+    for base, breakage in cases:
+        doc = dict(base)
         doc.update(breakage)
         with pytest.raises(MalformedInputError):
             system_from_json(doc)
