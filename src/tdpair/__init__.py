@@ -25,20 +25,18 @@ from .systems import (PairAnalysis, REASON_DIAMETER,
                       REASON_REDUCIBLE, REASON_UNDETERMINED, Rejection,
                       RelationParameters, SCHEMA_VERSION, TridiagonalSystem,
                       analyze_pair, check_tridiagonal_relations,
-                      compute_relation_parameters, compute_shape,
+                      compute_relation_parameters,
                       generated_algebra_dimension, matrix_from_json,
                       relative, system_from_json, system_to_json)
-from .results import RankEntry, RankTable, Residual, ScalarResidual, all_zero
+from .results import RankEntry, RankTable, Residual, ScalarResidual
 from .rfl import (RFLDecomposition, SectionFiveCoefficients, check_section5,
                   check_section10, compute_rfl, section5_coefficients)
 from .split import (SplitDecomposition, check_section7,
                     check_split_bijectivity, compute_split)
 from .bridge import (check_descent, check_diagrams, check_master_identity,
-                     check_section9, corollary_flat_operator,
-                     corollary_lower_operator, master_rhs_operator)
-from .leonard import (LeonardData, LeonardRepresentations,
-                      change_of_basis_reps, check_section11,
-                      construct_leonard, leonard_data)
+                     check_section9)
+from .leonard import (LeonardData, check_section11, construct_leonard,
+                      leonard_data)
 from .krawtchouk import (KrawtchoukParams, KroneckerOutcome, check_section12,
                          closed_form_data, construct_krawtchouk,
                          is_krawtchouk_type, kronecker_sum_candidate)
@@ -52,7 +50,7 @@ __all__ = [
     "DimensionError", "EigenData", "FactorialInversionError",
     "FieldMismatchError", "Fp", "InternalInconsistencyError",
     "KrawtchoukParams", "KrawtchoukTypeError", "KroneckerOutcome",
-    "LeonardData", "LeonardRepresentations", "MalformedInputError", "Matrix",
+    "LeonardData", "MalformedInputError", "Matrix",
     "NotDiagonalizableError", "NotLeonardSystemError", "NotNilpotentError",
     "PairAnalysis", "PrimeField", "QQ", "RFLDecomposition",
     "REASON_DIAMETER", "REASON_NOT_DIAGONALIZABLE", "REASON_NO_ORDERING",
@@ -61,18 +59,17 @@ __all__ = [
     "SCHEMA_VERSION", "ScalarParseError", "ScalarResidual",
     "SectionFiveCoefficients", "SingularMatrixError", "SplitDecomposition",
     "Subspace", "TdpairError", "TridiagonalSystem", "VerificationReport",
-    "all_zero", "analyze_pair", "change_of_basis_reps", "check_descent",
+    "analyze_pair", "check_descent",
     "check_diagrams", "check_master_identity", "check_section5",
     "check_section7", "check_section9", "check_section10", "check_section11",
     "check_section12", "check_split_bijectivity",
     "check_tridiagonal_relations", "closed_form_data", "commutator",
-    "compute_relation_parameters", "compute_rfl", "compute_shape",
+    "compute_relation_parameters", "compute_rfl",
     "compute_split", "construct_krawtchouk", "construct_leonard",
-    "corollary_flat_operator", "corollary_lower_operator",
     "eigenvalues_in_field", "field_from_descriptor",
     "generated_algebra_dimension", "inverse", "is_krawtchouk_type",
     "is_prime", "kronecker_sum_candidate", "lagrange_idempotents",
-    "leonard_data", "master_rhs_operator", "matrix_from_json",
+    "leonard_data", "matrix_from_json",
     "nilpotency_index", "nilpotent_exp_scaled", "projectors_from_direct_sum",
     "rank", "rank_kernel", "relative", "run_all_checks",
     "section5_coefficients", "solve_right", "system_from_json",

@@ -11,7 +11,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .fields import Field, Scalar
 from .frame import Frame, SparseMatrix, frame_of
-from .matrix import Matrix
 from .results import Residual
 from .rfl import RFLDecomposition
 from .split import SplitDecomposition
@@ -111,60 +110,14 @@ def check_descent(sys: TridiagonalSystem,
     return out
 
 
-def master_rhs_operator(sys: TridiagonalSystem, split: SplitDecomposition,
-                        i: int, j: int) -> Matrix:
-    """The operator carrying the diagonal projector/dual-idempotent product
-    at j to the mixed product of A at (i, j): an eigenvalue-weighted scalar
-    times a lowering power, plus one raising step sandwiched between
-    lowering powers for each crossing position."""
-    fr = frame_of(sys, split)
-    return fr.original(_assembled(sys, fr, i, j, fr.r_pow[0]), "QQ")
-
-
-def corollary_flat_operator(sys: TridiagonalSystem,
-                            split: SplitDecomposition, j: int) -> Matrix:
-    """Direct form of the assembled operator at equal indices: the
-    eigenvalue times the identity plus one raising-lowering turn on each
-    available side."""
-    field = sys.field
-    ts = sys.thetastar
-    rr, ll = split.raising, split.lowering
-    op = Matrix.identity(field, sys.n).scale(sys.theta[j])
-    if j >= 1:
-        op = op + (rr * ll).scale(field.one / (ts[j] - ts[j - 1]))
-    if j <= sys.d - 1:
-        op = op + (ll * rr).scale(field.one / (ts[j] - ts[j + 1]))
-    return op
-
-
-def corollary_lower_operator(sys: TridiagonalSystem,
-                             split: SplitDecomposition, j: int) -> Matrix:
-    """Direct form of the assembled operator one step below the diagonal:
-    an eigenvalue-gap multiple of the lowering map plus the available
-    second-order corrections."""
-    field = sys.field
-    ts, th = sys.thetastar, sys.theta
-    rr, ll = split.raising, split.lowering
-    gap = ts[j - 1] - ts[j]
-    op = ll.scale((th[j] - th[j - 1]) / gap)
-    if j >= 2:
-        op = op + (rr * ll * ll).scale(
-            field.one / ((ts[j] - ts[j - 1]) * (ts[j] - ts[j - 2])))
-    op = op - (ll * rr * ll).scale(field.one / (gap * gap))
-    if j <= sys.d - 1:
-        op = op + (ll * ll * rr).scale(
-            field.one / (gap * (ts[j - 1] - ts[j + 1])))
-    return op
-
-
 def check_master_identity(sys: TridiagonalSystem,
                           split: SplitDecomposition) -> List[Residual]:
     """Residuals of the mixed projector/dual-idempotent products of A
     against the assembled operators over the full index grid, repeated
     under the names of the direct forms at index gaps one and zero: the
-    assembled operator is the raising map at (j + 1, j), and
-    corollary_flat_operator and corollary_lower_operator at (j, j) and
-    (j - 1, j), for every pair of shifted maps."""
+    assembled operator is the raising map at (j + 1, j), and the direct
+    forms of the corollaries at (j, j) and (j - 1, j), for every pair of
+    shifted maps."""
     d = sys.d
     fr = frame_of(sys, split)
     grid = {(i, j): fr.residual("master.grid", (i, j),

@@ -103,6 +103,10 @@ def _parse_field(text: str) -> Field:
 
 
 def _parse_csv_scalars(field: Field, text: str) -> list:
+    """The comma-separated scalars of text; empty text is no scalars, as
+    the d = 0 system has no phi."""
+    if not text.strip():
+        return []
     return [field.parse(tok.strip()) for tok in text.split(",")]
 
 

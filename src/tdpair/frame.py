@@ -49,6 +49,13 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self.rows
 
+    def trace(self):
+        t = self.field.zero
+        for i, row in self.rows.items():
+            if i in row:
+                t = t + row[i]
+        return t
+
     def scale(self, c) -> "SparseMatrix":
         c = self.field.coerce(c)
         return SparseMatrix(self.field, self.n, {

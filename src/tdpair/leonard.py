@@ -1,8 +1,7 @@
 """Multiplicity-free systems: the scalar data carried by the three
 distinguished bases (diagonal, two-step return, forward, backward and
-split-superdiagonal scalars), construction of a system from that data, the
-three matrix representations with their changes of basis, and the scalar
-identities tying everything together.
+split-superdiagonal scalars), construction of a system from that data, and
+the scalar identities tying everything together.
 """
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ from .frame import frame_of
 from .linalg import inverse
 from .matrix import Matrix
 from .results import Residual, ScalarResidual
-from .rfl import RFLDecomposition, compute_rfl, section5_coefficients
+from .rfl import section5_coefficients
 from .split import SplitDecomposition, compute_split
 from .systems import (RelationParameters, TridiagonalSystem, analyze_pair,
                       compute_relation_parameters)
@@ -68,23 +67,17 @@ class LeonardData:
         }
 
 
-@dataclass(frozen=True)
-class LeonardRepresentations:
-    """The three bases as column matrices and the matrices of A and A*
-    relative to each."""
-    primary_basis: Matrix
-    split_basis: Matrix
-    dual_basis: Matrix
-    primary: Tuple[Matrix, Matrix]
-    split: Tuple[Matrix, Matrix]
-    dual: Tuple[Matrix, Matrix]
-
-
-def _first_nonzero_column(m: Matrix) -> Tuple[Scalar, ...]:
-    for j in range(m.ncols):
-        col = m.column(j)
-        if any(col):
-            return col
+def _first_nonzero_column(factors: Optional[Tuple[Matrix, Matrix]]
+                          ) -> Tuple[Scalar, ...]:
+    """The first nonzero column of B C for the factors (B, C) of a
+    projection, None for zero.  B has full column rank, so that is B
+    times the first nonzero column of C."""
+    if factors is not None:
+        b, c = factors
+        for j in range(c.ncols):
+            col = c.column(j)
+            if any(col):
+                return b.apply(col)
     raise InternalInconsistencyError("projection has no nonzero column")
 
 
@@ -107,35 +100,30 @@ def _rep_dual_a(data: LeonardData) -> Matrix:
     return _tridiagonal(data.field, data.a, data.c, data.b)
 
 
-def _basis(field: Field, cols: Sequence[Sequence[Scalar]],
-           what: str) -> Tuple[Matrix, Matrix]:
-    """The columns as a matrix, with its inverse."""
-    basis = Matrix.from_columns(field, cols)
-    try:
-        return basis, inverse(basis)
-    except SingularMatrixError as exc:
-        raise InternalInconsistencyError(
-            f"{what} basis candidate is singular: {exc}") from exc
-
-
 def _split_basis(sys: TridiagonalSystem, split: SplitDecomposition
                  ) -> Tuple[Matrix, Matrix]:
     """zeta, calR zeta, ..., calR^d zeta for zeta the first nonzero column
     of E*_0, as a matrix, with its inverse."""
-    cols = [_first_nonzero_column(sys.Estar[0])]
+    cols = [_first_nonzero_column(sys.Estar_factors[0])]
     for _ in range(sys.d):
         cols.append(split.raising.apply(cols[-1]))
-    return _basis(sys.field, cols, "split")
+    basis = Matrix.from_columns(sys.field, cols)
+    try:
+        return basis, inverse(basis)
+    except SingularMatrixError as exc:
+        raise InternalInconsistencyError(
+            f"split basis candidate is singular: {exc}") from exc
 
 
 def leonard_data(sys: TridiagonalSystem,
                  split: Optional[SplitDecomposition] = None) -> LeonardData:
     """Extract the scalar data of a multiplicity-free system.
 
-    The diagonal and two-step return scalars come from traces of dual
-    idempotent sandwiches of A; the split-superdiagonal scalars come from
-    the matrix of A* relative to the split basis; the forward and backward
-    scalars follow from those by the falling-product formulas.
+    The diagonal and two-step return scalars are the traces of
+    E*_i A E*_i and E*_i A E*_(i-1) A E*_i, taken in the dual basis, which
+    keeps them; the split-superdiagonal scalars come from the matrix of A*
+    relative to the split basis; the forward and backward scalars follow
+    from those by the falling-product formulas.
 
     A singular split basis or a vanishing split-superdiagonal scalar is an
     error, since the rest divides by them, and so is a row of the
@@ -150,9 +138,10 @@ def leonard_data(sys: TridiagonalSystem,
     if split is None:
         split = compute_split(sys)
     field, d = sys.field, sys.d
-    estar = sys.Estar
-    a_list = [(estar[i] * sys.A * estar[i]).trace() for i in range(d + 1)]
-    x_list = [(estar[i] * sys.A * estar[i - 1] * sys.A * estar[i]).trace()
+    fr = frame_of(sys)
+    es, a_es = fr.es_pp, fr.a_es_pp
+    a_list = [(es[i] * a_es[i]).trace() for i in range(d + 1)]
+    x_list = [(es[i] * a_es[i - 1] * a_es[i]).trace()
               for i in range(1, d + 1)]
 
     basis, basis_inv = _split_basis(sys, split)
@@ -232,54 +221,6 @@ def construct_leonard(theta: Sequence, thetastar: Sequence, phi: Sequence,
         raise InternalInconsistencyError(
             "extracted split-superdiagonal scalars disagree with the input")
     return selected, data
-
-
-def change_of_basis_reps(sys: TridiagonalSystem,
-                         split: Optional[SplitDecomposition] = None,
-                         rfl: Optional[RFLDecomposition] = None,
-                         data: Optional[LeonardData] = None
-                         ) -> LeonardRepresentations:
-    """Matrices of A and A* relative to the three distinguished bases.
-
-    The matrices in the primary and dual bases are asserted against the
-    patterns the scalar data predicts; no check reports them.  The split
-    basis is the one leonard_data reads phi from, and the pattern there is
-    reported by check_section7.
-    """
-    if split is None:
-        split = compute_split(sys)
-    if rfl is None:
-        rfl = compute_rfl(sys)
-    if data is None:
-        data = leonard_data(sys, split)
-    field, d = sys.field, sys.d
-
-    primary_cols = [_first_nonzero_column(sys.Estar[0])]
-    for _ in range(d):
-        primary_cols.append(rfl.raising.apply(primary_cols[-1]))
-    xi = _first_nonzero_column(sys.E[0])
-    dual_cols = [sys.Estar[i].apply(xi) for i in range(d + 1)]
-
-    b1, b1i = _basis(field, primary_cols, "primary")
-    b2, b2i = _split_basis(sys, split)
-    b3, b3i = _basis(field, dual_cols, "dual")
-
-    diag_ts = Matrix.diagonal(field, sys.thetastar)
-    primary = (b1i * sys.A * b1, b1i * sys.Astar * b1)
-    split_rep = (b2i * sys.A * b2, b2i * sys.Astar * b2)
-    dual = (b3i * sys.A * b3, b3i * sys.Astar * b3)
-    primary_a = _tridiagonal(field, data.a, [field.one] * d, data.x)
-    for got, want, what in ((primary, (primary_a, diag_ts), "primary"),
-                            (dual, (_rep_dual_a(data), diag_ts), "dual")):
-        if got[0] != want[0]:
-            raise InternalInconsistencyError(
-                f"matrix of A in the {what} basis has the wrong pattern")
-        if got[1] != want[1]:
-            raise InternalInconsistencyError(
-                f"matrix of A* in the {what} basis has the wrong pattern")
-    return LeonardRepresentations(primary_basis=b1, split_basis=b2,
-                                  dual_basis=b3, primary=primary,
-                                  split=split_rep, dual=dual)
 
 
 def check_section11(sys: TridiagonalSystem,

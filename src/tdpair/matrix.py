@@ -1,7 +1,7 @@
 """Immutable dense matrices over one exact scalar field."""
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import DimensionError, FieldMismatchError
 from .fields import Field, Scalar
@@ -256,10 +256,6 @@ class Matrix:
 
     def to_text_rows(self) -> List[List[str]]:
         return [[self.field.to_text(x) for x in row] for row in self.rows]
-
-    @classmethod
-    def from_text_rows(cls, field: Field, rows: Iterable[Iterable]) -> "Matrix":
-        return cls(field, rows)
 
 
 def commutator(x: Matrix, y: Matrix) -> Matrix:

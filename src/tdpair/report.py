@@ -76,12 +76,6 @@ class VerificationReport:
         return (all(r.is_zero for r in self.relation_residuals)
                 and all(res.passed for res in self.results))
 
-    def result_for(self, check_id: str) -> Optional[CheckResult]:
-        for res in self.results:
-            if res.check_id == check_id:
-                return res
-        return None
-
     def to_json(self, include_timings: bool = False) -> dict:
         text = self.system.field.to_text
         params = self.parameters

@@ -102,7 +102,3 @@ class RankTable:
             "pass": self.ok,
             "entries": [e.to_json() for e in self.entries],
         }
-
-
-def all_zero(residuals) -> bool:
-    return all(r.is_zero for r in residuals)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (ContradictionError, FieldMismatchError,
@@ -18,7 +17,7 @@ from .errors import (ContradictionError, FieldMismatchError,
 from .fields import Field, PrimeField, Scalar, field_from_descriptor
 from .linalg import (Subspace, _echelon, _idempotent_factors, _insert,
                      charpoly, direct_sum, eigenvalues_in_field,
-                     irreducible_mod_p, rank, rank_kernel)
+                     irreducible_mod_p, rank_kernel)
 from .matrix import Matrix, commutator
 
 REASON_NOT_DIAGONALIZABLE = "not diagonalizable"
@@ -65,16 +64,6 @@ class TridiagonalSystem:
     def is_leonard(self) -> bool:
         return all(r == 1 for r in self.shape)
 
-    @cached_property
-    def E(self) -> Tuple[Matrix, ...]:
-        zero = Matrix.zeros(self.field, self.n, self.n)
-        return tuple(f[0] * f[1] if f else zero for f in self.E_factors)
-
-    @cached_property
-    def Estar(self) -> Tuple[Matrix, ...]:
-        zero = Matrix.zeros(self.field, self.n, self.n)
-        return tuple(f[0] * f[1] if f else zero for f in self.Estar_factors)
-
 
 @dataclass(frozen=True)
 class PairAnalysis:
@@ -102,13 +91,6 @@ class RelationParameters:
     theta_dp1: Scalar
     thetastar_m1: Scalar
     thetastar_dp1: Scalar
-
-    def theta_ext(self, sys: TridiagonalSystem, i: int) -> Scalar:
-        if i == -1:
-            return self.theta_m1
-        if i == sys.d + 1:
-            return self.theta_dp1
-        return sys.theta[i]
 
     def thetastar_ext(self, sys: TridiagonalSystem, i: int) -> Scalar:
         if i == -1:
@@ -482,15 +464,6 @@ def analyze_pair(a: Matrix, astar: Matrix) -> PairAnalysis:
     systems = [_assemble_system(field, fam, fam_star, oa, ob)
                for oa in variants_a for ob in variants_b]
     return PairAnalysis(tuple(systems), None)
-
-
-def compute_shape(sys: TridiagonalSystem) -> Tuple[int, ...]:
-    """Recompute the shape from idempotent ranks and cross-check it."""
-    shape = _compute_shape(sys.d, [rank(e) for e in sys.E],
-                           [rank(e) for e in sys.Estar])
-    if shape != sys.shape:
-        raise InternalInconsistencyError("stored shape disagrees with ranks")
-    return shape
 
 
 # -- relation parameters ---------------------------------------------------

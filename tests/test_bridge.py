@@ -4,12 +4,57 @@ from fractions import Fraction
 
 import pytest
 
-from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, all_zero,
-                    check_descent, check_diagrams, check_master_identity,
-                    check_section9, compute_rfl, compute_split,
-                    construct_krawtchouk, corollary_flat_operator,
-                    corollary_lower_operator, kronecker_sum_candidate,
-                    master_rhs_operator)
+from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, check_descent,
+                    check_diagrams, check_master_identity, check_section9,
+                    compute_rfl, compute_split, construct_krawtchouk,
+                    kronecker_sum_candidate)
+from tdpair import bridge
+from tdpair.frame import frame_of
+
+from oracles import all_zero, idempotents
+
+
+def master_rhs_operator(sys, split, i: int, j: int) -> Matrix:
+    """The operator carrying the diagonal projector/dual-idempotent product
+    at j to the mixed product of A at (i, j): an eigenvalue-weighted scalar
+    times a lowering power, plus one raising step sandwiched between
+    lowering powers for each crossing position."""
+    fr = frame_of(sys, split)
+    return fr.original(bridge._assembled(sys, fr, i, j, fr.r_pow[0]), "QQ")
+
+
+def corollary_flat_operator(sys, split, j: int) -> Matrix:
+    """Direct form of the assembled operator at equal indices: the
+    eigenvalue times the identity plus one raising-lowering turn on each
+    available side."""
+    field = sys.field
+    ts = sys.thetastar
+    rr, ll = split.raising, split.lowering
+    op = Matrix.identity(field, sys.n).scale(sys.theta[j])
+    if j >= 1:
+        op = op + (rr * ll).scale(field.one / (ts[j] - ts[j - 1]))
+    if j <= sys.d - 1:
+        op = op + (ll * rr).scale(field.one / (ts[j] - ts[j + 1]))
+    return op
+
+
+def corollary_lower_operator(sys, split, j: int) -> Matrix:
+    """Direct form of the assembled operator one step below the diagonal:
+    an eigenvalue-gap multiple of the lowering map plus the available
+    second-order corrections."""
+    field = sys.field
+    ts, th = sys.thetastar, sys.theta
+    rr, ll = split.raising, split.lowering
+    gap = ts[j - 1] - ts[j]
+    op = ll.scale((th[j] - th[j - 1]) / gap)
+    if j >= 2:
+        op = op + (rr * ll * ll).scale(
+            field.one / ((ts[j] - ts[j - 1]) * (ts[j] - ts[j - 2])))
+    op = op - (ll * rr * ll).scale(field.one / (gap * gap))
+    if j <= sys.d - 1:
+        op = op + (ll * ll * rr).scale(
+            field.one / (gap * (ts[j - 1] - ts[j + 1])))
+    return op
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +88,9 @@ def test_descent_pinned_two_point(kraw1):
     # descending one dual eigenspace costs one lowering map and one
     # eigenvalue-gap division
     gap = s.thetastar[1] - s.thetastar[0]
-    lhs = split.projectors[0] * s.Estar[1]
-    rhs = (split.lowering * split.projectors[1] * s.Estar[1]).scale(
+    es = idempotents(s, "Estar")
+    lhs = split.projectors[0] * es[1]
+    rhs = (split.lowering * split.projectors[1] * es[1]).scale(
         Fraction(1) / gap)
     assert lhs == rhs == Matrix(QQ, [[0, 1], [0, 0]])
     assert all_zero(check_descent(s, split))
@@ -128,11 +174,12 @@ def test_master_and_section9_take_few_full_products(monkeypatch):
 def test_master_far_below_is_zero(kraw4):
     s = kraw4
     split = compute_split(s)
+    es = idempotents(s, "Estar")
     for j in range(s.d + 1):
         for i in range(j + 2, s.d + 1):
             op = master_rhs_operator(s, split, i, j)
             assert op.is_zero()
-            direct = split.projectors[i] * s.Estar[i] * s.A * s.Estar[j]
+            direct = split.projectors[i] * es[i] * s.A * es[j]
             assert direct.is_zero()
 
 

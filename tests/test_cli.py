@@ -82,6 +82,21 @@ def test_construct_leonard_zero_phi(capsys):
     assert err.startswith("error:")
 
 
+def test_construct_leonard_diameter_zero(capsys):
+    """An empty --phi is no scalars, which the d = 0 system has; a stray
+    comma is still a bad literal."""
+    rc, out, err = run_cli(capsys, ["construct", "leonard", "--theta", "5",
+                                    "--thetastar", "7", "--phi", ""])
+    assert rc == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["d"] == 0 and doc["shape"] == [1]
+    assert doc["leonard"]["a"] == ["5"] and doc["leonard"]["phi"] == []
+    rc, out, err = run_cli(capsys, ["construct", "leonard", "--theta", "5,1",
+                                    "--thetastar", "7,2", "--phi", "1,"])
+    assert rc == 2 and out == ""
+    assert err == "error: bad rational literal: ''\n"
+
+
 def test_construct_leonard_negative_scalars(capsys):
     rc, out, _ = run_cli(capsys, [
         "construct", "leonard", "--theta", "3,1,-1,-3",

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from tdpair import (FieldMismatchError, KrawtchoukParams, KrawtchoukTypeError,
-                    Matrix, PrimeField, QQ, REASON_REDUCIBLE, all_zero,
-                    analyze_pair, check_section12, closed_form_data,
-                    compute_split, construct_krawtchouk, is_krawtchouk_type,
+                    Matrix, PrimeField, QQ, REASON_REDUCIBLE, analyze_pair,
+                    check_section12, closed_form_data, compute_split,
+                    construct_krawtchouk, is_krawtchouk_type,
                     kronecker_sum_candidate, nilpotent_exp_scaled)
+
+from oracles import all_zero
 
 
 def params(d, p, field=QQ):

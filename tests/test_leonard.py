@@ -1,14 +1,21 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdpair import (KrawtchoukParams, Matrix, NotLeonardSystemError,
-                    PrimeField, QQ, all_zero, change_of_basis_reps,
-                    check_section11, construct_krawtchouk, construct_leonard,
+from tdpair import (InternalInconsistencyError, KrawtchoukParams,
+                    LeonardData, Matrix, NotLeonardSystemError, PrimeField,
+                    QQ, TdpairError, analyze_pair, check_section11,
+                    compute_split, construct_krawtchouk, construct_leonard,
                     inverse, kronecker_sum_candidate, leonard_data,
                     run_all_checks)
+from tdpair.bridge import _gap_products
+
+from oracles import (all_zero, basis_and_inverse, change_of_basis_reps,
+                     first_nonzero_column, idempotents)
+from test_rank_tables import SYSTEMS, merged, with_idempotents
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +173,97 @@ def test_split_superdiagonal_is_phi(kraw3):
         assert astar_rep.entry(i, i) == system.thetastar[i]
     for i in range(1, system.d + 1):
         assert reps.split[0].entry(i, i - 1) == system.field.one
+
+
+def dense_leonard_data(sys, split):
+    """leonard_data by the dense formulas it used before it read the
+    frame: a_i and x_i as the traces of E*_i A E*_i and
+    E*_i A E*_(i-1) A E*_i, and zeta as the first nonzero column of the
+    product E*_0; the rest as leonard_data derives it."""
+    field, d, a = sys.field, sys.d, sys.A
+    es = idempotents(sys, "Estar")
+    a_list = [(es[i] * a * es[i]).trace() for i in range(d + 1)]
+    x_list = [(es[i] * a * es[i - 1] * a * es[i]).trace()
+              for i in range(1, d + 1)]
+    cols = [first_nonzero_column(es[0])]
+    for _ in range(d):
+        cols.append(split.raising.apply(cols[-1]))
+    basis, basis_inv = basis_and_inverse(field, cols, "split")
+    astar_rep = basis_inv * sys.Astar * basis
+    phi = [astar_rep.entry(i - 1, i) for i in range(1, d + 1)]
+    for i, value in enumerate(phi, start=1):
+        if not value:
+            raise InternalInconsistencyError(
+                f"split-superdiagonal scalar {i} vanishes")
+    ts = sys.thetastar
+    tsd = [_gap_products(field, ts[i], ts[:i])[-1] for i in range(d + 1)]
+    b = [phi[i] * tsd[i] / tsd[i + 1] for i in range(d)]
+    c = [(x_list[i - 1] / phi[i - 1]) * tsd[i] / tsd[i - 1]
+         for i in range(1, d + 1)]
+    for i in range(d + 1):
+        total = a_list[i] + (c[i - 1] if i >= 1 else field.zero) \
+            + (b[i] if i <= d - 1 else field.zero)
+        if total != sys.theta[0]:
+            raise InternalInconsistencyError(
+                f"row sum at {i} misses the top eigenvalue")
+    return LeonardData(field=field, d=d, theta=sys.theta,
+                       thetastar=sys.thetastar, a=tuple(a_list),
+                       x=tuple(x_list), phi=tuple(phi), b=tuple(b),
+                       c=tuple(c))
+
+
+def conjugated_systems(system):
+    """The four systems of U A U^-1, U A* U^-1 for U unipotent upper
+    triangular with entries above the diagonal from [-2, 2]."""
+    field, n = system.field, system.n
+    rng = random.Random(n)
+    u = Matrix(field, [[rng.randint(-2, 2) if i < j else int(i == j)
+                        for j in range(n)] for i in range(n)])
+    u_inv = inverse(u)
+    return analyze_pair(u * system.A * u_inv,
+                        u * system.Astar * u_inv).systems
+
+
+def leonard_oracle_cases():
+    """(system, split) for each valid multiplicity-free system of the rank
+    tables and each ordering of a conjugated copy, and, with the split of
+    the valid system, the system with E*_0 replaced by E*_0 + 2 E*_1 (rank
+    2, no longer idempotent) or by zero."""
+    out = []
+    for name in sorted(SYSTEMS):
+        base = SYSTEMS[name]()
+        if not base.is_leonard():
+            continue
+        for k, system in enumerate((base,) + conjugated_systems(base)):
+            label = f"{name}-{k}"
+            split = compute_split(system)
+            out.append((label, system, split))
+            es = idempotents(system, "Estar")
+            zero = Matrix.zeros(system.field, system.n, system.n)
+            for what, family in (("merged", merged(es)),
+                                 ("zero", (zero,) + es[1:])):
+                out.append((f"{label}-{what}",
+                            with_idempotents(system, Estar=family), split))
+    return out
+
+
+def outcome(extract, system, split):
+    try:
+        return extract(system, split).to_json()
+    except TdpairError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_leonard_data_matches_dense_formulas():
+    """The traces taken in the dual basis and zeta read off the factors of
+    E*_0 give what the dense products gave, data or error, on valid,
+    conjugated and corrupted families."""
+    seen = set()
+    for label, system, split in leonard_oracle_cases():
+        want = outcome(dense_leonard_data, system, split)
+        assert outcome(leonard_data, system, split) == want, label
+        seen.add(want[0] if isinstance(want, tuple) else "data")
+    assert "data" in seen and "InternalInconsistencyError" in seen
 
 
 @st.composite

@@ -132,9 +132,9 @@ def test_kron_mixed_product(a, b, c, d):
 
 def test_text_round_trip():
     a = Matrix(QQ, [["1/3", "-2"], ["0", "7/5"]])
-    assert Matrix.from_text_rows(QQ, a.to_text_rows()) == a
+    assert Matrix(QQ, a.to_text_rows()) == a
     m = Matrix(GF5, [[3, 4], [1, 0]])
-    assert Matrix.from_text_rows(GF5, m.to_text_rows()) == m
+    assert Matrix(GF5, m.to_text_rows()) == m
 
 
 def test_gf_matrix_arithmetic():

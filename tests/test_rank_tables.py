@@ -14,6 +14,8 @@ from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ,
                     kronecker_sum_candidate, rank)
 from tdpair.linalg import rank_factorization
 
+from oracles import idempotents
+
 
 def powers(m, top):
     out = [Matrix.identity(m.field, m.nrows)]
@@ -23,7 +25,7 @@ def powers(m, top):
 
 
 def full_section10(sys, rfl):
-    d, e, es = sys.d, sys.E, sys.Estar
+    d, e, es = sys.d, idempotents(sys, "E"), idempotents(sys, "Estar")
     r_pow, l_pow = powers(rfl.raising, d), powers(rfl.lowering, d)
     a_pow, as_pow = powers(sys.A, d), powers(sys.Astar, d)
     out = []
@@ -41,6 +43,7 @@ def full_section10(sys, rfl):
 
 def full_section7(sys, split):
     d, f = sys.d, split.projectors
+    e, es = idempotents(sys, "E"), idempotents(sys, "Estar")
     r_pow, l_pow = powers(split.raising, d), powers(split.lowering, d)
     out = []
     for i in range(d + 1):
@@ -49,10 +52,10 @@ def full_section7(sys, split):
             out += [("calR", i, j, rank(r_pow[k] * f[i])),
                     ("calL", i, j, rank(l_pow[k] * f[j]))]
     for i in range(d + 1):
-        out += [("FEstar", i, i, rank(f[i] * sys.Estar[i])),
-                ("EstarF", i, i, rank(sys.Estar[i] * f[i])),
-                ("FE", i, i, rank(f[i] * sys.E[i])),
-                ("EF", i, i, rank(sys.E[i] * f[i]))]
+        out += [("FEstar", i, i, rank(f[i] * es[i])),
+                ("EstarF", i, i, rank(es[i] * f[i])),
+                ("FE", i, i, rank(f[i] * e[i])),
+                ("EF", i, i, rank(e[i] * f[i]))]
     return out
 
 
@@ -143,12 +146,14 @@ def test_section10_corrupted_matches_full_products(system, part):
         system = dataclasses.replace(system, A=rfl.raising)
     elif part == "Astar":
         system = dataclasses.replace(
-            system, Astar=block_raising(system.Astar, system.E))
+            system, Astar=block_raising(system.Astar,
+                                        idempotents(system, "E")))
     elif part == "merged":
-        system = with_idempotents(system, Estar=merged(system.Estar))
+        system = with_idempotents(
+            system, Estar=merged(idempotents(system, "Estar")))
     else:
         system = with_idempotents(
-            system, **{part: swapped(getattr(system, part), 0, 1)})
+            system, **{part: swapped(idempotents(system, part), 0, 1)})
     table = check_section10(system, rfl)
     assert table.mismatches()
     assert observed(table) == full_section10(system, rfl)
@@ -169,7 +174,7 @@ def test_section7_corrupted_matches_full_products(system, part):
                                     lowering=split.raising)
     else:
         system = with_idempotents(
-            system, **{part: swapped(getattr(system, part), 0, 1)})
+            system, **{part: swapped(idempotents(system, part), 0, 1)})
     table = check_split_bijectivity(system, split)
     assert table.mismatches()
     assert observed(table) == full_section7(system, split)

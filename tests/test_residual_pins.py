@@ -33,12 +33,13 @@ from tdpair import (Matrix, TdpairError, check_descent, check_diagrams,
 from tdpair import frame
 from tdpair.frame import Frame, frame_of
 
+from oracles import idempotents
 from test_check_coverage import CORRUPT_RFL, SPLIT_CASES
 from test_rank_tables import SYSTEMS, merged, swapped, with_idempotents
 
 
 def a_off_band(system):
-    es = system.Estar
+    es = idempotents(system, "Estar")
     return dataclasses.replace(
         system, A=system.A + es[2] * system.A * system.A * es[0])
 
@@ -152,7 +153,8 @@ def corrupted(system, corruption):
     split, rfl = compute_split(system), compute_rfl(system)
     if corruption in ESTAR_CORRUPTIONS:
         system = with_idempotents(
-            system, Estar=ESTAR_CORRUPTIONS[corruption](system.Estar))
+            system,
+            Estar=ESTAR_CORRUPTIONS[corruption](idempotents(system, "Estar")))
     if corruption in SPLIT_CORRUPTIONS:
         split = SPLIT_CORRUPTIONS[corruption](split)
     if corruption in RFL_CORRUPTIONS:
@@ -395,7 +397,7 @@ CONSTRUCTOR_PINS = {
 def constructor_digest(system, corruption):
     part, corrupt = FAMILY_CORRUPTIONS[corruption]
     system = with_idempotents(
-        system, **{part: corrupt(getattr(system, part))})
+        system, **{part: corrupt(idempotents(system, part))})
     rfl = compute_rfl(system)
     out = [entries(m) for m in (rfl.raising, rfl.flat, rfl.lowering)]
     try:

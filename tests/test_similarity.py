@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, analyze_pair,
-                    construct_krawtchouk, inverse, run_all_checks)
+                    construct_krawtchouk, inverse, leonard_data,
+                    run_all_checks)
 
 from test_linalg import unimodular
 
@@ -36,12 +37,14 @@ PAIRS = {**{f"krawtchouk-qq-d{d}": (lambda d=d: krawtchouk(d))
 
 
 def summary(a, astar):
-    """Per system: shape, relation parameters, and each check's status
-    with its rank tables."""
+    """Per system: shape, relation parameters, the scalar data of a
+    multiplicity-free system, and each check's status with its rank
+    tables."""
     out = []
     for system in analyze_pair(a, astar).systems:
         report = run_all_checks(system)
-        out.append((system.shape, report.parameters,
+        data = leonard_data(system).to_json() if system.is_leonard() else None
+        out.append((system.shape, report.parameters, data,
                     [(c.check_id, c.status, [t.to_json() for t in c.tables])
                      for c in report.results]))
     return out
@@ -62,4 +65,6 @@ def test_conjugated_pair_gives_the_same_results(data):
     got = summary(u * a * u_inv, u * astar * u_inv)
     assert got == expected(name)
     shape = (1, 2, 1) if name.startswith("tensor") else (1,) * a.nrows
-    assert [s for s, _, _ in got] == [shape] * 4
+    assert [s for s, _, _, _ in got] == [shape] * 4
+    assert all((data is None) == name.startswith("tensor")
+               for _, _, data, _ in got)

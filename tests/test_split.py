@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, Subspace,
-                    all_zero, check_section7, check_split_bijectivity,
-                    compute_split, construct_krawtchouk,
-                    kronecker_sum_candidate, nilpotency_index)
+                    check_section7, check_split_bijectivity, compute_split,
+                    construct_krawtchouk, kronecker_sum_candidate,
+                    nilpotency_index)
 
+from oracles import all_zero, idempotents
 from subspaces import subspace_intersect, subspace_sum, zero
 
 
@@ -58,13 +59,14 @@ def test_summand_dimensions_match_shape(kraw3, multiplicity_system):
 def test_summands_are_the_prefix_suffix_intersections(kraw3):
     s = kraw3
     split = compute_split(s)
+    es, e = idempotents(s, "Estar"), idempotents(s, "E")
     for i in range(s.d + 1):
         prefix = zero(QQ, s.n)
         for k in range(i + 1):
-            prefix = subspace_sum(prefix, Subspace.column_space(s.Estar[k]))
+            prefix = subspace_sum(prefix, Subspace.column_space(es[k]))
         suffix = zero(QQ, s.n)
         for k in range(i, s.d + 1):
-            suffix = subspace_sum(suffix, Subspace.column_space(s.E[k]))
+            suffix = subspace_sum(suffix, Subspace.column_space(e[k]))
         assert subspace_intersect(prefix, suffix) == split.summands[i]
 
 
@@ -116,9 +118,10 @@ def test_transition_intertwines(kraw3):
     split = compute_split(s)
     assert split.transition * split.transition_inv == \
         Matrix.identity(QQ, s.n)
+    es = idempotents(s, "Estar")
     for i in range(s.d + 1):
         # the transition map carries each dual eigenspace onto its summand
-        image = split.transition * s.Estar[i]
+        image = split.transition * es[i]
         assert Subspace.column_space(image) == split.summands[i]
         assert split.projectors[i] * image == image
 

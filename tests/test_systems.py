@@ -8,13 +8,14 @@ from tdpair import (ContradictionError, MalformedInputError, Matrix,
                     REASON_NOT_DIAGONALIZABLE, REASON_NO_ORDERING,
                     REASON_REDUCIBLE, Subspace, analyze_pair,
                     check_tridiagonal_relations, compute_relation_parameters,
-                    compute_shape, construct_leonard,
-                    generated_algebra_dimension, matrix_from_json, relative,
+                    construct_leonard, generated_algebra_dimension,
+                    matrix_from_json, relative,
                     run_all_checks, system_from_json, system_to_json)
 from tdpair import linalg, systems
 from tdpair.linalg import rank_factorization
 from tdpair.systems import RELATIVE_KEYS, _spin
 
+from oracles import compute_shape, idempotents
 from subspaces import contains
 from test_rank_tables import SYSTEMS, krawtchouk_prime, krawtchouk_rational
 
@@ -50,7 +51,8 @@ def test_idempotent_identities():
     s = analyze_pair(*pair_d2()).systems[0]
     n = s.n
     zero = Matrix.zeros(QQ, n, n)
-    for fam, m, ths in ((s.E, s.A, s.theta), (s.Estar, s.Astar, s.thetastar)):
+    for fam, m, ths in ((idempotents(s, "E"), s.A, s.theta),
+                        (idempotents(s, "Estar"), s.Astar, s.thetastar)):
         total = zero
         recon = zero
         for i, e in enumerate(fam):
@@ -100,22 +102,24 @@ def test_recognition_factors_each_idempotent_once(name, monkeypatch):
     monkeypatch.undo()
     assert not spaces
     for s in found:
-        assert s.E_factors == tuple(map(rank_factorization, s.E))
-        assert s.Estar_factors == tuple(map(rank_factorization, s.Estar))
+        for part in ("E", "Estar"):
+            assert getattr(s, part + "_factors") == tuple(
+                map(rank_factorization, idempotents(s, part)))
 
 
 def test_block_tridiagonal_action():
     s = analyze_pair(*pair_d3()).systems[0]
     zero = Matrix.zeros(QQ, s.n, s.n)
+    e, es = idempotents(s, "E"), idempotents(s, "Estar")
     for i in range(s.d + 1):
         for j in range(s.d + 1):
             if abs(i - j) > 1:
-                assert s.E[i] * s.Astar * s.E[j] == zero
-                assert s.Estar[i] * s.A * s.Estar[j] == zero
+                assert e[i] * s.Astar * e[j] == zero
+                assert es[i] * s.A * es[j] == zero
     # adjacent blocks are nonzero: the orderings are genuine paths
     for i in range(s.d):
-        assert s.Estar[i] * s.A * s.Estar[i + 1] != zero
-        assert s.Estar[i + 1] * s.A * s.Estar[i] != zero
+        assert es[i] * s.A * es[i + 1] != zero
+        assert es[i + 1] * s.A * es[i] != zero
 
 
 def test_d0_pair():
@@ -148,6 +152,16 @@ def test_parameters_krawtchouk_values():
         assert ra.is_zero() and rb.is_zero()
 
 
+def theta_ext(params, sys, i):
+    """theta_i, extended to -1 and d + 1 as thetastar_ext extends
+    thetastar."""
+    if i == -1:
+        return params.theta_m1
+    if i == sys.d + 1:
+        return params.theta_dp1
+    return sys.theta[i]
+
+
 def test_extended_eigenvalues():
     want = tuple(Fraction(v) for v in (3, 1, -1, -3))
     s = next(x for x in analyze_pair(*pair_d3()).systems
@@ -157,9 +171,9 @@ def test_extended_eigenvalues():
     assert params.theta_dp1 == Fraction(-5)
     assert params.thetastar_m1 == Fraction(5)
     assert params.thetastar_dp1 == Fraction(-5)
-    assert params.theta_ext(s, -1) == Fraction(5)
-    assert params.theta_ext(s, s.d + 1) == Fraction(-5)
-    assert params.theta_ext(s, 0) == s.theta[0]
+    assert theta_ext(params, s, -1) == Fraction(5)
+    assert theta_ext(params, s, s.d + 1) == Fraction(-5)
+    assert theta_ext(params, s, 0) == s.theta[0]
     assert params.thetastar_ext(s, -1) == Fraction(5)
 
 
