@@ -8,17 +8,15 @@ flat/lowering parts, split summands, transition map), and checks the
 structural identities they satisfy, all without floating point.
 """
 from .errors import (ContradictionError, DecompositionError, DimensionError,
-                     FactorialInversionError, FieldMismatchError,
-                     InternalInconsistencyError, KrawtchoukTypeError,
-                     MalformedInputError, NotDiagonalizableError,
-                     NotLeonardSystemError, NotNilpotentError,
+                     FieldMismatchError, InternalInconsistencyError,
+                     KrawtchoukTypeError, MalformedInputError,
+                     NotDiagonalizableError, NotLeonardSystemError,
                      ScalarParseError, SingularMatrixError, TdpairError)
 from .fields import (Fp, PrimeField, QQ, RationalField, field_from_descriptor,
                      is_prime)
 from .matrix import Matrix, commutator
 from .linalg import (EigenData, Subspace, eigenvalues_in_field, inverse,
-                     lagrange_idempotents, nilpotency_index,
-                     nilpotent_exp_scaled, projectors_from_direct_sum, rank,
+                     lagrange_idempotents, projectors_from_direct_sum, rank,
                      rank_kernel, solve_right)
 from .systems import (PairAnalysis, REASON_DIAMETER,
                       REASON_NOT_DIAGONALIZABLE, REASON_NO_ORDERING,
@@ -47,11 +45,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHECK_IDS", "CheckResult", "ContradictionError", "DecompositionError",
-    "DimensionError", "EigenData", "FactorialInversionError",
-    "FieldMismatchError", "Fp", "InternalInconsistencyError",
-    "KrawtchoukParams", "KrawtchoukTypeError", "KroneckerOutcome",
-    "LeonardData", "MalformedInputError", "Matrix",
-    "NotDiagonalizableError", "NotLeonardSystemError", "NotNilpotentError",
+    "DimensionError", "EigenData", "FieldMismatchError", "Fp",
+    "InternalInconsistencyError", "KrawtchoukParams", "KrawtchoukTypeError",
+    "KroneckerOutcome", "LeonardData", "MalformedInputError", "Matrix",
+    "NotDiagonalizableError", "NotLeonardSystemError",
     "PairAnalysis", "PrimeField", "QQ", "RFLDecomposition",
     "REASON_DIAMETER", "REASON_NOT_DIAGONALIZABLE", "REASON_NO_ORDERING",
     "REASON_REDUCIBLE", "REASON_UNDETERMINED", "RankEntry", "RankTable",
@@ -69,8 +66,7 @@ __all__ = [
     "eigenvalues_in_field", "field_from_descriptor",
     "generated_algebra_dimension", "inverse", "is_krawtchouk_type",
     "is_prime", "kronecker_sum_candidate", "lagrange_idempotents",
-    "leonard_data", "matrix_from_json",
-    "nilpotency_index", "nilpotent_exp_scaled", "projectors_from_direct_sum",
+    "leonard_data", "matrix_from_json", "projectors_from_direct_sum",
     "rank", "rank_kernel", "relative", "run_all_checks",
     "section5_coefficients", "solve_right", "system_from_json",
     "system_to_json",

@@ -29,14 +29,6 @@ class DecompositionError(TdpairError):
     """A family of subspaces is not a direct-sum decomposition."""
 
 
-class NotNilpotentError(TdpairError):
-    """A matrix passed to a nilpotent-only routine is not nilpotent."""
-
-
-class FactorialInversionError(TdpairError):
-    """A required factorial is not invertible in the field."""
-
-
 class ContradictionError(TdpairError):
     """Data that must determine a unique scalar gave inconsistent values."""
 

@@ -10,6 +10,7 @@ integer ``d``; prime-field residues print as the canonical representative in
 """
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterator, Union
@@ -18,11 +19,16 @@ from .errors import FieldMismatchError, ScalarParseError
 
 _SCALAR_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base in _MR_WITNESSES
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
+    """Primality by Miller-Rabin with the prime bases up to 41, which is
+    exact for n < 3,317,044,064,679,887,385,961,981; from there on a
+    strong Lucas probable-prime test is added, which makes it the
+    Baillie-PSW test, and no composite is known to pass that."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -42,7 +48,60 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_EXACT_BELOW or _strong_lucas_prp(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a, t = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas_prp(n: int) -> bool:
+    """The strong Lucas probable-prime test with Selfridge's parameters,
+    for odd n with no prime factor up to 41."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    # D: the first of 5, -7, 9, -11, ... with (D/n) = -1; P = 1
+    disc = 5
+    while True:
+        j = _jacobi(disc, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False
+        disc = -disc - 2 if disc > 0 else -disc + 2
+    q = (1 - disc) // 4
+    s, r = n + 1, 0
+    while s % 2 == 0:
+        s //= 2
+        r += 1
+
+    def half(x: int) -> int:
+        return (x + n if x % 2 else x) // 2 % n
+
+    # U_k, V_k and Q^k, from k = 1 up to s by the bits of s
+    u, v, qk = 1, 1, q % n
+    for bit in bin(s)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(disc * u + v), qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(r - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 class Fp:

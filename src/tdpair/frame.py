@@ -128,6 +128,7 @@ class Frame:
                 [c for x in sys.Estar_factors if x for c in x[0].columns()])
             self.bases = {"P": p}
             self.a_pp = self.conj(sys.A, "PP")
+            self._astar = sys.Astar
             self.es_pp = [self.conj(x, "PP") for x in sys.Estar_factors]
             self.a_es_pp = [self.a_pp * x for x in self.es_pp]
             return
@@ -162,9 +163,10 @@ class Frame:
                                  for x in (split.raising, split.lowering))
         # for T = P^-1 Q, F_i in PQ is T F_i and E*_i in QP is T^-1 E*_i
         (p, p_inv), (q, q_inv) = self.bases["P"], self.bases["Q"]
-        t, t_inv = SparseMatrix.of(p_inv * q), SparseMatrix.of(q_inv * p)
-        self.f_pq = [t * x for x in self.f]
-        self.es_qp = [t_inv * x for x in self.es_pp]
+        self.t = SparseMatrix.of(p_inv * q)
+        self.t_inv = SparseMatrix.of(q_inv * p)
+        self.f_pq = [self.t * x for x in self.f]
+        self.es_qp = [self.t_inv * x for x in self.es_pp]
         # results one check computes and another reuses
         self.memo: Dict[tuple, SparseMatrix] = {}
         # F_i E*_i and E*_i F_i, which psi and psi^-1 sum
@@ -177,6 +179,11 @@ class Frame:
         ident = SparseMatrix.of(Matrix.identity(field, n))
         self.r_pow = powers(ident, raising, sys.d + 1)
         self.l_pow = powers(ident, lowering, sys.d + 1)
+
+    @cached_property
+    def astar_pp(self) -> SparseMatrix:
+        """P^-1 A* P, conjugated in full."""
+        return self.conj(self._astar, "PP")
 
     @cached_property
     def words(self) -> Dict[int, Dict[tuple, SparseMatrix]]:

@@ -9,10 +9,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import (FieldMismatchError, InternalInconsistencyError,
-                     KrawtchoukTypeError, NotNilpotentError)
+                     KrawtchoukTypeError)
 from .fields import Field, Scalar
+from .frame import frame_of
 from .leonard import LeonardData, _rep_dual_a, leonard_data
-from .linalg import nilpotent_exp_scaled
 from .matrix import Matrix, commutator
 from .results import Residual
 from .rfl import RFLDecomposition, compute_rfl
@@ -104,7 +104,12 @@ def construct_krawtchouk(params: KrawtchoukParams
 
 
 def is_krawtchouk_type(sys: TridiagonalSystem) -> bool:
-    """Whether both eigenvalue sequences are exactly d - 2i."""
+    """Whether both eigenvalue sequences are exactly d - 2i, over a field
+    whose characteristic is zero or an odd prime above d, as
+    KrawtchoukParams requires."""
+    char = sys.field.char
+    if char and (char == 2 or char <= sys.d):
+        return False
     expect = tuple(sys.field.from_int(sys.d - 2 * i)
                    for i in range(sys.d + 1))
     return sys.theta == expect and sys.thetastar == expect
@@ -118,9 +123,9 @@ def check_section12(sys: TridiagonalSystem,
     commutator relations, the grading of the dual-eigenspace parts under
     A*, their reconstruction from iterated commutators, the five bracket
     identities, the exponential form of the transition map with its three
-    intertwining laws (or the (d+1)-st power of a lowering map that is not
-    nilpotent), and the vanishing of high iterated commutators of the
-    shifted maps."""
+    intertwining laws (or the (d+1)-st power of the lowering map when it
+    is not zero), and the vanishing of high iterated commutators of the
+    shifted maps.  All are evaluated in the split frame."""
     if not is_krawtchouk_type(sys):
         raise KrawtchoukTypeError(
             "eigenvalue sequences are not the arithmetic family d - 2i")
@@ -128,6 +133,7 @@ def check_section12(sys: TridiagonalSystem,
         rfl = compute_rfl(sys)
     if split is None:
         split = compute_split(sys)
+    fr = frame_of(sys, split)
     field, d = sys.field, sys.d
     one = field.one
     two = field.from_int(2)
@@ -135,91 +141,78 @@ def check_section12(sys: TridiagonalSystem,
     half = one / two
     quarter = one / four
     eighth = one / field.from_int(8)
-    a, astar = sys.A, sys.Astar
-    r, f, l = rfl.raising, rfl.flat, rfl.lowering
-    cal_r, cal_l = split.raising, split.lowering
-    ident = Matrix.identity(field, sys.n)
+    a, astar = fr.a, fr.astar
+    r, f, l = (fr.conj(x, "QQ")
+               for x in (rfl.raising, rfl.flat, rfl.lowering))
+    cal_r, cal_l = fr.r_pow[1], fr.l_pow[1]
+    ident = fr.l_pow[0]
     out: List[Residual] = []
 
-    com_a = commutator(a, astar)
-    out.append(Residual(
-        "section12.quad.A", (),
-        commutator(a, commutator(a, com_a)) - com_a.scale(four)))
-    com_astar = commutator(astar, a)
-    out.append(Residual(
-        "section12.quad.Astar", (),
-        commutator(astar, commutator(astar, com_astar))
-        - com_astar.scale(four)))
+    def put(check_id: str, x, index: tuple = (), bases: str = "QQ"):
+        out.append(fr.residual(check_id, index, x, bases))
 
-    out.append(Residual("section12.grade.L",
-                        (), commutator(astar, l) - l.scale(two)))
-    out.append(Residual("section12.grade.F", (), commutator(astar, f)))
-    out.append(Residual("section12.grade.R",
-                        (), commutator(astar, r) + r.scale(two)))
+    com_a = commutator(a, astar)
+    put("section12.quad.A",
+        commutator(a, commutator(a, com_a)) - com_a.scale(four))
+    com_astar = commutator(astar, a)
+    put("section12.quad.Astar",
+        commutator(astar, commutator(astar, com_astar))
+        - com_astar.scale(four))
+
+    put("section12.grade.L", commutator(astar, l) - l.scale(two))
+    put("section12.grade.F", commutator(astar, f))
+    put("section12.grade.R", commutator(astar, r) + r.scale(two))
 
     w = commutator(astar, com_astar)
-    out.append(Residual(
-        "section12.rebuild.R", (),
-        r - (w - com_astar.scale(two)).scale(eighth)))
-    out.append(Residual(
-        "section12.rebuild.F", (), f - (a - w.scale(quarter))))
-    out.append(Residual(
-        "section12.rebuild.L", (),
-        l - (w + com_astar.scale(two)).scale(eighth)))
+    put("section12.rebuild.R", r - (w - com_astar.scale(two)).scale(eighth))
+    put("section12.rebuild.F", f - (a - w.scale(quarter)))
+    put("section12.rebuild.L", l - (w + com_astar.scale(two)).scale(eighth))
 
-    out.append(Residual("section12.bracket.LLF",
-                        (), commutator(l, commutator(l, f))))
-    out.append(Residual("section12.bracket.RRF",
-                        (), commutator(r, commutator(r, f))))
-    out.append(Residual(
-        "section12.bracket.FFL", (),
+    put("section12.bracket.LLF", commutator(l, commutator(l, f)))
+    put("section12.bracket.RRF", commutator(r, commutator(r, f)))
+    put("section12.bracket.FFL",
         commutator(f, commutator(f, l))
-        - commutator(l, commutator(l, r)).scale(two) - l.scale(four)))
-    out.append(Residual(
-        "section12.bracket.FFR", (),
+        - commutator(l, commutator(l, r)).scale(two) - l.scale(four))
+    put("section12.bracket.FFR",
         commutator(f, commutator(f, r))
-        - commutator(r, commutator(r, l)).scale(two) - r.scale(four)))
-    out.append(Residual("section12.bracket.FLR",
-                        (), commutator(f, commutator(l, r))))
+        - commutator(r, commutator(r, l)).scale(two) - r.scale(four))
+    put("section12.bracket.FLR", commutator(f, commutator(l, r)))
 
-    try:
-        exp_half = nilpotent_exp_scaled(cal_l, half)
-        exp_neg = nilpotent_exp_scaled(cal_l, -half)
-    except NotNilpotentError:
-        out.append(Residual("section12.exp.nil", (), cal_l ** (d + 1)))
+    if not fr.l_pow[d + 1].is_zero():
+        put("section12.exp.nil", fr.l_pow[d + 1])
     else:
-        out.append(Residual("section12.exp.psi", (),
-                            split.transition - exp_half))
-        out.append(Residual("section12.exp.psi_inv", (),
-                            split.transition_inv - exp_neg))
-        out.append(Residual("section12.exp.unit", (),
-                            exp_half * exp_neg - ident))
-        out.append(Residual("section12.exp.R", (),
-                            exp_half * r - cal_r * exp_half))
-        out.append(Residual(
-            "section12.exp.F", (),
+        # exp(c L) = sum of c^k / k! L^k over k <= d; the characteristic
+        # is zero or above d, so each k! is invertible
+        exp_half, exp_neg = ident, ident
+        coef = one
+        for k in range(1, d + 1):
+            coef = coef * half / field.from_int(k)
+            exp_half = exp_half + fr.l_pow[k].scale(coef)
+            exp_neg = exp_neg + fr.l_pow[k].scale(-coef if k % 2 else coef)
+        put("section12.exp.psi", fr.psi_qp - exp_half * fr.t_inv, (), "QP")
+        put("section12.exp.psi_inv", fr.psi_inv_pq - fr.t * exp_neg, (),
+            "PQ")
+        put("section12.exp.unit", exp_half * exp_neg - ident)
+        put("section12.exp.R", exp_half * r - cal_r * exp_half)
+        put("section12.exp.F",
             exp_half * f
-            - (a - cal_r + commutator(cal_l, cal_r).scale(half))
-            * exp_half))
-        out.append(Residual(
-            "section12.exp.L", (),
+            - (a - cal_r + commutator(cal_l, cal_r).scale(half)) * exp_half)
+        put("section12.exp.L",
             exp_half * l
             - (commutator(cal_l, commutator(cal_l, cal_r)).scale(eighth)
-               - cal_l) * exp_half))
+               - cal_l) * exp_half)
 
     ad_l = commutator(cal_l, commutator(cal_l, cal_r))
     ad_r = commutator(cal_r, commutator(cal_r, cal_l))
     for k in range(2, d + 2):
         ad_l = commutator(cal_l, ad_l)
         ad_r = commutator(cal_r, ad_r)
-        out.append(Residual("section12.adpow.L", (k,), ad_l))
-        out.append(Residual("section12.adpow.R", (k,), ad_r))
-    out.append(Residual(
-        "section12.triple.L", (),
-        commutator(cal_l, commutator(cal_l, commutator(cal_l, cal_r)))))
-    out.append(Residual(
-        "section12.triple.R", (),
-        commutator(cal_r, commutator(cal_r, commutator(cal_r, cal_l)))))
+        put("section12.adpow.L", ad_l, (k,))
+        put("section12.adpow.R", ad_r, (k,))
+    put("section12.triple.L",
+        commutator(cal_l, commutator(cal_l, commutator(cal_l, cal_r))))
+    put("section12.triple.R",
+        commutator(cal_r, commutator(cal_r, commutator(cal_r, cal_l))))
     return out
 
 

@@ -12,8 +12,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (DecompositionError, DimensionError,
-                     FactorialInversionError, FieldMismatchError,
-                     NotDiagonalizableError, NotNilpotentError,
+                     FieldMismatchError, NotDiagonalizableError,
                      SingularMatrixError)
 from .fields import Field, PrimeField, Scalar, is_prime
 from .matrix import Matrix
@@ -450,7 +449,7 @@ def eigenvalues_in_field(m: Matrix) -> EigenData:
     return EigenData(tuple(pairs), total == n)
 
 
-# -- idempotents, projectors, nilpotent exponentials ----------------------
+# -- idempotents and projectors -------------------------------------------
 
 
 def _idempotent_factors(m: Matrix, thetas: Sequence[Scalar]) -> list:
@@ -548,37 +547,3 @@ def projectors_from_direct_sum(parts: Sequence[Subspace]) -> List[Matrix]:
     _, _, factors = direct_sum(parts)
     zero = Matrix.zeros(parts[0].field, parts[0].ambient, parts[0].ambient)
     return [f[0] * f[1] if f else zero for f in factors]
-
-
-def nilpotency_index(m: Matrix) -> int:
-    """Least k with m^k = 0; raises NotNilpotentError when none exists."""
-    m._require_square()
-    if m.is_zero():
-        return 1
-    power = m
-    for k in range(2, m.nrows + 1):
-        power = power * m
-        if power.is_zero():
-            return k
-    raise NotNilpotentError("matrix is not nilpotent")
-
-
-def nilpotent_exp_scaled(m: Matrix, c) -> Matrix:
-    """exp(c*m) for nilpotent m, as the terminating exact power series.
-
-    In characteristic p the factorials 1..(index-1) must be invertible;
-    otherwise FactorialInversionError is raised.
-    """
-    index = nilpotency_index(m)
-    field = m.field
-    if field.char and field.char < index:
-        raise FactorialInversionError(
-            f"{field.char} divides a required factorial "
-            f"(nilpotency index {index})")
-    scaled = m.scale(field.coerce(c))
-    acc = Matrix.identity(field, m.nrows)
-    term = acc
-    for k in range(1, index):
-        term = (term * scaled).scale(field.one / field.from_int(k))
-        acc = acc + term
-    return acc

@@ -258,7 +258,8 @@ class Matrix:
         return [[self.field.to_text(x) for x in row] for row in self.rows]
 
 
-def commutator(x: Matrix, y: Matrix) -> Matrix:
+def commutator(x, y):
+    """xy - yx for two Matrix or two frame.SparseMatrix operands."""
     return x * y - y * x
 
 

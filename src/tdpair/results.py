@@ -3,29 +3,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Tuple, Union
 
 from .matrix import Matrix
 from .fields import Scalar
 
 
 class Residual:
-    """A matrix residual for one instance of an identity.  matrix is a
-    Matrix, scanned once here, or a function building it on first read,
-    with is_zero given; reports read is_zero and norm0 many times.
-    Residuals compare by identity."""
+    """A matrix residual for one instance of an identity.  is_zero is
+    known when it is made, and build makes the matrix on first read;
+    reports read is_zero and norm0 many times.  Residuals compare by
+    identity."""
 
     def __init__(self, check_id: str, index: Tuple[int, ...],
-                 matrix: Union[Matrix, Callable[[], Matrix]],
-                 is_zero: Optional[bool] = None):
-        self.check_id, self.index, self._matrix = check_id, index, matrix
-        self.is_zero = matrix.is_zero() if is_zero is None else is_zero
+                 build: Callable[[], Matrix], is_zero: bool):
+        self.check_id, self.index, self.is_zero = check_id, index, is_zero
+        self._build = build
 
-    @property
+    @cached_property
     def matrix(self) -> Matrix:
-        if not isinstance(self._matrix, Matrix):
-            self._matrix = self._matrix()
-        return self._matrix
+        build, self._build = self._build, None
+        return build()
 
     @cached_property
     def norm0(self) -> int:

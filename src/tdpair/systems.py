@@ -15,10 +15,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import (ContradictionError, FieldMismatchError,
                      InternalInconsistencyError, MalformedInputError)
 from .fields import Field, PrimeField, Scalar, field_from_descriptor
+from .frame import frame_of
 from .linalg import (Subspace, _echelon, _idempotent_factors, _insert,
                      charpoly, direct_sum, eigenvalues_in_field,
                      irreducible_mod_p, rank_kernel)
 from .matrix import Matrix, commutator
+from .results import Residual
 
 REASON_NOT_DIAGONALIZABLE = "not diagonalizable"
 REASON_NO_ORDERING = "no standard ordering"
@@ -547,24 +549,28 @@ def compute_relation_parameters(sys: TridiagonalSystem,
 
 def check_tridiagonal_relations(sys: TridiagonalSystem,
                                 params: Optional[RelationParameters] = None
-                                ) -> Tuple[Matrix, Matrix]:
-    """Residual matrices of the two cubic commutation relations; both are
-    zero exactly when the relations hold.  Each is one commutator,
-    [x, x^2 y - beta xyx + y x^2 - gamma (xy + yx) - rho y], for (x, y) =
-    (A, Astar) with gamma, rho and for (Astar, A) with gammastar, rhostar;
-    expanded, it is the cubic of the paper's relations."""
+                                ) -> Tuple[Residual, Residual]:
+    """Residuals relations.A and relations.Astar of the two cubic
+    commutation relations; both are zero exactly when the relations hold.
+    Each is one commutator, [x, x^2 y - beta xyx + y x^2 - gamma (xy + yx)
+    - rho y], for (x, y) = (A, Astar) with gamma, rho and for (Astar, A)
+    with gammastar, rhostar; expanded, it is the cubic of the paper's
+    relations.  Both are evaluated in the dual frame."""
     if params is None:
         params = compute_relation_parameters(sys)
-    a, b = sys.A, sys.Astar
+    fr = frame_of(sys)
 
-    def residual(x: Matrix, y: Matrix, gamma: Scalar, rho: Scalar) -> Matrix:
+    def residual(check_id: str, x, y, gamma: Scalar,
+                 rho: Scalar) -> Residual:
         xy, yx = x * y, y * x
         inner = (x * xy - (xy * x).scale(params.beta) + yx * x
                  - (xy + yx).scale(gamma) - y.scale(rho))
-        return commutator(x, inner)
+        return fr.residual(check_id, (), commutator(x, inner), "PP")
 
-    return (residual(a, b, params.gamma, params.rho),
-            residual(b, a, params.gammastar, params.rhostar))
+    return (residual("relations.A", fr.a_pp, fr.astar_pp, params.gamma,
+                     params.rho),
+            residual("relations.Astar", fr.astar_pp, fr.a_pp,
+                     params.gammastar, params.rhostar))
 
 
 # -- relatives --------------------------------------------------------------

@@ -5,16 +5,19 @@ byte for byte.
 
 Builds the inputs of the benchmark workloads family, eigen-scan and
 reject-mix for seeds 1 to 3 from `perfbench/workloads.py` of the tree
-holding this script, and six more with its builders: QQ Krawtchouk
+holding this script, and seven more with its builders: QQ Krawtchouk
 d = 14, the tensor sum of QQ Krawtchouk pairs of diameters 2 and 4 (n = 15,
 shape 1, 2, 3, 3, 3, 2, 1), Krawtchouk d = 6 with p = 3 over
 GF(2^31 - 1) and GF(2^61 - 1), whose residues are large, QQ Krawtchouk
 d = 8 conjugated as U^-1 A U, U^-1 A* U by a unipotent upper triangular U
-with integer entries drawn from [-2, 2] by `random.Random(8)`, and the
+with integer entries drawn from [-2, 2] by `random.Random(8)`, the
 GF(2^31 - 1) pair conjugated the same way with `random.Random(6)`, so that
 neither matrix is diagonal in the input basis and the factors of the
 idempotents are dense, and the Leonard data of a general basis is read
-over a large prime.  Runs `construct`, `verify` and `report` (JSON and
+over a large prime, and the tensor sum of GF(101) Krawtchouk pairs of
+diameter 2 (p = 5 and p = 9; shape 1, 2, 3, 2, 1) conjugated with
+`random.Random(9)`, where section12 runs with multiplicities and dense
+split and dual bases.  Runs `construct`, `verify` and `report` (JSON and
 CSV) on them through `tdpair.cli.main`, the conjugated pairs only
 verified and reported, and on each accepted benchmark input also
 `verify --checks master,section11`, which takes the subset path of the
@@ -79,7 +82,9 @@ def emit(tree: str) -> None:
         conjugated(krawtchouk_case("krawtchouk-qq-d8", 8, Fraction(1, 3),
                                    None), random.Random(8)),
         conjugated(krawtchouk_case("krawtchouk-m31-d6", 6, 3, 2 ** 31 - 1),
-                   random.Random(6)))]
+                   random.Random(6)),
+        conjugated(tensor_case("tensor-gf101-2x2", ((2, 5), (2, 9)), 101),
+                   random.Random(9)))]
     runs = []
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)

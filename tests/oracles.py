@@ -2,13 +2,15 @@
 that they stay independent of the frame the checks work in: each
 idempotent as the product of the factors a system holds, the shape
 recomputed from the ranks of those products, the matrices of A and A* in
-the three distinguished bases of a multiplicity-free system, and two
-readers of check results."""
+the three distinguished bases of a multiplicity-free system, two
+readers of check results, and the exponential of a nilpotent matrix as
+its terminating power series."""
 from dataclasses import dataclass
 from typing import Tuple
 
 from tdpair import (InternalInconsistencyError, Matrix, SingularMatrixError,
-                    compute_rfl, compute_split, inverse, leonard_data, rank)
+                    TdpairError, compute_rfl, compute_split, inverse,
+                    leonard_data, rank)
 from tdpair.leonard import _rep_dual_a, _tridiagonal
 from tdpair.systems import _compute_shape
 
@@ -116,3 +118,45 @@ def change_of_basis_reps(sys, split=None, rfl=None, data=None
     return LeonardRepresentations(primary_basis=b1, split_basis=b2,
                                   dual_basis=b3, primary=primary,
                                   split=split_rep, dual=dual)
+
+
+class NotNilpotentError(TdpairError):
+    """A matrix passed to a nilpotent-only routine is not nilpotent."""
+
+
+class FactorialInversionError(TdpairError):
+    """A required factorial is not invertible in the field."""
+
+
+def nilpotency_index(m: Matrix) -> int:
+    """Least k with m^k = 0; raises NotNilpotentError when none exists."""
+    m._require_square()
+    if m.is_zero():
+        return 1
+    power = m
+    for k in range(2, m.nrows + 1):
+        power = power * m
+        if power.is_zero():
+            return k
+    raise NotNilpotentError("matrix is not nilpotent")
+
+
+def nilpotent_exp_scaled(m: Matrix, c) -> Matrix:
+    """exp(c*m) for nilpotent m, as the terminating exact power series.
+
+    In characteristic p the factorials 1..(index-1) must be invertible;
+    otherwise FactorialInversionError is raised.
+    """
+    index = nilpotency_index(m)
+    field = m.field
+    if field.char and field.char < index:
+        raise FactorialInversionError(
+            f"{field.char} divides a required factorial "
+            f"(nilpotency index {index})")
+    scaled = m.scale(field.coerce(c))
+    acc = Matrix.identity(field, m.nrows)
+    term = acc
+    for k in range(1, index):
+        term = (term * scaled).scale(field.one / field.from_int(k))
+        acc = acc + term
+    return acc

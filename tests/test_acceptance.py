@@ -10,14 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from tdpair import (FactorialInversionError, KrawtchoukParams, Matrix,
-                    PrimeField, QQ, analyze_pair, check_master_identity,
-                    closed_form_data, compute_relation_parameters,
-                    compute_rfl, compute_split, construct_krawtchouk,
-                    kronecker_sum_candidate, leonard_data,
-                    nilpotent_exp_scaled, run_all_checks)
+from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, analyze_pair,
+                    check_master_identity, closed_form_data,
+                    compute_relation_parameters, compute_rfl, compute_split,
+                    construct_krawtchouk, kronecker_sum_candidate,
+                    leonard_data, run_all_checks)
 
-from oracles import idempotents, result_for
+from oracles import (FactorialInversionError, idempotents,
+                     nilpotent_exp_scaled, result_for)
 
 GRID_DIAMETERS = range(1, 7)
 RATIONAL_PARAMS = (Fraction(1, 3), Fraction(1, 2), Fraction(3, 4))

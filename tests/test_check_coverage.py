@@ -12,10 +12,12 @@ from pathlib import Path
 import pytest
 
 import tdpair
-from tdpair import (Matrix, Subspace, check_diagrams, check_master_identity,
-                    check_section5, check_section7, check_section11,
-                    check_section12, check_split_bijectivity, compute_rfl,
-                    compute_split, inverse, leonard_data)
+from tdpair import (KrawtchoukParams, Matrix, PrimeField, Subspace,
+                    check_diagrams, check_master_identity, check_section5,
+                    check_section7, check_section11, check_section12,
+                    check_split_bijectivity, compute_rfl, compute_split,
+                    construct_krawtchouk, inverse, is_krawtchouk_type,
+                    kronecker_sum_candidate, leonard_data)
 
 from oracles import change_of_basis_reps, idempotents
 from subspaces import subspace_sum, zero
@@ -128,14 +130,49 @@ def test_section11_reports_split_fact(name, fact, corrupt, _):
                    for n in failing(check_section7(system, split)))
 
 
-@pytest.mark.parametrize("name", ["krawtchouk-qq", "krawtchouk-gf101"])
-@pytest.mark.parametrize("corrupt", [lowering_off_band, lowering_plus_fd],
-                         ids=["lowering_off_band", "lowering_plus_fd"])
-def test_section12_reports_non_nilpotent_lowering(name, corrupt):
-    """A lowering map that is not nilpotent has no exponential, so
-    section12 reports its (d+1)-st power, section12.exp.nil, in place of
-    the six section12.exp residuals, and fails instead of raising."""
-    system = SYSTEMS[name]()
+def tensor_gf5():
+    """The arithmetic-family system of the tensor sum of Krawtchouk d=1
+    and d=2 over GF(5): n = 6 and d = 3."""
+    field = PrimeField(5)
+    s1, _ = construct_krawtchouk(KrawtchoukParams(field=field, d=1, p=3))
+    s2, _ = construct_krawtchouk(KrawtchoukParams(field=field, d=2, p=2))
+    return next(s for s in kronecker_sum_candidate(
+        s1, s2, run_checks=False).systems if is_krawtchouk_type(s))
+
+
+def shift(index):
+    """The lowering map replaced by a shift of the given nilpotency
+    index."""
+    def corrupt(split):
+        n = split.lowering.nrows
+        return replace(split, lowering=Matrix(split.lowering.field, [
+            [int(j == i + 1 and j < index) for j in range(n)]
+            for i in range(n)]))
+    corrupt.__name__ = f"shift_of_index_{index}"
+    return corrupt
+
+
+NON_ZERO_POWER_CASES = [
+    *((name, SYSTEMS[name], corrupt)
+      for name in ("krawtchouk-qq", "krawtchouk-gf101")
+      for corrupt in (lowering_off_band, lowering_plus_fd)),
+    # nilpotent of index d + 2 and of index n; the series of the second
+    # would need 1/5!, which GF(5) lacks
+    *(("tensor-gf5", tensor_gf5, shift(index)) for index in (5, 6)),
+]
+
+
+@pytest.mark.parametrize("build,corrupt",
+                         [case[1:] for case in NON_ZERO_POWER_CASES],
+                         ids=[f"{corrupt.__name__}-{name}" for name, _, corrupt
+                              in NON_ZERO_POWER_CASES])
+def test_section12_reports_non_nilpotent_lowering(build, corrupt):
+    """The exponential is summed from the powers of the lowering map up to
+    the d-th, which is exact when its (d+1)-st power is zero.  Where that
+    power is not zero, whether the map is not nilpotent or nilpotent of a
+    higher index, section12 reports it, section12.exp.nil, in place of the
+    six section12.exp residuals, and fails instead of raising."""
+    system = build()
     valid = compute_split(system)
     split = corrupt(valid)
     got = check_section12(system, compute_rfl(system), split)

@@ -151,6 +151,33 @@ def test_verify_rejection(tmp_path, capsys):
     assert doc["rejection"]["reason"] == "reducible"
 
 
+def test_verify_gf2_diameter_zero(tmp_path, capsys):
+    """Over GF(2) the pair (0), (0) has the eigenvalue sequence (0) = (d),
+    but the arithmetic-family suite divides by 2, so section12 is skipped
+    instead of raising."""
+    path = write_pair(tmp_path, [["0"]], [["0"]],
+                      field={"kind": "prime", "p": 2})
+    rc, out, err = run_cli(capsys, ["verify", path])
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert doc["ok"] is True
+    (check,) = [c for c in doc["systems"][0]["checks"]
+                if c["check-id"] == "section12"]
+    assert check["status"] == "skipped"
+
+
+def test_verify_composite_modulus(tmp_path, capsys):
+    """A strong pseudoprime to the bases 2 to 37 is no field."""
+    n = 399165290221 * 798330580441
+    path = write_pair(tmp_path, [["0", "1"], ["1", "0"]],
+                      [["1", "0"], ["0", "2"]],
+                      field={"kind": "prime", "p": n})
+    rc, out, err = run_cli(capsys, ["verify", path])
+    assert rc == 2
+    assert out == ""
+    assert "modulus must be prime" in err
+
+
 @pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1])
 def test_large_prime_field_in_time(p, tmp_path, capsys):
     path = str(tmp_path / "pair.json")

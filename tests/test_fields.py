@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 from tdpair import (FieldMismatchError, Fp, MalformedInputError, PrimeField,
                     QQ, ScalarParseError, field_from_descriptor, is_prime)
 
-PRIMES = [2, 3, 5, 7, 11, 13, 97, 101, 2 ** 31 - 1, 2 ** 61 - 1]
-COMPOSITES = [0, 1, 4, 9, 15, 91, 561, 2 ** 32 - 1, 25326001]
+PRIMES = [2, 3, 5, 7, 11, 13, 97, 101, 2 ** 31 - 1, 2 ** 61 - 1,
+          2 ** 89 - 1, 2 ** 127 - 1]
+# the last two are strong pseudoprimes to the bases 2 to 37, and the last
+# to 41 as well
+COMPOSITES = [0, 1, 4, 9, 15, 91, 561, 2 ** 32 - 1, 25326001,
+              399165290221 * 798330580441, 1287836182261 * 2575672364521]
 
 
 @pytest.mark.parametrize("n", PRIMES)

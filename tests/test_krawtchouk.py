@@ -9,9 +9,9 @@ from tdpair import (FieldMismatchError, KrawtchoukParams, KrawtchoukTypeError,
                     Matrix, PrimeField, QQ, REASON_REDUCIBLE, analyze_pair,
                     check_section12, closed_form_data, compute_split,
                     construct_krawtchouk, is_krawtchouk_type,
-                    kronecker_sum_candidate, nilpotent_exp_scaled)
+                    kronecker_sum_candidate)
 
-from oracles import all_zero
+from oracles import all_zero, nilpotent_exp_scaled
 
 
 def params(d, p, field=QQ):

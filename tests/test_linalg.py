@@ -5,16 +5,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tdpair import (DecompositionError, DimensionError,
-                    FactorialInversionError, Matrix, NotDiagonalizableError,
-                    NotNilpotentError, PrimeField, QQ, SingularMatrixError,
-                    Subspace, eigenvalues_in_field, inverse,
-                    lagrange_idempotents, nilpotency_index,
-                    nilpotent_exp_scaled, projectors_from_direct_sum, rank,
-                    rank_kernel, solve_right)
+from tdpair import (DecompositionError, DimensionError, Matrix,
+                    NotDiagonalizableError, PrimeField, QQ,
+                    SingularMatrixError, Subspace, eigenvalues_in_field,
+                    inverse, lagrange_idempotents, projectors_from_direct_sum,
+                    rank, rank_kernel, solve_right)
 from tdpair.linalg import (_poly_divmod, _rref, charpoly, irreducible_mod_p,
                            rational_roots)
 
+from oracles import (FactorialInversionError, NotNilpotentError,
+                     nilpotency_index, nilpotent_exp_scaled)
 from subspaces import (contains, full, is_subspace_of, subspace_intersect,
                        subspace_sum, zero)
 

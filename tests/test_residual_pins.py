@@ -11,7 +11,8 @@ kept, or E*_0 + 2 E*_1, with a larger one.
 The residuals and rank table of the RFL-side checks, section5 and
 section10, are pinned the same way, and so is what compute_rfl and
 compute_split build from a corrupted family of idempotents, or the class
-of the error compute_split raises on it.
+of the error compute_split raises on it, and so are the residuals of
+section12, on the arithmetic family, and of the two cubic relations.
 
 A residual knows whether it is zero before its matrix is built; on the
 same cases, every matrix residual of every check must agree with its
@@ -27,9 +28,9 @@ import pytest
 from tdpair import (Matrix, TdpairError, check_descent, check_diagrams,
                     check_master_identity, check_section5, check_section7,
                     check_section9, check_section10, check_section11,
-                    check_section12, check_split_bijectivity, compute_rfl,
-                    compute_split, inverse, is_krawtchouk_type,
-                    leonard_data)
+                    check_section12, check_split_bijectivity,
+                    check_tridiagonal_relations, compute_rfl, compute_split,
+                    inverse, is_krawtchouk_type, leonard_data)
 from tdpair import frame
 from tdpair.frame import Frame, frame_of
 
@@ -349,6 +350,188 @@ def test_rfl_residuals_pinned(name, corruption):
     assert rfl_digest(SYSTEMS[name](), corruption) \
         == RFL_PINS[name][corruption]
 
+
+# taken before section12 and the relations moved into the frame, from the
+# dense products in the input basis
+SECTION12_PINS = {
+    "krawtchouk-gf101": {
+        "none":
+            "9c6c0b55125085dfa9469a4f3156da5319e3e5ee6c451e7f40368131cdc58712",
+        "a_off_band":
+            "ba8ca7ad1ec8a918b3db825cc87e07874823fbdcd7a888f42712cd8e36285bbe",
+        "estar_doubled":
+            "9c6c0b55125085dfa9469a4f3156da5319e3e5ee6c451e7f40368131cdc58712",
+        "estar_merged":
+            "9c6c0b55125085dfa9469a4f3156da5319e3e5ee6c451e7f40368131cdc58712",
+        "fl_swapped":
+            "2c09931ea10c2bc0232943cbb7e433dc376ebf21e4ae1df29243720a4891cfce",
+        "lowering_off_band":
+            "4ef8c5c9cc92301ebbd2362a992b32fade76e83418de2fb6647cf285d599f6d5",
+        "lowering_plus_fd":
+            "3b222ec5ca371e52c57f32a2f3d0b8a274d238fa603b7d03fad37316767df4b4",
+        "projectors_merged":
+            "9c6c0b55125085dfa9469a4f3156da5319e3e5ee6c451e7f40368131cdc58712",
+        "projectors_swapped":
+            "9c6c0b55125085dfa9469a4f3156da5319e3e5ee6c451e7f40368131cdc58712",
+        "psi_inv_doubled":
+            "fa8c0e719b6eb782f5b5c90594dbeef096bccc7e193a04846783f6ef1cdfb86a",
+        "r_doubled":
+            "338c84e08a3e5c20b39cb673399a31f64e7deedd1a054b9eb337f5e4ed0c205d",
+        "raising_off_band":
+            "3a3db29172c094f12d07bab8786060dd94fd9b822410cbdfc3b9fdb812386373",
+        "raising_plus_f0":
+            "d4157554f4094092277109782b22751ce0201adaf586a0b7ef88546eed4a2346",
+        "rl_swapped":
+            "0a7f72f487c322f347a3949b88139ff2b1f888e1c4e05a59c2b7de8509358dd6",
+    },
+    "krawtchouk-qq": {
+        "none":
+            "233a1eb360a0e995bbc1a73b164c0d78631d11675c6989bb3118b11384927ba1",
+        "a_off_band":
+            "2b776c9395009093a55b71301adeec0e835ec36c2ff467269d2551edc75c57df",
+        "estar_doubled":
+            "233a1eb360a0e995bbc1a73b164c0d78631d11675c6989bb3118b11384927ba1",
+        "estar_merged":
+            "233a1eb360a0e995bbc1a73b164c0d78631d11675c6989bb3118b11384927ba1",
+        "fl_swapped":
+            "ec2a644e55e095dbd9ecefb8908e5b72f92d3dd4154e166381f1dc055219571c",
+        "lowering_off_band":
+            "98ea910b3cc4b748eb066818dc533dd4d4c92e82e45f0e892c311ffb3c7dcd78",
+        "lowering_plus_fd":
+            "10964e8618892b4b3636f62195a22942bb2ff719440162c7b755147dab21cfd8",
+        "projectors_merged":
+            "233a1eb360a0e995bbc1a73b164c0d78631d11675c6989bb3118b11384927ba1",
+        "projectors_swapped":
+            "233a1eb360a0e995bbc1a73b164c0d78631d11675c6989bb3118b11384927ba1",
+        "psi_inv_doubled":
+            "f47787b0100bbf58caccc1219263c5a9de9ff3c14a9194cf13aaf2a9eb89e9dc",
+        "r_doubled":
+            "0115778825b5d308af506c58ef726bd482e5f005f29381849f7c6c301ef7f1cb",
+        "raising_off_band":
+            "934538984abe877eba92082831ed2dcf16ea26229a8f3ad5ad0e5f2b6b3b7770",
+        "raising_plus_f0":
+            "0122e5e7d8d9f8d7ba29da0f73393e9b1e8f8d96f909ce71d19a7df55073955c",
+        "rl_swapped":
+            "0e5521fc8407023b75f09156ca996e5f756083ff9cd418ed4d5e40fd3d494663",
+    },
+}
+
+RELATION_PINS = {
+    "krawtchouk-gf101": {
+        "none":
+            "cc8617b43680c356397d228c16154786cda4be15eca5c0e62dbe082d468afe8e",
+        "a_off_band":
+            "fa01d32617a2cbf959fb166be953b062f8a7b651b0d19d8550611bf9765c7311",
+        "estar_doubled":
+            "cc8617b43680c356397d228c16154786cda4be15eca5c0e62dbe082d468afe8e",
+        "estar_merged":
+            "cc8617b43680c356397d228c16154786cda4be15eca5c0e62dbe082d468afe8e",
+        "fl_swapped":
+            "cc8617b43680c356397d228c16154786cda4be15eca5c0e62dbe082d468afe8e",
+        "lowering_off_band":
+            "cc8617b43680c356397d228c16154786cda4be15eca5c0e62dbe082d468afe8e",
+        "lowering_plus_fd":
+            "cc8617b43680c356397d228c16154786cda4be15eca5c0e62dbe082d468afe8e",
+        "projectors_merged":
+            "cc8617b43680c356397d228c16154786cda4be15eca5c0e62dbe082d468afe8e",
+        "projectors_swapped":
+            "cc8617b43680c356397d228c16154786cda4be15eca5c0e62dbe082d468afe8e",
+        "psi_inv_doubled":
+            "cc8617b43680c356397d228c16154786cda4be15eca5c0e62dbe082d468afe8e",
+        "r_doubled":
+            "cc8617b43680c356397d228c16154786cda4be15eca5c0e62dbe082d468afe8e",
+        "raising_off_band":
+            "cc8617b43680c356397d228c16154786cda4be15eca5c0e62dbe082d468afe8e",
+        "raising_plus_f0":
+            "cc8617b43680c356397d228c16154786cda4be15eca5c0e62dbe082d468afe8e",
+        "rl_swapped":
+            "cc8617b43680c356397d228c16154786cda4be15eca5c0e62dbe082d468afe8e",
+    },
+    "krawtchouk-qq": {
+        "none":
+            "ad139b3ce21fdd6c4c8c1d888659fcb16a2fe43a0af6c8ac144410900fd2c350",
+        "a_off_band":
+            "0da22e3dd2478f5cfc9f8c10d8fcd97247e7588e60069e8198c88b495e894562",
+        "estar_doubled":
+            "ad139b3ce21fdd6c4c8c1d888659fcb16a2fe43a0af6c8ac144410900fd2c350",
+        "estar_merged":
+            "ad139b3ce21fdd6c4c8c1d888659fcb16a2fe43a0af6c8ac144410900fd2c350",
+        "fl_swapped":
+            "ad139b3ce21fdd6c4c8c1d888659fcb16a2fe43a0af6c8ac144410900fd2c350",
+        "lowering_off_band":
+            "ad139b3ce21fdd6c4c8c1d888659fcb16a2fe43a0af6c8ac144410900fd2c350",
+        "lowering_plus_fd":
+            "ad139b3ce21fdd6c4c8c1d888659fcb16a2fe43a0af6c8ac144410900fd2c350",
+        "projectors_merged":
+            "ad139b3ce21fdd6c4c8c1d888659fcb16a2fe43a0af6c8ac144410900fd2c350",
+        "projectors_swapped":
+            "ad139b3ce21fdd6c4c8c1d888659fcb16a2fe43a0af6c8ac144410900fd2c350",
+        "psi_inv_doubled":
+            "ad139b3ce21fdd6c4c8c1d888659fcb16a2fe43a0af6c8ac144410900fd2c350",
+        "r_doubled":
+            "ad139b3ce21fdd6c4c8c1d888659fcb16a2fe43a0af6c8ac144410900fd2c350",
+        "raising_off_band":
+            "ad139b3ce21fdd6c4c8c1d888659fcb16a2fe43a0af6c8ac144410900fd2c350",
+        "raising_plus_f0":
+            "ad139b3ce21fdd6c4c8c1d888659fcb16a2fe43a0af6c8ac144410900fd2c350",
+        "rl_swapped":
+            "ad139b3ce21fdd6c4c8c1d888659fcb16a2fe43a0af6c8ac144410900fd2c350",
+    },
+    "tensor-sum": {
+        "none":
+            "22cd1099609a9ce459b5caca48762764a99bf36227d12d6db896541c08bd60e3",
+        "a_off_band":
+            "87b27b9bccbd62be9df95ea88349658c306f7e2105e6d7cac67f50a187bb2b48",
+        "estar_doubled":
+            "22cd1099609a9ce459b5caca48762764a99bf36227d12d6db896541c08bd60e3",
+        "estar_merged":
+            "22cd1099609a9ce459b5caca48762764a99bf36227d12d6db896541c08bd60e3",
+        "fl_swapped":
+            "22cd1099609a9ce459b5caca48762764a99bf36227d12d6db896541c08bd60e3",
+        "lowering_off_band":
+            "22cd1099609a9ce459b5caca48762764a99bf36227d12d6db896541c08bd60e3",
+        "lowering_plus_fd":
+            "22cd1099609a9ce459b5caca48762764a99bf36227d12d6db896541c08bd60e3",
+        "projectors_merged":
+            "22cd1099609a9ce459b5caca48762764a99bf36227d12d6db896541c08bd60e3",
+        "projectors_swapped":
+            "22cd1099609a9ce459b5caca48762764a99bf36227d12d6db896541c08bd60e3",
+        "psi_inv_doubled":
+            "22cd1099609a9ce459b5caca48762764a99bf36227d12d6db896541c08bd60e3",
+        "r_doubled":
+            "22cd1099609a9ce459b5caca48762764a99bf36227d12d6db896541c08bd60e3",
+        "raising_off_band":
+            "22cd1099609a9ce459b5caca48762764a99bf36227d12d6db896541c08bd60e3",
+        "raising_plus_f0":
+            "22cd1099609a9ce459b5caca48762764a99bf36227d12d6db896541c08bd60e3",
+        "rl_swapped":
+            "22cd1099609a9ce459b5caca48762764a99bf36227d12d6db896541c08bd60e3",
+    },
+}
+
+
+def section12_digest(system, corruption):
+    system, split, rfl = corrupted(system, corruption)
+    return sha256(check_section12(system, rfl, split), [])
+
+
+SECTION12_CASES = [(name, corruption) for name, corruption in CASES
+                   if name in SECTION12_PINS]
+
+
+@pytest.mark.parametrize("name,corruption", SECTION12_CASES,
+                         ids=[f"{n}-{c}" for n, c in SECTION12_CASES])
+def test_section12_residuals_pinned(name, corruption):
+    assert section12_digest(SYSTEMS[name](), corruption) \
+        == SECTION12_PINS[name][corruption]
+
+
+@pytest.mark.parametrize("name,corruption", CASES,
+                         ids=[f"{n}-{c}" for n, c in CASES])
+def test_relation_residuals_pinned(name, corruption):
+    system, _, _ = corrupted(SYSTEMS[name](), corruption)
+    assert sha256(check_tridiagonal_relations(system), []) \
+        == RELATION_PINS[name][corruption]
 
 # (family, corruption) by name; E*_0 doubled keeps the column spaces, the
 # merged families E_0 + 2 E_1 or E*_0 + 2 E*_1 do not, and on E* the

@@ -4,10 +4,9 @@ import pytest
 
 from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, Subspace,
                     check_section7, check_split_bijectivity, compute_split,
-                    construct_krawtchouk, kronecker_sum_candidate,
-                    nilpotency_index)
+                    construct_krawtchouk, kronecker_sum_candidate)
 
-from oracles import all_zero, idempotents
+from oracles import all_zero, idempotents, nilpotency_index
 from subspaces import subspace_intersect, subspace_sum, zero
 
 
