@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import SingularMatrixError
-from .linalg import _echelon, inverse, rank_factorization
+from .linalg import _echelon, inverse
 from .matrix import Matrix, powers
 from .results import Residual
 
@@ -36,7 +36,8 @@ class SparseMatrix:
 
     @classmethod
     def of(cls, m: Matrix) -> "SparseMatrix":
-        return cls(m.field, m.nrows, {
+        """m, padded with zero rows or columns to be square when thin."""
+        return cls(m.field, max(m.nrows, m.ncols), {
             i: {j: x for j, x in enumerate(row) if x}
             for i, row in enumerate(m.rows)})
 
@@ -63,19 +64,26 @@ class SparseMatrix:
             for i, row in self.rows.items()})
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
+        return self._merge(other, False)
+
+    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
+        return self._merge(other, True)
+
+    def _merge(self, other: "SparseMatrix", minus: bool) -> "SparseMatrix":
+        """self + other, or self - other when minus, entry by entry."""
         rows = {i: dict(row) for i, row in self.rows.items()}
         for i, row in other.rows.items():
             acc = rows.setdefault(i, {})
             for j, x in row.items():
-                x = acc[j] + x if j in acc else x
-                if not x:
-                    del acc[j]
-                else:
+                if j not in acc:
+                    acc[j] = -x if minus else x
+                    continue
+                x = acc[j] - x if minus else acc[j] + x
+                if x:
                     acc[j] = x
+                else:
+                    del acc[j]
         return SparseMatrix(self.field, self.n, rows)
-
-    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self + other.scale(-self.field.one)
 
     def __mul__(self, other: "SparseMatrix") -> "SparseMatrix":
         rows, right = {}, other.rows
@@ -114,9 +122,9 @@ class Frame:
     decomposition, in the split basis Q.  Names give the bases as in
     "QP": rows in Q, columns in P; operators named without one are in
     "QQ".  The system's frame, without a split, takes the factors of each
-    E*_i that the system holds, and the frame of a split starts from it.
-    Each operator is a SparseMatrix; only carrying one back to the
-    original basis makes it dense.  When the stacked bases of the dual
+    E_i and E*_i that the system holds, and the frame of a split starts
+    from it.  Each operator is a SparseMatrix; only carrying one back to
+    the original basis makes it dense.  When the stacked bases of the dual
     eigenspaces are no basis (a corrupted family of idempotents), P is
     the identity and is_basis is False."""
 
@@ -128,22 +136,22 @@ class Frame:
                 [c for x in sys.Estar_factors if x for c in x[0].columns()])
             self.bases = {"P": p}
             self.a_pp = self.conj(sys.A, "PP")
-            self._astar = sys.Astar
+            self._astar, self._e = sys.Astar, sys.E_factors
             self.es_pp = [self.conj(x, "PP") for x in sys.Estar_factors]
             self.a_es_pp = [self.a_pp * x for x in self.es_pp]
             return
         # the dual side is the system's, shared
-        vars(self).update(vars(frame_of(sys)))
-        # compute_split keeps Q, Q^-1 and the factors of F_i on its split; a
-        # split without them, or passed with another system, is conjugated
-        kept = split.__dict__.get("_factors")
+        self.dual = frame_of(sys)
+        vars(self).update(vars(self.dual))
+        # compute_split keeps Q and Q^-1 on its split; a split without
+        # them, or passed with another system, is conjugated
+        kept = split.__dict__.get("_q")
         kept = kept[1:] if kept and kept[0] is sys else None
         field, n, conj = self.field, self.n, self.conj
-        self.bases = dict(self.bases, Q=kept[:2] if kept else _basis(
+        self.bases = dict(self.bases, Q=kept or _basis(
             field, n, [c for s in split.summands for c in s.basis])[0])
         self.a, self.astar = conj(sys.A, "QQ"), conj(sys.Astar, "QQ")
         if kept:
-            self.f_fac = kept[2]
             # F_i is the identity on block i of Q
             block = [i for i, s in enumerate(split.summands)
                      for _ in range(s.dim)]
@@ -156,9 +164,7 @@ class Frame:
                 for x, th in ((self.a, sys.theta),
                               (self.astar, sys.thetastar)))
         else:
-            # projectors enter through their rank factorizations
-            self.f_fac = [rank_factorization(x) for x in split.projectors]
-            self.f = [conj(x, "QQ") for x in self.f_fac]
+            self.f = [conj(x, "QQ") for x in split.projectors]
             raising, lowering = (conj(x, "QQ")
                                  for x in (split.raising, split.lowering))
         # for T = P^-1 Q, F_i in PQ is T F_i and E*_i in QP is T^-1 E*_i
@@ -184,6 +190,26 @@ class Frame:
     def astar_pp(self) -> SparseMatrix:
         """P^-1 A* P, conjugated in full."""
         return self.conj(self._astar, "PP")
+
+    @cached_property
+    def e_b(self) -> List[SparseMatrix]:
+        """P^-1 B_i for each E_i = B_i C_i, in the first rho_i columns; a
+        split's frame reads the system's, so each is formed once."""
+        if "dual" in vars(self):
+            return self.dual.e_b
+        p_inv = self.bases["P"][1]
+        return [SparseMatrix.of(p_inv * x[0]) if x else
+                SparseMatrix(self.field, self.n, {}) for x in self._e]
+
+    @cached_property
+    def e_c(self) -> List[SparseMatrix]:
+        """C_i P for each E_i = B_i C_i, in the first rho_i rows; a split's
+        frame reads the system's, so each is formed once."""
+        if "dual" in vars(self):
+            return self.dual.e_c
+        p = self.bases["P"][0]
+        return [SparseMatrix.of(x[1] * p) if x else
+                SparseMatrix(self.field, self.n, {}) for x in self._e]
 
     @cached_property
     def words(self) -> Dict[int, Dict[tuple, SparseMatrix]]:

@@ -489,32 +489,6 @@ def lagrange_idempotents(m: Matrix, thetas: Sequence[Scalar]) -> List[Matrix]:
     return [b * c for b, c in _idempotent_factors(m, thetas)]
 
 
-def rank_factorization(m: Matrix) -> Optional[Tuple[Matrix, Matrix]]:
-    """(B, C) with m = B C, or None when m is zero.
-
-    B is the canonical basis of m's column space and C holds the rows of m
-    at B's pivot rows, so B has full column rank and C full row rank.  Hence
-    rank(X m) = rank(X B), and rank(m X m') = rank(C X B') for the factors
-    (B', C') of m': ranks of products with idempotents or projectors are
-    ranks of thin blocks.
-    """
-    space = Subspace.column_space(m)
-    if not space.dim:
-        return None
-    return (space.basis_matrix(),
-            Matrix(m.field, tuple(m.rows[p] for p in space.pivots),
-                   _trusted=True))
-
-
-def rank_between(left: Optional[Tuple[Matrix, Matrix]], x: Optional[Matrix],
-                 right: Optional[Tuple[Matrix, Matrix]]) -> int:
-    """rank(M X M') from the rank factorizations of M and M': the rank of
-    the thin block C X B', or of C B' for rank(M M') when x is None."""
-    if left is None or right is None:
-        return 0
-    return rank(left[1] * (right[0] if x is None else x * right[0]))
-
-
 def direct_sum(parts: Sequence[Subspace]) -> Tuple[Matrix, Matrix, list]:
     """(B, B^-1, factors) for B the stacked bases of the summands of a
     direct sum.  The projector onto a summand along the others is the

@@ -13,7 +13,6 @@ from typing import Dict, List, Optional
 
 from .fields import Scalar
 from .frame import SparseMatrix, frame_of
-from .linalg import rank_between
 from .matrix import Matrix, commutator, powers
 from .results import RankEntry, RankTable, Residual
 from .systems import (RelationParameters, TridiagonalSystem,
@@ -177,10 +176,10 @@ def check_section10(sys: TridiagonalSystem, rfl: RFLDecomposition
     """Observed against predicted ranks for powers of R and L between dual
     eigenspaces, and for the two-sided sandwiches of powers of A and A*.
 
-    The ranks on the dual side are those of sparse products in the dual
-    basis, restricted to their nonzero rows and columns; each E_i enters
-    through its rank factorization, so the ranks of E_i A*^k E_j are taken
-    of rho_i x rho_j matrices.
+    Every rank is that of a sparse product in the dual basis P, restricted
+    to its nonzero rows and columns.  E_i = B_i C_i enters through C_i P
+    and P^-1 B_i, which have full row and column rank, so E_i A*^k E_j
+    has the rank of the rho_i x rho_j matrix C_i P (P^-1 A* P)^k P^-1 B_j.
     """
     d = sys.d
     rho = sys.shape
@@ -188,9 +187,8 @@ def check_section10(sys: TridiagonalSystem, rfl: RFLDecomposition
     ident = SparseMatrix.of(Matrix.identity(sys.field, sys.n))
     r_pow, l_pow = (powers(ident, fr.conj(m, "PP"), d)
                     for m in (rfl.raising, rfl.lowering))
-    a_pow = powers(ident, fr.a_pp, d)
-    astar_pow = powers(Matrix.identity(sys.field, sys.n), sys.Astar, d)
-    e, es = sys.E_factors, fr.es_pp
+    a_pow, astar_pow = (powers(ident, m, d) for m in (fr.a_pp, fr.astar_pp))
+    e_b, e_c, es = fr.e_b, fr.e_c, fr.es_pp
     entries: List[RankEntry] = []
     for i in range(d + 1):
         for j in range(i, d + 1):
@@ -207,8 +205,8 @@ def check_section10(sys: TridiagonalSystem, rfl: RFLDecomposition
             entries.append(RankEntry(
                 "EsAEs_rev", i, j, (es[j] * a_pow[k] * es[i]).rank(), low))
             entries.append(RankEntry(
-                "EAsE", i, j, rank_between(e[i], astar_pow[k], e[j]), low))
+                "EAsE", i, j, (e_c[i] * astar_pow[k] * e_b[j]).rank(), low))
             entries.append(RankEntry(
-                "EAsE_rev", i, j, rank_between(e[j], astar_pow[k], e[i]),
+                "EAsE_rev", i, j, (e_c[j] * astar_pow[k] * e_b[i]).rank(),
                 low))
     return RankTable("section10", tuple(entries))

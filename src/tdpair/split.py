@@ -11,7 +11,7 @@ from typing import Dict, List, Tuple
 
 from .errors import InternalInconsistencyError
 from .frame import frame_of
-from .linalg import Subspace, _insert, direct_sum, rank_between
+from .linalg import Subspace, _insert, direct_sum
 from .matrix import Matrix
 from .results import RankEntry, RankTable, Residual
 from .systems import TridiagonalSystem
@@ -48,9 +48,8 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
 
     F_i is Q_i C_i, for Q_i and C_i the i-th column block of the stacked
     summand bases Q and row block of Q^-1, and E*_i = B*_i C*_i; each map
-    is one product of thin factors, psi = sum Q_i (C_i B*_i) C*_i.  Q,
-    Q^-1 and the factors (Q_i, C_i) are kept on the split, keyed to sys,
-    for its frame.
+    is one product of thin factors, psi = sum Q_i (C_i B*_i) C*_i.  Q and
+    Q^-1 are kept on the split, keyed to sys, for its frame.
     """
     field, n, d = sys.field, sys.n, sys.d
     e, es = sys.E_factors, sys.Estar_factors
@@ -58,14 +57,15 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
     if not fr.is_basis:
         raise InternalInconsistencyError(
             "the bases of the dual eigenspaces are not a basis")
-    p, p_inv = fr.bases["P"]
+    p = fr.bases["P"][0]
     ends = list(accumulate(x[0].ncols if x else 0 for x in es))
     # rows reversed, so that the echelon's pivot is the last coordinate
     rows: Dict[int, list] = {}
     summands: List[Subspace] = []
     for i in range(d, -1, -1):
         if e[i]:
-            for col in (p_inv * e[i][0]).columns():
+            # the columns of P^-1 B_i, for E_i = B_i C_i
+            for col in fr.e_b[i].dense().columns()[:e[i][0].ncols]:
                 _insert(rows, col[::-1])
         summands.append(Subspace.from_columns(
             field, n, [p.apply(row[::-1]) for piv, row in rows.items()
@@ -100,7 +100,7 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
                          for (q_i, c_i), (b, c) in pairs),
         transition_inv=total((b * (c * q_i), c_i)
                              for (q_i, c_i), (b, c) in pairs))
-    object.__setattr__(split, "_factors", (sys, q, q_inv, factors))
+    object.__setattr__(split, "_q", (sys, q, q_inv))
     return split
 
 
@@ -157,9 +157,11 @@ def check_split_bijectivity(sys: TridiagonalSystem,
                             split: SplitDecomposition) -> RankTable:
     """Observed against predicted ranks for powers of the shifted maps
     between summands, and for the pairings of each summand with its
-    eigenspace and dual eigenspace.  Those with E_i are ranks of thin
-    products of factors, the others of sparse products in the two bases."""
-    d, rho, e = sys.d, sys.shape, sys.E_factors
+    eigenspace and dual eigenspace, as ranks of sparse products in the two
+    bases.  E_i = B_i C_i enters through P^-1 B_i and C_i P, which have
+    full column and row rank, so F_i E_i has the rank of F_i T^-1 P^-1 B_i
+    and E_i F_i that of C_i P T F_i, for F_i in Q and T = P^-1 Q."""
+    d, rho = sys.d, sys.shape
     fr = frame_of(sys, split)
     proj = fr.f
     entries: List[RankEntry] = []
@@ -176,7 +178,7 @@ def check_split_bijectivity(sys: TridiagonalSystem,
         entries.append(RankEntry("FEstar", i, i, fr.fe_qp[i].rank(), rho[i]))
         entries.append(RankEntry("EstarF", i, i, fr.ef_pq[i].rank(), rho[i]))
         entries.append(RankEntry(
-            "FE", i, i, rank_between(fr.f_fac[i], None, e[i]), rho[i]))
+            "FE", i, i, (proj[i] * fr.t_inv * fr.e_b[i]).rank(), rho[i]))
         entries.append(RankEntry(
-            "EF", i, i, rank_between(e[i], None, fr.f_fac[i]), rho[i]))
+            "EF", i, i, (fr.e_c[i] * fr.f_pq[i]).rank(), rho[i]))
     return RankTable("section7", tuple(entries))

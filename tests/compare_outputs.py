@@ -5,7 +5,7 @@ byte for byte.
 
 Builds the inputs of the benchmark workloads family, eigen-scan and
 reject-mix for seeds 1 to 3 from `perfbench/workloads.py` of the tree
-holding this script, and seven more with its builders: QQ Krawtchouk
+holding this script, and eight more with its builders: QQ Krawtchouk
 d = 14, the tensor sum of QQ Krawtchouk pairs of diameters 2 and 4 (n = 15,
 shape 1, 2, 3, 3, 3, 2, 1), Krawtchouk d = 6 with p = 3 over
 GF(2^31 - 1) and GF(2^61 - 1), whose residues are large, QQ Krawtchouk
@@ -17,9 +17,12 @@ idempotents are dense, and the Leonard data of a general basis is read
 over a large prime, and the tensor sum of GF(101) Krawtchouk pairs of
 diameter 2 (p = 5 and p = 9; shape 1, 2, 3, 2, 1) conjugated with
 `random.Random(9)`, where section12 runs with multiplicities and dense
-split and dual bases.  Runs `construct`, `verify` and `report` (JSON and
-CSV) on them through `tdpair.cli.main`, the conjugated pairs only
-verified and reported, and on each accepted benchmark input also
+split and dual bases, and the same over QQ (p = 1/3 and p = 3/4)
+conjugated with `random.Random(10)`, where the rank tables read
+idempotents of rank 2 and 3 through dense factors.  Runs `construct`,
+`verify` and `report` (JSON and CSV) on them through `tdpair.cli.main`,
+the conjugated pairs only verified and reported, and on each accepted
+benchmark input also
 `verify --checks master,section11`, which takes the subset path of the
 check suite; once with BASE's `src` on the path and once with this
 tree's.  Exits 1 when any run differs in standard
@@ -84,7 +87,10 @@ def emit(tree: str) -> None:
         conjugated(krawtchouk_case("krawtchouk-m31-d6", 6, 3, 2 ** 31 - 1),
                    random.Random(6)),
         conjugated(tensor_case("tensor-gf101-2x2", ((2, 5), (2, 9)), 101),
-                   random.Random(9)))]
+                   random.Random(9)),
+        conjugated(tensor_case("tensor-qq-2x2",
+                               ((2, Fraction(1, 3)), (2, Fraction(3, 4))),
+                               None), random.Random(10)))]
     runs = []
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)

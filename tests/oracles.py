@@ -1,16 +1,17 @@
 """Dense forms that only the tests read, kept apart from the package so
 that they stay independent of the frame the checks work in: each
-idempotent as the product of the factors a system holds, the shape
+idempotent as the product of the factors a system holds and the rank
+factorization that recovers those factors from the product, the shape
 recomputed from the ranks of those products, the matrices of A and A* in
 the three distinguished bases of a multiplicity-free system, two
 readers of check results, and the exponential of a nilpotent matrix as
 its terminating power series."""
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from tdpair import (InternalInconsistencyError, Matrix, SingularMatrixError,
-                    TdpairError, compute_rfl, compute_split, inverse,
-                    leonard_data, rank)
+                    Subspace, TdpairError, compute_rfl, compute_split,
+                    inverse, leonard_data, rank)
 from tdpair.leonard import _rep_dual_a, _tridiagonal
 from tdpair.systems import _compute_shape
 
@@ -21,6 +22,20 @@ def idempotents(system, part: str) -> Tuple[Matrix, ...]:
     zero = Matrix.zeros(system.field, system.n, system.n)
     return tuple(f[0] * f[1] if f else zero
                  for f in getattr(system, part + "_factors"))
+
+
+def rank_factorization(m: Matrix) -> Optional[Tuple[Matrix, Matrix]]:
+    """(B, C) with m = B C, or None when m is zero.
+
+    B is the canonical basis of m's column space and C holds the rows of m
+    at B's pivot rows, so B has full column rank and C full row rank.
+    """
+    space = Subspace.column_space(m)
+    if not space.dim:
+        return None
+    return (space.basis_matrix(),
+            Matrix(m.field, tuple(m.rows[p] for p in space.pivots),
+                   _trusted=True))
 
 
 def compute_shape(system) -> Tuple[int, ...]:

@@ -89,6 +89,26 @@ def test_cancellations(drawn):
     assert (sx * sparse).rank() == rank(x * dense)
 
 
+@settings(deadline=None)
+@given(matrices(1), st.integers(min_value=0, max_value=5))
+def test_thin_is_padded(drawn, k):
+    """A thin matrix is made square with zero columns or rows after its
+    own, so products of padded factors have the ranks and entries of the
+    products of the factors."""
+    field, (m,) = drawn
+    n, k = m.nrows, 1 + k % m.nrows
+    zero = (field.zero,) * n
+    tall = Matrix.from_columns(field, m.columns()[:k])
+    wide = Matrix(field, m.rows[:k])
+    s_tall, s_wide = (canonical(SparseMatrix.of(x)) for x in (tall, wide))
+    assert s_tall.n == s_wide.n == n
+    assert s_tall.dense() == Matrix.from_columns(
+        field, m.columns()[:k] + [zero] * (n - k))
+    assert s_wide.dense() == Matrix(field, m.rows[:k] + (zero,) * (n - k))
+    assert (s_tall * s_wide).dense() == tall * wide
+    assert (s_wide * s_tall).rank() == rank(wide * tall)
+
+
 def test_zero_and_identity():
     for field in (QQ, GF101):
         zero = SparseMatrix(field, 3, {})

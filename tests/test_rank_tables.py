@@ -1,20 +1,20 @@
-"""The section10 and section7 rank tables take their ranks of thin blocks
-through rank factorizations of the idempotents and projectors.  These
-tests compare every entry with the rank of the full n x n product, on
-valid systems and on corrupted ones, where the same entries must
-mismatch."""
+"""The section10 and section7 rank tables take every rank of a sparse
+product in the dual and split bases, each E_i entering through its
+factors.  These tests compare every entry with the rank of the full
+n x n product, on valid systems, as built and in a general basis, and
+on corrupted ones, where the same entries must mismatch."""
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
-from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ,
+from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, analyze_pair,
                     check_section10, check_split_bijectivity, compute_rfl,
-                    compute_split, construct_krawtchouk,
+                    compute_split, construct_krawtchouk, inverse,
                     kronecker_sum_candidate, rank)
-from tdpair.linalg import rank_factorization
 
-from oracles import idempotents
+from oracles import idempotents, rank_factorization
 
 
 def powers(m, top):
@@ -86,9 +86,28 @@ SYSTEMS = {"krawtchouk-qq": krawtchouk_rational,
            "tensor-sum": tensor_sum}
 
 
-@pytest.fixture(scope="module", params=sorted(SYSTEMS))
+def conjugated(build, seed):
+    """The system build returns, recognized again from U^-1 A U and
+    U^-1 A* U, for U unipotent upper triangular with entries above the
+    diagonal drawn from [-2, 2] by random.Random(seed): neither matrix is
+    diagonal, so the dual and split bases P and Q are no permutations."""
+    def system():
+        s, rng = build(), random.Random(seed)
+        u = Matrix(s.field, [[rng.randint(-2, 2) if i < j else int(i == j)
+                              for j in range(s.n)] for i in range(s.n)])
+        u_inv = inverse(u)
+        return analyze_pair(u_inv * s.A * u, u_inv * s.Astar * u).systems[0]
+    return system
+
+
+CONJUGATED = {f"{name}-conj": conjugated(SYSTEMS[name], seed)
+              for seed, name in enumerate(sorted(SYSTEMS), start=1)}
+ALL_SYSTEMS = {**SYSTEMS, **CONJUGATED}
+
+
+@pytest.fixture(scope="module", params=sorted(ALL_SYSTEMS))
 def system(request):
-    return SYSTEMS[request.param]()
+    return ALL_SYSTEMS[request.param]()
 
 
 def test_section10_matches_full_products(system):
@@ -134,8 +153,15 @@ def block_raising(x, idems):
     return out
 
 
+def without_e0(system):
+    """The system with E_0 replaced by zero, held as factors None."""
+    e = idempotents(system, "E")
+    return with_idempotents(system, E=(e[0].scale(0),) + e[1:])
+
+
 @pytest.mark.parametrize("part",
-                         ["rfl", "A", "Astar", "Estar", "E", "merged"])
+                         ["rfl", "A", "Astar", "Estar", "E", "merged",
+                          "E0_zero"])
 def test_section10_corrupted_matches_full_products(system, part):
     rfl = compute_rfl(system)
     if part == "rfl":
@@ -151,6 +177,8 @@ def test_section10_corrupted_matches_full_products(system, part):
     elif part == "merged":
         system = with_idempotents(
             system, Estar=merged(idempotents(system, "Estar")))
+    elif part == "E0_zero":
+        system = without_e0(system)
     else:
         system = with_idempotents(
             system, **{part: swapped(idempotents(system, part), 0, 1)})
@@ -160,7 +188,8 @@ def test_section10_corrupted_matches_full_products(system, part):
 
 
 @pytest.mark.parametrize("part",
-                         ["projectors", "merged", "shifted", "Estar", "E"])
+                         ["projectors", "merged", "shifted", "Estar", "E",
+                          "E0_zero"])
 def test_section7_corrupted_matches_full_products(system, part):
     split = compute_split(system)
     if part == "projectors":
@@ -172,6 +201,8 @@ def test_section7_corrupted_matches_full_products(system, part):
     elif part == "shifted":
         split = dataclasses.replace(split, raising=split.lowering,
                                     lowering=split.raising)
+    elif part == "E0_zero":
+        system = without_e0(system)
     else:
         system = with_idempotents(
             system, **{part: swapped(idempotents(system, part), 0, 1)})

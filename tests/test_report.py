@@ -11,7 +11,7 @@ from tdpair import (CHECK_IDS, KrawtchoukParams, MalformedInputError,
                     construct_krawtchouk, inverse, kronecker_sum_candidate,
                     run_all_checks)
 from tdpair import frame, leonard, linalg
-from tdpair.frame import Frame
+from tdpair.frame import Frame, SparseMatrix
 
 from oracles import result_for
 
@@ -115,8 +115,8 @@ def test_skipped_entry_carries_reason(multiplicity_system):
 def test_each_idempotent_factored_once(kraw3, monkeypatch):
     """All checks on a fresh system factor no E_i or E*_i, since the
     system holds the factors recognition found, and invert the split's
-    stacked summand bases Q once: the split's frame reads its projectors
-    off the factors compute_split keeps and factors none of them."""
+    stacked summand bases Q once: the split's frame reads Q and Q^-1 off
+    what compute_split keeps."""
     system = dataclasses.replace(kraw3)
     spaces, inverted = [], []
     column_space = Subspace.column_space.__func__
@@ -137,6 +137,30 @@ def test_each_idempotent_factored_once(kraw3, monkeypatch):
     assert run_all_checks(system).ok
     assert not spaces
     assert sum(m == q for m in inverted) == 1
+
+
+@pytest.mark.parametrize("first,second", [("section7", "section10"),
+                                          ("section10", "section7")])
+def test_thin_factors_formed_once(kraw3, monkeypatch, first, second):
+    """Each E_i = B_i C_i enters the frame as P^-1 B_i and C_i P, the only
+    thin matrices made sparse, and each is formed once per system:
+    compute_split forms the first, and the rank tables of section7 and
+    section10, in either order, the second."""
+    system = dataclasses.replace(kraw3)
+    thin = []
+    of = SparseMatrix.of.__func__
+
+    def counted(cls, m):
+        if m.nrows != m.ncols:
+            thin.append(m)
+        return of(cls, m)
+
+    monkeypatch.setattr(SparseMatrix, "of", classmethod(counted))
+    compute_split(system)
+    assert len(thin) == system.d + 1
+    for check in (first, second):
+        assert run_all_checks(system, checks=[check]).ok
+    assert len(thin) == 2 * (system.d + 1)
 
 
 def test_accepted_system_carries_nothing_back(kraw3, monkeypatch):

@@ -234,15 +234,14 @@ def test_lazy_flags_agree_with_matrices(name, corruption):
             assert not r.is_zero or m == zero
 
 
-FRAME_OPERATORS = ("a", "astar", "f", "f_fac", "f_pq", "es_qp", "psi_qp",
+FRAME_OPERATORS = ("a", "astar", "f", "f_pq", "es_qp", "psi_qp",
                    "psi_inv_pq", "fe_qp", "ef_pq", "r_pow", "l_pow")
 
 
 def sparse_rows(x):
-    """The rows of a SparseMatrix, or of each in a list; a factor pair
-    (B, C) of f_fac, or None for a zero projector, stays as it is."""
+    """The rows of a SparseMatrix, or of each in a list."""
     if isinstance(x, list):
-        return [getattr(m, "rows", m) for m in x]
+        return [m.rows for m in x]
     return x.rows
 
 
@@ -251,10 +250,8 @@ def sparse_rows(x):
 def test_kept_factors_give_the_conjugated_frame(name, corruption):
     """The split frame read off what compute_split keeps equals the frame
     of the same split replaced, which conjugates the split's fields, on
-    every operator and on Q and Q^-1; the factors of each F_i that
-    direct_sum gives equal those rank_factorization gives of F_i.  The E*
-    cases pass the split with a system other than the one that built it,
-    and conjugate too."""
+    every operator and on Q and Q^-1.  The E* cases pass the split with a
+    system other than the one that built it, and conjugate too."""
     system, split, _ = corrupted(SYSTEMS[name](), corruption)
     got = Frame(system, split)
     want = Frame(system, dataclasses.replace(split))

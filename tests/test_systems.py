@@ -12,10 +12,9 @@ from tdpair import (ContradictionError, MalformedInputError, Matrix,
                     matrix_from_json, relative,
                     run_all_checks, system_from_json, system_to_json)
 from tdpair import linalg, systems
-from tdpair.linalg import rank_factorization
 from tdpair.systems import RELATIVE_KEYS, _spin
 
-from oracles import compute_shape, idempotents
+from oracles import compute_shape, idempotents, rank_factorization
 from subspaces import contains
 from test_rank_tables import SYSTEMS, krawtchouk_prime, krawtchouk_rational
 
