@@ -8,11 +8,19 @@ the shape and R, F, L and the shifted maps in one block diagonal each, so
 products touch few entries.  Nothing of this is assumed: operators are
 conjugated in full, or are exact products and sums of ones that were,
 and an entry is dropped only when it is zero, so a corrupted input keeps
-its off-band entries.  Only a nonzero residual is
-carried back to the original basis, and only when its matrix is read.
+its off-band entries.  Only a nonzero residual is carried back to the
+original basis, and only when its matrix is read.
+
+Entries are ints: over QQ numerators over one denominator den > 0 for
+the whole matrix, in lowest terms; over GF(p) residues in [1, p).  A
+product sums each entry unreduced and reduces it once, a sum rescales to
+the lcm of the two denominators, and field scalars appear only at the
+boundary: of, dense, trace, rank and the scalar that scale takes.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
@@ -25,82 +33,108 @@ _NONE: Dict[int, object] = {}
 
 
 class SparseMatrix:
-    """An n x n matrix holding only its nonzero entries: rows[i][j] is the
-    entry at (i, j), and a row with none is absent."""
+    """An n x n matrix holding only its nonzero entries: rows[i][j] / den
+    is the entry at (i, j), and a row with none is absent.  den is 1 over
+    GF(p) and when the matrix is zero."""
 
-    __slots__ = ("field", "n", "rows")
+    __slots__ = ("field", "n", "rows", "den")
 
-    def __init__(self, field, n: int, rows: Dict[int, Dict[int, object]]):
-        self.field, self.n = field, n
+    def __init__(self, field, n: int, rows: dict, den: int = 1):
+        self.field, self.n, self.den = field, n, den
         self.rows = {i: row for i, row in rows.items() if row}
+
+    def _lowest(self, rows: dict, den: int) -> "SparseMatrix":
+        """The matrix over self's field of rows of nonzero ints over den,
+        both divided by their gcd; over GF(p) den is already 1."""
+        g = den
+        for row in rows.values():
+            if g == 1:
+                break
+            g = math.gcd(g, *row.values())
+        if g != 1:
+            den //= g
+            rows = {i: {j: x // g for j, x in row.items()}
+                    for i, row in rows.items()}
+        return SparseMatrix(self.field, self.n, rows, den)
 
     @classmethod
     def of(cls, m: Matrix) -> "SparseMatrix":
         """m, padded with zero rows or columns to be square when thin."""
+        p = m.field.char
+        den = 1 if p else math.lcm(*(x.denominator for r in m.rows for x in r))
         return cls(m.field, max(m.nrows, m.ncols), {
-            i: {j: x for j, x in enumerate(row) if x}
-            for i, row in enumerate(m.rows)})
+            i: {j: x.val if p else x.numerator * (den // x.denominator)
+                for j, x in enumerate(row) if x}
+            for i, row in enumerate(m.rows)}, den)
+
+    def _scalar(self, x: int):
+        """The field scalar of the int entry x."""
+        return Fraction(x, self.den) if self.den != 1 \
+            else self.field.from_int(x)
 
     def dense(self) -> Matrix:
         zero, every = self.field.zero, range(self.n)
         return Matrix(self.field, tuple(
-            tuple(self.rows.get(i, _NONE).get(j, zero) for j in every)
-            for i in every), _trusted=True)
+            tuple(self._scalar(row[j]) if j in row else zero for j in every)
+            for row in (self.rows.get(i, _NONE) for i in every)),
+            _trusted=True)
 
     def is_zero(self) -> bool:
         return not self.rows
 
     def trace(self):
-        t = self.field.zero
-        for i, row in self.rows.items():
-            if i in row:
-                t = t + row[i]
-        return t
+        return self._scalar(sum(row.get(i, 0)
+                                for i, row in self.rows.items()))
 
     def scale(self, c) -> "SparseMatrix":
-        c = self.field.coerce(c)
-        return SparseMatrix(self.field, self.n, {
-            i: {j: c * x for j, x in row.items()} if c else {}
-            for i, row in self.rows.items()})
+        c, p = self.field.coerce(c), self.field.char
+        num, den = (c.val, 1) if p else (c.numerator, c.denominator)
+        return self._lowest({
+            i: {j: num * x % p if p else num * x for j, x in row.items()}
+            for i, row in self.rows.items()} if num else {}, self.den * den)
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self._merge(other, False)
+        return self._merge(other, 1)
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self._merge(other, True)
+        return self._merge(other, -1)
 
-    def _merge(self, other: "SparseMatrix", minus: bool) -> "SparseMatrix":
-        """self + other, or self - other when minus, entry by entry."""
-        rows = {i: dict(row) for i, row in self.rows.items()}
+    def _merge(self, other: "SparseMatrix", sign: int) -> "SparseMatrix":
+        """self + sign * other, over the lcm of the two denominators."""
+        p, den = self.field.char, math.lcm(self.den, other.den)
+        mine, theirs = den // self.den, sign * den // other.den
+        rows = {i: {j: mine * x for j, x in row.items()}
+                for i, row in self.rows.items()}
         for i, row in other.rows.items():
             acc = rows.setdefault(i, {})
             for j, x in row.items():
-                if j not in acc:
-                    acc[j] = -x if minus else x
-                    continue
-                x = acc[j] - x if minus else acc[j] + x
+                x = acc.get(j, 0) + theirs * x
+                if p:
+                    x %= p
                 if x:
                     acc[j] = x
                 else:
                     del acc[j]
-        return SparseMatrix(self.field, self.n, rows)
+        return self._lowest(rows, den)
 
     def __mul__(self, other: "SparseMatrix") -> "SparseMatrix":
-        rows, right = {}, other.rows
+        p, rows, right = self.field.char, {}, other.rows
         for i, row in self.rows.items():
-            acc: Dict[int, object] = {}
+            acc: Dict[int, int] = {}
             for k, a in row.items():
                 for j, b in right.get(k, _NONE).items():
                     acc[j] = acc[j] + a * b if j in acc else a * b
-            rows[i] = {j: x for j, x in acc.items() if x}
-        return SparseMatrix(self.field, self.n, rows)
+            rows[i] = {j: y for j, x in acc.items() if (y := x % p)} if p \
+                else {j: x for j, x in acc.items() if x}
+        return self._lowest(rows, self.den * other.den)
 
     def rank(self) -> int:
         """The rank of the nonzero rows restricted to the nonzero
-        columns."""
-        zero = self.field.zero
+        columns, read from the numerators."""
+        zero, of_int = self.field.zero, self.field.from_int
         cols = sorted({j for row in self.rows.values() for j in row})
-        return len(_echelon([[row.get(j, zero) for j in cols]
+        return len(_echelon([[of_int(row[j]) if j in row else zero
+                              for j in cols]
                              for _, row in sorted(self.rows.items())]))
 
 
@@ -123,10 +157,11 @@ class Frame:
     "QP": rows in Q, columns in P; operators named without one are in
     "QQ".  The system's frame, without a split, takes the factors of each
     E_i and E*_i that the system holds, and the frame of a split starts
-    from it.  Each operator is a SparseMatrix; only carrying one back to
-    the original basis makes it dense.  When the stacked bases of the dual
-    eigenspaces are no basis (a corrupted family of idempotents), P is
-    the identity and is_basis is False."""
+    from it.  bases holds (B, B^-1) for P and Q, sparse the same pairs as
+    SparseMatrix; each operator is a SparseMatrix, and only carrying one
+    back to the original basis makes it dense.  When the stacked bases of
+    the dual eigenspaces are no basis (a corrupted family of idempotents),
+    P is the identity and is_basis is False."""
 
     def __init__(self, sys, split=None):
         if split is None:
@@ -135,6 +170,7 @@ class Frame:
                 sys.field, sys.n,
                 [c for x in sys.Estar_factors if x for c in x[0].columns()])
             self.bases = {"P": p}
+            self.sparse = {"P": tuple(map(SparseMatrix.of, p))}
             self.a_pp = self.conj(sys.A, "PP")
             self._astar, self._e = sys.Astar, sys.E_factors
             self.es_pp = [self.conj(x, "PP") for x in sys.Estar_factors]
@@ -148,19 +184,22 @@ class Frame:
         kept = split.__dict__.get("_q")
         kept = kept[1:] if kept and kept[0] is sys else None
         field, n, conj = self.field, self.n, self.conj
-        self.bases = dict(self.bases, Q=kept or _basis(
-            field, n, [c for s in split.summands for c in s.basis])[0])
+        q = kept or _basis(
+            field, n, [c for s in split.summands for c in s.basis])[0]
+        self.bases = dict(self.bases, Q=q)
+        self.sparse = dict(self.sparse, Q=tuple(map(SparseMatrix.of, q)))
         self.a, self.astar = conj(sys.A, "QQ"), conj(sys.Astar, "QQ")
+        zero = SparseMatrix(field, n, {})
         if kept:
             # F_i is the identity on block i of Q
             block = [i for i, s in enumerate(split.summands)
                      for _ in range(s.dim)]
             self.f = [SparseMatrix(field, n, {
-                k: {k: field.one} for k, b in enumerate(block) if b == i})
+                k: {k: 1} for k, b in enumerate(block) if b == i})
                 for i in range(sys.d + 1)]
             # A - sum theta_i F_i and A* - sum thetastar_i F_i
-            raising, lowering = (x - SparseMatrix(field, n, {
-                k: {k: th[b]} for k, b in enumerate(block) if th[b]})
+            raising, lowering = (
+                x - sum((f.scale(t) for f, t in zip(self.f, th)), zero)
                 for x, th in ((self.a, sys.theta),
                               (self.astar, sys.thetastar)))
         else:
@@ -168,9 +207,8 @@ class Frame:
             raising, lowering = (conj(x, "QQ")
                                  for x in (split.raising, split.lowering))
         # for T = P^-1 Q, F_i in PQ is T F_i and E*_i in QP is T^-1 E*_i
-        (p, p_inv), (q, q_inv) = self.bases["P"], self.bases["Q"]
-        self.t = SparseMatrix.of(p_inv * q)
-        self.t_inv = SparseMatrix.of(q_inv * p)
+        (p, p_inv), (q, q_inv) = self.sparse["P"], self.sparse["Q"]
+        self.t, self.t_inv = p_inv * q, q_inv * p
         self.f_pq = [self.t * x for x in self.f]
         self.es_qp = [self.t_inv * x for x in self.es_pp]
         # results one check computes and another reuses
@@ -178,7 +216,6 @@ class Frame:
         # F_i E*_i and E*_i F_i, which psi and psi^-1 sum
         self.fe_qp = [f * e for f, e in zip(self.f, self.es_qp)]
         self.ef_pq = [e * f for e, f in zip(self.es_pp, self.f_pq)]
-        zero = SparseMatrix(field, n, {})
         self.psi_qp, self.psi_inv_pq = (
             (sum(self.fe_qp, zero), sum(self.ef_pq, zero)) if kept else
             (conj(split.transition, "QP"), conj(split.transition_inv, "PQ")))
@@ -225,13 +262,16 @@ class Frame:
 
     def conj(self, x, bases: str) -> SparseMatrix:
         """x from the basis bases[1] to the basis bases[0]; x is a matrix,
-        the factors (B, C) of one, or None for zero."""
-        left, right = self.bases[bases[0]][1], self.bases[bases[1]][0]
+        the factors (B, C) of one, or None for zero.  A matrix is
+        conjugated as a sparse product, factors as their dense thin
+        products."""
         if x is None:
             return SparseMatrix(self.field, self.n, {})
         if isinstance(x, tuple):
+            left, right = self.bases[bases[0]][1], self.bases[bases[1]][0]
             return SparseMatrix.of((left * x[0]) * (x[1] * right))
-        return SparseMatrix.of(left * x * right)
+        left, right = self.sparse[bases[0]][1], self.sparse[bases[1]][0]
+        return left * SparseMatrix.of(x) * right
 
     def original(self, x: SparseMatrix, bases: str) -> Matrix:
         """x carried back from the frame to the original basis."""

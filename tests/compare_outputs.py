@@ -19,7 +19,11 @@ diameter 2 (p = 5 and p = 9; shape 1, 2, 3, 2, 1) conjugated with
 `random.Random(9)`, where section12 runs with multiplicities and dense
 split and dual bases, and the same over QQ (p = 1/3 and p = 3/4)
 conjugated with `random.Random(10)`, where the rank tables read
-idempotents of rank 2 and 3 through dense factors.  Runs `construct`,
+idempotents of rank 2 and 3 through dense factors, and the QQ Leonard
+system of Krawtchouk d = 6 (p = 1/3) under theta -> (3/7) theta + 5/11,
+theta* -> (2/13) theta* + 1/17 and phi_i -> (3/7)(2/13) phi_i, whose
+entries have coprime denominators, so that sums in the frame rescale to a
+common denominator.  Runs `construct`,
 `verify` and `report` (JSON and CSV) on them through `tdpair.cli.main`,
 the conjugated pairs only verified and reported, and on each accepted
 benchmark input also
@@ -64,6 +68,21 @@ def conjugated(case, rng):
         a=mul(inv, mul(case.a, u)), astar=mul(inv, mul(case.astar, u)))
 
 
+def affine_leonard():
+    """The QQ Leonard system of Krawtchouk d = 6, p = 1/3, under
+    theta -> (3/7) theta + 5/11 and theta* -> (2/13) theta* + 1/17, with
+    phi scaled by the product of the two slopes."""
+    from exact import krawtchouk_scalars
+    from workloads import leonard_case
+    s = krawtchouk_scalars(6, Fraction(1, 3))
+    xi, xi_star = Fraction(3, 7), Fraction(2, 13)
+    return leonard_case(
+        "leonard-qq-affine-d6",
+        [xi * t + Fraction(5, 11) for t in s["theta"]],
+        [xi_star * t + Fraction(1, 17) for t in s["thetastar"]],
+        [xi * xi_star * f for f in s["phi"]])
+
+
 def emit(tree: str) -> None:
     """Run every command with tree's `src` first on the path and print
     one JSON record per run."""
@@ -90,7 +109,8 @@ def emit(tree: str) -> None:
                    random.Random(9)),
         conjugated(tensor_case("tensor-qq-2x2",
                                ((2, Fraction(1, 3)), (2, Fraction(3, 4))),
-                               None), random.Random(10)))]
+                               None), random.Random(10)),
+        affine_leonard())]
     runs = []
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)

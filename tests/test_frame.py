@@ -1,4 +1,6 @@
-"""SparseMatrix against the dense Matrix as oracle, over QQ and GF(101)."""
+"""SparseMatrix against the dense Matrix as oracle, over QQ, GF(101) and
+GF(2^61 - 1)."""
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -8,18 +10,23 @@ from tdpair import Matrix, PrimeField, QQ, rank
 from tdpair.frame import SparseMatrix
 
 GF101 = PrimeField(101)
+M61 = PrimeField(2 ** 61 - 1)
 
 
 @st.composite
 def matrices(draw, count):
     """A field, and count square matrices over it of one size up to 6,
-    about half of whose entries are zero."""
-    field = draw(st.sampled_from([QQ, GF101]))
+    about half of whose entries are zero.  Rationals have denominators up
+    to 50, so that sums rescale to a common denominator; residues are
+    within 100 of p, so that over GF(2^61 - 1) the unreduced sums of
+    products pass 64 bits."""
+    field = draw(st.sampled_from([QQ, GF101, M61]))
     n = draw(st.integers(min_value=1, max_value=6))
     if field is QQ:
-        nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+        nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=50)
     else:
-        nonzero = st.integers(min_value=1, max_value=100)
+        nonzero = st.integers(min_value=1, max_value=100).map(
+            lambda k: field.p - k)
     entry = st.one_of(st.just(0), nonzero)
     square = st.lists(st.lists(entry, min_size=n, max_size=n),
                       min_size=n, max_size=n)
@@ -27,10 +34,19 @@ def matrices(draw, count):
 
 
 def canonical(s: SparseMatrix) -> SparseMatrix:
-    """s, after asserting that it keeps no zero entry and no empty row."""
+    """s, after asserting that it keeps no zero entry and no empty row, and
+    that its entries are ints in the one form: over GF(p) residues in
+    [1, p) over den 1; over QQ numerators over one den > 0 in lowest
+    terms, which makes den 1 when there is no entry."""
     for i, row in s.rows.items():
         assert row and 0 <= i < s.n
-        assert all(x and 0 <= j < s.n for j, x in row.items())
+        assert all(type(x) is int and x and 0 <= j < s.n
+                   for j, x in row.items())
+    entries = [x for row in s.rows.values() for x in row.values()]
+    if s.field.char:
+        assert s.den == 1 and all(0 < x < s.field.char for x in entries)
+    else:
+        assert s.den > 0 and math.gcd(s.den, *entries) == 1
     return s
 
 
@@ -42,6 +58,7 @@ def test_round_trip(drawn):
     assert s.dense() == m
     assert s.is_zero() == m.is_zero()
     assert s.rank() == rank(m)
+    assert s.trace() == m.trace()
 
 
 @settings(deadline=None)
@@ -54,15 +71,20 @@ def test_arithmetic_matches_dense(drawn):
         assert canonical(sparse).dense() == dense
         assert sparse.is_zero() == dense.is_zero()
         assert sparse.rank() == rank(dense)
+        assert sparse.trace() == dense.trace()
 
 
 @settings(deadline=None)
 @given(matrices(1), st.integers(min_value=-202, max_value=202),
-       st.integers(min_value=1, max_value=5))
-def test_scale_matches_dense(drawn, num, den):
+       st.integers(min_value=1, max_value=5),
+       st.integers(min_value=10 ** 20, max_value=10 ** 30))
+def test_scale_matches_dense(drawn, num, den, big):
     field, (m,) = drawn
-    # 101 is zero in GF(101)
-    for c in (num, Fraction(num, den) if field is QQ else num, 0, 101):
+    # 101 is zero in GF(101); a rational scalar may have a large
+    # denominator
+    rational = (Fraction(num, den), Fraction(num, big)) if field is QQ \
+        else ()
+    for c in (num, *rational, 0, 101):
         assert canonical(SparseMatrix.of(m).scale(c)).dense() == m.scale(c)
 
 
@@ -74,8 +96,8 @@ def test_cancellations(drawn):
     field, (x, m) = drawn
     n = x.nrows
     sx = SparseMatrix.of(x)
-    assert (sx - sx).rows == {}
-    assert (sx + sx.scale(-1)).rows == {}
+    assert canonical(sx - sx).rows == {}
+    assert canonical(sx + sx.scale(-1)).rows == {}
     # the strictly upper triangle of m is nilpotent of index at most n
     nil = Matrix(field, [[v if j > i else 0 for j, v in enumerate(row)]
                          for i, row in enumerate(m.rows)])
@@ -83,7 +105,7 @@ def test_cancellations(drawn):
     power = SparseMatrix.of(Matrix.identity(field, n))
     for _ in range(n):
         power = power * sparse
-    assert power.rows == {}
+    assert canonical(power).rows == {}
     assert (sx * power).rows == {} and (power * sx).rows == {}
     assert canonical(sx * sparse).dense() == x * dense
     assert (sx * sparse).rank() == rank(x * dense)
@@ -117,6 +139,7 @@ def test_zero_and_identity():
         ident = SparseMatrix.of(Matrix.identity(field, 3))
         assert ident.rank() == 3 and not ident.is_zero()
         assert (ident * ident).dense() == Matrix.identity(field, 3)
+        assert canonical(ident * ident).rows == {k: {k: 1} for k in range(3)}
         # rows given empty are dropped when the matrix is made
-        assert SparseMatrix(field, 3, {0: {}, 1: {2: field.one}}).rows \
-            == {1: {2: field.one}}
+        assert SparseMatrix(field, 3, {0: {}, 1: {2: 1}}).rows \
+            == {1: {2: 1}}

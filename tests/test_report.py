@@ -163,6 +163,36 @@ def test_thin_factors_formed_once(kraw3, monkeypatch, first, second):
     assert len(thin) == 2 * (system.d + 1)
 
 
+def test_conj_of_a_matrix_takes_no_dense_product(kraw3, monkeypatch):
+    """Frame.conj of a full matrix is a sparse product with the bases P,
+    P^-1, Q and Q^-1 held sparse, so over every check it makes no dense
+    product; only carrying back, inverting a basis and conjugating the
+    factors (B, C) of a matrix do."""
+    system = dataclasses.replace(kraw3)
+    inside, full, dense = [], [], []
+    matmul, conj = Matrix._matmul, Frame.conj
+
+    def spy_matmul(a, b):
+        if inside:
+            dense.append((a, b))
+        return matmul(a, b)
+
+    def spy_conj(self, x, bases):
+        if not isinstance(x, Matrix):
+            return conj(self, x, bases)
+        full.append(bases)
+        inside.append(1)
+        try:
+            return conj(self, x, bases)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Matrix, "_matmul", spy_matmul)
+    monkeypatch.setattr(Frame, "conj", spy_conj)
+    assert run_all_checks(system).ok
+    assert full and not dense
+
+
 def test_accepted_system_carries_nothing_back(kraw3, monkeypatch):
     """On a system every check accepts, each residual is zero in the
     frame, so the report and its JSON carry no residual back to the

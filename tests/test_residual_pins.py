@@ -239,10 +239,12 @@ FRAME_OPERATORS = ("a", "astar", "f", "f_pq", "es_qp", "psi_qp",
 
 
 def sparse_rows(x):
-    """The rows of a SparseMatrix, or of each in a list."""
+    """The denominator and rows of a SparseMatrix, or of each in a list:
+    the whole of its integer form, since equal numerators over another
+    denominator are another matrix."""
     if isinstance(x, list):
-        return [m.rows for m in x]
-    return x.rows
+        return [(m.den, m.rows) for m in x]
+    return x.den, x.rows
 
 
 @pytest.mark.parametrize("name,corruption", CASES,
