@@ -16,7 +16,7 @@ from .fields import (Fp, PrimeField, QQ, RationalField, field_from_descriptor,
                      is_prime)
 from .matrix import Matrix, commutator
 from .linalg import (EigenData, Subspace, eigenvalues_in_field, inverse,
-                     lagrange_idempotents, projectors_from_direct_sum, rank,
+                     lagrange_idempotents, projectors_from_direct_sum,
                      rank_kernel, solve_right)
 from .systems import (PairAnalysis, REASON_DIAMETER,
                       REASON_NOT_DIAGONALIZABLE, REASON_NO_ORDERING,
@@ -67,7 +67,7 @@ __all__ = [
     "generated_algebra_dimension", "inverse", "is_krawtchouk_type",
     "is_prime", "kronecker_sum_candidate", "lagrange_idempotents",
     "leonard_data", "matrix_from_json", "projectors_from_direct_sum",
-    "rank", "rank_kernel", "relative", "run_all_checks",
+    "rank_kernel", "relative", "run_all_checks",
     "section5_coefficients", "solve_right", "system_from_json",
     "system_to_json",
 ]

@@ -15,7 +15,7 @@ Entries are ints: over QQ numerators over one denominator den > 0 for
 the whole matrix, in lowest terms; over GF(p) residues in [1, p).  A
 product sums each entry unreduced and reduces it once, a sum rescales to
 the lcm of the two denominators, and field scalars appear only at the
-boundary: of, dense, trace, rank and the scalar that scale takes.
+boundary: of, dense, trace and the scalar that scale takes.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import SingularMatrixError
-from .linalg import _echelon, inverse
+from .linalg import _int_rref, inverse
 from .matrix import Matrix, powers
 from .results import Residual
 
@@ -130,12 +130,11 @@ class SparseMatrix:
 
     def rank(self) -> int:
         """The rank of the nonzero rows restricted to the nonzero
-        columns, read from the numerators."""
-        zero, of_int = self.field.zero, self.field.from_int
+        columns, read from the numerators, since den changes no rank."""
         cols = sorted({j for row in self.rows.values() for j in row})
-        return len(_echelon([[of_int(row[j]) if j in row else zero
-                              for j in cols]
-                             for _, row in sorted(self.rows.items())]))
+        return len(_int_rref([[row.get(j, 0) for j in cols]
+                              for row in self.rows.values()],
+                             self.field.char)[2])
 
 
 def _basis(field, n: int, columns: List[Sequence]) -> Tuple[tuple, bool]:

@@ -16,7 +16,7 @@ from .errors import (ContradictionError, FieldMismatchError,
                      InternalInconsistencyError, MalformedInputError)
 from .fields import Field, PrimeField, Scalar, field_from_descriptor
 from .frame import frame_of
-from .linalg import (Subspace, _echelon, _idempotent_factors, _insert,
+from .linalg import (Subspace, _idempotent_factors, _insert,
                      charpoly, direct_sum, eigenvalues_in_field,
                      irreducible_mod_p, rank_kernel)
 from .matrix import Matrix, commutator
@@ -282,9 +282,10 @@ def _condensed_verdict(gens: Tuple[Matrix, Matrix], b: Matrix, c: Matrix
     field, n, rho = b.field, b.nrows, b.ncols
     # T B, as n x rho matrices, and S spanned by C times them
     blocks = _spin(gens, [[x for col in b.columns() for x in col]])
-    elements = _echelon([[x for k in range(0, n * rho, n)
-                          for x in c.apply(vec[k:k + n])]
-                         for vec in blocks.values()])
+    elements: Dict[int, List[Scalar]] = {}
+    for vec in blocks.values():
+        _insert(elements, [x for k in range(0, n * rho, n)
+                           for x in c.apply(vec[k:k + n])])
     if len(elements) == 1:
         return _witness(field, _spin(gens, [b.column(0)]), n)
     ident = Matrix.identity(field, rho)

@@ -5,7 +5,7 @@ byte for byte.
 
 Builds the inputs of the benchmark workloads family, eigen-scan and
 reject-mix for seeds 1 to 3 from `perfbench/workloads.py` of the tree
-holding this script, and eight more with its builders: QQ Krawtchouk
+holding this script, and eleven more with its builders: QQ Krawtchouk
 d = 14, the tensor sum of QQ Krawtchouk pairs of diameters 2 and 4 (n = 15,
 shape 1, 2, 3, 3, 3, 2, 1), Krawtchouk d = 6 with p = 3 over
 GF(2^31 - 1) and GF(2^61 - 1), whose residues are large, QQ Krawtchouk
@@ -14,7 +14,12 @@ with integer entries drawn from [-2, 2] by `random.Random(8)`, the
 GF(2^31 - 1) pair conjugated the same way with `random.Random(6)`, so that
 neither matrix is diagonal in the input basis and the factors of the
 idempotents are dense, and the Leonard data of a general basis is read
-over a large prime, and the tensor sum of GF(101) Krawtchouk pairs of
+over a large prime, the GF(2^61 - 1) pair conjugated with
+`random.Random(61)`, so that the modular kernels of recognition see
+residues near 2^61 on a general basis, the direct sum of the
+Krawtchouk pairs of diameter 2 with p = 3 and p = 5 over GF(2^31 - 1),
+a reducible pair whose rejection is reached through the modular
+kernels, and the tensor sum of GF(101) Krawtchouk pairs of
 diameter 2 (p = 5 and p = 9; shape 1, 2, 3, 2, 1) conjugated with
 `random.Random(9)`, where section12 runs with multiplicities and dense
 split and dual bases, and the same over QQ (p = 1/3 and p = 3/4)
@@ -87,8 +92,10 @@ def emit(tree: str) -> None:
     """Run every command with tree's `src` first on the path and print
     one JSON record per run."""
     sys.path[:0] = [str(Path(tree).resolve() / "src"), str(ROOT / "perfbench")]
+    from exact import direct_sum, krawtchouk_pair
     from run import _call, _pair_doc
-    from workloads import WORKLOADS, krawtchouk_case, tensor_case
+    from workloads import (REDUCIBLE, WORKLOADS, Case, krawtchouk_case,
+                           tensor_case)
     from tdpair import cli
 
     cases = [(f"{workload}-{seed}-{case.label}", case)
@@ -105,6 +112,12 @@ def emit(tree: str) -> None:
                                    None), random.Random(8)),
         conjugated(krawtchouk_case("krawtchouk-m31-d6", 6, 3, 2 ** 31 - 1),
                    random.Random(6)),
+        conjugated(krawtchouk_case("krawtchouk-m61-d6", 6, 3, 2 ** 61 - 1),
+                   random.Random(61)),
+        Case("direct-sum-m31", 2 ** 31 - 1,
+             *(direct_sum(x, y) for x, y in zip(krawtchouk_pair(2, 3),
+                                                krawtchouk_pair(2, 5))),
+             [], [], reason=REDUCIBLE),
         conjugated(tensor_case("tensor-gf101-2x2", ((2, 5), (2, 9)), 101),
                    random.Random(9)),
         conjugated(tensor_case("tensor-qq-2x2",

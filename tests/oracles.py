@@ -4,16 +4,55 @@ idempotent as the product of the factors a system holds and the rank
 factorization that recovers those factors from the product, the shape
 recomputed from the ranks of those products, the matrices of A and A* in
 the three distinguished bases of a multiplicity-free system, two
-readers of check results, and the exponential of a nilpotent matrix as
-its terminating power series."""
+readers of check results, the exponential of a nilpotent matrix as
+its terminating power series, and the field-scalar elimination that the
+package's integer one replaced: echelon rows, the reduced row echelon
+form, the rank and the column space."""
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from tdpair import (InternalInconsistencyError, Matrix, SingularMatrixError,
                     Subspace, TdpairError, compute_rfl, compute_split,
-                    inverse, leonard_data, rank)
+                    inverse, leonard_data)
 from tdpair.leonard import _rep_dual_a, _tridiagonal
+from tdpair.linalg import _insert, _reduce
 from tdpair.systems import _compute_shape
+
+
+def _echelon(rows: Sequence[Sequence]) -> Dict[int, List]:
+    """Echelon rows of field scalars, keyed by pivot, spanning the same
+    space as rows."""
+    out: Dict[int, List] = {}
+    width = len(rows[0]) if rows else 0
+    for row in rows:
+        if len(out) == width:
+            break
+        _insert(out, row)
+    return out
+
+
+def _rref(rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
+    """Reduced row echelon form of rows of field scalars: (the nonzero
+    rows, their pivot columns)."""
+    echelon = _echelon(rows)
+    pivots = sorted(echelon)
+    # a row is 0 left of its pivot, so reducing each row against the rows
+    # below it, from the last one up, clears every pivot column
+    done: List[Tuple[int, List]] = []
+    for p in reversed(pivots):
+        done.append((p, _reduce(done, echelon[p])))
+    return [row for _, row in reversed(done)], pivots
+
+
+def rank(m: Matrix) -> int:
+    """The number of pivots of one elimination of m's rows."""
+    return len(_echelon(m.rows))
+
+
+def column_space(m: Matrix) -> Subspace:
+    """The column space of m, from _rref of its columns."""
+    rows, pivots = _rref(m.columns())
+    return Subspace(m.field, m.nrows, rows, pivots, _trusted=True)
 
 
 def idempotents(system, part: str) -> Tuple[Matrix, ...]:
@@ -30,7 +69,7 @@ def rank_factorization(m: Matrix) -> Optional[Tuple[Matrix, Matrix]]:
     B is the canonical basis of m's column space and C holds the rows of m
     at B's pivot rows, so B has full column rank and C full row rank.
     """
-    space = Subspace.column_space(m)
+    space = column_space(m)
     if not space.dim:
         return None
     return (space.basis_matrix(),

@@ -12,14 +12,14 @@ from pathlib import Path
 import pytest
 
 import tdpair
-from tdpair import (KrawtchoukParams, Matrix, PrimeField, Subspace,
+from tdpair import (KrawtchoukParams, Matrix, PrimeField,
                     check_diagrams, check_master_identity, check_section5,
                     check_section7, check_section11, check_section12,
                     check_split_bijectivity, compute_rfl, compute_split,
                     construct_krawtchouk, inverse, is_krawtchouk_type,
                     kronecker_sum_candidate, leonard_data)
 
-from oracles import change_of_basis_reps, idempotents
+from oracles import change_of_basis_reps, column_space, idempotents
 from subspaces import subspace_sum, zero
 from test_rank_tables import SYSTEMS, merged, swapped
 
@@ -302,7 +302,7 @@ def test_definitional_facts(system):
                         (idempotents(system, "E"), range(d, -1, -1))):
         spaces = summands = zero(system.field, system.n)
         for i in order:
-            spaces = subspace_sum(spaces, Subspace.column_space(flag[i]))
+            spaces = subspace_sum(spaces, column_space(flag[i]))
             summands = subspace_sum(summands, split.summands[i])
             assert summands == spaces
 

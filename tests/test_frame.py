@@ -6,8 +6,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdpair import Matrix, PrimeField, QQ, rank
+from tdpair import Matrix, PrimeField, QQ
 from tdpair.frame import SparseMatrix
+
+from oracles import rank
 
 GF101 = PrimeField(101)
 M61 = PrimeField(2 ** 61 - 1)

@@ -1,0 +1,217 @@
+"""The integer elimination of `linalg` against the field-scalar one of
+`oracles` as the reference: rank, pivots, reduced rows, kernels,
+subspaces, solutions, inverses over GF(p) and the rank of a sparse
+matrix, over QQ and over GF(2^61 - 1)."""
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, Subspace,
+                    construct_krawtchouk, inverse, rank_kernel, solve_right)
+from tdpair import linalg
+from tdpair.fields import Fp
+from tdpair.frame import SparseMatrix
+from tdpair.linalg import _int_rows, _int_rref
+
+from oracles import _rref, rank
+
+M61 = PrimeField(2 ** 61 - 1)
+
+
+@st.composite
+def matrices(draw):
+    """A matrix over QQ or GF(2^61 - 1) of 1 to 6 rows and columns, often
+    1 x n or n x 1; dense, of a drawn rank (as a product through r
+    columns), or with rows set to zero.  Rationals mix denominators up
+    to 30; residues lie within 2^20 of p."""
+    field = draw(st.sampled_from([QQ, M61]))
+    size = st.integers(min_value=1, max_value=6)
+    nrows, ncols = draw(st.one_of(
+        st.tuples(st.just(1), size), st.tuples(size, st.just(1)),
+        st.tuples(size, size)))
+    if field is QQ:
+        nonzero = st.fractions(min_value=-20, max_value=20,
+                               max_denominator=30).filter(bool)
+    else:
+        nonzero = st.integers(min_value=1, max_value=2 ** 20).map(
+            lambda k: field.p - k)
+    entry = st.one_of(st.just(0), nonzero)
+
+    def block(rows, cols):
+        return Matrix(field, draw(st.lists(
+            st.lists(entry, min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)))
+
+    kind = draw(st.sampled_from(["dense", "low rank", "zero rows"]))
+    if kind == "low rank":
+        r = draw(st.integers(min_value=0, max_value=min(nrows, ncols)))
+        if not r:
+            return Matrix.zeros(field, nrows, ncols)
+        return block(nrows, r) * block(r, ncols)
+    m = block(nrows, ncols)
+    if kind == "zero rows":
+        zeros = draw(st.sets(st.integers(min_value=0, max_value=nrows - 1)))
+        m = Matrix(field, [[0] * ncols if i in zeros else row
+                           for i, row in enumerate(m.rows)])
+    return m
+
+
+def scalars(field, den, rows):
+    """The field scalars of int rows over den."""
+    if field.char:
+        return [[field.from_int(x) for x in row] for row in rows]
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+def oracle_kernel(m):
+    """(rank, canonical kernel basis rows, their pivots) from the oracle's
+    reduced rows: one vector per free column, then reduced again."""
+    rows, pivots = _rref(m.rows)
+    vecs = []
+    for f in (c for c in range(m.ncols) if c not in pivots):
+        vec = [m.field.zero] * m.ncols
+        vec[f] = m.field.one
+        for row, p in zip(rows, pivots):
+            vec[p] = -row[f]
+        vecs.append(vec)
+    return (len(pivots),) + _rref(vecs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_int_rref_matches_oracle(m):
+    """The rows over D are the reduced row echelon form, with the same
+    pivots."""
+    field = m.field
+    den, rows, pivots = _int_rref(_int_rows(field, m.rows), field.char)
+    want_rows, want_pivots = _rref(m.rows)
+    assert pivots == want_pivots
+    assert scalars(field, den, rows) == want_rows
+    assert len(pivots) == rank(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rank_kernel_matches_oracle(m):
+    rk, ker = rank_kernel(m)
+    want_rank, want_basis, want_pivots = oracle_kernel(m)
+    assert rk == want_rank
+    assert [list(c) for c in ker.basis] == want_basis
+    assert list(ker.pivots) == want_pivots
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_subspace_from_columns_matches_oracle(m):
+    """The columns given are m's rows."""
+    space = Subspace.from_columns(m.field, m.ncols, m.rows)
+    want_rows, want_pivots = _rref(m.rows)
+    assert [list(c) for c in space.basis] == want_rows
+    assert list(space.pivots) == want_pivots
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_solve_right_matches_oracle(m, data):
+    """A solution exists exactly when the oracle finds no pivot in the
+    last column of [m | v], and it is the one read off its rows."""
+    v = data.draw(st.lists(st.integers(min_value=-3, max_value=3),
+                           min_size=m.nrows, max_size=m.nrows))
+    rows, pivots = _rref([list(row) + [m.field.coerce(x)]
+                          for row, x in zip(m.rows, v)])
+    x = solve_right(m, v)
+    if m.ncols in pivots:
+        assert x is None
+        return
+    want = [m.field.zero] * m.ncols
+    for row, p in zip(rows, pivots):
+        want[p] = row[-1]
+    assert list(x) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_sparse_rank_matches_oracle(m):
+    """SparseMatrix.of pads a thin matrix with zeros to be square."""
+    assert SparseMatrix.of(m).rank() == rank(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_inverse_over_prime_field_matches_oracle(n, data):
+    """Over GF(p) the inverse is the right half of the oracle's reduced
+    [m | I], for m = L U with L, U unit triangular."""
+    near_p = st.integers(min_value=1, max_value=2 ** 20).map(
+        lambda k: M61.p - k)
+    entries = data.draw(st.lists(near_p, min_size=n * n, max_size=n * n))
+    lower = Matrix(M61, [[entries[i * n + j] if j < i else int(i == j)
+                          for j in range(n)] for i in range(n)])
+    upper = Matrix(M61, [[entries[i * n + j] if j > i else int(i == j)
+                          for j in range(n)] for i in range(n)])
+    m = lower * upper
+    ident = Matrix.identity(M61, n)
+    rows, _ = _rref([list(r) + list(e) for r, e in zip(m.rows, ident.rows)])
+    assert inverse(m) == Matrix(M61, [row[n:] for row in rows])
+
+
+def kernel_inputs():
+    """A - theta I for the first eigenvalue of Krawtchouk d = 3 over QQ
+    and over GF(2^61 - 1), conjugated by a unipotent U, so that the
+    matrices are dense."""
+    out = []
+    for field, p in ((QQ, Fraction(1, 3)), (M61, 3)):
+        system, _ = construct_krawtchouk(
+            KrawtchoukParams(field=field, d=3, p=p))
+        u = Matrix(field, [[1, 2, -1, 1], [0, 1, 1, -2], [0, 0, 1, 2],
+                           [0, 0, 0, 1]])
+        a = inverse(u) * system.A * u
+        out.append(a - Matrix.identity(field, 4).scale(system.theta[0]))
+    return out
+
+
+def test_integer_kernels_take_no_field_scalar_reduction(monkeypatch):
+    """rank_kernel, Subspace.from_columns and SparseMatrix.rank never call
+    the field-scalar reduction, and make no Fraction or Fp arithmetic:
+    field scalars are only read at the start and made at the end."""
+    inputs = kernel_inputs()
+    sparse = [SparseMatrix.of(m) for m in inputs]
+    calls = []
+
+    def spy(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("_reduce", "_insert"):
+        monkeypatch.setattr(linalg, name, spy(name, getattr(linalg, name)))
+    for cls in (Fraction, Fp):
+        for op in ("__add__", "__sub__", "__mul__", "__truediv__",
+                   "__neg__", "__rsub__", "__rtruediv__"):
+            if op in vars(cls):
+                monkeypatch.setattr(cls, op, spy(f"{cls.__name__}.{op}",
+                                                 vars(cls)[op]))
+    for m, s in zip(inputs, sparse):
+        rk, ker = rank_kernel(m)
+        space = Subspace.from_columns(m.field, m.ncols, m.rows)
+        assert (rk, ker.dim, space.dim, s.rank()) == (3, 1, 3, 3)
+    monkeypatch.undo()
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", [QQ, M61])
+def test_inverse_keeps_its_paths(field, monkeypatch):
+    """The inverse over QQ eliminates Fractions through _insert; over
+    GF(p) it takes the integer elimination and never calls _insert."""
+    # A - (theta_0 - 1) I, invertible as theta_0 - 1 is no eigenvalue
+    m = next(x for x in kernel_inputs() if x.field == field)
+    m = m + Matrix.identity(field, 4)
+    inserted = []
+    insert = linalg._insert
+    monkeypatch.setattr(linalg, "_insert",
+                        lambda rows, vec: inserted.append(1)
+                        or insert(rows, vec))
+    assert m * inverse(m) == Matrix.identity(field, 4)
+    assert bool(inserted) == (field is QQ)

@@ -20,9 +20,10 @@ from tdpair import (MalformedInputError, Matrix, PrimeField, QQ,
                     eigenvalues_in_field, generated_algebra_dimension,
                     inverse, run_all_checks, system_from_json,
                     system_to_json, systems)
-from tdpair.linalg import _echelon, direct_sum
+from tdpair.linalg import direct_sum
 from tdpair.systems import _condensed_verdict, _Family, _irreducibility
 
+from oracles import _echelon
 from subspaces import contains
 from test_rejections import (direct_sum_pair, equal_tensor_pair,
                              flat_varphi_pair)

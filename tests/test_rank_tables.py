@@ -12,9 +12,9 @@ import pytest
 from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, analyze_pair,
                     check_section10, check_split_bijectivity, compute_rfl,
                     compute_split, construct_krawtchouk, inverse,
-                    kronecker_sum_candidate, rank)
+                    kronecker_sum_candidate)
 
-from oracles import idempotents, rank_factorization
+from oracles import idempotents, rank, rank_factorization
 
 
 def powers(m, top):

@@ -114,16 +114,17 @@ def test_skipped_entry_carries_reason(multiplicity_system):
 
 def test_each_idempotent_factored_once(kraw3, monkeypatch):
     """All checks on a fresh system factor no E_i or E*_i, since the
-    system holds the factors recognition found, and invert the split's
-    stacked summand bases Q once: the split's frame reads Q and Q^-1 off
-    what compute_split keeps."""
+    system holds the factors recognition found: the only subspaces formed
+    from columns are the d + 1 summands of the split.  They invert the
+    split's stacked summand bases Q once: the split's frame reads Q and
+    Q^-1 off what compute_split keeps."""
     system = dataclasses.replace(kraw3)
     spaces, inverted = [], []
-    column_space = Subspace.column_space.__func__
+    from_columns = Subspace.from_columns.__func__
 
-    def counted(cls, m):
-        spaces.append(m)
-        return column_space(cls, m)
+    def counted(cls, field, ambient, columns):
+        spaces.append(columns)
+        return from_columns(cls, field, ambient, columns)
 
     def counted_inverse(m):
         inverted.append(m)
@@ -131,11 +132,11 @@ def test_each_idempotent_factored_once(kraw3, monkeypatch):
 
     q = Matrix.from_columns(system.field, [
         c for s in compute_split(kraw3).summands for c in s.basis])
-    monkeypatch.setattr(Subspace, "column_space", classmethod(counted))
+    monkeypatch.setattr(Subspace, "from_columns", classmethod(counted))
     for module in (linalg, frame, leonard):
         monkeypatch.setattr(module, "inverse", counted_inverse)
     assert run_all_checks(system).ok
-    assert not spaces
+    assert len(spaces) == system.d + 1
     assert sum(m == q for m in inverted) == 1
 
 

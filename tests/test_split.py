@@ -6,7 +6,7 @@ from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, Subspace,
                     check_section7, check_split_bijectivity, compute_split,
                     construct_krawtchouk, kronecker_sum_candidate)
 
-from oracles import all_zero, idempotents, nilpotency_index
+from oracles import all_zero, column_space, idempotents, nilpotency_index
 from subspaces import subspace_intersect, subspace_sum, zero
 
 
@@ -62,10 +62,10 @@ def test_summands_are_the_prefix_suffix_intersections(kraw3):
     for i in range(s.d + 1):
         prefix = zero(QQ, s.n)
         for k in range(i + 1):
-            prefix = subspace_sum(prefix, Subspace.column_space(es[k]))
+            prefix = subspace_sum(prefix, column_space(es[k]))
         suffix = zero(QQ, s.n)
         for k in range(i, s.d + 1):
-            suffix = subspace_sum(suffix, Subspace.column_space(e[k]))
+            suffix = subspace_sum(suffix, column_space(e[k]))
         assert subspace_intersect(prefix, suffix) == split.summands[i]
 
 
@@ -121,7 +121,7 @@ def test_transition_intertwines(kraw3):
     for i in range(s.d + 1):
         # the transition map carries each dual eigenspace onto its summand
         image = split.transition * es[i]
-        assert Subspace.column_space(image) == split.summands[i]
+        assert column_space(image) == split.summands[i]
         assert split.projectors[i] * image == image
 
 

@@ -70,27 +70,27 @@ def test_recognition_factors_each_idempotent_once(name, monkeypatch):
     """analyze_pair takes one kernel per eigenvalue candidate, and every
     root of the characteristic polynomial of a diagonalizable matrix is
     an eigenvalue; each family's factors come from the direct sum of
-    those kernels, so no column space is taken.  They are exactly the
-    rank factorizations of the idempotents, which keeps the output the
-    same as factoring each idempotent.  Each system holds these factors,
-    so its relatives and the system read back from its JSON take no
-    column space either."""
+    those kernels, so no subspace is formed from columns.  They are
+    exactly the rank factorizations of the idempotents, which keeps the
+    output the same as factoring each idempotent.  Each system holds
+    these factors, so its relatives and the system read back from its
+    JSON form no subspace from columns either."""
     system = SYSTEMS[name]()
     kernels, spaces = [], []
     rank_kernel = linalg.rank_kernel
-    column_space = Subspace.column_space.__func__
+    from_columns = Subspace.from_columns.__func__
 
     def counted_kernel(m):
         kernels.append(m)
         return rank_kernel(m)
 
-    def counted_space(cls, m):
-        spaces.append(m)
-        return column_space(cls, m)
+    def counted_space(cls, field, ambient, columns):
+        spaces.append(columns)
+        return from_columns(cls, field, ambient, columns)
 
     for module in (linalg, systems):
         monkeypatch.setattr(module, "rank_kernel", counted_kernel)
-    monkeypatch.setattr(Subspace, "column_space", classmethod(counted_space))
+    monkeypatch.setattr(Subspace, "from_columns", classmethod(counted_space))
     analysis = analyze_pair(system.A, system.Astar)
     assert analysis.rejection is None
     assert len(kernels) == 2 * (system.d + 1)
