@@ -157,8 +157,8 @@ def check_diagrams(sys: TridiagonalSystem, split: SplitDecomposition,
         if not diff.is_zero():
             out.append(fr.residual(name, (j,), diff, "QP"))
 
-    up, flat, down = (psi * fr.conj(part, "PP")
-                      for part in (rfl.raising, rfl.flat, rfl.lowering))
+    up, flat, down = (psi * part for part in fr.moved(
+        rfl.system, "PP", rfl.raising, rfl.flat, rfl.lowering))
     for j in range(d):
         report("diagrams.raise", j, up, j + 1)
     for j in range(d + 1):

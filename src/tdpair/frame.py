@@ -79,6 +79,15 @@ class SparseMatrix:
             for row in (self.rows.get(i, _NONE) for i in every)),
             _trusted=True)
 
+    def __eq__(self, other):
+        """Equal matrices have equal forms, which are canonical."""
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        return (self.field, self.n, self.den, self.rows) \
+            == (other.field, other.n, other.den, other.rows)
+
+    __hash__ = None
+
     def is_zero(self) -> bool:
         return not self.rows
 
@@ -155,12 +164,14 @@ class Frame:
     decomposition, in the split basis Q.  Names give the bases as in
     "QP": rows in Q, columns in P; operators named without one are in
     "QQ".  The system's frame, without a split, takes the factors of each
-    E_i and E*_i that the system holds, and the frame of a split starts
-    from it.  bases holds (B, B^-1) for P and Q, sparse the same pairs as
-    SparseMatrix; each operator is a SparseMatrix, and only carrying one
-    back to the original basis makes it dense.  When the stacked bases of
-    the dual eigenspaces are no basis (a corrupted family of idempotents),
-    P is the identity and is_basis is False."""
+    E_i and E*_i that the system holds; the frame of a split starts from
+    it and reads the split's operators, moving the transition maps to the
+    system's P when the split is another system's.  bases holds (B, B^-1)
+    for P and Q, sparse the same pairs as SparseMatrix; each operator is
+    a SparseMatrix, and only carrying one back to the original basis
+    makes it dense.  When the stacked bases of the dual eigenspaces are
+    no basis (a corrupted family of idempotents), P is the identity and
+    is_basis is False."""
 
     def __init__(self, sys, split=None):
         if split is None:
@@ -178,33 +189,11 @@ class Frame:
         # the dual side is the system's, shared
         self.dual = frame_of(sys)
         vars(self).update(vars(self.dual))
-        # compute_split keeps Q and Q^-1 on its split; a split without
-        # them, or passed with another system, is conjugated
-        kept = split.__dict__.get("_q")
-        kept = kept[1:] if kept and kept[0] is sys else None
-        field, n, conj = self.field, self.n, self.conj
-        q = kept or _basis(
-            field, n, [c for s in split.summands for c in s.basis])[0]
-        self.bases = dict(self.bases, Q=q)
-        self.sparse = dict(self.sparse, Q=tuple(map(SparseMatrix.of, q)))
-        self.a, self.astar = conj(sys.A, "QQ"), conj(sys.Astar, "QQ")
-        zero = SparseMatrix(field, n, {})
-        if kept:
-            # F_i is the identity on block i of Q
-            block = [i for i, s in enumerate(split.summands)
-                     for _ in range(s.dim)]
-            self.f = [SparseMatrix(field, n, {
-                k: {k: 1} for k, b in enumerate(block) if b == i})
-                for i in range(sys.d + 1)]
-            # A - sum theta_i F_i and A* - sum thetastar_i F_i
-            raising, lowering = (
-                x - sum((f.scale(t) for f, t in zip(self.f, th)), zero)
-                for x, th in ((self.a, sys.theta),
-                              (self.astar, sys.thetastar)))
-        else:
-            self.f = [conj(x, "QQ") for x in split.projectors]
-            raising, lowering = (conj(x, "QQ")
-                                 for x in (split.raising, split.lowering))
+        self.bases = dict(self.bases, Q=split.basis)
+        self.sparse = dict(self.sparse,
+                           Q=tuple(map(SparseMatrix.of, split.basis)))
+        self.a, self.astar = self.conj(sys.A, "QQ"), self.conj(sys.Astar, "QQ")
+        self.f = list(split.projectors)
         # for T = P^-1 Q, F_i in PQ is T F_i and E*_i in QP is T^-1 E*_i
         (p, p_inv), (q, q_inv) = self.sparse["P"], self.sparse["Q"]
         self.t, self.t_inv = p_inv * q, q_inv * p
@@ -215,12 +204,12 @@ class Frame:
         # F_i E*_i and E*_i F_i, which psi and psi^-1 sum
         self.fe_qp = [f * e for f, e in zip(self.f, self.es_qp)]
         self.ef_pq = [e * f for e, f in zip(self.es_pp, self.f_pq)]
-        self.psi_qp, self.psi_inv_pq = (
-            (sum(self.fe_qp, zero), sum(self.ef_pq, zero)) if kept else
-            (conj(split.transition, "QP"), conj(split.transition_inv, "PQ")))
-        ident = SparseMatrix.of(Matrix.identity(field, n))
-        self.r_pow = powers(ident, raising, sys.d + 1)
-        self.l_pow = powers(ident, lowering, sys.d + 1)
+        self.psi_qp, = self.moved(split.system, "QP", split.transition)
+        self.psi_inv_pq, = self.moved(split.system, "PQ",
+                                      split.transition_inv)
+        ident = SparseMatrix.of(Matrix.identity(self.field, self.n))
+        self.r_pow = powers(ident, split.raising, sys.d + 1)
+        self.l_pow = powers(ident, split.lowering, sys.d + 1)
 
     @cached_property
     def astar_pp(self) -> SparseMatrix:
@@ -272,6 +261,19 @@ class Frame:
         left, right = self.sparse[bases[0]][1], self.sparse[bases[1]][0]
         return left * SparseMatrix.of(x) * right
 
+    def moved(self, owner, bases: str, *ops: SparseMatrix
+              ) -> Sequence[SparseMatrix]:
+        """ops, in bases whose P is the dual basis P' of the system owner,
+        with this frame's P in place of P': as they are when P' is P, else
+        as sparse products with P^-1 P' on the left, P'^-1 P on the right."""
+        theirs = frame_of(owner)
+        if theirs is vars(self).get("dual", self):
+            return ops
+        (p, p_inv), (o, o_inv) = self.sparse["P"], theirs.sparse["P"]
+        to, back = p_inv * o, o_inv * p
+        return [to * x * back if bases == "PP" else
+                x * back if bases == "QP" else to * x for x in ops]
+
     def original(self, x: SparseMatrix, bases: str) -> Matrix:
         """x carried back from the frame to the original basis."""
         if x.is_zero():
@@ -293,7 +295,7 @@ class Frame:
 def frame_of(sys, split=None) -> Frame:
     """The frame of sys, kept on sys, or of sys and split, kept on split;
     each is built once, and a split passed with another system gets a
-    frame of its own."""
+    frame of its own, to whose P its transition maps are moved."""
     owner, key = (sys, None) if split is None else (split, sys)
     held = owner.__dict__.get("_frame")
     if held is None or held[0] is not key:

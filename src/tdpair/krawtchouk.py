@@ -142,8 +142,9 @@ def check_section12(sys: TridiagonalSystem,
     quarter = one / four
     eighth = one / field.from_int(8)
     a, astar = fr.a, fr.astar
-    r, f, l = (fr.conj(x, "QQ")
-               for x in (rfl.raising, rfl.flat, rfl.lowering))
+    # R, F and L from P into Q, as T^-1 x T for T = P^-1 Q
+    r, f, l = (fr.t_inv * x * fr.t for x in fr.moved(
+        rfl.system, "PP", rfl.raising, rfl.flat, rfl.lowering))
     cal_r, cal_l = fr.r_pow[1], fr.l_pow[1]
     ident = fr.l_pow[0]
     out: List[Residual] = []

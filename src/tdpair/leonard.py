@@ -5,15 +5,15 @@ the scalar identities tying everything together.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .bridge import _coefficients, _cubic_term, _gap_products
-from .errors import (InternalInconsistencyError, NotLeonardSystemError,
-                     SingularMatrixError)
+from .errors import InternalInconsistencyError, NotLeonardSystemError
 from .fields import Field, Scalar
-from .frame import frame_of
-from .linalg import inverse
+from .frame import SparseMatrix, frame_of
+from .linalg import _int_rref, _scalar
 from .matrix import Matrix
 from .results import Residual, ScalarResidual
 from .rfl import section5_coefficients
@@ -100,30 +100,17 @@ def _rep_dual_a(data: LeonardData) -> Matrix:
     return _tridiagonal(data.field, data.a, data.c, data.b)
 
 
-def _split_basis(sys: TridiagonalSystem, split: SplitDecomposition
-                 ) -> Tuple[Matrix, Matrix]:
-    """zeta, calR zeta, ..., calR^d zeta for zeta the first nonzero column
-    of E*_0, as a matrix, with its inverse."""
-    cols = [_first_nonzero_column(sys.Estar_factors[0])]
-    for _ in range(sys.d):
-        cols.append(split.raising.apply(cols[-1]))
-    basis = Matrix.from_columns(sys.field, cols)
-    try:
-        return basis, inverse(basis)
-    except SingularMatrixError as exc:
-        raise InternalInconsistencyError(
-            f"split basis candidate is singular: {exc}") from exc
-
-
 def leonard_data(sys: TridiagonalSystem,
                  split: Optional[SplitDecomposition] = None) -> LeonardData:
     """Extract the scalar data of a multiplicity-free system.
 
     The diagonal and two-step return scalars are the traces of
     E*_i A E*_i and E*_i A E*_(i-1) A E*_i, taken in the dual basis, which
-    keeps them; the split-superdiagonal scalars come from the matrix of A*
-    relative to the split basis; the forward and backward scalars follow
-    from those by the falling-product formulas.
+    keeps them.  The split-superdiagonal scalars are the superdiagonal of
+    the matrix X of A* relative to the split basis zeta, ..., calR^d zeta,
+    zeta the first nonzero column of E*_0: with B that basis in Q, one
+    elimination of [B | (Q^-1 A* Q) B] gives X, assuming no shape.  The
+    forward and backward scalars follow by the falling-product formulas.
 
     A singular split basis or a vanishing split-superdiagonal scalar is an
     error, since the rest divides by them, and so is a row of the
@@ -138,15 +125,28 @@ def leonard_data(sys: TridiagonalSystem,
     if split is None:
         split = compute_split(sys)
     field, d = sys.field, sys.d
-    fr = frame_of(sys)
+    fr = frame_of(sys, split)
     es, a_es = fr.es_pp, fr.a_es_pp
     a_list = [(es[i] * a_es[i]).trace() for i in range(d + 1)]
     x_list = [(es[i] * a_es[i - 1] * a_es[i]).trace()
               for i in range(1, d + 1)]
 
-    basis, basis_inv = _split_basis(sys, split)
-    astar_rep = basis_inv * sys.Astar * basis
-    phi_list = [astar_rep.entry(i - 1, i) for i in range(1, d + 1)]
+    # the columns of B and of (Q^-1 A* Q) B, each in column 0 of its own
+    # matrix, then as int rows over one denominator
+    zeta = _first_nonzero_column(sys.Estar_factors[0])
+    zeta = SparseMatrix.of(Matrix.from_columns(
+        field, [fr.bases["Q"][1].apply(zeta)]))
+    cols = [r * zeta for r in fr.r_pow[:d + 1]]
+    cols += [fr.astar * x for x in cols]
+    den = math.lcm(*(x.den for x in cols))
+    den, rows, pivots = _int_rref(
+        [[x.rows.get(i, {}).get(0, 0) * (den // x.den) for x in cols]
+         for i in range(sys.n)], field.char)
+    if pivots[:d + 1] != list(range(d + 1)):
+        raise InternalInconsistencyError(
+            "split basis candidate is singular: matrix is singular")
+    phi_list = [_scalar(field, rows[i - 1][d + 1 + i], den)
+                for i in range(1, d + 1)]
     for i, value in enumerate(phi_list, start=1):
         if not value:
             raise InternalInconsistencyError(

@@ -21,10 +21,11 @@ from .systems import (RelationParameters, TridiagonalSystem,
 
 @dataclass(frozen=True)
 class RFLDecomposition:
+    """R, F and L in the dual basis P of system, as sparse matrices."""
     system: TridiagonalSystem
-    raising: Matrix
-    flat: Matrix
-    lowering: Matrix
+    raising: SparseMatrix
+    flat: SparseMatrix
+    lowering: SparseMatrix
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,8 @@ class SectionFiveCoefficients:
 def compute_rfl(sys: TridiagonalSystem) -> RFLDecomposition:
     """Split A into raising + flat + lowering along the dual eigenspaces:
     R = sum E*_(i+1) A E*_i, F = sum E*_i A E*_i, L = sum E*_(i-1) A E*_i,
-    each sum taken as sparse products in the dual basis and carried back.
+    each sum taken as sparse products in the dual basis P and kept there;
+    frame_of(sys).original(x, "PP") carries one back to the input basis.
 
     With the E*_i orthogonal idempotents summing to I, R, F and L move
     each dual eigenspace up one step, fix it and move it down one step by
@@ -54,12 +56,10 @@ def compute_rfl(sys: TridiagonalSystem) -> RFLDecomposition:
     fr = frame_of(sys)
     es, a_es = fr.es_pp, fr.a_es_pp
     zero = SparseMatrix(sys.field, sys.n, {})
-    parts = (sum((es[i + 1] * a_es[i] for i in range(sys.d)), zero),
-             sum((es[i] * a_es[i] for i in range(sys.d + 1)), zero),
-             sum((es[i - 1] * a_es[i] for i in range(1, sys.d + 1)), zero))
-    raising, flat, lowering = (fr.original(x, "PP") for x in parts)
-    return RFLDecomposition(system=sys, raising=raising, flat=flat,
-                            lowering=lowering)
+    # E*_(i+k) A E*_i summed over i, for k = 1, 0, -1
+    return RFLDecomposition(sys, *(
+        sum((es[i + k] * a_es[i] for i in range(sys.d + 1)
+             if 0 <= i + k <= sys.d), zero) for k in (1, 0, -1)))
 
 
 def section5_coefficients(sys: TridiagonalSystem,
@@ -105,8 +105,8 @@ def check_section5(sys: TridiagonalSystem, rfl: RFLDecomposition,
     d = sys.d
     frame = frame_of(sys)
     estar = frame.es_pp
-    r, f, l = (frame.conj(x, "PP")
-               for x in (rfl.raising, rfl.flat, rfl.lowering))
+    r, f, l = frame.moved(rfl.system, "PP",
+                          rfl.raising, rfl.flat, rfl.lowering)
     gamma, rho = params.gamma, params.rho
     beta = params.beta
     res = partial(frame.residual, bases="PP")
@@ -185,8 +185,8 @@ def check_section10(sys: TridiagonalSystem, rfl: RFLDecomposition
     rho = sys.shape
     fr = frame_of(sys)
     ident = SparseMatrix.of(Matrix.identity(sys.field, sys.n))
-    r_pow, l_pow = (powers(ident, fr.conj(m, "PP"), d)
-                    for m in (rfl.raising, rfl.lowering))
+    r_pow, l_pow = (powers(ident, m, d) for m in fr.moved(
+        rfl.system, "PP", rfl.raising, rfl.lowering))
     a_pow, astar_pow = (powers(ident, m, d) for m in (fr.a_pp, fr.astar_pp))
     e_b, e_c, es = fr.e_b, fr.e_c, fr.es_pp
     entries: List[RankEntry] = []

@@ -10,7 +10,7 @@ from itertools import accumulate
 from typing import Dict, List, Tuple
 
 from .errors import InternalInconsistencyError
-from .frame import frame_of
+from .frame import SparseMatrix, frame_of
 from .linalg import Subspace, _insert, direct_sum
 from .matrix import Matrix
 from .results import RankEntry, RankTable, Residual
@@ -19,21 +19,25 @@ from .systems import TridiagonalSystem
 
 @dataclass(frozen=True)
 class SplitDecomposition:
+    """The summands U_i and their stacked bases (Q, Q^-1); the projectors
+    F_i and the shifted maps in Q, and the transition map and its inverse
+    in QP and PQ, for P the dual basis of system, as sparse matrices."""
     system: TridiagonalSystem
     summands: Tuple[Subspace, ...]
-    projectors: Tuple[Matrix, ...]
-    raising: Matrix
-    lowering: Matrix
-    transition: Matrix
-    transition_inv: Matrix
+    basis: Tuple[Matrix, Matrix]
+    projectors: Tuple[SparseMatrix, ...]
+    raising: SparseMatrix
+    lowering: SparseMatrix
+    transition: SparseMatrix
+    transition_inv: SparseMatrix
 
 
 def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
     """Intersect each dual-eigenspace prefix with the matching eigenspace
-    suffix and package the resulting direct sum: the summands, their
-    projectors F_i, the shifted maps A - sum theta_i F_i and
-    A* - sum thetastar_i F_i, and the transition map sum F_i E*_i with
-    its inverse sum E*_i F_i.
+    suffix and package the resulting direct sum: the summands with their
+    stacked bases Q, their projectors F_i, the shifted maps
+    A - sum theta_i F_i and A* - sum thetastar_i F_i, and the transition
+    map sum F_i E*_i with its inverse sum E*_i F_i.
 
     In the dual basis each prefix spans the first coordinates, so once
     the bases of V_d, ..., V_i are in one echelon keyed by their last
@@ -46,10 +50,10 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
     identities and ranks) are left to check_section7 and
     check_split_bijectivity, which report them.
 
-    F_i is Q_i C_i, for Q_i and C_i the i-th column block of the stacked
-    summand bases Q and row block of Q^-1, and E*_i = B*_i C*_i; each map
-    is one product of thin factors, psi = sum Q_i (C_i B*_i) C*_i.  Q and
-    Q^-1 are kept on the split, keyed to sys, for its frame.
+    Each map is a sparse product in the frame: F_i is the identity on
+    block i of Q, A and A* enter as T^-1 (P^-1 A P) T for T = P^-1 Q, and
+    the transition maps sum F_i T^-1 E*_i and E*_i T F_i, E*_i in P.
+    frame_of(sys, split).original carries one back to the input basis.
     """
     field, n, d = sys.field, sys.n, sys.d
     e, es = sys.E_factors, sys.Estar_factors
@@ -77,31 +81,23 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
                 f"summand {i} has dimension {summands[i].dim}, "
                 f"expected {sys.shape[i]}")
 
-    q, q_inv, factors = direct_sum(summands)
-    zero = Matrix.zeros(field, n, n)
-
-    def total(terms) -> Matrix:
-        """sum x y over (x, y) in terms, as one product of stacked x, y"""
-        terms = list(terms)
-        return Matrix.from_columns(
-            field, [c for x, _ in terms for c in x.columns()]) * Matrix(
-            field, tuple(r for _, y in terms for r in y.rows), _trusted=True)
-
-    pairs = [(f, g) for f, g in zip(factors, es) if f and g]
-    split = SplitDecomposition(
-        system=sys, summands=tuple(summands),
-        projectors=tuple(f[0] * f[1] if f else zero for f in factors),
-        raising=sys.A - total((f[0].scale(t), f[1])
-                              for f, t in zip(factors, sys.theta) if f),
-        lowering=sys.Astar - total((f[0].scale(t), f[1])
-                                   for f, t in zip(factors, sys.thetastar)
-                                   if f),
-        transition=total((q_i * (c_i * b), c)
-                         for (q_i, c_i), (b, c) in pairs),
-        transition_inv=total((b * (c * q_i), c_i)
-                             for (q_i, c_i), (b, c) in pairs))
-    object.__setattr__(split, "_q", (sys, q, q_inv))
-    return split
+    q, q_inv, _ = direct_sum(summands)
+    p_s, p_inv_s = fr.sparse["P"]
+    t, t_inv = p_inv_s * SparseMatrix.of(q), SparseMatrix.of(q_inv) * p_s
+    # F_i is the identity on block i of Q
+    block = [i for i, s in enumerate(summands) for _ in range(s.dim)]
+    f = [SparseMatrix(field, n, {k: {k: 1} for k, b in enumerate(block)
+                                 if b == i}) for i in range(d + 1)]
+    zero, es_pp = SparseMatrix(field, n, {}), fr.es_pp
+    # A - sum theta_i F_i and A* - sum thetastar_i F_i
+    raising, lowering = (
+        t_inv * x * t - sum(map(SparseMatrix.scale, f, th), zero)
+        for x, th in ((fr.a_pp, sys.theta), (fr.astar_pp, sys.thetastar)))
+    return SplitDecomposition(
+        system=sys, summands=tuple(summands), basis=(q, q_inv),
+        projectors=tuple(f), raising=raising, lowering=lowering,
+        transition=sum((x * t_inv * e for x, e in zip(f, es_pp)), zero),
+        transition_inv=sum((e * t * x for x, e in zip(f, es_pp)), zero))
 
 
 def check_section7(sys: TridiagonalSystem,

@@ -5,7 +5,7 @@ byte for byte.
 
 Builds the inputs of the benchmark workloads family, eigen-scan and
 reject-mix for seeds 1 to 3 from `perfbench/workloads.py` of the tree
-holding this script, and eleven more with its builders: QQ Krawtchouk
+holding this script, and twelve more with its builders: QQ Krawtchouk
 d = 14, the tensor sum of QQ Krawtchouk pairs of diameters 2 and 4 (n = 15,
 shape 1, 2, 3, 3, 3, 2, 1), Krawtchouk d = 6 with p = 3 over
 GF(2^31 - 1) and GF(2^61 - 1), whose residues are large, QQ Krawtchouk
@@ -28,7 +28,9 @@ idempotents of rank 2 and 3 through dense factors, and the QQ Leonard
 system of Krawtchouk d = 6 (p = 1/3) under theta -> (3/7) theta + 5/11,
 theta* -> (2/13) theta* + 1/17 and phi_i -> (3/7)(2/13) phi_i, whose
 entries have coprime denominators, so that sums in the frame rescale to a
-common denominator.  Runs `construct`,
+common denominator, and the same system conjugated with `random.Random(7)`,
+where phi is read in the split basis of a general basis whose sums
+rescale denominators.  Runs `construct`,
 `verify` and `report` (JSON and CSV) on them through `tdpair.cli.main`,
 the conjugated pairs only verified and reported, and on each accepted
 benchmark input also
@@ -123,7 +125,8 @@ def emit(tree: str) -> None:
         conjugated(tensor_case("tensor-qq-2x2",
                                ((2, Fraction(1, 3)), (2, Fraction(3, 4))),
                                None), random.Random(10)),
-        affine_leonard())]
+        affine_leonard(),
+        conjugated(affine_leonard(), random.Random(7)))]
     runs = []
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)

@@ -7,16 +7,42 @@ the three distinguished bases of a multiplicity-free system, two
 readers of check results, the exponential of a nilpotent matrix as
 its terminating power series, and the field-scalar elimination that the
 package's integer one replaced: echelon rows, the reduced row echelon
-form, the rank and the column space."""
-from dataclasses import dataclass
+form, the rank and the column space, and the operators of a
+decomposition carried back to the input basis."""
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from tdpair import (InternalInconsistencyError, Matrix, SingularMatrixError,
-                    Subspace, TdpairError, compute_rfl, compute_split,
-                    inverse, leonard_data)
+                    SplitDecomposition, Subspace, TdpairError, compute_rfl,
+                    compute_split, inverse, leonard_data)
+from tdpair.frame import SparseMatrix, frame_of
 from tdpair.leonard import _rep_dual_a, _tridiagonal
 from tdpair.linalg import _insert, _reduce
 from tdpair.systems import _compute_shape
+
+
+# the bases each operator of a split is in; R, F and L are in "PP"
+SPLIT_BASES = {"projectors": "QQ", "raising": "QQ", "lowering": "QQ",
+               "transition": "QP", "transition_inv": "PQ"}
+
+
+def dense_view(x) -> SimpleNamespace:
+    """The decomposition x, an RFLDecomposition or a SplitDecomposition,
+    with the same fields, each operator carried back from the frame of
+    x.system to the input basis as a dense Matrix."""
+    split = isinstance(x, SplitDecomposition)
+    fr = frame_of(x.system, x if split else None)
+
+    def back(name, value):
+        if isinstance(value, SparseMatrix):
+            return fr.original(value, SPLIT_BASES[name] if split else "PP")
+        if name == "projectors":
+            return tuple(back(name, m) for m in value)
+        return value
+
+    return SimpleNamespace(**{f.name: back(f.name, getattr(x, f.name))
+                              for f in fields(x)})
 
 
 def _echelon(rows: Sequence[Sequence]) -> Dict[int, List]:
@@ -145,7 +171,7 @@ def change_of_basis_reps(sys, split=None, rfl=None, data=None
     e, estar = idempotents(sys, "E"), idempotents(sys, "Estar")
 
     bases = []
-    for raising in (rfl.raising, split.raising):
+    for raising in (dense_view(rfl).raising, dense_view(split).raising):
         cols = [first_nonzero_column(estar[0])]
         for _ in range(d):
             cols.append(raising.apply(cols[-1]))

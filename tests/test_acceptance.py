@@ -16,7 +16,7 @@ from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, analyze_pair,
                     construct_krawtchouk, kronecker_sum_candidate,
                     leonard_data, run_all_checks)
 
-from oracles import (FactorialInversionError, idempotents,
+from oracles import (FactorialInversionError, dense_view, idempotents,
                      nilpotent_exp_scaled, result_for)
 
 GRID_DIAMETERS = range(1, 7)
@@ -134,8 +134,8 @@ def test_criterion_5_exponential_transition(rational_grid, prime_grid):
         for system, _, _ in grid.values():
             field = system.field
             half = field.one / field.from_int(2)
-            split = compute_split(system)
-            rfl = compute_rfl(system)
+            split = dense_view(compute_split(system))
+            rfl = dense_view(compute_rfl(system))
             exp_half = nilpotent_exp_scaled(split.lowering, half)
             ok = ok and split.transition == exp_half
             ok = ok and exp_half * rfl.raising == split.raising * exp_half
@@ -165,14 +165,15 @@ def test_criterion_6_master_identity_oracle():
     system, _ = construct_krawtchouk(
         KrawtchoukParams(field=QQ, d=2, p=Fraction(1, 2)))
     split = compute_split(system)
+    dense = dense_view(split)
     d, n = 2, 3
     theta = [Fraction(2), Fraction(0), Fraction(-2)]
     ts = theta
     a = _oracle_grid(system.A)
     estar = [_oracle_grid(e) for e in idempotents(system, "Estar")]
-    proj = [_oracle_grid(f) for f in split.projectors]
-    lower = _oracle_grid(split.lowering)
-    raise_ = _oracle_grid(split.raising)
+    proj = [_oracle_grid(f) for f in dense.projectors]
+    lower = _oracle_grid(dense.lowering)
+    raise_ = _oracle_grid(dense.raising)
     ident = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
 
     def l_power(k):

@@ -9,9 +9,9 @@ from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, check_descent,
                     compute_rfl, compute_split, construct_krawtchouk,
                     kronecker_sum_candidate)
 from tdpair import bridge
-from tdpair.frame import frame_of
+from tdpair.frame import SparseMatrix, frame_of
 
-from oracles import all_zero, idempotents
+from oracles import all_zero, dense_view, idempotents
 
 
 def master_rhs_operator(sys, split, i: int, j: int) -> Matrix:
@@ -29,7 +29,8 @@ def corollary_flat_operator(sys, split, j: int) -> Matrix:
     available side."""
     field = sys.field
     ts = sys.thetastar
-    rr, ll = split.raising, split.lowering
+    dense = dense_view(split)
+    rr, ll = dense.raising, dense.lowering
     op = Matrix.identity(field, sys.n).scale(sys.theta[j])
     if j >= 1:
         op = op + (rr * ll).scale(field.one / (ts[j] - ts[j - 1]))
@@ -44,7 +45,8 @@ def corollary_lower_operator(sys, split, j: int) -> Matrix:
     second-order corrections."""
     field = sys.field
     ts, th = sys.thetastar, sys.theta
-    rr, ll = split.raising, split.lowering
+    dense = dense_view(split)
+    rr, ll = dense.raising, dense.lowering
     gap = ts[j - 1] - ts[j]
     op = ll.scale((th[j] - th[j - 1]) / gap)
     if j >= 2:
@@ -85,12 +87,13 @@ def multiplicity_system():
 def test_descent_pinned_two_point(kraw1):
     s = kraw1
     split = compute_split(s)
+    dense = dense_view(split)
     # descending one dual eigenspace costs one lowering map and one
     # eigenvalue-gap division
     gap = s.thetastar[1] - s.thetastar[0]
     es = idempotents(s, "Estar")
-    lhs = split.projectors[0] * es[1]
-    rhs = (split.lowering * split.projectors[1] * es[1]).scale(
+    lhs = dense.projectors[0] * es[1]
+    rhs = (dense.lowering * dense.projectors[1] * es[1]).scale(
         Fraction(1) / gap)
     assert lhs == rhs == Matrix(QQ, [[0, 1], [0, 0]])
     assert all_zero(check_descent(s, split))
@@ -123,8 +126,9 @@ def test_master_prime_field():
 
 def random_maps(s, seed):
     rng = random.Random(seed)
-    return [Matrix(s.field, [[rng.randint(-5, 5) for _ in range(s.n)]
-                             for _ in range(s.n)]) for _ in range(2)]
+    return [SparseMatrix.of(Matrix(s.field, [
+        [rng.randint(-5, 5) for _ in range(s.n)] for _ in range(s.n)]))
+        for _ in range(2)]
 
 
 def test_master_operator_matches_corollaries(kraw4, multiplicity_system):
@@ -141,7 +145,7 @@ def test_master_operator_matches_corollaries(kraw4, multiplicity_system):
             for j in range(s.d + 1):
                 if j + 1 <= s.d:
                     assert master_rhs_operator(s, split, j + 1, j) == \
-                        split.raising
+                        dense_view(split).raising
                 assert master_rhs_operator(s, split, j, j) == \
                     corollary_flat_operator(s, split, j)
                 if j >= 1:
@@ -175,11 +179,12 @@ def test_master_far_below_is_zero(kraw4):
     s = kraw4
     split = compute_split(s)
     es = idempotents(s, "Estar")
+    proj = dense_view(split).projectors
     for j in range(s.d + 1):
         for i in range(j + 2, s.d + 1):
             op = master_rhs_operator(s, split, i, j)
             assert op.is_zero()
-            direct = split.projectors[i] * es[i] * s.A * es[j]
+            direct = proj[i] * es[i] * s.A * es[j]
             assert direct.is_zero()
 
 

@@ -3,6 +3,7 @@ GF(2^61 - 1)."""
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,6 +75,24 @@ def test_arithmetic_matches_dense(drawn):
         assert sparse.is_zero() == dense.is_zero()
         assert sparse.rank() == rank(dense)
         assert sparse.trace() == dense.trace()
+
+
+@settings(deadline=None)
+@given(matrices(2))
+def test_equality_matches_dense(drawn):
+    """Two matrices are equal exactly when their dense forms are, however
+    each was made, since the form is canonical; equality compares values,
+    so a SparseMatrix is not hashable."""
+    _, (a, b) = drawn
+    sa, sb = SparseMatrix.of(a), SparseMatrix.of(b)
+    for x, y in ((sa, sb), (sa, sa + sb - sb), (sa.scale(2) - sa, sa),
+                 (sa * sb, SparseMatrix.of(a * b)), (sa - sa, sb - sb),
+                 (sa.scale(3), sa)):
+        assert (x == y) == (x.dense() == y.dense())
+        assert (x != y) == (x.dense() != y.dense())
+    assert sa != a
+    with pytest.raises(TypeError):
+        hash(sa)
 
 
 @settings(deadline=None)

@@ -14,7 +14,8 @@ from tdpair import (InternalInconsistencyError, KrawtchoukParams,
 from tdpair.bridge import _gap_products
 
 from oracles import (all_zero, basis_and_inverse, change_of_basis_reps,
-                     first_nonzero_column, idempotents)
+                     dense_view, first_nonzero_column, idempotents)
+from test_check_coverage import raising_off_band, raising_plus_f0
 from test_rank_tables import SYSTEMS, merged, with_idempotents
 
 
@@ -179,15 +180,17 @@ def dense_leonard_data(sys, split):
     """leonard_data by the dense formulas it used before it read the
     frame: a_i and x_i as the traces of E*_i A E*_i and
     E*_i A E*_(i-1) A E*_i, and zeta as the first nonzero column of the
-    product E*_0; the rest as leonard_data derives it."""
+    product E*_0, and calR read in the input basis; the rest as
+    leonard_data derives it."""
     field, d, a = sys.field, sys.d, sys.A
+    raising = dense_view(split).raising
     es = idempotents(sys, "Estar")
     a_list = [(es[i] * a * es[i]).trace() for i in range(d + 1)]
     x_list = [(es[i] * a * es[i - 1] * a * es[i]).trace()
               for i in range(1, d + 1)]
     cols = [first_nonzero_column(es[0])]
     for _ in range(d):
-        cols.append(split.raising.apply(cols[-1]))
+        cols.append(raising.apply(cols[-1]))
     basis, basis_inv = basis_and_inverse(field, cols, "split")
     astar_rep = basis_inv * sys.Astar * basis
     phi = [astar_rep.entry(i - 1, i) for i in range(1, d + 1)]
@@ -226,9 +229,11 @@ def conjugated_systems(system):
 
 def leonard_oracle_cases():
     """(system, split) for each valid multiplicity-free system of the rank
-    tables and each ordering of a conjugated copy, and, with the split of
-    the valid system, the system with E*_0 replaced by E*_0 + 2 E*_1 (rank
-    2, no longer idempotent) or by zero."""
+    tables and each ordering of a conjugated copy; with the split of the
+    valid system, the system with E*_0 replaced by E*_0 + 2 E*_1 (rank 2,
+    no longer idempotent) or by zero; and the valid system with a
+    hand-made split, whose calR has entries off its band or the
+    projector F_0 added."""
     out = []
     for name in sorted(SYSTEMS):
         base = SYSTEMS[name]()
@@ -238,6 +243,9 @@ def leonard_oracle_cases():
             label = f"{name}-{k}"
             split = compute_split(system)
             out.append((label, system, split))
+            for corrupt in (raising_off_band, raising_plus_f0):
+                out.append((f"{label}-{corrupt.__name__}", system,
+                            corrupt(split)))
             es = idempotents(system, "Estar")
             zero = Matrix.zeros(system.field, system.n, system.n)
             for what, family in (("merged", merged(es)),

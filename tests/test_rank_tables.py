@@ -14,7 +14,7 @@ from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, analyze_pair,
                     compute_split, construct_krawtchouk, inverse,
                     kronecker_sum_candidate)
 
-from oracles import idempotents, rank, rank_factorization
+from oracles import dense_view, idempotents, rank, rank_factorization
 
 
 def powers(m, top):
@@ -26,6 +26,7 @@ def powers(m, top):
 
 def full_section10(sys, rfl):
     d, e, es = sys.d, idempotents(sys, "E"), idempotents(sys, "Estar")
+    rfl = dense_view(rfl)
     r_pow, l_pow = powers(rfl.raising, d), powers(rfl.lowering, d)
     a_pow, as_pow = powers(sys.A, d), powers(sys.Astar, d)
     out = []
@@ -42,6 +43,7 @@ def full_section10(sys, rfl):
 
 
 def full_section7(sys, split):
+    split = dense_view(split)
     d, f = sys.d, split.projectors
     e, es = idempotents(sys, "E"), idempotents(sys, "Estar")
     r_pow, l_pow = powers(split.raising, d), powers(split.lowering, d)
@@ -169,7 +171,7 @@ def test_section10_corrupted_matches_full_products(system, part):
                                   lowering=rfl.raising)
     elif part == "A":
         # makes the ranks of E*_i A^k E*_j and E*_j A^k E*_i differ
-        system = dataclasses.replace(system, A=rfl.raising)
+        system = dataclasses.replace(system, A=dense_view(rfl).raising)
     elif part == "Astar":
         system = dataclasses.replace(
             system, Astar=block_raising(system.Astar,

@@ -1,6 +1,7 @@
 """Report assembly: check selection, skip semantics and the serialized
 document shape."""
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from tdpair import (CHECK_IDS, KrawtchoukParams, MalformedInputError,
                     compute_relation_parameters, compute_split,
                     construct_krawtchouk, inverse, kronecker_sum_candidate,
                     run_all_checks)
-from tdpair import frame, leonard, linalg
+from tdpair import frame, linalg
 from tdpair.frame import Frame, SparseMatrix
 
 from oracles import result_for
@@ -116,8 +117,8 @@ def test_each_idempotent_factored_once(kraw3, monkeypatch):
     """All checks on a fresh system factor no E_i or E*_i, since the
     system holds the factors recognition found: the only subspaces formed
     from columns are the d + 1 summands of the split.  They invert the
-    split's stacked summand bases Q once: the split's frame reads Q and
-    Q^-1 off what compute_split keeps."""
+    split's stacked summand bases Q once: the split's frame and
+    leonard_data read Q and Q^-1 off the split."""
     system = dataclasses.replace(kraw3)
     spaces, inverted = [], []
     from_columns = Subspace.from_columns.__func__
@@ -133,7 +134,7 @@ def test_each_idempotent_factored_once(kraw3, monkeypatch):
     q = Matrix.from_columns(system.field, [
         c for s in compute_split(kraw3).summands for c in s.basis])
     monkeypatch.setattr(Subspace, "from_columns", classmethod(counted))
-    for module in (linalg, frame, leonard):
+    for module in (linalg, frame):
         monkeypatch.setattr(module, "inverse", counted_inverse)
     assert run_all_checks(system).ok
     assert len(spaces) == system.d + 1
@@ -197,7 +198,8 @@ def test_conj_of_a_matrix_takes_no_dense_product(kraw3, monkeypatch):
 def test_accepted_system_carries_nothing_back(kraw3, monkeypatch):
     """On a system every check accepts, each residual is zero in the
     frame, so the report and its JSON carry no residual back to the
-    input's basis; only compute_rfl carries back R, F and L."""
+    input's basis, and neither compute_rfl nor compute_split carries back
+    an operator."""
     system = dataclasses.replace(kraw3)
     carried = []
     original = Frame.original
@@ -208,4 +210,29 @@ def test_accepted_system_carries_nothing_back(kraw3, monkeypatch):
 
     monkeypatch.setattr(Frame, "original", counted)
     assert run_all_checks(system).to_json()["ok"]
-    assert len(carried) == 3
+    assert not carried
+
+
+def test_accepted_general_basis_takes_no_square_product(kraw3, monkeypatch):
+    """On a general basis, after recognition, the decompositions, the
+    Leonard data and every check of an accepted pair are sparse products
+    in the frame: no dense product of two n x n matrices is taken.  The
+    pair is kraw3 as U^-1 A U and U^-1 A* U, for U unipotent upper
+    triangular with entries above the diagonal drawn from [-2, 2]."""
+    rng, n = random.Random(3), kraw3.n
+    u = Matrix(QQ, [[rng.randint(-2, 2) if i < j else int(i == j)
+                     for j in range(n)] for i in range(n)])
+    u_inv = inverse(u)
+    system = analyze_pair(u_inv * kraw3.A * u,
+                          u_inv * kraw3.Astar * u).systems[0]
+    square = []
+    matmul = Matrix._matmul
+
+    def spy(a, b):
+        if a.nrows == a.ncols == b.nrows == b.ncols == n:
+            square.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "_matmul", spy)
+    assert run_all_checks(system).ok
+    assert not square

@@ -16,9 +16,9 @@ section12, on the arithmetic family, and of the two cubic relations.
 
 A residual knows whether it is zero before its matrix is built; on the
 same cases, every matrix residual of every check must agree with its
-matrix, whichever is read first, and the split frame read off the factors
-compute_split keeps must equal the one that conjugates the split's
-fields."""
+matrix, whichever is read first, and the split frame read off the
+operators compute_split keeps must equal the one that conjugates its operators,
+carried back, into the bases of the system passed with the split."""
 import dataclasses
 import hashlib
 import json
@@ -32,9 +32,9 @@ from tdpair import (Matrix, TdpairError, check_descent, check_diagrams,
                     check_tridiagonal_relations, compute_rfl, compute_split,
                     inverse, is_krawtchouk_type, leonard_data)
 from tdpair import frame
-from tdpair.frame import Frame, frame_of
+from tdpair.frame import Frame, SparseMatrix, frame_of
 
-from oracles import idempotents
+from oracles import dense_view, idempotents
 from test_check_coverage import CORRUPT_RFL, SPLIT_CASES
 from test_rank_tables import SYSTEMS, merged, swapped, with_idempotents
 
@@ -247,25 +247,46 @@ def sparse_rows(x):
     return x.den, x.rows
 
 
+def conjugated_split(system, split):
+    """split, of system or of another system, with each operator carried
+    back to the input basis and conjugated in full into Q and the dual
+    basis P of system, whose split it then is."""
+    v = dense_view(split)
+    (p, p_inv), (q, q_inv) = frame_of(system).bases["P"], split.basis
+
+    def conj(m, left, right):
+        return SparseMatrix.of(left * m * right)
+
+    return dataclasses.replace(
+        split, system=system,
+        projectors=tuple(conj(m, q_inv, q) for m in v.projectors),
+        raising=conj(v.raising, q_inv, q), lowering=conj(v.lowering, q_inv, q),
+        transition=conj(v.transition, q_inv, p),
+        transition_inv=conj(v.transition_inv, p_inv, q))
+
+
 @pytest.mark.parametrize("name,corruption", CASES,
                          ids=[f"{n}-{c}" for n, c in CASES])
 def test_kept_factors_give_the_conjugated_frame(name, corruption):
     """The split frame read off what compute_split keeps equals the frame
-    of the same split replaced, which conjugates the split's fields, on
-    every operator and on Q and Q^-1.  The E* cases pass the split with a
-    system other than the one that built it, and conjugate too."""
+    of the same operators carried back and conjugated in full into the
+    bases of the system passed with the split, on every operator.  The
+    E* cases pass the split with a system other than the one that built
+    it, whose frame moves psi and psi^-1 by the two dual bases."""
     system, split, _ = corrupted(SYSTEMS[name](), corruption)
     got = Frame(system, split)
-    want = Frame(system, dataclasses.replace(split))
+    want = Frame(system, conjugated_split(system, split))
     for op in FRAME_OPERATORS:
         assert sparse_rows(getattr(got, op)) \
             == sparse_rows(getattr(want, op)), op
-    assert got.bases["Q"] == want.bases["Q"]
+    assert got.bases["Q"] == want.bases["Q"] == split.basis
 
 
 def test_split_with_another_system_falls_back(monkeypatch):
-    """Only the system that built a split reads its kept factors; an equal
-    copy of it inverts Q again to conjugate the split's fields."""
+    """A split passed with another system, here an equal copy of its own,
+    falls back to moving its transition maps, the only operators in P, by
+    the two dual bases: they come out equal and new, the shifted maps are
+    read as they are, and no basis is inverted again."""
     system = SYSTEMS["krawtchouk-qq"]()
     other = dataclasses.replace(system)
     split = compute_split(system)
@@ -273,10 +294,16 @@ def test_split_with_another_system_falls_back(monkeypatch):
     inverted = []
     monkeypatch.setattr(frame, "inverse",
                         lambda m: inverted.append(m) or inverse(m))
-    Frame(system, split)
+    own, moved = Frame(system, split), Frame(other, split)
     assert not inverted
-    Frame(other, split)
-    assert inverted == [frame_of(system, split).bases["Q"][0]]
+    assert own.psi_qp is split.transition
+    assert own.psi_inv_pq is split.transition_inv
+    assert moved.psi_qp is not split.transition
+    assert moved.psi_inv_pq is not split.transition_inv
+    assert moved.psi_qp == split.transition
+    assert moved.psi_inv_pq == split.transition_inv
+    assert moved.r_pow[1] == split.raising
+    assert moved.l_pow[1] == split.lowering
 
 
 RFL_PINS = {
@@ -580,13 +607,14 @@ def constructor_digest(system, corruption):
     part, corrupt = FAMILY_CORRUPTIONS[corruption]
     system = with_idempotents(
         system, **{part: corrupt(idempotents(system, part))})
-    rfl = compute_rfl(system)
+    rfl = dense_view(compute_rfl(system))
     out = [entries(m) for m in (rfl.raising, rfl.flat, rfl.lowering)]
     try:
         split = compute_split(system)
     except TdpairError as exc:
         out.append(type(exc).__name__)
     else:
+        split = dense_view(split)
         out += [[list(map(str, col)) for col in s.basis]
                 for s in split.summands]
         out += [entries(m) for m in (*split.projectors, split.raising,

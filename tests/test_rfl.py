@@ -7,7 +7,7 @@ from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, check_section5,
                     construct_krawtchouk, kronecker_sum_candidate,
                     section5_coefficients)
 
-from oracles import all_zero, idempotents
+from oracles import all_zero, dense_view, idempotents
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def multiplicity_system():
 
 def test_decomposition_parts(kraw3):
     s = kraw3
-    rfl = compute_rfl(s)
+    rfl = dense_view(compute_rfl(s))
     assert rfl.raising + rfl.flat + rfl.lowering == s.A
     zero = Matrix.zeros(QQ, s.n, s.n)
     es = idempotents(s, "Estar")
@@ -45,7 +45,7 @@ def test_decomposition_parts(kraw3):
 
 def test_annihilation_degrees(kraw3):
     s = kraw3
-    rfl = compute_rfl(s)
+    rfl = dense_view(compute_rfl(s))
     es = idempotents(s, "Estar")
     for i in range(s.d + 1):
         assert (rfl.raising ** (s.d - i + 1) * es[i]).is_zero()
