@@ -16,8 +16,7 @@ from .fields import (Fp, PrimeField, QQ, RationalField, field_from_descriptor,
                      is_prime)
 from .matrix import Matrix, commutator
 from .linalg import (EigenData, Subspace, eigenvalues_in_field, inverse,
-                     lagrange_idempotents, projectors_from_direct_sum,
-                     rank_kernel, solve_right)
+                     lagrange_idempotents, rank_kernel, solve_right)
 from .systems import (PairAnalysis, REASON_DIAMETER,
                       REASON_NOT_DIAGONALIZABLE, REASON_NO_ORDERING,
                       REASON_REDUCIBLE, REASON_UNDETERMINED, Rejection,
@@ -66,8 +65,7 @@ __all__ = [
     "eigenvalues_in_field", "field_from_descriptor",
     "generated_algebra_dimension", "inverse", "is_krawtchouk_type",
     "is_prime", "kronecker_sum_candidate", "lagrange_idempotents",
-    "leonard_data", "matrix_from_json", "projectors_from_direct_sum",
-    "rank_kernel", "relative", "run_all_checks",
-    "section5_coefficients", "solve_right", "system_from_json",
-    "system_to_json",
+    "leonard_data", "matrix_from_json", "rank_kernel", "relative",
+    "run_all_checks", "section5_coefficients", "solve_right",
+    "system_from_json", "system_to_json",
 ]

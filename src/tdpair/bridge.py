@@ -10,7 +10,8 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .fields import Field, Scalar
-from .frame import Frame, SparseMatrix, frame_of
+from .frame import Frame, frame_of
+from .matrix import SparseMatrix
 from .results import Residual
 from .rfl import RFLDecomposition
 from .split import SplitDecomposition

@@ -186,7 +186,12 @@ def _emit(doc: dict, out: Optional[str]) -> None:
 
 def _load_pair(path: str) -> Tuple[Matrix, Matrix, Field]:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MalformedInputError(str(exc)) from exc
+        except ValueError as exc:   # not UTF-8, or too many digits
+            raise MalformedInputError(f"unreadable JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedInputError("input must be a JSON object")
     if doc.get("schema") != SCHEMA_VERSION:
@@ -337,6 +342,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InternalInconsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (TdpairError, json.JSONDecodeError, OSError) as exc:
+    except (TdpairError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,6 +24,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 
 
+def _too_long(text: str) -> ScalarParseError:
+    """For a literal with more digits than int() converts."""
+    return ScalarParseError(f"scalar literal of {len(text)} characters "
+                            "has too many digits to convert")
+
+
 def is_prime(n: int) -> bool:
     """Primality by Miller-Rabin with the prime bases up to 41, which is
     exact for n < 3,317,044,064,679,887,385,961,981; from there on a
@@ -240,6 +246,8 @@ class RationalField:
             return Fraction(text.strip())
         except ZeroDivisionError as exc:
             raise ScalarParseError(f"zero denominator: {text!r}") from exc
+        except ValueError as exc:
+            raise _too_long(text) from exc
 
     def to_text(self, x: Fraction) -> str:
         return str(x)
@@ -290,15 +298,15 @@ class PrimeField:
     def parse(self, text: str) -> Fp:
         if not isinstance(text, str) or not _SCALAR_RE.match(text.strip()):
             raise ScalarParseError(f"bad GF({self.p}) literal: {text!r}")
-        body = text.strip()
-        if "/" in body:
-            num, den = body.split("/")
-            d = int(den) % self.p
-            if d == 0:
-                raise ScalarParseError(
-                    f"denominator divisible by {self.p}: {text!r}")
-            return Fp(int(num) * pow(d, -1, self.p), self.p)
-        return Fp(int(body), self.p)
+        num, _, den = text.strip().partition("/")
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError as exc:
+            raise _too_long(text) from exc
+        if den % self.p == 0:
+            raise ScalarParseError(
+                f"denominator divisible by {self.p}: {text!r}")
+        return Fp(num if den == 1 else num * pow(den, -1, self.p), self.p)
 
     def to_text(self, x: Fp) -> str:
         return str(x.val)

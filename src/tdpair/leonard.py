@@ -12,9 +12,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .bridge import _coefficients, _cubic_term, _gap_products
 from .errors import InternalInconsistencyError, NotLeonardSystemError
 from .fields import Field, Scalar
-from .frame import SparseMatrix, frame_of
+from .frame import frame_of
 from .linalg import _int_rref, _scalar
-from .matrix import Matrix
+from .matrix import Matrix, SparseMatrix
 from .results import Residual, ScalarResidual
 from .rfl import section5_coefficients
 from .split import SplitDecomposition, compute_split
@@ -133,9 +133,8 @@ def leonard_data(sys: TridiagonalSystem,
 
     # the columns of B and of (Q^-1 A* Q) B, each in column 0 of its own
     # matrix, then as int rows over one denominator
-    zeta = _first_nonzero_column(sys.Estar_factors[0])
-    zeta = SparseMatrix.of(Matrix.from_columns(
-        field, [fr.bases["Q"][1].apply(zeta)]))
+    zeta = fr.bases["Q"][1] * SparseMatrix.of(Matrix.from_columns(
+        field, [_first_nonzero_column(sys.Estar_factors[0])]))
     cols = [r * zeta for r in fr.r_pow[:d + 1]]
     cols += [fr.astar * x for x in cols]
     den = math.lcm(*(x.den for x in cols))

@@ -142,11 +142,6 @@ class Subspace:
     def basis_columns(self) -> List[Tuple[Scalar, ...]]:
         return [tuple(col) for col in self.basis]
 
-    def basis_matrix(self) -> Matrix:
-        if not self.basis:
-            raise DimensionError("zero subspace has no basis matrix")
-        return Matrix.from_columns(self.field, self.basis)
-
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field:
             raise FieldMismatchError("subspaces over different fields")
@@ -555,9 +550,3 @@ def direct_sum(parts: Sequence[Subspace]) -> Tuple[Matrix, Matrix, list]:
          Matrix(field, binv.rows[lo:hi], _trusted=True)) if hi > lo else None
         for lo, hi in zip([0] + ends, ends)]
 
-
-def projectors_from_direct_sum(parts: Sequence[Subspace]) -> List[Matrix]:
-    """Projectors onto each summand of a direct sum; see direct_sum."""
-    _, _, factors = direct_sum(parts)
-    zero = Matrix.zeros(parts[0].field, parts[0].ambient, parts[0].ambient)
-    return [f[0] * f[1] if f else zero for f in factors]

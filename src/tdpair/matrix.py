@@ -1,7 +1,13 @@
-"""Immutable dense matrices over one exact scalar field."""
+"""Immutable dense matrices over one exact scalar field, and SparseMatrix,
+the integer form that every matrix product, dense ones included, runs on:
+a dense product converts both factors, padded to one square size, and
+crops the product back to its shape.
+"""
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import math
+from fractions import Fraction
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import DimensionError, FieldMismatchError
 from .fields import Field, Scalar
@@ -157,24 +163,9 @@ class Matrix:
         self._require_same_field(other)
         if self.ncols != other.nrows:
             raise DimensionError("inner dimensions do not match")
-        zero = self.field.zero
-        brows = other.rows
-        ncols = other.ncols
-        out = []
-        for arow in self.rows:
-            acc = None
-            for k, x in enumerate(arow):
-                if not x:
-                    continue
-                brow = brows[k]
-                if acc is None:
-                    acc = [x * y if y else zero for y in brow]
-                else:
-                    for j, y in enumerate(brow):
-                        if y:
-                            acc[j] = acc[j] + x * y
-            out.append((zero,) * ncols if acc is None else tuple(acc))
-        return Matrix(self.field, tuple(out), _trusted=True)
+        n = max(self.nrows, self.ncols, other.ncols)
+        return (SparseMatrix.of(self, n) * SparseMatrix.of(other, n)
+                ).dense(self.nrows, other.ncols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -258,14 +249,143 @@ class Matrix:
         return [[self.field.to_text(x) for x in row] for row in self.rows]
 
 
+_NONE: Dict[int, object] = {}
+
+
+class SparseMatrix:
+    """An n x n matrix holding only its nonzero entries, as ints:
+    rows[i][j] / den is the entry at (i, j), and a row with none is
+    absent.  Over QQ the numerators are over one den > 0 for the whole
+    matrix, in lowest terms; over GF(p) they are residues in [1, p), and
+    den is 1, as it is for the zero matrix.  A product sums each entry
+    unreduced and reduces it once, a sum rescales to the lcm of the two
+    denominators, and field scalars appear only at the boundary: of,
+    dense, trace and the scalar that scale takes."""
+
+    __slots__ = ("field", "n", "rows", "den")
+
+    def __init__(self, field, n: int, rows: dict, den: int = 1):
+        self.field, self.n, self.den = field, n, den
+        self.rows = {i: row for i, row in rows.items() if row}
+
+    def _lowest(self, rows: dict, den: int) -> "SparseMatrix":
+        """The matrix over self's field of rows of nonzero ints over den,
+        both divided by their gcd; over GF(p) den is already 1."""
+        g = den
+        for row in rows.values():
+            if g == 1:
+                break
+            g = math.gcd(g, *row.values())
+        if g != 1:
+            den //= g
+            rows = {i: {j: x // g for j, x in row.items()}
+                    for i, row in rows.items()}
+        return SparseMatrix(self.field, self.n, rows, den)
+
+    @classmethod
+    def of(cls, m: Matrix, n: int = 0) -> "SparseMatrix":
+        """m, padded with zero rows and columns to n x n, or to be square
+        when thin."""
+        p = m.field.char
+        den = 1 if p else math.lcm(*(x.denominator for r in m.rows for x in r))
+        return cls(m.field, n or max(m.nrows, m.ncols), {
+            i: {j: x.val if p else x.numerator * (den // x.denominator)
+                for j, x in enumerate(row) if x}
+            for i, row in enumerate(m.rows)}, den)
+
+    @classmethod
+    def identity(cls, field, n: int) -> "SparseMatrix":
+        return cls(field, n, {i: {i: 1} for i in range(n)})
+
+    def _scalar(self, x: int):
+        """The field scalar of the int entry x."""
+        return Fraction(x, self.den) if self.den != 1 \
+            else self.field.from_int(x)
+
+    def dense(self, nrows: int = 0, ncols: int = 0) -> Matrix:
+        """The n x n Matrix, or its leading nrows x ncols block."""
+        zero, cols = self.field.zero, range(ncols or self.n)
+        rows = (self.rows.get(i, _NONE) for i in range(nrows or self.n))
+        return Matrix(self.field, tuple(
+            tuple(self._scalar(row[j]) if j in row else zero for j in cols)
+            for row in rows), _trusted=True)
+
+    def __eq__(self, other):
+        """Equal matrices have equal forms, which are canonical."""
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        return (self.field, self.n, self.den, self.rows) \
+            == (other.field, other.n, other.den, other.rows)
+
+    __hash__ = None
+
+    def is_zero(self) -> bool:
+        return not self.rows
+
+    def trace(self):
+        return self._scalar(sum(row.get(i, 0)
+                                for i, row in self.rows.items()))
+
+    def scale(self, c) -> "SparseMatrix":
+        c, p = self.field.coerce(c), self.field.char
+        num, den = (c.val, 1) if p else (c.numerator, c.denominator)
+        return self._lowest({
+            i: {j: num * x % p if p else num * x for j, x in row.items()}
+            for i, row in self.rows.items()} if num else {}, self.den * den)
+
+    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
+        return self._merge(other, 1)
+
+    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
+        return self._merge(other, -1)
+
+    def _merge(self, other: "SparseMatrix", sign: int) -> "SparseMatrix":
+        """self + sign * other, over the lcm of the two denominators."""
+        p, den = self.field.char, math.lcm(self.den, other.den)
+        mine, theirs = den // self.den, sign * den // other.den
+        rows = {i: {j: mine * x for j, x in row.items()}
+                for i, row in self.rows.items()}
+        for i, row in other.rows.items():
+            acc = rows.setdefault(i, {})
+            for j, x in row.items():
+                x = acc.get(j, 0) + theirs * x
+                if p:
+                    x %= p
+                if x:
+                    acc[j] = x
+                else:
+                    del acc[j]
+        return self._lowest(rows, den)
+
+    def __mul__(self, other: "SparseMatrix") -> "SparseMatrix":
+        p, rows, right = self.field.char, {}, other.rows
+        for i, row in self.rows.items():
+            acc: Dict[int, int] = {}
+            for k, a in row.items():
+                for j, b in right.get(k, _NONE).items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            rows[i] = {j: y for j, x in acc.items() if (y := x % p)} if p \
+                else {j: x for j, x in acc.items() if x}
+        return self._lowest(rows, self.den * other.den)
+
+    def rank(self) -> int:
+        """The rank of the nonzero rows restricted to the nonzero
+        columns, read from the numerators, since den changes no rank."""
+        from .linalg import _int_rref   # linalg imports this module
+        cols = sorted({j for row in self.rows.values() for j in row})
+        return len(_int_rref([[row.get(j, 0) for j in cols]
+                              for row in self.rows.values()],
+                             self.field.char)[2])
+
+
 def commutator(x, y):
-    """xy - yx for two Matrix or two frame.SparseMatrix operands."""
+    """xy - yx for two Matrix or two SparseMatrix operands."""
     return x * y - y * x
 
 
 def powers(ident, m, top: int) -> list:
     """ident, m, m^2, ..., m^top, each the one before times m; m is a
-    Matrix or a frame.SparseMatrix, ident the identity of its kind."""
+    Matrix or a SparseMatrix, ident the identity of its kind."""
     out = [ident]
     for _ in range(top):
         out.append(out[-1] * m)

@@ -12,8 +12,8 @@ from functools import partial
 from typing import Dict, List, Optional
 
 from .fields import Scalar
-from .frame import SparseMatrix, frame_of
-from .matrix import Matrix, commutator, powers
+from .frame import frame_of
+from .matrix import SparseMatrix, commutator, powers
 from .results import RankEntry, RankTable, Residual
 from .systems import (RelationParameters, TridiagonalSystem,
                       compute_relation_parameters)
@@ -184,11 +184,11 @@ def check_section10(sys: TridiagonalSystem, rfl: RFLDecomposition
     d = sys.d
     rho = sys.shape
     fr = frame_of(sys)
-    ident = SparseMatrix.of(Matrix.identity(sys.field, sys.n))
+    ident = SparseMatrix.identity(sys.field, sys.n)
     r_pow, l_pow = (powers(ident, m, d) for m in fr.moved(
         rfl.system, "PP", rfl.raising, rfl.lowering))
     a_pow, astar_pow = (powers(ident, m, d) for m in (fr.a_pp, fr.astar_pp))
-    e_b, e_c, es = fr.e_b, fr.e_c, fr.es_pp
+    e, es = fr.e_thin, fr.es_pp
     entries: List[RankEntry] = []
     for i in range(d + 1):
         for j in range(i, d + 1):
@@ -205,8 +205,8 @@ def check_section10(sys: TridiagonalSystem, rfl: RFLDecomposition
             entries.append(RankEntry(
                 "EsAEs_rev", i, j, (es[j] * a_pow[k] * es[i]).rank(), low))
             entries.append(RankEntry(
-                "EAsE", i, j, (e_c[i] * astar_pow[k] * e_b[j]).rank(), low))
+                "EAsE", i, j, (e[i][1] * astar_pow[k] * e[j][0]).rank(), low))
             entries.append(RankEntry(
-                "EAsE_rev", i, j, (e_c[j] * astar_pow[k] * e_b[i]).rank(),
+                "EAsE_rev", i, j, (e[j][1] * astar_pow[k] * e[i][0]).rank(),
                 low))
     return RankTable("section10", tuple(entries))

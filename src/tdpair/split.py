@@ -10,9 +10,9 @@ from itertools import accumulate
 from typing import Dict, List, Tuple
 
 from .errors import InternalInconsistencyError
-from .frame import SparseMatrix, frame_of
+from .frame import Frame, frame_of
 from .linalg import Subspace, _insert, direct_sum
-from .matrix import Matrix
+from .matrix import Matrix, SparseMatrix
 from .results import RankEntry, RankTable, Residual
 from .systems import TridiagonalSystem
 
@@ -24,7 +24,7 @@ class SplitDecomposition:
     in QP and PQ, for P the dual basis of system, as sparse matrices."""
     system: TridiagonalSystem
     summands: Tuple[Subspace, ...]
-    basis: Tuple[Matrix, Matrix]
+    basis: Tuple[SparseMatrix, SparseMatrix]
     projectors: Tuple[SparseMatrix, ...]
     raising: SparseMatrix
     lowering: SparseMatrix
@@ -50,54 +50,56 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
     identities and ranks) are left to check_section7 and
     check_split_bijectivity, which report them.
 
-    Each map is a sparse product in the frame: F_i is the identity on
-    block i of Q, A and A* enter as T^-1 (P^-1 A P) T for T = P^-1 Q, and
-    the transition maps sum F_i T^-1 E*_i and E*_i T F_i, E*_i in P.
-    frame_of(sys, split).original carries one back to the input basis.
+    F_i is the identity on block i of Q.  The other maps are read off
+    the split's frame, built once from Q and the F_i and kept as
+    frame_of(sys, split): the shifted maps from its A and A* in Q, the
+    transition maps as sums of its F_i E*_i and E*_i F_i.
     """
     field, n, d = sys.field, sys.n, sys.d
-    e, es = sys.E_factors, sys.Estar_factors
+    e = sys.E_factors
     fr = frame_of(sys)
     if not fr.is_basis:
         raise InternalInconsistencyError(
             "the bases of the dual eigenspaces are not a basis")
-    p = fr.bases["P"][0]
-    ends = list(accumulate(x[0].ncols if x else 0 for x in es))
-    # rows reversed, so that the echelon's pivot is the last coordinate
+    ends = list(accumulate(x[0].ncols if x else 0 for x in sys.Estar_factors))
+    # rows reversed, so that the echelon's pivot is the last coordinate;
+    # the rows of U_i are independent, so it has as many dimensions
     rows: Dict[int, list] = {}
-    summands: List[Subspace] = []
+    cols: List[list] = []
     for i in range(d, -1, -1):
         if e[i]:
             # the columns of P^-1 B_i, for E_i = B_i C_i
-            for col in fr.e_b[i].dense().columns()[:e[i][0].ncols]:
+            for col in fr.e_thin[i][0].dense(n, e[i][0].ncols).columns():
                 _insert(rows, col[::-1])
-        summands.append(Subspace.from_columns(
-            field, n, [p.apply(row[::-1]) for piv, row in rows.items()
-                       if piv >= n - ends[i]]))
-    summands.reverse()
+        cols.append([row[::-1] for piv, row in rows.items()
+                     if piv >= n - ends[i]])
+    cols.reverse()
     for i in range(d + 1):
-        if summands[i].dim != sys.shape[i]:
+        if len(cols[i]) != sys.shape[i]:
             raise InternalInconsistencyError(
-                f"summand {i} has dimension {summands[i].dim}, "
+                f"summand {i} has dimension {len(cols[i])}, "
                 f"expected {sys.shape[i]}")
+    p = fr.bases["P"][0]
+    summands = [Subspace.from_columns(field, n, (p * SparseMatrix.of(
+        Matrix.from_columns(field, c))).dense(n, len(c)).columns()
+        if c else []) for c in cols]
 
     q, q_inv, _ = direct_sum(summands)
-    p_s, p_inv_s = fr.sparse["P"]
-    t, t_inv = p_inv_s * SparseMatrix.of(q), SparseMatrix.of(q_inv) * p_s
-    # F_i is the identity on block i of Q
     block = [i for i, s in enumerate(summands) for _ in range(s.dim)]
     f = [SparseMatrix(field, n, {k: {k: 1} for k, b in enumerate(block)
                                  if b == i}) for i in range(d + 1)]
-    zero, es_pp = SparseMatrix(field, n, {}), fr.es_pp
+    basis = (SparseMatrix.of(q), SparseMatrix.of(q_inv))
+    sf, zero = Frame(sys, basis, f), SparseMatrix(field, n, {})
     # A - sum theta_i F_i and A* - sum thetastar_i F_i
     raising, lowering = (
-        t_inv * x * t - sum(map(SparseMatrix.scale, f, th), zero)
-        for x, th in ((fr.a_pp, sys.theta), (fr.astar_pp, sys.thetastar)))
-    return SplitDecomposition(
-        system=sys, summands=tuple(summands), basis=(q, q_inv),
+        x - sum(map(SparseMatrix.scale, f, th), zero)
+        for x, th in ((sf.a, sys.theta), (sf.astar, sys.thetastar)))
+    split = SplitDecomposition(
+        system=sys, summands=tuple(summands), basis=basis,
         projectors=tuple(f), raising=raising, lowering=lowering,
-        transition=sum((x * t_inv * e for x, e in zip(f, es_pp)), zero),
-        transition_inv=sum((e * t * x for x, e in zip(f, es_pp)), zero))
+        transition=sum(sf.fe_qp, zero), transition_inv=sum(sf.ef_pq, zero))
+    frame_of(sys, split, sf.read_maps(split))
+    return split
 
 
 def check_section7(sys: TridiagonalSystem,
@@ -174,7 +176,8 @@ def check_split_bijectivity(sys: TridiagonalSystem,
         entries.append(RankEntry("FEstar", i, i, fr.fe_qp[i].rank(), rho[i]))
         entries.append(RankEntry("EstarF", i, i, fr.ef_pq[i].rank(), rho[i]))
         entries.append(RankEntry(
-            "FE", i, i, (proj[i] * fr.t_inv * fr.e_b[i]).rank(), rho[i]))
+            "FE", i, i, (proj[i] * fr.t_inv * fr.e_thin[i][0]).rank(),
+            rho[i]))
         entries.append(RankEntry(
-            "EF", i, i, (fr.e_c[i] * fr.f_pq[i]).rank(), rho[i]))
+            "EF", i, i, (fr.e_thin[i][1] * fr.f_pq[i]).rank(), rho[i]))
     return RankTable("section7", tuple(entries))

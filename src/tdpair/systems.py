@@ -111,11 +111,18 @@ def _block_pattern(factors: Sequence[Tuple[Matrix, Matrix]], other: Matrix
 
     With E_i = B_i C_i its rank factorization, B_i of full column rank and
     C_i of full row rank, that block is zero exactly when the
-    rho_i x rho_j block C_i other B_j is.
+    rho_i x rho_j block C_i other B_j is.  All blocks are read from one
+    product C other B, for B the B_i side by side and C the C_i stacked.
     """
-    images = [other * b for b, _ in factors]
-    return tuple(tuple(not (c * img).is_zero() for img in images)
-                 for _, c in factors)
+    field, k = other.field, len(factors)
+    b = Matrix(field, tuple(zip(*(col for x, _ in factors
+                                  for col in x.columns()))), _trusted=True)
+    c = Matrix(field, tuple(row for _, x in factors for row in x.rows),
+               _trusted=True)
+    block = [i for i, (x, _) in enumerate(factors) for _ in range(x.ncols)]
+    hit = {(i, j) for i, row in zip(block, (c * other * b).rows)
+           for j, x in zip(block, row) if x}
+    return tuple(tuple((i, j) in hit for j in range(k)) for i in range(k))
 
 
 def _adjacency(nonzero: Sequence[Sequence[bool]]) -> List[set]:

@@ -7,8 +7,9 @@ the three distinguished bases of a multiplicity-free system, two
 readers of check results, the exponential of a nilpotent matrix as
 its terminating power series, and the field-scalar elimination that the
 package's integer one replaced: echelon rows, the reduced row echelon
-form, the rank and the column space, and the operators of a
-decomposition carried back to the input basis."""
+form, the rank and the column space, a subspace's basis matrix, the
+projectors of a direct sum, and the operators of a decomposition carried
+back to the input basis."""
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -18,7 +19,7 @@ from tdpair import (InternalInconsistencyError, Matrix, SingularMatrixError,
                     compute_split, inverse, leonard_data)
 from tdpair.frame import SparseMatrix, frame_of
 from tdpair.leonard import _rep_dual_a, _tridiagonal
-from tdpair.linalg import _insert, _reduce
+from tdpair.linalg import _insert, _reduce, direct_sum
 from tdpair.systems import _compute_shape
 
 
@@ -81,6 +82,20 @@ def column_space(m: Matrix) -> Subspace:
     return Subspace(m.field, m.nrows, rows, pivots, _trusted=True)
 
 
+def basis_matrix(space: Subspace) -> Matrix:
+    """The basis of a nonzero subspace as the columns of a matrix."""
+    return Matrix.from_columns(space.field, space.basis)
+
+
+def projectors_from_direct_sum(parts: Sequence[Subspace]) -> List[Matrix]:
+    """Projectors onto each summand of a direct sum along the others, each
+    the product of its factors from direct_sum; the zero matrix for a
+    zero summand."""
+    _, _, factors = direct_sum(parts)
+    zero = Matrix.zeros(parts[0].field, parts[0].ambient, parts[0].ambient)
+    return [f[0] * f[1] if f else zero for f in factors]
+
+
 def idempotents(system, part: str) -> Tuple[Matrix, ...]:
     """The family part ("E" or "Estar") of system as dense matrices
     B_i C_i, the zero matrix where the factors are None."""
@@ -98,7 +113,7 @@ def rank_factorization(m: Matrix) -> Optional[Tuple[Matrix, Matrix]]:
     space = column_space(m)
     if not space.dim:
         return None
-    return (space.basis_matrix(),
+    return (basis_matrix(space),
             Matrix(m.field, tuple(m.rows[p] for p in space.pivots),
                    _trusted=True))
 

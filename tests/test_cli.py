@@ -284,6 +284,58 @@ def test_malformed_inputs(tmp_path, capsys):
     rc, _, err = run_cli(capsys, ["verify", badfield])
     assert rc == 2 and err.startswith("error:")
 
+    # the decoder's message, as it was before such errors were wrapped
+    rc, _, err = run_cli(capsys, ["verify", str(garbled)])
+    assert err == ("error: Expecting property name enclosed in double "
+                   "quotes: line 1 column 2 (char 1)\n")
+
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"schema": 1, "name": "caf\xe9"}')
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"schema": 1, "field": {"kind": "prime", "p": %s}}'
+                    % ("7" * 5000), encoding="utf-8")
+    cases = [latin] + ([huge] if hasattr(sys, "get_int_max_str_digits")
+                       else [])
+    for path in cases:
+        for command in ("verify", "report"):
+            rc, out, err = run_cli(capsys, [command, str(path)])
+            assert rc == 2 and out == "", (path, command)
+            assert err.startswith("error: unreadable JSON: "), err
+
+
+# more digits than int() converts from text, where the interpreter limits it
+LONG = "1" * 5000
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter converts integer text of any length")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("argv", [
+    ["construct", "krawtchouk", "--d", "2", "--p", LONG],
+    ["construct", "krawtchouk", "--d", "2", "--p", "1/" + LONG],
+    ["construct", "krawtchouk", "--d", "2", "--p", LONG,
+     "--field", "prime:101"],
+    ["construct", "leonard", "--theta", LONG + ",1", "--thetastar", "1,-1",
+     "--phi", "1"],
+    ["construct", "leonard", "--theta", "1,-1", "--thetastar", "1," + LONG,
+     "--phi", "1"],
+    ["construct", "leonard", "--theta", "1,-1", "--thetastar", "1,-1",
+     "--phi", LONG],
+], ids=["p", "p-denominator", "p-prime-field", "theta", "thetastar", "phi"])
+def test_overlong_scalar_arguments_exit_two(argv, capsys):
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: scalar literal of ")
+    assert "Traceback" not in err
+
+
+@needs_digit_limit
+def test_overlong_beta_exits_two(stored_kraw2, capsys):
+    rc, out, err = run_cli(capsys, ["verify", stored_kraw2, "--beta", LONG])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: scalar literal of ")
+
 
 def test_unknown_check_id(stored_kraw2, capsys):
     rc, _, err = run_cli(capsys, ["verify", stored_kraw2,

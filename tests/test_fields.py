@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,20 @@ def test_prime_field_parse():
         gf7.parse("1/7")
     with pytest.raises(ScalarParseError):
         gf7.parse("1.5")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter converts integer text of any "
+                           "length")
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("text", ["9" * 5000, "1/" + "9" * 5000,
+                                  "-" + "9" * 5000],
+                         ids=["integer", "denominator", "negative"])
+def test_parse_rejects_overlong_literals(field, text):
+    """A literal with more digits than int() converts is a parse error,
+    not the ValueError of the conversion."""
+    with pytest.raises(ScalarParseError):
+        field.parse(text)
 
 
 def test_prime_field_to_text_canonical():

@@ -1,5 +1,6 @@
 """SparseMatrix against the dense Matrix as oracle, over QQ, GF(101) and
-GF(2^61 - 1)."""
+GF(2^61 - 1).  The dense product itself runs on SparseMatrix, so
+tests/test_matrix.py pins it to schoolbook sums of field scalars."""
 import math
 from fractions import Fraction
 
@@ -158,6 +159,7 @@ def test_zero_and_identity():
         assert zero.is_zero() and zero.rank() == 0
         assert zero.dense() == Matrix.zeros(field, 3, 3)
         ident = SparseMatrix.of(Matrix.identity(field, 3))
+        assert SparseMatrix.identity(field, 3) == ident
         assert ident.rank() == 3 and not ident.is_zero()
         assert (ident * ident).dense() == Matrix.identity(field, 3)
         assert canonical(ident * ident).rows == {k: {k: 1} for k in range(3)}

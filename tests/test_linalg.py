@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from tdpair import (DecompositionError, DimensionError, Matrix,
                     NotDiagonalizableError, PrimeField, QQ,
                     SingularMatrixError, Subspace, eigenvalues_in_field,
-                    inverse, lagrange_idempotents, projectors_from_direct_sum,
-                    rank_kernel, solve_right)
+                    inverse, lagrange_idempotents, rank_kernel, solve_right)
 from tdpair.linalg import (_poly_divmod, charpoly, irreducible_mod_p,
                            rational_roots)
 
 from oracles import (FactorialInversionError, NotNilpotentError, _rref,
-                     nilpotency_index, nilpotent_exp_scaled, rank)
+                     nilpotency_index, nilpotent_exp_scaled,
+                     projectors_from_direct_sum, rank)
 from subspaces import (contains, full, is_subspace_of, subspace_intersect,
                        subspace_sum, zero)
 

@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdpair import (DimensionError, FieldMismatchError, Matrix, PrimeField,
                     QQ, commutator)
 
 GF5 = PrimeField(5)
+M61 = PrimeField(2 ** 61 - 1)
 
 entries = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -82,6 +83,53 @@ def test_product_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert (a * b).transpose() == b.transpose() * a.transpose()
+
+
+def scalars(field):
+    """Entries for the product test: over QQ with small prime denominators,
+    so that the entries of one matrix have coprime denominators; over
+    GF(2^61 - 1) with the residues 0, 1 and p - 1 among the draws."""
+    if field is QQ:
+        return st.builds(Fraction, st.integers(-40, 40),
+                         st.sampled_from([1, 2, 3, 5, 7, 11, 13]))
+    if field is M61:
+        return st.sampled_from([0, 1, M61.p - 1]) | st.integers(0, M61.p - 1)
+    return st.integers(0, 4)
+
+
+@st.composite
+def product_operands(draw):
+    """An r x k and a k x c matrix over one field, sizes 1 to 6, with the
+    shapes 1 x k times k x 1 and k x 1 times 1 x k drawn on purpose."""
+    field = draw(st.sampled_from([QQ, GF5, M61]))
+    size = st.integers(1, 6)
+    k = draw(size)
+    r, k, c = draw(st.sampled_from([(1, k, 1), (k, 1, k),
+                                    (draw(size), k, draw(size))]))
+    entry = scalars(field)
+
+    def matrix(rows, cols):
+        return Matrix(field, [[draw(entry) for _ in range(cols)]
+                              for _ in range(rows)])
+
+    return matrix(r, k), matrix(k, c)
+
+
+@settings(deadline=None)
+@given(product_operands())
+def test_product_is_the_schoolbook_sum(operands):
+    """a * b equals the sum over t of a[i][t] b[t][j] in field scalars,
+    entry by entry, with the shape r x c and entries of the field's
+    scalar type."""
+    a, b = operands
+    field, kind = a.field, type(a.field.zero)
+    want = [[sum((a.entry(i, t) * b.entry(t, j) for t in range(a.ncols)),
+                 field.zero) for j in range(b.ncols)]
+            for i in range(a.nrows)]
+    got = a * b
+    assert (got.nrows, got.ncols) == (a.nrows, b.ncols)
+    assert got.rows == tuple(map(tuple, want))
+    assert all(type(x) is kind for row in got.rows for x in row)
 
 
 @given(square(3), square(3))

@@ -144,32 +144,81 @@ def test_each_idempotent_factored_once(kraw3, monkeypatch):
 @pytest.mark.parametrize("first,second", [("section7", "section10"),
                                           ("section10", "section7")])
 def test_thin_factors_formed_once(kraw3, monkeypatch, first, second):
-    """Each E_i = B_i C_i enters the frame as P^-1 B_i and C_i P, the only
-    thin matrices made sparse, and each is formed once per system:
-    compute_split forms the first, and the rank tables of section7 and
-    section10, in either order, the second."""
+    """Each E_i = B_i C_i and E*_i = B*_i C*_i enters the frame through
+    P^-1 B_i and C_i P, and each B_i and C_i is made sparse exactly once
+    per system: compute_split makes every one, and the rank tables of
+    section7 and section10, in either order, none again."""
     system = dataclasses.replace(kraw3)
-    thin = []
+    factors = {id(m): m for part in (system.E_factors, system.Estar_factors)
+               for x in part for m in x}
+    made = []
     of = SparseMatrix.of.__func__
 
-    def counted(cls, m):
-        if m.nrows != m.ncols:
-            thin.append(m)
-        return of(cls, m)
+    def counted(cls, m, n=0):
+        if id(m) in factors:
+            made.append(id(m))
+        return of(cls, m, n)
 
     monkeypatch.setattr(SparseMatrix, "of", classmethod(counted))
     compute_split(system)
-    assert len(thin) == system.d + 1
+    assert sorted(made) == sorted(factors)
     for check in (first, second):
         assert run_all_checks(system, checks=[check]).ok
-    assert len(thin) == 2 * (system.d + 1)
+    assert sorted(made) == sorted(factors)
+
+
+def spied_frames(monkeypatch):
+    """The list to which every split frame built from now on is added."""
+    built, init = [], Frame.__init__
+
+    def spy(self, sys, basis=None, projectors=()):
+        init(self, sys, basis, projectors)
+        if basis is not None:
+            built.append(self)
+
+    monkeypatch.setattr(Frame, "__init__", spy)
+    return built
+
+
+def test_split_operators_formed_once(kraw3, monkeypatch):
+    """run_all_checks builds one split frame, the one compute_split reads
+    its maps off: T = P^-1 Q is formed once, and A* is conjugated into P
+    once, for the system's frame, which the split frame shares."""
+    system = dataclasses.replace(kraw3)
+    conj, mul = Frame.conj, SparseMatrix.__mul__
+    products, astar_conj = [], []
+
+    def spy_mul(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    def spy_conj(self, x, bases):
+        if x is system.Astar:
+            astar_conj.append(bases)
+        return conj(self, x, bases)
+
+    built = spied_frames(monkeypatch)
+    monkeypatch.setattr(SparseMatrix, "__mul__", spy_mul)
+    monkeypatch.setattr(Frame, "conj", spy_conj)
+    assert run_all_checks(system).ok
+    assert len(built) == 1
+    p_inv, q = built[0].bases["P"][1], built[0].bases["Q"][0]
+    assert sum(a is p_inv and b is q for a, b in products) == 1
+    assert astar_conj == ["PP"]
+
+
+def test_construct_builds_one_split_frame(monkeypatch):
+    """construct_krawtchouk reads its Leonard data off the frame that
+    compute_split built, so it builds exactly one split frame."""
+    built = spied_frames(monkeypatch)
+    construct_krawtchouk(KrawtchoukParams(field=QQ, d=4, p=Fraction(1, 3)))
+    assert len(built) == 1
 
 
 def test_conj_of_a_matrix_takes_no_dense_product(kraw3, monkeypatch):
-    """Frame.conj of a full matrix is a sparse product with the bases P,
-    P^-1, Q and Q^-1 held sparse, so over every check it makes no dense
-    product; only carrying back, inverting a basis and conjugating the
-    factors (B, C) of a matrix do."""
+    """Frame.conj of a full matrix is a sparse product with the bases P
+    and P^-1 held sparse, so over every check it makes no dense product;
+    only carrying back and inverting a basis do."""
     system = dataclasses.replace(kraw3)
     inside, full, dense = [], [], []
     matmul, conj = Matrix._matmul, Frame.conj
@@ -180,8 +229,6 @@ def test_conj_of_a_matrix_takes_no_dense_product(kraw3, monkeypatch):
         return matmul(a, b)
 
     def spy_conj(self, x, bases):
-        if not isinstance(x, Matrix):
-            return conj(self, x, bases)
         full.append(bases)
         inside.append(1)
         try:

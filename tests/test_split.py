@@ -1,3 +1,6 @@
+import dataclasses
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -5,6 +8,7 @@ import pytest
 from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, Subspace,
                     check_section7, check_split_bijectivity, compute_split,
                     construct_krawtchouk, kronecker_sum_candidate)
+from tdpair.frame import frame_of
 
 from oracles import (all_zero, column_space, dense_view, idempotents,
                      nilpotency_index)
@@ -155,3 +159,28 @@ def test_bijectivity_table(kraw3, multiplicity_system):
             elif e.table == "calL":
                 assert e.expected == \
                     (rho[e.j] if e.i + e.j >= d else rho[e.i])
+
+
+def test_split_keeps_its_frame_without_a_cycle(kraw3):
+    """compute_split keeps on the split the frame it read the maps off,
+    and that frame holds no reference back to the split, so dropping the
+    split frees it at once, with no cyclic collection; a rebuilt split
+    gets a frame of its own with the same operators."""
+    split = compute_split(kraw3)
+    fr = frame_of(kraw3, split)
+    assert fr.r_pow[1] == split.raising and fr.l_pow[1] == split.lowering
+    assert fr.psi_qp is split.transition
+    assert fr.bases["Q"] is split.basis
+    rebuilt = frame_of(kraw3, dataclasses.replace(split))
+    assert rebuilt is not fr
+    assert (rebuilt.a, rebuilt.astar, rebuilt.fe_qp) \
+        == (fr.a, fr.astar, fr.fe_qp)
+    gone = weakref.ref(split)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del split
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
