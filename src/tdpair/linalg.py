@@ -3,8 +3,8 @@
 Subspaces are kept in a canonical reduced column echelon form, so two
 subspaces are equal exactly when their basis matrices are identical.
 
-Kernels, subspaces, solutions and GF(p) inverses come from _int_rref, on
-residues or fraction-free on integer rows with exact division.
+Kernels, eigenspaces, subspaces, solutions and inverses come from
+_int_rref, on residues over GF(p) and primitive integer rows over QQ.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import (DecompositionError, DimensionError,
                      FieldMismatchError, NotDiagonalizableError,
                      SingularMatrixError)
-from .fields import Field, PrimeField, Scalar, is_prime
+from .fields import Field, Scalar, is_prime
 from .matrix import Matrix
 
 
@@ -69,13 +69,13 @@ def _int_rref(rows: List[List[int]], p: int
     """Gauss-Jordan elimination of int rows over GF(p), or over QQ for
     p = 0: (D, the nonzero rows, their pivots), the reduced row echelon
     form being the rows over D.  Over GF(p) a pivot row is scaled to 1,
-    so D = 1.  Over QQ it is fraction-free (Bareiss; Nakos, Turner and
-    Williams): for pivot d in row t and the previous pivot D', each other
-    row r becomes (d r - r[c] t) / D', exact as every entry stays a minor
-    of the input, and each pivot row ends with D, the last pivot, at its
-    pivot and 0 at the others."""
+    so D = 1.  Over QQ the rows stay primitive: for pivot d in row t,
+    each other row r becomes (d r - r[c] t) / gcd(d, r[c]) over the gcd
+    of its entries, the primitive vector on the line of the Bareiss
+    row, so each entry divides a minor of the input.  At the end D is
+    the lcm of the pivots, and each row is scaled to D at its pivot."""
     rows = [row for row in rows if any(row)]
-    pivots, den = [], 1
+    pivots = []
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
@@ -88,14 +88,20 @@ def _int_rref(rows: List[List[int]], p: int
             top = rows[r] = [x * inv % p for x in top]
         for k in range(len(rows)):
             a = rows[k][c]
-            if k == r or p and not a:
+            if k == r or not a:
                 continue
-            rows[k] = ([(x - a * y) % p for x, y in zip(rows[k], top)] if p
-                       else [(d * x - a * y) // den
-                             for x, y in zip(rows[k], top)])
-        den = den if p else d
+            if p:
+                rows[k] = [(x - a * y) % p for x, y in zip(rows[k], top)]
+                continue
+            g = math.gcd(d, a)
+            u, v = d // g, a // g
+            row = [u * x - v * y for x, y in zip(rows[k], top)]
+            g = math.gcd(*row)
+            rows[k] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-    return den, rows[:len(pivots)], pivots
+    den = math.lcm(*(rows[k][c] for k, c in enumerate(pivots)))
+    return den, [row if row[c] == den else [den // row[c] * x for x in row]
+                 for row, c in zip(rows, pivots)], pivots
 
 
 def _scalar(field: Field, x: int, den: int) -> Scalar:
@@ -161,18 +167,17 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
-def rank_kernel(m: Matrix) -> Tuple[int, Subspace]:
-    """Rank and kernel (as a canonical Subspace) of a matrix.
+def _int_kernel(field: Field, n: int, rows: List[List[int]]
+                ) -> Tuple[int, Subspace]:
+    """Rank and kernel (as a canonical Subspace) of a matrix over field
+    given as int rows of length n, residues over GF(p).
 
-    The rows are eliminated as ints by _int_rref with their columns
-    reversed, so each reduced row is 0 right of its pivot column and at
-    the other pivots, and D at its pivot.  The kernel vector of a free
-    column f is then 1 at f and -row[f] / D at the pivot column of each
-    row, all right of f: these vectors are already the canonical basis,
-    with the free columns as its pivots."""
-    n, field = m.ncols, m.field
-    den, rows, pivots = _int_rref(
-        _int_rows(field, (row[::-1] for row in m.rows)), field.char)
+    Eliminated by _int_rref with their columns reversed, each reduced row
+    is 0 right of its pivot column and at the other pivots, and D at its
+    pivot.  The kernel vector of a free column f is then 1 at f and
+    -row[f] / D at the pivot column of each row, all right of f: these
+    are already the canonical basis, with the free columns as pivots."""
+    den, rows, pivots = _int_rref([row[::-1] for row in rows], field.char)
     pivot_rows = {n - 1 - p: row[::-1] for p, row in zip(pivots, rows)}
     free = [c for c in range(n) if c not in pivot_rows]
     zero, one = field.zero, field.one
@@ -187,31 +192,23 @@ def rank_kernel(m: Matrix) -> Tuple[int, Subspace]:
     return len(pivots), Subspace(field, n, basis, free, _trusted=True)
 
 
+def rank_kernel(m: Matrix) -> Tuple[int, Subspace]:
+    """Rank and kernel (as a canonical Subspace) of a matrix."""
+    return _int_kernel(m.field, m.ncols, _int_rows(m.field, m.rows))
+
+
 def inverse(m: Matrix) -> Matrix:
-    """m^-1 by Gauss-Jordan elimination of [m | I]: on residues over
-    GF(p), on Fractions over QQ (_insert, then _reduce upwards), which
-    cancel the large denominators of the inverse of a dense eigenvector
-    basis step by step; fraction-free, it made direct_sum 6.7 times
-    slower at QQ Krawtchouk d = 24 conjugated."""
+    """m^-1 as the right half of [m | I] reduced by _int_rref, on
+    residues over GF(p) and on primitive integer rows over QQ."""
     m._require_square()
     n, field = m.nrows, m.field
-    ident = Matrix.identity(field, n)
-    aug = [list(row) + list(irow) for row, irow in zip(m.rows, ident.rows)]
-    if field.char:
-        _, rows, pivots = _int_rref(_int_rows(field, aug), field.char)
-        out = [[field.from_int(x) for x in row[n:]] for row in rows]
-    else:
-        echelon: Dict[int, List[Scalar]] = {}
-        for row in aug:
-            _insert(echelon, row)
-        pivots = sorted(echelon)
-        done: List[Tuple[int, List[Scalar]]] = []
-        for p in reversed(pivots):
-            done.append((p, _reduce(done, echelon[p])))
-        out = [row[n:] for _, row in reversed(done)]
+    den, rows, pivots = _int_rref(_int_rows(field, (
+        row + irow for row, irow in zip(
+            m.rows, Matrix.identity(field, n).rows))), field.char)
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return Matrix(field, tuple(map(tuple, out)), _trusted=True)
+    return Matrix(field, tuple(tuple(_scalar(field, x, den) for x in row[n:])
+                               for row in rows), _trusted=True)
 
 
 def solve_right(m: Matrix, vec: Sequence) -> Optional[Tuple[Scalar, ...]]:
@@ -458,30 +455,33 @@ class EigenData:
 def eigenvalues_in_field(m: Matrix) -> EigenData:
     """All eigenvalues of m lying in its base field, with eigenspaces.
 
-    The candidates are the roots in the field of the characteristic
-    polynomial: over GF(p) from _roots_mod_p, over the rationals those of
-    D M, for D the lcm of the entry denominators, from rational_roots.
-    Each candidate is confirmed by its kernel.  Results are sorted by the
-    field's canonical scalar order.
+    Over QQ let D be the lcm of the entry denominators; over GF(p) let
+    D = 1 and read residues.  The candidates are r / D for the roots r in
+    the field of the characteristic polynomial of D m, monic with integer
+    coefficients: over GF(p) from _roots_mod_p, over QQ its integer
+    roots.  Each is confirmed by the kernel of the int rows of D m with r
+    subtracted on the diagonal, that of m - (r / D) I.  Results are
+    sorted by the field's canonical scalar order.
     """
     m._require_square()
-    n = m.nrows
-    field = m.field
-    if isinstance(field, PrimeField):
-        poly = [c.val for c in reversed(charpoly(m))]
-        candidates = [field.from_int(r) for r in _roots_mod_p(poly, field.p)]
+    n, field, p = m.nrows, m.field, m.field.char
+    if p:
+        den, rows = 1, _int_rows(field, m.rows)
+        roots = _roots_mod_p([c.val for c in reversed(charpoly(m))], p)
     else:
         den = math.lcm(*(x.denominator for row in m.rows for x in row))
-        candidates = [r / den for r in rational_roots(charpoly(m.scale(den)))]
-    ident = Matrix.identity(field, n)
+        rows = [[x.numerator * (den // x.denominator) for x in row]
+                for row in m.rows]
+        roots = [r.numerator
+                 for r in rational_roots(charpoly(Matrix(field, rows)))]
     pairs = []
-    total = 0
-    for lam in sorted(candidates, key=field.sort_key):
-        _, ker = rank_kernel(m - ident.scale(lam))
+    for r in roots:
+        ker = _int_kernel(field, n, [
+            row[:i] + [(row[i] - r) % p if p else row[i] - r] + row[i + 1:]
+            for i, row in enumerate(rows)])[1]
         if ker.dim:
-            pairs.append((lam, ker))
-            total += ker.dim
-    return EigenData(tuple(pairs), total == n)
+            pairs.append((_scalar(field, r, den), ker))
+    return EigenData(tuple(pairs), sum(k.dim for _, k in pairs) == n)
 
 
 # -- idempotents and projectors -------------------------------------------

@@ -384,9 +384,9 @@ def commutator(x, y):
 
 
 def powers(ident, m, top: int) -> list:
-    """ident, m, m^2, ..., m^top, each the one before times m; m is a
-    Matrix or a SparseMatrix, ident the identity of its kind."""
-    out = [ident]
-    for _ in range(top):
+    """ident, m, m^2, ..., m^top, each after m the one before times m; m
+    is a Matrix or a SparseMatrix, ident the identity of its kind."""
+    out = [ident, m]
+    for _ in range(top - 1):
         out.append(out[-1] * m)
-    return out
+    return out[:top + 1]

@@ -5,12 +5,14 @@ byte for byte.
 
 Builds the inputs of the benchmark workloads family, eigen-scan and
 reject-mix for seeds 1 to 3 from `perfbench/workloads.py` of the tree
-holding this script, and twelve more with its builders: QQ Krawtchouk
+holding this script, and thirteen more with its builders: QQ Krawtchouk
 d = 14, the tensor sum of QQ Krawtchouk pairs of diameters 2 and 4 (n = 15,
 shape 1, 2, 3, 3, 3, 2, 1), Krawtchouk d = 6 with p = 3 over
 GF(2^31 - 1) and GF(2^61 - 1), whose residues are large, QQ Krawtchouk
 d = 8 conjugated as U^-1 A U, U^-1 A* U by a unipotent upper triangular U
-with integer entries drawn from [-2, 2] by `random.Random(8)`, the
+with integer entries drawn from [-2, 2] by `random.Random(8)`, QQ
+Krawtchouk d = 16 conjugated the same way with `random.Random(16)`, whose
+dense bases of order 17 give the QQ inverses large denominators, the
 GF(2^31 - 1) pair conjugated the same way with `random.Random(6)`, so that
 neither matrix is diagonal in the input basis and the factors of the
 idempotents are dense, and the Leonard data of a general basis is read
@@ -112,6 +114,8 @@ def emit(tree: str) -> None:
         krawtchouk_case("krawtchouk-m61-d6", 6, 3, 2 ** 61 - 1),
         conjugated(krawtchouk_case("krawtchouk-qq-d8", 8, Fraction(1, 3),
                                    None), random.Random(8)),
+        conjugated(krawtchouk_case("krawtchouk-qq-d16", 16, Fraction(1, 3),
+                                   None), random.Random(16)),
         conjugated(krawtchouk_case("krawtchouk-m31-d6", 6, 3, 2 ** 31 - 1),
                    random.Random(6)),
         conjugated(krawtchouk_case("krawtchouk-m61-d6", 6, 3, 2 ** 61 - 1),

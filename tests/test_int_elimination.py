@@ -1,6 +1,6 @@
 """The integer elimination of `linalg` against the field-scalar one of
 `oracles` as the reference: rank, pivots, reduced rows, kernels,
-subspaces, solutions, inverses over GF(p) and the rank of a sparse
+subspaces, solutions, inverses, eigenspaces and the rank of a sparse
 matrix, over QQ and over GF(2^61 - 1)."""
 from fractions import Fraction
 
@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, Subspace,
-                    construct_krawtchouk, inverse, rank_kernel, solve_right)
+from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ,
+                    SingularMatrixError, Subspace, construct_krawtchouk,
+                    inverse, rank_kernel, solve_right)
 from tdpair import linalg
 from tdpair.fields import Fp
 from tdpair.frame import SparseMatrix
@@ -138,22 +139,54 @@ def test_sparse_rank_matches_oracle(m):
     assert SparseMatrix.of(m).rank() == rank(m)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=6), st.data())
-def test_inverse_over_prime_field_matches_oracle(n, data):
-    """Over GF(p) the inverse is the right half of the oracle's reduced
-    [m | I], for m = L U with L, U unit triangular."""
-    near_p = st.integers(min_value=1, max_value=2 ** 20).map(
-        lambda k: M61.p - k)
-    entries = data.draw(st.lists(near_p, min_size=n * n, max_size=n * n))
-    lower = Matrix(M61, [[entries[i * n + j] if j < i else int(i == j)
-                          for j in range(n)] for i in range(n)])
-    upper = Matrix(M61, [[entries[i * n + j] if j > i else int(i == j)
-                          for j in range(n)] for i in range(n)])
-    m = lower * upper
-    ident = Matrix.identity(M61, n)
-    rows, _ = _rref([list(r) + list(e) for r, e in zip(m.rows, ident.rows)])
-    assert inverse(m) == Matrix(M61, [row[n:] for row in rows])
+@st.composite
+def invertible_or_not(draw):
+    """A square matrix of order 1 to 6 over QQ or GF(2^61 - 1): L U for
+    L and U unit triangular, with its rows then scaled by nonzero
+    scalars, so that pivots come out negative and the integer rows of
+    rationals of mixed denominators have content above 1; or, one time
+    in four, a matrix whose last row is a combination of the others, or
+    zero for order 1."""
+    field = draw(st.sampled_from([QQ, M61]))
+    n = draw(st.integers(min_value=1, max_value=6))
+    if field is QQ:
+        entry = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+        scalar = entry.filter(bool)
+    else:
+        entry = scalar = st.integers(min_value=1, max_value=2 ** 20).map(
+            lambda k: M61.p - k)
+    entries = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+    lower = Matrix(field, [[entries[i * n + j] if j < i else int(i == j)
+                            for j in range(n)] for i in range(n)])
+    upper = Matrix(field, [[entries[i * n + j] if j > i else int(i == j)
+                            for j in range(n)] for i in range(n)])
+    scales = map(field.coerce, draw(st.lists(scalar, min_size=n,
+                                             max_size=n)))
+    rows = [[c * x for x in row]
+            for c, row in zip(scales, (lower * upper).rows)]
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        coeffs = map(field.coerce, draw(st.lists(entry, min_size=n - 1,
+                                                 max_size=n - 1)))
+        rows[-1] = [sum((c * row[j] for c, row in zip(coeffs, rows)),
+                        field.zero) for j in range(n)]
+    return Matrix(field, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(invertible_or_not())
+def test_inverse_matches_oracle(m):
+    """The inverse is the right half of the oracle's reduced [m | I], and
+    a singular m raises SingularMatrixError."""
+    n = m.nrows
+    ident = Matrix.identity(m.field, n)
+    rows, pivots = _rref([list(r) + list(e)
+                          for r, e in zip(m.rows, ident.rows)])
+    if pivots != list(range(n)):
+        assert rank(m) < n
+        with pytest.raises(SingularMatrixError):
+            inverse(m)
+        return
+    assert inverse(m) == Matrix(m.field, [row[n:] for row in rows])
 
 
 def kernel_inputs():
@@ -172,11 +205,30 @@ def kernel_inputs():
 
 
 def test_integer_kernels_take_no_field_scalar_reduction(monkeypatch):
-    """rank_kernel, Subspace.from_columns and SparseMatrix.rank never call
-    the field-scalar reduction, and make no Fraction or Fp arithmetic:
-    field scalars are only read at the start and made at the end."""
+    """rank_kernel, Subspace.from_columns, SparseMatrix.rank, inverse and
+    the eigenspaces of eigenvalues_in_field never call the field-scalar
+    reduction, and make no Fraction or Fp arithmetic: field scalars are
+    only read at the start and made at the end.  The eigenvalue search
+    is given its characteristic polynomial and rational roots, found on
+    field scalars in a first run."""
     inputs = kernel_inputs()
     sparse = [SparseMatrix.of(m) for m in inputs]
+    # A - (theta_0 - 1) I, invertible as theta_0 - 1 is no eigenvalue
+    shifted = [m + Matrix.identity(m.field, 4) for m in inputs]
+    polys, roots = {}, {}
+
+    def memoized(memo, compute):
+        def lookup(arg):
+            key = arg.rows if isinstance(arg, Matrix) else tuple(arg)
+            if key not in memo:
+                memo[key] = compute(arg)
+            return memo[key]
+        return lookup
+
+    monkeypatch.setattr(linalg, "charpoly", memoized(polys, linalg.charpoly))
+    monkeypatch.setattr(linalg, "rational_roots",
+                        memoized(roots, linalg.rational_roots))
+    eigen = [linalg.eigenvalues_in_field(m) for m in shifted]
     calls = []
 
     def spy(name, original):
@@ -193,25 +245,14 @@ def test_integer_kernels_take_no_field_scalar_reduction(monkeypatch):
             if op in vars(cls):
                 monkeypatch.setattr(cls, op, spy(f"{cls.__name__}.{op}",
                                                  vars(cls)[op]))
-    for m, s in zip(inputs, sparse):
+    for m, s, t, e in zip(inputs, sparse, shifted, eigen):
         rk, ker = rank_kernel(m)
         space = Subspace.from_columns(m.field, m.ncols, m.rows)
         assert (rk, ker.dim, space.dim, s.rank()) == (3, 1, 3, 3)
+        inverse(t)
+        assert linalg.eigenvalues_in_field(t) == e
     monkeypatch.undo()
     assert calls == []
-
-
-@pytest.mark.parametrize("field", [QQ, M61])
-def test_inverse_keeps_its_paths(field, monkeypatch):
-    """The inverse over QQ eliminates Fractions through _insert; over
-    GF(p) it takes the integer elimination and never calls _insert."""
-    # A - (theta_0 - 1) I, invertible as theta_0 - 1 is no eigenvalue
-    m = next(x for x in kernel_inputs() if x.field == field)
-    m = m + Matrix.identity(field, 4)
-    inserted = []
-    insert = linalg._insert
-    monkeypatch.setattr(linalg, "_insert",
-                        lambda rows, vec: inserted.append(1)
-                        or insert(rows, vec))
-    assert m * inverse(m) == Matrix.identity(field, 4)
-    assert bool(inserted) == (field is QQ)
+    for t in shifted:
+        assert t * inverse(t) == Matrix.identity(t.field, 4)
+    assert [len(e.pairs) for e in eigen] == [4, 4]

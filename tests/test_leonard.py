@@ -304,3 +304,35 @@ def test_construct_leonard_fuzz(drawn):
     except NotLeonardSystemError:
         return
     assert run_all_checks(system).ok
+
+
+@st.composite
+def affine_krawtchouk(draw):
+    """The Leonard array of Krawtchouk d <= 6 over QQ from its closed form,
+    theta_i = thetastar_i = d - 2i and phi_i = 4p i (i - d - 1) for
+    p not 0 or 1, under theta -> xi theta + zeta and
+    thetastar -> xistar thetastar + zetastar, with phi scaled by
+    xi xistar; xi and xistar are nonzero with different denominators."""
+    d = draw(st.integers(min_value=1, max_value=6))
+    fraction = st.fractions(min_value=-9, max_value=9, max_denominator=13)
+    p = draw(fraction.filter(lambda x: x not in (0, 1)))
+    xi, xistar = draw(st.tuples(fraction, fraction).filter(
+        lambda x: all(x) and x[0].denominator != x[1].denominator))
+    zeta, zetastar = draw(fraction), draw(fraction)
+    theta = [xi * (d - 2 * i) + zeta for i in range(d + 1)]
+    thetastar = [xistar * (d - 2 * i) + zetastar for i in range(d + 1)]
+    phi = [xi * xistar * 4 * p * i * (i - d - 1) for i in range(1, d + 1)]
+    return theta, thetastar, phi
+
+
+@settings(max_examples=100, deadline=None)
+@given(affine_krawtchouk())
+def test_construct_leonard_accepts_affine_krawtchouk(drawn):
+    """An affine image of a Krawtchouk array is accepted at every d <= 6,
+    with the eigenvalues asked for, and passes every check; the entries
+    of A and A* have coprime denominators, so the eigenvalue kernels
+    work on D times each."""
+    theta, thetastar, phi = drawn
+    system, _ = construct_leonard(theta, thetastar, phi, QQ)
+    assert (list(system.theta), list(system.thetastar)) == (theta, thetastar)
+    assert run_all_checks(system).ok

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from tdpair import (DimensionError, FieldMismatchError, Matrix, PrimeField,
                     QQ, commutator)
+from tdpair.matrix import powers
 
 GF5 = PrimeField(5)
 M61 = PrimeField(2 ** 61 - 1)
@@ -146,6 +147,16 @@ def test_power_matches_repeated_product(a, k):
     for _ in range(k):
         acc = acc * a
     assert a ** k == acc
+
+
+@given(square(2), st.integers(min_value=0, max_value=4))
+def test_powers_start_with_the_operator(a, top):
+    """powers holds ident and a itself, then each power the one before
+    times a, up to a^top."""
+    ident = Matrix.identity(QQ, 2)
+    out = powers(ident, a, top)
+    assert out == [a ** k for k in range(top + 1)]
+    assert out[0] is ident and (top == 0 or out[1] is a)
 
 
 def test_scale_and_neg():

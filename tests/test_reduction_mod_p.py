@@ -3,8 +3,8 @@ modulo a prime q that divides no denominator, no eigenvalue gap and no
 nonzero scalar of its Leonard data, is a pair over GF(q) with the same
 structure, so the two runs must agree after reduction in shapes,
 eigenvalue sequences, relation parameters, rank tables, split summands
-and the status of each check.  The QQ run eliminates fraction-free on
-integers and the GF(q) run on residues, so each checks the other."""
+and the status of each check.  The QQ run eliminates on primitive
+integer rows and the GF(q) run on residues, so each checks the other."""
 import dataclasses
 from fractions import Fraction
 

@@ -161,6 +161,16 @@ def test_bijectivity_table(kraw3, multiplicity_system):
                     (rho[e.j] if e.i + e.j >= d else rho[e.i])
 
 
+def test_split_frame_powers_start_with_the_maps(kraw3):
+    """The powers of the shifted maps in the split's frame hold the maps
+    themselves, not their products with the identity, and run up to the
+    (d + 1)-st."""
+    split = compute_split(kraw3)
+    fr = frame_of(kraw3, split)
+    assert fr.r_pow[1] is split.raising and fr.l_pow[1] is split.lowering
+    assert len(fr.r_pow) == len(fr.l_pow) == kraw3.d + 2
+
+
 def test_split_keeps_its_frame_without_a_cycle(kraw3):
     """compute_split keeps on the split the frame it read the maps off,
     and that frame holds no reference back to the split, so dropping the

@@ -11,7 +11,7 @@ from tdpair import (ContradictionError, MalformedInputError, Matrix,
                     construct_leonard, generated_algebra_dimension,
                     matrix_from_json, relative,
                     run_all_checks, system_from_json, system_to_json)
-from tdpair import linalg, systems
+from tdpair import linalg
 from tdpair.systems import RELATIVE_KEYS, _spin
 
 from oracles import compute_shape, idempotents, rank_factorization
@@ -67,7 +67,8 @@ def test_idempotent_identities():
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_recognition_factors_each_idempotent_once(name, monkeypatch):
-    """analyze_pair takes one kernel per eigenvalue candidate, and every
+    """analyze_pair takes one integer kernel per eigenvalue candidate
+    (linalg._int_kernel, which rank_kernel wraps too), and every
     root of the characteristic polynomial of a diagonalizable matrix is
     an eigenvalue; each family's factors come from the direct sum of
     those kernels, so no subspace is formed from columns.  They are
@@ -77,19 +78,18 @@ def test_recognition_factors_each_idempotent_once(name, monkeypatch):
     JSON form no subspace from columns either."""
     system = SYSTEMS[name]()
     kernels, spaces = [], []
-    rank_kernel = linalg.rank_kernel
+    int_kernel = linalg._int_kernel
     from_columns = Subspace.from_columns.__func__
 
-    def counted_kernel(m):
-        kernels.append(m)
-        return rank_kernel(m)
+    def counted_kernel(field, n, rows):
+        kernels.append(rows)
+        return int_kernel(field, n, rows)
 
     def counted_space(cls, field, ambient, columns):
         spaces.append(columns)
         return from_columns(cls, field, ambient, columns)
 
-    for module in (linalg, systems):
-        monkeypatch.setattr(module, "rank_kernel", counted_kernel)
+    monkeypatch.setattr(linalg, "_int_kernel", counted_kernel)
     monkeypatch.setattr(Subspace, "from_columns", classmethod(counted_space))
     analysis = analyze_pair(system.A, system.Astar)
     assert analysis.rejection is None
