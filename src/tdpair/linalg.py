@@ -4,7 +4,7 @@ Subspaces are kept in a canonical reduced column echelon form, so two
 subspaces are equal exactly when their basis matrices are identical.
 
 Kernels, eigenspaces, subspaces, solutions and inverses come from
-_int_rref, on residues over GF(p) and primitive integer rows over QQ.
+_int_rref, spins and summands from _int_insert, both by _clear.
 """
 from __future__ import annotations
 
@@ -21,36 +21,6 @@ from .fields import Field, Scalar, is_prime
 from .matrix import Matrix
 
 
-def _reduce(rows: Iterable[Tuple[int, Sequence[Scalar]]],
-            vec: Sequence[Scalar]) -> List[Scalar]:
-    """vec minus its components along echelon rows given as (pivot, row)
-    pairs, each row 1 at its pivot and 0 at the pivots of the rows after
-    it; so each subtraction keeps the entries already cleared."""
-    v = list(vec)
-    for piv, row in rows:
-        f = v[piv]
-        if f:
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
-
-
-def _insert(rows: Dict[int, List[Scalar]],
-            vec: Sequence[Scalar]) -> Optional[List[Scalar]]:
-    """Reduce vec against the echelon rows keyed by pivot, in insertion
-    order.  A nonzero remainder is scaled to 1 at its first nonzero entry,
-    kept under that pivot and returned; None when vec is in their span.
-    Field scalars stay: spins and the split keep these rows as found."""
-    v = _reduce(rows.items(), vec)
-    for piv, x in enumerate(v):
-        if x:
-            if x != 1:
-                inv = 1 / x
-                v = [inv * a for a in v]
-            rows[piv] = v
-            return v
-    return None
-
-
 def _int_rows(field: Field, rows: Iterable[Sequence[Scalar]]
               ) -> List[List[int]]:
     """Rows of field scalars as ints: residues over GF(p); over QQ each
@@ -64,16 +34,49 @@ def _int_rows(field: Field, rows: Iterable[Sequence[Scalar]]
     return out
 
 
+def _normal(row: List[int], c: int, p: int) -> List[int]:
+    """row scaled to 1 at c over GF(p), primitive over QQ."""
+    g = pow(row[c], -1, p) if p else math.gcd(*row)
+    if g <= 1:   # 1, or 0 for a zero row over QQ
+        return row
+    return [x * g % p for x in row] if p else [x // g for x in row]
+
+
+def _clear(row: List[int], top: List[int], c: int, p: int) -> List[int]:
+    """row with column c cleared by the pivot row top: over GF(p) minus
+    row[c] top, for top[c] = 1; over QQ top[c] row - row[c] top, primitive."""
+    a = row[c]
+    if p:
+        return [(x - a * y) % p for x, y in zip(row, top)]
+    g = math.gcd(top[c], a)
+    u, v = top[c] // g, a // g
+    return _normal([u * x - v * y for x, y in zip(row, top)], c, 0)
+
+
+def _int_insert(rows: Dict[int, List[int]], vec: List[int], p: int
+                ) -> Optional[List[int]]:
+    """Reduce the int row vec against echelon rows keyed by pivot, in
+    insertion order: each is 0 at the pivots of the rows before it, so
+    clearing one keeps those cleared.  A nonzero remainder, a multiple of
+    the row field scalars give, is kept _normal under its first nonzero
+    entry and returned; None when vec is in their span."""
+    for c, row in rows.items():
+        if vec[c]:
+            vec = _clear(vec, row, c, p)
+    piv = next((c for c, x in enumerate(vec) if x), None)
+    if piv is None:
+        return None
+    rows[piv] = vec = _normal(vec, piv, p)
+    return vec
+
+
 def _int_rref(rows: List[List[int]], p: int
               ) -> Tuple[int, List[List[int]], List[int]]:
     """Gauss-Jordan elimination of int rows over GF(p), or over QQ for
     p = 0: (D, the nonzero rows, their pivots), the reduced row echelon
-    form being the rows over D.  Over GF(p) a pivot row is scaled to 1,
-    so D = 1.  Over QQ the rows stay primitive: for pivot d in row t,
-    each other row r becomes (d r - r[c] t) / gcd(d, r[c]) over the gcd
-    of its entries, the primitive vector on the line of the Bareiss
-    row, so each entry divides a minor of the input.  At the end D is
-    the lcm of the pivots, and each row is scaled to D at its pivot."""
+    form being the rows over D.  Pivot rows are made _normal, so over
+    GF(p) D = 1, and over QQ every row stays primitive (_clear), each
+    entry dividing a minor of the input.  D is the lcm of the pivots."""
     rows = [row for row in rows if any(row)]
     pivots = []
     for c in range(len(rows[0]) if rows else 0):
@@ -82,22 +85,10 @@ def _int_rref(rows: List[List[int]], p: int
         if k is None:
             continue
         rows[r], rows[k] = rows[k], rows[r]
-        top, d = rows[r], rows[r][c]
-        if p and d != 1:
-            inv = pow(d, -1, p)
-            top = rows[r] = [x * inv % p for x in top]
+        top = rows[r] = _normal(rows[r], c, p)
         for k in range(len(rows)):
-            a = rows[k][c]
-            if k == r or not a:
-                continue
-            if p:
-                rows[k] = [(x - a * y) % p for x, y in zip(rows[k], top)]
-                continue
-            g = math.gcd(d, a)
-            u, v = d // g, a // g
-            row = [u * x - v * y for x, y in zip(rows[k], top)]
-            g = math.gcd(*row)
-            rows[k] = [x // g for x in row] if g > 1 else row
+            if k != r and rows[k][c]:
+                rows[k] = _clear(rows[k], top, c, p)
         pivots.append(c)
     den = math.lcm(*(rows[k][c] for k, c in enumerate(pivots)))
     return den, [row if row[c] == den else [den // row[c] * x for x in row]

@@ -11,7 +11,7 @@ from typing import Dict, List, Tuple
 
 from .errors import InternalInconsistencyError
 from .frame import Frame, frame_of
-from .linalg import Subspace, _insert, direct_sum
+from .linalg import Subspace, _int_insert, direct_sum
 from .matrix import Matrix, SparseMatrix
 from .results import RankEntry, RankTable, Residual
 from .systems import TridiagonalSystem
@@ -62,15 +62,17 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
         raise InternalInconsistencyError(
             "the bases of the dual eigenspaces are not a basis")
     ends = list(accumulate(x[0].ncols if x else 0 for x in sys.Estar_factors))
+    # the numerators of the columns of P^-1 B_i, for E_i = B_i C_i, as
     # rows reversed, so that the echelon's pivot is the last coordinate;
     # the rows of U_i are independent, so it has as many dimensions
-    rows: Dict[int, list] = {}
+    rows: Dict[int, List[int]] = {}
     cols: List[list] = []
     for i in range(d, -1, -1):
         if e[i]:
-            # the columns of P^-1 B_i, for E_i = B_i C_i
-            for col in fr.e_thin[i][0].dense(n, e[i][0].ncols).columns():
-                _insert(rows, col[::-1])
+            b = fr.e_thin[i][0].rows
+            for j in range(e[i][0].ncols):
+                _int_insert(rows, [b.get(k, {}).get(j, 0)
+                                   for k in reversed(range(n))], field.char)
         cols.append([row[::-1] for piv, row in rows.items()
                      if piv >= n - ends[i]])
     cols.reverse()

@@ -16,10 +16,10 @@ from .errors import (ContradictionError, FieldMismatchError,
                      InternalInconsistencyError, MalformedInputError)
 from .fields import Field, PrimeField, Scalar, field_from_descriptor
 from .frame import frame_of
-from .linalg import (Subspace, _idempotent_factors, _insert,
+from .linalg import (Subspace, _idempotent_factors, _int_insert, _int_rows,
                      charpoly, direct_sum, eigenvalues_in_field,
                      irreducible_mod_p, rank_kernel)
-from .matrix import Matrix, commutator
+from .matrix import Matrix, SparseMatrix, commutator
 from .results import Residual
 
 REASON_NOT_DIAGONALIZABLE = "not diagonalizable"
@@ -197,26 +197,33 @@ def _path_order(adj: List[set]) -> Optional[List[int]]:
 _CERTIFYING_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
+def _act(m: SparseMatrix, vec: List[int]) -> List[int]:
+    """The numerators of m times each column of length m.n stacked in vec."""
+    p, n = m.field.char, m.n
+    out = [sum(a * vec[s + j] for j, a in m.rows.get(i, {}).items())
+           for s in range(0, len(vec), n) for i in range(n)]
+    return [x % p for x in out] if p else out
+
+
 def _spin(gens: Sequence[Matrix], seeds: Iterable[Sequence[Scalar]]
-          ) -> Dict[int, List[Scalar]]:
-    """Echelon rows, keyed by pivot, of the smallest subspace that contains
-    the seeds and is invariant under gens.
+          ) -> Dict[int, List[int]]:
+    """Echelon int rows (_int_insert), keyed by pivot, of the smallest
+    subspace that contains the seeds and is invariant under gens.
 
     A seed of length k n stands for k columns of length n stacked, each
     generator acting on every column: so the same spin runs on vectors and
     on n x k matrices.
     """
-    n = gens[0].nrows
-    rows: Dict[int, List[Scalar]] = {}
-    queue = [row for row in (_insert(rows, seed) for seed in seeds)
+    field, acts = gens[0].field, [SparseMatrix.of(gen) for gen in gens]
+    rows: Dict[int, List[int]] = {}
+    queue = [row for row in (_int_insert(rows, seed, field.char)
+                             for seed in _int_rows(field, seeds))
              if row is not None]
     width = len(queue[0]) if queue else 0
     while queue and len(rows) < width:
         vec = queue.pop()
-        for gen in gens:
-            image = [x for k in range(0, width, n)
-                     for x in gen.apply(vec[k:k + n])]
-            row = _insert(rows, image)
+        for gen in acts:
+            row = _int_insert(rows, _act(gen, vec), field.char)
             if row is not None:
                 queue.append(row)
     return rows
@@ -224,24 +231,22 @@ def _spin(gens: Sequence[Matrix], seeds: Iterable[Sequence[Scalar]]
 
 def generated_algebra_dimension(a: Matrix, b: Matrix) -> int:
     """Dimension of the unital matrix algebra generated by a and b, spanned
-    by words in them.  Words rather than reduced rows are multiplied on,
-    which keeps rational entries small.  Recognition does not use it; it
-    costs O(n^6) field operations."""
-    n = a.nrows
-    rows: Dict[int, List[Scalar]] = {}
-    queue = [Matrix.identity(a.field, n)]
-    _insert(rows, [x for row in queue[0].rows for x in row])
-    while queue and len(rows) < n * n:
-        word = queue.pop()
-        for gen in (a, b):
-            prod = gen * word
-            if _insert(rows, [x for row in prod.rows for x in row]
-                       ) is not None:
-                queue.append(prod)
+    by words in them, each the int vector of its columns stacked.  Words
+    rather than reduced rows are multiplied on, which keeps rational
+    entries small.  Recognition does not use it; it costs O(n^6) field
+    operations."""
+    n, acts = a.nrows, [SparseMatrix.of(gen) for gen in (a, b)]
+    rows: Dict[int, List[int]] = {}
+    words = [[int(i == j) for i in range(n) for j in range(n)]]
+    for word in words:
+        if len(rows) == n * n:
+            break
+        if _int_insert(rows, word, a.field.char) is not None:
+            words += [_act(gen, word) for gen in acts]
     return len(rows)
 
 
-def _witness(field: Field, rows: Dict[int, List[Scalar]], n: int,
+def _witness(field: Field, rows: Dict[int, List[int]], n: int,
              dual: bool = False) -> Optional[Rejection]:
     """The reducible rejection when spun rows span a proper subspace of
     F^n: that subspace, or for a spin of the dual space its annihilator;
@@ -289,16 +294,18 @@ def _condensed_verdict(gens: Tuple[Matrix, Matrix], b: Matrix, c: Matrix
     field, n, rho = b.field, b.nrows, b.ncols
     # T B, as n x rho matrices, and S spanned by C times them
     blocks = _spin(gens, [[x for col in b.columns() for x in col]])
-    elements: Dict[int, List[Scalar]] = {}
+    c_ints = SparseMatrix.of(c)
+    elements: Dict[int, List[int]] = {}
     for vec in blocks.values():
-        _insert(elements, [x for k in range(0, n * rho, n)
-                           for x in c.apply(vec[k:k + n])])
+        _int_insert(elements, _act(c_ints, vec), field.char)
     if len(elements) == 1:
         return _witness(field, _spin(gens, [b.column(0)]), n)
     ident = Matrix.identity(field, rho)
-    for flat in elements.values():
-        s = Matrix.from_columns(field, [flat[k:k + rho]
-                                        for k in range(0, rho * rho, rho)])
+    for piv, flat in elements.items():
+        # each column of C X has n entries, rho read; s is 1 at its pivot,
+        # as the order of its eigenvalues picks the eigenvector spun first
+        s = Matrix.from_columns(field, [flat[k:k + rho] for k in range(
+            0, n * rho, n)]).scale(field.one / field.coerce(flat[piv]))
         if s == ident.scale(s.entry(0, 0)):
             continue
         pairs = eigenvalues_in_field(s).pairs

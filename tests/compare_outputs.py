@@ -32,7 +32,14 @@ theta* -> (2/13) theta* + 1/17 and phi_i -> (3/7)(2/13) phi_i, whose
 entries have coprime denominators, so that sums in the frame rescale to a
 common denominator, and the same system conjugated with `random.Random(7)`,
 where phi is read in the split basis of a general basis whose sums
-rescale denominators.  Runs `construct`,
+rescale denominators.  Five more pairs reach the condensed verdict of
+irreducibility, since no idempotent has rank 1: Leonard systems with
+theta_i = thetastar_i = i and varphi_1 = r over F(r), r^k = m, written
+over F (`restricted`), accepted for QQ with m = 2, k = 2, d = 3, for QQ
+with m = 2, k = 4, d = 2 and for GF(5) with m = 2, k = 4, d = 2, where an
+irreducible characteristic polynomial of degree 4 decides, rejected as
+reducible for GF(13) with m = 3 = 4^2, d = 2, and the first of them
+conjugated with `random.Random(4)`.  Runs `construct`,
 `verify` and `report` (JSON and CSV) on them through `tdpair.cli.main`,
 the conjugated pairs only verified and reported, and on each accepted
 benchmark input also
@@ -92,6 +99,30 @@ def affine_leonard():
         [xi * xi_star * f for f in s["phi"]])
 
 
+def restricted(label, prime, d, m, k, reason=None):
+    """The pair of `restricted_leonard` in `tests/test_irreducibility.py`
+    over QQ or GF(prime): A holds theta_i = i on its diagonal and k x k
+    identity blocks below it, A* holds i on its diagonal and, above it,
+    the k x k blocks of multiplication by phi_i = u + v r in the basis
+    1, r, ..., r^(k-1), for u = i (i - 1 - d) and v the i-th partial sum
+    of (d - 2h) / d."""
+    from workloads import Case
+    n = k * (d + 1)
+    a = [[Fraction(i // k if i == j else int(i == j + k)) for j in range(n)]
+         for i in range(n)]
+    astar = [[Fraction(i // k if i == j else 0) for j in range(n)]
+             for i in range(n)]
+    v = Fraction(0)
+    for i in range(1, d + 1):
+        u, v = i * (i - 1 - d), v + Fraction(d - 2 * (i - 1), d)
+        for r in range(k):
+            for c in range(k):
+                astar[k * (i - 1) + r][k * i + c] = (
+                    u if r == c else m * v if (r, c) == (0, k - 1)
+                    else v if r == c + 1 else 0)
+    return Case(label, prime, a, astar, [], [], reason=reason)
+
+
 def emit(tree: str) -> None:
     """Run every command with tree's `src` first on the path and print
     one JSON record per run."""
@@ -130,7 +161,13 @@ def emit(tree: str) -> None:
                                ((2, Fraction(1, 3)), (2, Fraction(3, 4))),
                                None), random.Random(10)),
         affine_leonard(),
-        conjugated(affine_leonard(), random.Random(7)))]
+        conjugated(affine_leonard(), random.Random(7)),
+        restricted("restricted-qq-sqrt2-d3", None, 3, 2, 2),
+        restricted("restricted-qq-4th-root2-d2", None, 2, 2, 4),
+        restricted("restricted-gf5-4th-root2-d2", 5, 2, 2, 4),
+        restricted("restricted-gf13-sqrt3-d2", 13, 2, 3, 2, REDUCIBLE),
+        conjugated(restricted("restricted-qq-sqrt2-d3", None, 3, 2, 2),
+                   random.Random(4)))]
     runs = []
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)

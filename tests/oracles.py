@@ -6,20 +6,22 @@ recomputed from the ranks of those products, the matrices of A and A* in
 the three distinguished bases of a multiplicity-free system, two
 readers of check results, the exponential of a nilpotent matrix as
 its terminating power series, and the field-scalar elimination that the
-package's integer one replaced: echelon rows, the reduced row echelon
-form, the rank and the column space, a subspace's basis matrix, the
-projectors of a direct sum, and the operators of a decomposition carried
-back to the input basis."""
+package's integer one replaced: a row inserted into echelon rows
+(_insert, the reference for linalg._int_insert, which spins and the
+split's summands use), echelon rows, the reduced row echelon form, the
+rank and the column space, a subspace's basis matrix, the projectors of
+a direct sum, and the operators of a decomposition carried back to the
+input basis."""
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from tdpair import (InternalInconsistencyError, Matrix, SingularMatrixError,
                     SplitDecomposition, Subspace, TdpairError, compute_rfl,
                     compute_split, inverse, leonard_data)
 from tdpair.frame import SparseMatrix, frame_of
 from tdpair.leonard import _rep_dual_a, _tridiagonal
-from tdpair.linalg import _insert, _reduce, direct_sum
+from tdpair.linalg import direct_sum
 from tdpair.systems import _compute_shape
 
 
@@ -44,6 +46,34 @@ def dense_view(x) -> SimpleNamespace:
 
     return SimpleNamespace(**{f.name: back(f.name, getattr(x, f.name))
                               for f in fields(x)})
+
+
+def _reduce(rows: Iterable[Tuple[int, Sequence]], vec: Sequence) -> List:
+    """vec minus its components along echelon rows given as (pivot, row)
+    pairs, each row 1 at its pivot and 0 at the pivots of the rows before
+    it; so each subtraction keeps the entries already cleared."""
+    v = list(vec)
+    for piv, row in rows:
+        f = v[piv]
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
+def _insert(rows: Dict[int, List], vec: Sequence) -> Optional[List]:
+    """Reduce vec of field scalars against the echelon rows keyed by
+    pivot, in insertion order.  A nonzero remainder is scaled to 1 at its
+    first nonzero entry, kept under that pivot and returned; None when
+    vec is in their span."""
+    v = _reduce(rows.items(), vec)
+    for piv, x in enumerate(v):
+        if x:
+            if x != 1:
+                inv = 1 / x
+                v = [inv * a for a in v]
+            rows[piv] = v
+            return v
+    return None
 
 
 def _echelon(rows: Sequence[Sequence]) -> Dict[int, List]:

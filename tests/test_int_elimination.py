@@ -1,7 +1,9 @@
 """The integer elimination of `linalg` against the field-scalar one of
 `oracles` as the reference: rank, pivots, reduced rows, kernels,
-subspaces, solutions, inverses, eigenspaces and the rank of a sparse
-matrix, over QQ and over GF(2^61 - 1)."""
+subspaces, solutions, inverses, eigenspaces, the rank of a sparse
+matrix and rows inserted one at a time, over QQ and over GF(2^61 - 1),
+and for insertion also GF(7)."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,11 +16,13 @@ from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ,
 from tdpair import linalg
 from tdpair.fields import Fp
 from tdpair.frame import SparseMatrix
-from tdpair.linalg import _int_rows, _int_rref
+from tdpair.linalg import _int_insert, _int_rows, _int_rref
+from tdpair.systems import _spin
 
-from oracles import _rref, rank
+from oracles import _insert, _rref, rank
 
 M61 = PrimeField(2 ** 61 - 1)
+GF7 = PrimeField(7)
 
 
 @st.composite
@@ -189,6 +193,74 @@ def test_inverse_matches_oracle(m):
     assert inverse(m) == Matrix(m.field, [row[n:] for row in rows])
 
 
+@st.composite
+def vector_lists(draw):
+    """(field, vectors): 1 to 8 vectors of one length from 1 to 6 over QQ,
+    GF(7) or GF(2^61 - 1), each drawn afresh or, half the time, a
+    combination of those before it, so that some lie in the span of the
+    rows already inserted.  Rationals mix denominators up to 30; residues
+    of GF(2^61 - 1) lie within 2^20 of p."""
+    field = draw(st.sampled_from([QQ, GF7, M61]))
+    width = draw(st.integers(min_value=1, max_value=6))
+    if field is QQ:
+        entry = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+    elif field is GF7:
+        entry = st.integers(min_value=0, max_value=6)
+    else:
+        entry = st.one_of(st.just(0), st.integers(
+            min_value=1, max_value=2 ** 20).map(lambda k: M61.p - k))
+    vecs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        if vecs and draw(st.booleans()):
+            coeffs = [field.coerce(c) for c in draw(st.lists(
+                entry, min_size=len(vecs), max_size=len(vecs)))]
+            vecs.append([sum((c * v[j] for c, v in zip(coeffs, vecs)),
+                             field.zero) for j in range(width)])
+        else:
+            vecs.append([field.coerce(x) for x in draw(st.lists(
+                entry, min_size=width, max_size=width))])
+    return field, vecs
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_lists())
+def test_int_insert_matches_oracle(case):
+    """The same vectors inserted as int rows and as field scalars keep
+    rows under the same pivots in the same order, and each int row,
+    primitive over QQ, is the oracle's row once scaled to 1 at its
+    pivot."""
+    field, vecs = case
+    got, want = {}, {}
+    for vec in vecs:
+        row = _int_insert(got, _int_rows(field, [vec])[0], field.char)
+        assert (row is None) == (_insert(want, vec) is None)
+    assert list(got) == list(want)
+    for piv, row in got.items():
+        assert [field.coerce(x) / field.coerce(row[piv])
+                for x in row] == want[piv]
+        assert field.char or math.gcd(*row) == 1
+
+
+def spy_scalar_operators(monkeypatch, classes):
+    """The list to which each call of an arithmetic operator of the
+    scalar classes appends its name, until monkeypatch is undone."""
+    calls = []
+
+    def spy(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for cls in classes:
+        for op in ("__add__", "__sub__", "__mul__", "__truediv__",
+                   "__neg__", "__rsub__", "__rtruediv__"):
+            if op in vars(cls):
+                monkeypatch.setattr(cls, op, spy(f"{cls.__name__}.{op}",
+                                                 vars(cls)[op]))
+    return calls
+
+
 def kernel_inputs():
     """A - theta I for the first eigenvalue of Krawtchouk d = 3 over QQ
     and over GF(2^61 - 1), conjugated by a unipotent U, so that the
@@ -206,9 +278,9 @@ def kernel_inputs():
 
 def test_integer_kernels_take_no_field_scalar_reduction(monkeypatch):
     """rank_kernel, Subspace.from_columns, SparseMatrix.rank, inverse and
-    the eigenspaces of eigenvalues_in_field never call the field-scalar
-    reduction, and make no Fraction or Fp arithmetic: field scalars are
-    only read at the start and made at the end.  The eigenvalue search
+    the eigenspaces of eigenvalues_in_field make no Fraction or Fp
+    arithmetic: field scalars are only read at the start and made at the
+    end.  The eigenvalue search
     is given its characteristic polynomial and rational roots, found on
     field scalars in a first run."""
     inputs = kernel_inputs()
@@ -229,22 +301,7 @@ def test_integer_kernels_take_no_field_scalar_reduction(monkeypatch):
     monkeypatch.setattr(linalg, "rational_roots",
                         memoized(roots, linalg.rational_roots))
     eigen = [linalg.eigenvalues_in_field(m) for m in shifted]
-    calls = []
-
-    def spy(name, original):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-        return wrapper
-
-    for name in ("_reduce", "_insert"):
-        monkeypatch.setattr(linalg, name, spy(name, getattr(linalg, name)))
-    for cls in (Fraction, Fp):
-        for op in ("__add__", "__sub__", "__mul__", "__truediv__",
-                   "__neg__", "__rsub__", "__rtruediv__"):
-            if op in vars(cls):
-                monkeypatch.setattr(cls, op, spy(f"{cls.__name__}.{op}",
-                                                 vars(cls)[op]))
+    calls = spy_scalar_operators(monkeypatch, (Fraction, Fp))
     for m, s, t, e in zip(inputs, sparse, shifted, eigen):
         rk, ker = rank_kernel(m)
         space = Subspace.from_columns(m.field, m.ncols, m.rows)
@@ -256,3 +313,24 @@ def test_integer_kernels_take_no_field_scalar_reduction(monkeypatch):
     for t in shifted:
         assert t * inverse(t) == Matrix.identity(t.field, 4)
     assert [len(e.pairs) for e in eigen] == [4, 4]
+
+
+def test_spin_makes_no_fraction_arithmetic(monkeypatch):
+    """Over QQ, _spin reads its seeds and generators as int rows, from
+    numerators and denominators, and then makes no Fraction arithmetic,
+    for a vector and for two columns stacked.  The pair is QQ Krawtchouk
+    d = 3 conjugated as in kernel_inputs, so every seed has denominators
+    to clear, and irreducible, so a vector spins to the whole space."""
+    system, _ = construct_krawtchouk(
+        KrawtchoukParams(field=QQ, d=3, p=Fraction(1, 3)))
+    u = Matrix(QQ, [[1, 2, -1, 1], [0, 1, 1, -2], [0, 0, 1, 2],
+                    [0, 0, 0, 1]])
+    gens = (inverse(u) * system.A * u, inverse(u) * system.Astar * u)
+    seeds = [gens[0].column(0), gens[0].column(0) + gens[1].column(1)]
+    calls = spy_scalar_operators(monkeypatch, (Fraction,))
+    vector, stacked = (_spin(gens, [seed]) for seed in seeds)
+    monkeypatch.undo()
+    assert calls == []
+    assert len(vector) == 4 and 4 <= len(stacked) <= 8
+    assert all(type(x) is int for rows in (vector, stacked)
+               for row in rows.values() for x in row)

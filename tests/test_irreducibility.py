@@ -355,16 +355,16 @@ def test_sharp_recognition_spins_two_vectors(monkeypatch):
                      for j in range(d + 1)] for i in range(d + 1)])
     astar = Matrix.diagonal(QQ, [d - 2 * i for i in range(d + 1)])
     lengths = []
-    insert = systems._insert
+    insert = systems._int_insert
 
-    def counting(rows, vec):
+    def counting(rows, vec, p):
         lengths.append(len(vec))
-        return insert(rows, vec)
+        return insert(rows, vec, p)
 
     def closure(x, y):
         raise AssertionError("recognition spans the whole algebra")
 
-    monkeypatch.setattr(systems, "_insert", counting)
+    monkeypatch.setattr(systems, "_int_insert", counting)
     monkeypatch.setattr(systems, "generated_algebra_dimension", closure)
     analysis = analyze_pair(a, astar)
     assert analysis.rejection is None
