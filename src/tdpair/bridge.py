@@ -7,9 +7,11 @@ index gaps of two or more.
 """
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .fields import Field, Scalar
+from .fields import Scalar
 from .frame import Frame, frame_of
 from .matrix import SparseMatrix
 from .results import Residual
@@ -19,36 +21,39 @@ from .systems import (RelationParameters, TridiagonalSystem,
                       compute_relation_parameters)
 
 
-def _gap_products(field: Field, top: Scalar,
-                  seq: Sequence[Scalar]) -> List[Scalar]:
-    """1, (top - seq[0]), (top - seq[0])(top - seq[1]), ...: the products
-    of the gaps from top to the members of seq, one factor at a time."""
-    out = [field.one]
-    for x in seq:
-        out.append(out[-1] * (top - x))
-    return out
+def _gaps(sys: TridiagonalSystem, fr: Frame, dual: bool = False
+          ) -> List[List[Scalar]]:
+    """The gap table of thetastar, or of theta for dual, kept on the
+    frame: g[t][r] is the product of seq_t - seq_k over the k from r to t
+    but t, so g[t][t] = 1."""
+    if ("gaps", dual) not in fr.memo:
+        seq, one = (sys.theta if dual else sys.thetastar), sys.field.one
+        fr.memo["gaps", dual] = [
+            [*accumulate((x - y for y in reversed(seq[:t])), mul,
+                         initial=one)][::-1]
+            + [*accumulate((x - y for y in seq[t + 1:]), mul)]
+            for t, x in enumerate(seq)]
+    return fr.memo["gaps", dual]
 
 
-def _coefficients(field: Field, th: Sequence[Scalar], ts: Sequence[Scalar],
-                  i: int, j: int
+def _coefficients(sys: TridiagonalSystem, fr: Frame, i: int, j: int,
+                  dual: bool = False
                   ) -> Tuple[Optional[Scalar], List[Tuple[int, Scalar]]]:
-    """The assembled operator at (i, j) is lead L^(j-i), present for
-    j >= i, plus c_s L^(s+1-i) R L^(j-s) summed over the crossing
-    positions s; returns lead and the pairs (s, c_s).  With ef[r] the gap
-    product of ts_i to ts_(i+1) .. ts_r and fe[s] that of ts_j to
-    ts_s .. ts_(j-1), lead is the sum of th_s / (ef[s] fe[s]) over
-    i <= s <= j and c_s = 1 / (ef[s+1] fe[s])."""
-    d = len(ts) - 1
-    low, high = max(0, i - 1), min(j + 1, d)
-    ef = _gap_products(field, ts[i], ts[i + 1:high + 1])   # ef[r - i]
-    fe = _gap_products(field, ts[j], ts[low:j][::-1])       # fe[j - s]
-    lead = None
-    if j >= i:
-        lead = field.zero
-        for s in range(i, j + 1):
-            lead = lead + th[s] / (ef[s - i] * fe[j - s])
-    return lead, [(s, field.one / (ef[s + 1 - i] * fe[j - s]))
-                  for s in range(low, min(j, d - 1) + 1)]
+    """The assembled operator at (i, j), or its mirror for dual, is lead
+    L^(j-i), present for j >= i, plus c_s L^(s+1-i) R L^(j-s) summed over
+    the crossing positions s; returns lead and the pairs (s, c_s), kept
+    on the frame.  With g the gap table of the second sequence, lead is
+    the sum of th_s / (g[i][s] g[j][s]) over i <= s <= j and
+    c_s = 1 / (g[i][s+1] g[j][s])."""
+    if ("coefficients", i, j, dual) not in fr.memo:
+        th, g = sys.thetastar if dual else sys.theta, _gaps(sys, fr, dual)
+        lead = None if j < i else sum(
+            (th[s] / (g[i][s] * g[j][s]) for s in range(i, j + 1)),
+            sys.field.zero)
+        fr.memo["coefficients", i, j, dual] = lead, [
+            (s, sys.field.one / (g[i][s + 1] * g[j][s]))
+            for s in range(max(0, i - 1), min(j, sys.d - 1) + 1)]
+    return fr.memo["coefficients", i, j, dual]
 
 
 def _cubic_term(th: Sequence[Scalar], ts: Sequence[Scalar], j: int) -> Scalar:
@@ -60,22 +65,21 @@ def _cubic_term(th: Sequence[Scalar], ts: Sequence[Scalar], j: int) -> Scalar:
 
 
 def _assembled(sys: TridiagonalSystem, fr: Frame, i: int, j: int,
-               right: SparseMatrix, dual: bool = False) -> SparseMatrix:
+               right: SparseMatrix, dual: bool = False,
+               lhs: Optional[SparseMatrix] = None) -> SparseMatrix:
     """The assembled operator at (i, j) in the split basis, or its mirror
     with the two eigenvalue sequences and the two shifted maps exchanged,
-    times right.  Each term is multiplied by right before the sum, so
-    when right is nonzero in the columns of one summand only, each
-    product touches only the entries of those columns."""
-    th, ts = (sys.thetastar, sys.theta) if dual else (sys.theta,
-                                                       sys.thetastar)
-    lead, cross = _coefficients(sys.field, th, ts, i, j)
+    times right; or lhs minus that, in the same combination.  Each term
+    is multiplied by right before the sum, so when right is nonzero in
+    the columns of one summand only, each product touches only the
+    entries of those columns."""
+    lead, cross = _coefficients(sys, fr, i, j, dual)
     terms = [] if lead is None else [
-        ((fr.r_pow if dual else fr.l_pow)[j - i], lead)]
-    terms += [(fr.words[dual][s + 1 - i, j - s], c) for s, c in cross]
-    op = SparseMatrix(sys.field, sys.n, {})
-    for word, c in terms:
-        op = op + (word * right).scale(c)
-    return op
+        (lead, (fr.r_pow if dual else fr.l_pow)[j - i])]
+    terms += [(c, fr.words[dual][s + 1 - i, j - s]) for s, c in cross]
+    zero = SparseMatrix(sys.field, sys.n, {})
+    sign, lhs = (1, zero) if lhs is None else (-1, lhs)
+    return lhs.combination((sign * c, word * right) for c, word in terms)
 
 
 def _grid(sys: TridiagonalSystem, fr: Frame, i: int, j: int
@@ -84,8 +88,8 @@ def _grid(sys: TridiagonalSystem, fr: Frame, i: int, j: int
     rows in the split basis and columns in the dual basis; kept on the
     frame, since the diagrams compare against the band of the grid."""
     if (i, j) not in fr.memo:
-        fr.memo[i, j] = fr.fe_qp[i] * fr.a_es_pp[j] \
-            - _assembled(sys, fr, i, j, fr.fe_qp[j])
+        fr.memo[i, j] = _assembled(sys, fr, i, j, fr.fe_qp[j],
+                                   lhs=fr.fe_qp[i] * fr.a_es_pp[j])
     return fr.memo[i, j]
 
 
@@ -94,20 +98,18 @@ def check_descent(sys: TridiagonalSystem,
     """Every mixed projector/dual-idempotent product descends from the
     diagonal one through a power of the lowering map divided by a product
     of dual eigenvalue gaps, on both sides."""
-    d, field = sys.d, sys.field
+    d, one = sys.d, sys.field.one
     fr = frame_of(sys, split)
-    ts, l_pow = sys.thetastar, fr.l_pow
+    g, l_pow = _gaps(sys, fr), fr.l_pow
     out: List[Residual] = []
     for i in range(d + 1):
-        ef = _gap_products(field, ts[i], ts[i + 1:])
         for j in range(i, d + 1):
-            fe = _gap_products(field, ts[j], ts[i:j])
-            lhs = fr.f[i] * fr.es_qp[j]
-            rhs = (l_pow[j - i] * fr.fe_qp[j]).scale(field.one / fe[-1])
-            out.append(fr.residual("descent.FE", (i, j), lhs - rhs, "QP"))
-            lhs = fr.es_pp[i] * fr.f_pq[j]
-            rhs = (fr.ef_pq[i] * l_pow[j - i]).scale(field.one / ef[j - i])
-            out.append(fr.residual("descent.EF", (i, j), lhs - rhs, "PQ"))
+            res = (fr.f[i] * fr.es_qp[j]).combination(
+                [(-one / g[j][i], l_pow[j - i] * fr.fe_qp[j])])
+            out.append(fr.residual("descent.FE", (i, j), res, "QP"))
+            res = (fr.es_pp[i] * fr.f_pq[j]).combination(
+                [(-one / g[i][j], fr.ef_pq[i] * l_pow[j - i])])
+            out.append(fr.residual("descent.EF", (i, j), res, "PQ"))
     return out
 
 
@@ -151,8 +153,8 @@ def check_diagrams(sys: TridiagonalSystem, split: SplitDecomposition,
     def report(name: str, j: int, lead: SparseMatrix, i: int) -> None:
         # (lead - op psi) E*_j, op the assembled operator at (i, j): the
         # raising map at (j + 1, j), the direct forms at (j, j), (j - 1, j)
-        res = lead * fr.es_pp[j] \
-            - _assembled(sys, fr, i, j, psi * fr.es_pp[j])
+        res = _assembled(sys, fr, i, j, psi * fr.es_pp[j],
+                         lhs=lead * fr.es_pp[j])
         out.append(fr.residual(name, (j,), res, "QP"))
         diff = res - _grid(sys, fr, i, j)
         if not diff.is_zero():

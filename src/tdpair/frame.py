@@ -79,8 +79,9 @@ class Frame:
                               for x in (self.a_pp, self.astar_pp))
         self.f_pq = [self.t * x for x in self.f]
         self.es_qp = [self.t_inv * x for x in self.es_pp]
-        # results one check computes and another reuses
-        self.memo: Dict[tuple, SparseMatrix] = {}
+        # results one check computes and another reuses: the grid, the
+        # gap tables and the coefficients of the assembled operator
+        self.memo: Dict[tuple, object] = {}
         # F_i E*_i and E*_i F_i, which psi and psi^-1 sum
         self.fe_qp = [f * e for f, e in zip(self.f, self.es_qp)]
         self.ef_pq = [e * f for e, f in zip(self.es_pp, self.f_pq)]

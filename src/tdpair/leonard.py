@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .bridge import _coefficients, _cubic_term, _gap_products
+from .bridge import _coefficients, _cubic_term, _gaps
 from .errors import InternalInconsistencyError, NotLeonardSystemError
 from .fields import Field, Scalar
 from .frame import frame_of
@@ -52,7 +52,8 @@ class LeonardData:
         return self.c[i - 1]
 
     def taustar_at(self, i: int, lam: Scalar) -> Scalar:
-        return _gap_products(self.field, lam, self.thetastar[:i])[-1]
+        return math.prod((lam - t for t in self.thetastar[:i]),
+                         start=self.field.one)
 
     def to_json(self) -> dict:
         text = self.field.to_text
@@ -151,8 +152,7 @@ def leonard_data(sys: TridiagonalSystem,
             raise InternalInconsistencyError(
                 f"split-superdiagonal scalar {i} vanishes")
 
-    ts = sys.thetastar
-    tsd = [_gap_products(field, ts[i], ts[:i])[-1] for i in range(d + 1)]
+    tsd = [row[0] for row in _gaps(sys, fr)]
     b_list = [phi_list[i] * tsd[i] / tsd[i + 1] for i in range(d)]
     c_list = [(x_list[i - 1] / phi_list[i - 1]) * tsd[i] / tsd[i - 1]
               for i in range(1, d + 1)]
@@ -245,6 +245,7 @@ def check_section11(sys: TridiagonalSystem,
         data = leonard_data(sys, split)
     field, d = sys.field, sys.d
     th, ts = sys.theta, sys.thetastar
+    fr = frame_of(sys, split)
     beta, gamma, rho = params.beta, params.gamma, params.rho
     co = section5_coefficients(sys, params)
     out: List[Union[Residual, ScalarResidual]] = []
@@ -269,16 +270,14 @@ def check_section11(sys: TridiagonalSystem,
         out.append(ScalarResidual("section11.sixterm.x", (i,), acc))
 
     def assembled(i: int, j: int, dual: bool = False) -> Scalar:
-        lead, cross = _coefficients(field, *((ts, th) if dual else (th, ts)),
-                                    i, j)
-        for s, c in cross:
-            lead = lead + c * data.phi_at(s + 1)
-        return lead
+        lead, cross = _coefficients(sys, fr, i, j, dual)
+        return sum((c * data.phi_at(s + 1) for s, c in cross), lead)
 
     for i in range(d + 1):
         out.append(ScalarResidual("section11.a.phi", (i,),
                                   data.a[i] - assembled(i, i)))
 
+    tsd = [row[0] for row in _gaps(sys, fr)]
     for i in range(1, d + 1):
         gap = ts[i - 1] - ts[i]
         rhs = assembled(i - 1, i)
@@ -287,8 +286,7 @@ def check_section11(sys: TridiagonalSystem,
             gap * gap * (data.x_at(i) / data.phi_at(i) - rhs)))
         out.append(ScalarResidual(
             "section11.c.phi", (i,),
-            gap * gap * (data.c_at(i) * data.taustar_at(i - 1, ts[i - 1])
-                         / data.taustar_at(i, ts[i]) - rhs)))
+            gap * gap * (data.c_at(i) * tsd[i - 1] / tsd[i] - rhs)))
 
     for i in range(d + 1):
         for j in range(i + 2, d + 1):
@@ -308,7 +306,6 @@ def check_section11(sys: TridiagonalSystem,
                                   lhs - beta1 * _cubic_term(th, ts, j)))
 
     # one raising-lowering turn on each summand, as sparse products
-    fr = frame_of(sys, split)
     rl = fr.r_pow[1] * fr.l_pow[1]
     lr = fr.l_pow[1] * fr.r_pow[1]
     for i in range(1, d + 1):

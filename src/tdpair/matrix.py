@@ -258,9 +258,11 @@ class SparseMatrix:
     absent.  Over QQ the numerators are over one den > 0 for the whole
     matrix, in lowest terms; over GF(p) they are residues in [1, p), and
     den is 1, as it is for the zero matrix.  A product sums each entry
-    unreduced and reduces it once, a sum rescales to the lcm of the two
-    denominators, and field scalars appear only at the boundary: of,
-    dense, trace and the scalar that scale takes."""
+    unreduced and reduces it once.  Every sum, difference and scaling is
+    one linear combination, which brings its terms to one common
+    denominator, accumulates them unreduced and reduces once.  Field
+    scalars appear only at the boundary: of, dense, trace and the
+    coefficients of a combination."""
 
     __slots__ = ("field", "n", "rows", "den")
 
@@ -326,36 +328,35 @@ class SparseMatrix:
         return self._scalar(sum(row.get(i, 0)
                                 for i, row in self.rows.items()))
 
+    def combination(self, terms) -> "SparseMatrix":
+        """self plus c x for each pair (c, x) of terms, c a field scalar:
+        every term is scaled to one common denominator over QQ, or taken
+        mod p over GF(p), the sum accumulates unreduced and is reduced
+        once, and an entry is dropped only when its sum is zero."""
+        p, coerce = self.field.char, self.field.coerce
+        terms = [(k, x) for c, x in ((1, self), *terms)
+                 if x.rows and (k := coerce(c))]
+        den = 1 if p else math.lcm(*(c.denominator * x.den
+                                     for c, x in terms))
+        acc: Dict[int, Dict[int, int]] = {}
+        for c, x in terms:
+            c = c.val if p else c.numerator * (den // (c.denominator * x.den))
+            for i, row in x.rows.items():
+                out = acc.setdefault(i, {})
+                for j, v in row.items():
+                    out[j] = out.get(j, 0) + c * v
+        return self._lowest({i: {j: y for j, v in row.items()
+                                 if (y := v % p if p else v)}
+                             for i, row in acc.items()}, den)
+
     def scale(self, c) -> "SparseMatrix":
-        c, p = self.field.coerce(c), self.field.char
-        num, den = (c.val, 1) if p else (c.numerator, c.denominator)
-        return self._lowest({
-            i: {j: num * x % p if p else num * x for j, x in row.items()}
-            for i, row in self.rows.items()} if num else {}, self.den * den)
+        return SparseMatrix(self.field, self.n, {}).combination([(c, self)])
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self._merge(other, 1)
+        return self.combination([(1, other)])
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self._merge(other, -1)
-
-    def _merge(self, other: "SparseMatrix", sign: int) -> "SparseMatrix":
-        """self + sign * other, over the lcm of the two denominators."""
-        p, den = self.field.char, math.lcm(self.den, other.den)
-        mine, theirs = den // self.den, sign * den // other.den
-        rows = {i: {j: mine * x for j, x in row.items()}
-                for i, row in self.rows.items()}
-        for i, row in other.rows.items():
-            acc = rows.setdefault(i, {})
-            for j, x in row.items():
-                x = acc.get(j, 0) + theirs * x
-                if p:
-                    x %= p
-                if x:
-                    acc[j] = x
-                else:
-                    del acc[j]
-        return self._lowest(rows, den)
+        return self.combination([(-1, other)])
 
     def __mul__(self, other: "SparseMatrix") -> "SparseMatrix":
         p, rows, right = self.field.char, {}, other.rows

@@ -142,20 +142,17 @@ def check_section5(sys: TridiagonalSystem, rfl: RFLDecomposition,
 
     # a term whose coefficient is undetermined must vanish on its own, and
     # is reported by itself when it does not
+    low = (lrl.scale(beta + 2) + lf2 - flf.scale(beta) + f2l
+           - (lf + fl).scale(gamma) - l.scale(rho))
+    high = (rlr.scale(beta + 2) + f2r - frf.scale(beta) + rf2
+            - (fr + rf).scale(gamma) - r.scale(rho))
     for i in range(1, d + 1):
-        low = (lrl.scale(beta + 2) + lf2 - flf.scale(beta) + f2l
-               - (lf + fl).scale(gamma) - l.scale(rho))
-        high = (rlr.scale(beta + 2) + f2r - frf.scale(beta) + rf2
-                - (fr + rf).scale(gamma) - r.scale(rho))
         for name, acc, terms, proj in (
                 ("section5.ii.low", low, (rl2, l2r), estar[i]),
                 ("section5.ii.high", high, (r2l, lr2), estar[i - 1])):
-            stray = []
-            for coeff, term in zip((co.eminus[i], co.eplus[i]), terms):
-                if coeff is None:
-                    stray.append(term * proj)
-                else:
-                    acc = acc + term.scale(coeff)
+            pairs = list(zip((co.eminus[i], co.eplus[i]), terms))
+            acc = acc.combination((c, t) for c, t in pairs if c is not None)
+            stray = [t * proj for c, t in pairs if c is None]
             out.append(res(name, (i,), acc * proj))
             out.extend(res(name, (i,), t) for t in stray
                        if not t.is_zero())

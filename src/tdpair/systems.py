@@ -170,8 +170,6 @@ def _path_order(adj: List[set]) -> Optional[List[int]]:
     if len(ends) != 2 or any(degrees[v] != 2 for v in range(k)
                              if v not in ends):
         return None
-    if sum(degrees) != 2 * (k - 1):
-        return None
     order = [min(ends)]
     prev = None
     while len(order) < k:
@@ -212,20 +210,20 @@ def _spin(gens: Sequence[Matrix], seeds: Iterable[Sequence[Scalar]]
 
     A seed of length k n stands for k columns of length n stacked, each
     generator acting on every column: so the same spin runs on vectors and
-    on n x k matrices.
+    on n x k matrices.  The queue holds the images that grew the span, not
+    the rows kept, so its entries grow linearly with the word length.
     """
     field, acts = gens[0].field, [SparseMatrix.of(gen) for gen in gens]
     rows: Dict[int, List[int]] = {}
-    queue = [row for row in (_int_insert(rows, seed, field.char)
-                             for seed in _int_rows(field, seeds))
-             if row is not None]
+    queue = [seed for seed in _int_rows(field, seeds)
+             if _int_insert(rows, seed, field.char) is not None]
     width = len(queue[0]) if queue else 0
     while queue and len(rows) < width:
         vec = queue.pop()
         for gen in acts:
-            row = _int_insert(rows, _act(gen, vec), field.char)
-            if row is not None:
-                queue.append(row)
+            image = _act(gen, vec)
+            if _int_insert(rows, image, field.char) is not None:
+                queue.append(image)
     return rows
 
 

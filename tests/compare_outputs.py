@@ -5,7 +5,7 @@ byte for byte.
 
 Builds the inputs of the benchmark workloads family, eigen-scan and
 reject-mix for seeds 1 to 3 from `perfbench/workloads.py` of the tree
-holding this script, and thirteen more with its builders: QQ Krawtchouk
+holding this script, and twenty-one more with its builders: QQ Krawtchouk
 d = 14, the tensor sum of QQ Krawtchouk pairs of diameters 2 and 4 (n = 15,
 shape 1, 2, 3, 3, 3, 2, 1), Krawtchouk d = 6 with p = 3 over
 GF(2^31 - 1) and GF(2^61 - 1), whose residues are large, QQ Krawtchouk
@@ -32,14 +32,16 @@ theta* -> (2/13) theta* + 1/17 and phi_i -> (3/7)(2/13) phi_i, whose
 entries have coprime denominators, so that sums in the frame rescale to a
 common denominator, and the same system conjugated with `random.Random(7)`,
 where phi is read in the split basis of a general basis whose sums
-rescale denominators.  Five more pairs reach the condensed verdict of
+rescale denominators.  The last eight reach the condensed verdict of
 irreducibility, since no idempotent has rank 1: Leonard systems with
 theta_i = thetastar_i = i and varphi_1 = r over F(r), r^k = m, written
 over F (`restricted`), accepted for QQ with m = 2, k = 2, d = 3, for QQ
 with m = 2, k = 4, d = 2 and for GF(5) with m = 2, k = 4, d = 2, where an
 irreducible characteristic polynomial of degree 4 decides, rejected as
-reducible for GF(13) with m = 3 = 4^2, d = 2, and the first of them
-conjugated with `random.Random(4)`.  Runs `construct`,
+reducible for GF(13) with m = 3 = 4^2, d = 2, the first of them
+conjugated with `random.Random(4)`, and accepted for QQ with m = 2 and
+k = 3, d = 2 and d = 3, and k = 4, d = 3, whose condensation spins run
+at rank 3 and 4.  Runs `construct`,
 `verify` and `report` (JSON and CSV) on them through `tdpair.cli.main`,
 the conjugated pairs only verified and reported, and on each accepted
 benchmark input also
@@ -167,7 +169,10 @@ def emit(tree: str) -> None:
         restricted("restricted-gf5-4th-root2-d2", 5, 2, 2, 4),
         restricted("restricted-gf13-sqrt3-d2", 13, 2, 3, 2, REDUCIBLE),
         conjugated(restricted("restricted-qq-sqrt2-d3", None, 3, 2, 2),
-                   random.Random(4)))]
+                   random.Random(4)),
+        restricted("restricted-qq-cbrt2-d2", None, 2, 2, 3),
+        restricted("restricted-qq-cbrt2-d3", None, 3, 2, 3),
+        restricted("restricted-qq-4th-root2-d3", None, 3, 2, 4))]
     runs = []
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)

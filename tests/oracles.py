@@ -10,8 +10,10 @@ package's integer one replaced: a row inserted into echelon rows
 (_insert, the reference for linalg._int_insert, which spins and the
 split's summands use), echelon rows, the reduced row echelon form, the
 rank and the column space, a subspace's basis matrix, the projectors of
-a direct sum, and the operators of a decomposition carried back to the
-input basis."""
+a direct sum, the operators of a decomposition carried back to the
+input basis, and the coefficients of the assembled operator rebuilt from
+gap products at every call, the reference for the gap table that the
+frame keeps."""
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -285,3 +287,33 @@ def nilpotent_exp_scaled(m: Matrix, c) -> Matrix:
         term = (term * scaled).scale(field.one / field.from_int(k))
         acc = acc + term
     return acc
+
+
+def _gap_products(field, top, seq: Sequence) -> List:
+    """1, (top - seq[0]), (top - seq[0])(top - seq[1]), ...: the products
+    of the gaps from top to the members of seq, one factor at a time."""
+    out = [field.one]
+    for x in seq:
+        out.append(out[-1] * (top - x))
+    return out
+
+
+def _coefficients(field, th: Sequence, ts: Sequence, i: int, j: int
+                  ) -> Tuple[Optional[object], List[Tuple[int, object]]]:
+    """The assembled operator at (i, j) is lead L^(j-i), present for
+    j >= i, plus c_s L^(s+1-i) R L^(j-s) summed over the crossing
+    positions s; returns lead and the pairs (s, c_s).  With ef[r] the gap
+    product of ts_i to ts_(i+1) .. ts_r and fe[s] that of ts_j to
+    ts_s .. ts_(j-1), lead is the sum of th_s / (ef[s] fe[s]) over
+    i <= s <= j and c_s = 1 / (ef[s+1] fe[s])."""
+    d = len(ts) - 1
+    low, high = max(0, i - 1), min(j + 1, d)
+    ef = _gap_products(field, ts[i], ts[i + 1:high + 1])   # ef[r - i]
+    fe = _gap_products(field, ts[j], ts[low:j][::-1])       # fe[j - s]
+    lead = None
+    if j >= i:
+        lead = field.zero
+        for s in range(i, j + 1):
+            lead = lead + th[s] / (ef[s - i] * fe[j - s])
+    return lead, [(s, field.one / (ef[s + 1 - i] * fe[j - s]))
+                  for s in range(low, min(j, d - 1) + 1)]

@@ -7,11 +7,12 @@ import pytest
 from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, check_descent,
                     check_diagrams, check_master_identity, check_section9,
                     compute_rfl, compute_split, construct_krawtchouk,
-                    kronecker_sum_candidate)
+                    construct_leonard, kronecker_sum_candidate)
 from tdpair import bridge
 from tdpair.frame import SparseMatrix, frame_of
 
-from oracles import all_zero, dense_view, idempotents
+from oracles import (_coefficients, _gap_products, all_zero, dense_view,
+                     idempotents)
 
 
 def master_rhs_operator(sys, split, i: int, j: int) -> Matrix:
@@ -214,3 +215,31 @@ def test_section9_empty_below_gap_two(kraw1):
     # no index pairs are two apart when the diameter is one
     split = compute_split(kraw1)
     assert check_section9(kraw1, split) == []
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2 ** 31 - 1)], ids=str)
+@pytest.mark.parametrize("d", range(1, 9))
+def test_gap_table_matches_oracles(field, d):
+    """The gap tables and coefficient pairs that the frame keeps equal the
+    gap products and coefficients rebuilt at every call, for every (i, j)
+    and both orientations, on the Leonard system of Krawtchouk d,
+    p = 1/3, under theta -> 3 theta + 1/2 and theta* -> 5 theta* - 2, so
+    that the two sequences differ."""
+    f = field.coerce
+    theta = [f(3 * (d - 2 * i)) + f("1/2") for i in range(d + 1)]
+    thetastar = [f(5 * (d - 2 * i)) - f(2) for i in range(d + 1)]
+    phi = [f(15 * 4 * i * (i - d - 1)) * f("1/3") for i in range(1, d + 1)]
+    sys, _ = construct_leonard(theta, thetastar, phi, field)
+    fr = frame_of(sys, compute_split(sys))
+    for dual, th, ts in ((False, theta, thetastar),
+                         (True, thetastar, theta)):
+        g = bridge._gaps(sys, fr, dual)
+        assert g == [
+            _gap_products(field, x, ts[:t][::-1])[::-1]
+            + _gap_products(field, x, ts[t + 1:])[1:]
+            for t, x in enumerate(ts)]
+        for i in range(d + 1):
+            for j in range(d + 1):
+                assert bridge._coefficients(sys, fr, i, j, dual) \
+                    == _coefficients(field, th, ts, i, j)
+        assert fr.memo["gaps", dual] is g

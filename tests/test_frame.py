@@ -166,3 +166,67 @@ def test_zero_and_identity():
         # rows given empty are dropped when the matrix is made
         assert SparseMatrix(field, 3, {0: {}, 1: {2: 1}}).rows \
             == {1: {2: 1}}
+
+
+# pairwise coprime denominators: each matrix and each coefficient of one
+# combination takes another, so that no two terms share a factor
+DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+@st.composite
+def combinations(draw):
+    """A field, a base matrix and pairs (c, X) over it, of one size up to
+    5.  Over QQ each matrix has its entries over one denominator and each
+    coefficient its own, all pairwise coprime; over GF(2^61 - 1)
+    residues are within 100 of p.  Some coefficients are zero, and some
+    terms are drawn again with the negated coefficient, or the base is
+    the negated sum of the terms, so that entries, rows or the whole sum
+    cancel to zero."""
+    field = draw(st.sampled_from([QQ, M61]))
+    n = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=0, max_value=4))
+    dens = iter(draw(st.permutations(DENOMINATORS)))
+
+    def scalar(den):
+        if field is QQ:
+            return st.integers(min_value=-9, max_value=9).map(
+                lambda x: Fraction(x, den))
+        return st.one_of(st.just(0), st.integers(
+            min_value=1, max_value=100).map(lambda x: M61.p - x))
+
+    def matrix():
+        entry = st.one_of(st.just(0), scalar(next(dens)))
+        row = st.lists(entry, min_size=n, max_size=n)
+        return Matrix(field, draw(st.lists(row, min_size=n, max_size=n)))
+
+    terms = [(draw(st.one_of(st.just(0), scalar(next(dens)))), matrix())
+             for _ in range(k)]
+    terms += [(-c, x) for c, x in terms if draw(st.booleans())]
+    base = matrix()
+    if terms and draw(st.booleans()):
+        base = Matrix.zeros(field, n, n)
+        for c, x in terms:
+            base = base - x.scale(c)
+    return field, base, draw(st.permutations(terms))
+
+
+@settings(deadline=None)
+@given(combinations())
+def test_combination_matches_dense(drawn):
+    """One combination is the dense sum of its terms, in canonical form:
+    equal to SparseMatrix.of of that sum, so with the one den, no zero
+    entry and no empty row; and so are the sum, difference and scaling
+    that call it."""
+    field, base, terms = drawn
+    dense = base
+    for c, x in terms:
+        dense = dense + x.scale(c)
+    sparse = SparseMatrix.of(base)
+    got = sparse.combination((c, SparseMatrix.of(x)) for c, x in terms)
+    assert canonical(got) == SparseMatrix.of(dense)
+    assert got.is_zero() == dense.is_zero()
+    for c, x in terms:
+        sx = SparseMatrix.of(x)
+        assert canonical(sparse + sx) == SparseMatrix.of(base + x)
+        assert canonical(sparse - sx) == SparseMatrix.of(base - x)
+        assert canonical(sx.scale(c)) == SparseMatrix.of(x.scale(c))

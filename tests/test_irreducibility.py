@@ -371,3 +371,30 @@ def test_sharp_recognition_spins_two_vectors(monkeypatch):
     n = d + 1
     assert set(lengths) == {n}
     assert len(lengths) <= 2 * (2 * n + 1)
+
+
+def test_spin_of_the_algebra_stays_polynomial(monkeypatch):
+    """Spinning the identity of the charpoly pair in the 36-dimensional
+    space of 6 x 6 matrices spans the whole algebra, with every vector
+    inserted and every row kept under 80 bits (58 and 65 when this test
+    was written).  The queue holds raw images, words of length at most 36
+    in A and A* applied to the identity, so their entries grow linearly.
+    Acting on the reduced rows instead doubled the bit-length every two
+    insertions, past 80 bits by the twelfth, and that spin did not finish
+    in 20 s; the bound makes such a spin fail at once instead."""
+    values, conjugator = CONDENSED["charpoly"]
+    a = Matrix.diagonal(QQ, values)
+    p = Matrix(QQ, conjugator)
+    insert = systems._int_insert
+
+    def bounded(rows, vec, p):
+        assert max(abs(x) for x in vec).bit_length() < 80
+        return insert(rows, vec, p)
+
+    monkeypatch.setattr(systems, "_int_insert", bounded)
+    ident = Matrix.identity(QQ, 6)
+    rows = systems._spin((a, p * a * inverse(p)),
+                         [[x for col in ident.columns() for x in col]])
+    assert len(rows) == 36
+    assert max(abs(x) for row in rows.values()
+               for x in row).bit_length() < 80

@@ -11,10 +11,10 @@ from tdpair import (InternalInconsistencyError, KrawtchoukParams,
                     compute_split, construct_krawtchouk, construct_leonard,
                     inverse, kronecker_sum_candidate, leonard_data,
                     run_all_checks)
-from tdpair.bridge import _gap_products
 
-from oracles import (all_zero, basis_and_inverse, change_of_basis_reps,
-                     dense_view, first_nonzero_column, idempotents)
+from oracles import (_gap_products, all_zero, basis_and_inverse,
+                     change_of_basis_reps, dense_view, first_nonzero_column,
+                     idempotents)
 from test_check_coverage import raising_off_band, raising_plus_f0
 from test_rank_tables import SYSTEMS, merged, with_idempotents
 
