@@ -24,7 +24,7 @@ from .systems import (PairAnalysis, REASON_DIAMETER,
                       analyze_pair, check_tridiagonal_relations,
                       compute_relation_parameters,
                       generated_algebra_dimension, matrix_from_json,
-                      relative, system_from_json, system_to_json)
+                      system_to_json)
 from .results import RankEntry, RankTable, Residual, ScalarResidual
 from .rfl import (RFLDecomposition, SectionFiveCoefficients, check_section5,
                   check_section10, compute_rfl, section5_coefficients)
@@ -34,9 +34,8 @@ from .bridge import (check_descent, check_diagrams, check_master_identity,
                      check_section9)
 from .leonard import (LeonardData, check_section11, construct_leonard,
                       leonard_data)
-from .krawtchouk import (KrawtchoukParams, KroneckerOutcome, check_section12,
-                         closed_form_data, construct_krawtchouk,
-                         is_krawtchouk_type, kronecker_sum_candidate)
+from .krawtchouk import (KrawtchoukParams, check_section12, closed_form_data,
+                         construct_krawtchouk, is_krawtchouk_type)
 from .report import (CHECK_IDS, CheckResult, VerificationReport,
                      run_all_checks)
 
@@ -46,7 +45,7 @@ __all__ = [
     "CHECK_IDS", "CheckResult", "ContradictionError", "DecompositionError",
     "DimensionError", "EigenData", "FieldMismatchError", "Fp",
     "InternalInconsistencyError", "KrawtchoukParams", "KrawtchoukTypeError",
-    "KroneckerOutcome", "LeonardData", "MalformedInputError", "Matrix",
+    "LeonardData", "MalformedInputError", "Matrix",
     "NotDiagonalizableError", "NotLeonardSystemError",
     "PairAnalysis", "PrimeField", "QQ", "RFLDecomposition",
     "REASON_DIAMETER", "REASON_NOT_DIAGONALIZABLE", "REASON_NO_ORDERING",
@@ -64,8 +63,7 @@ __all__ = [
     "compute_split", "construct_krawtchouk", "construct_leonard",
     "eigenvalues_in_field", "field_from_descriptor",
     "generated_algebra_dimension", "inverse", "is_krawtchouk_type",
-    "is_prime", "kronecker_sum_candidate", "lagrange_idempotents",
-    "leonard_data", "matrix_from_json", "rank_kernel", "relative",
-    "run_all_checks", "section5_coefficients", "solve_right",
-    "system_from_json", "system_to_json",
+    "is_prime", "lagrange_idempotents", "leonard_data", "matrix_from_json",
+    "rank_kernel", "run_all_checks", "section5_coefficients", "solve_right",
+    "system_to_json",
 ]

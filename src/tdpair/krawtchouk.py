@@ -1,15 +1,14 @@
 """The arithmetic eigenvalue family theta_i = thetastar_i = d - 2i: a
 one-parameter generator with closed-form scalar data, the commutator and
-grading identities special to it, the exponential form of the transition
-map, and a tensor-sum candidate generator for higher-multiplicity inputs.
+grading identities special to it, and the exponential form of the
+transition map.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import (FieldMismatchError, InternalInconsistencyError,
-                     KrawtchoukTypeError)
+from .errors import InternalInconsistencyError, KrawtchoukTypeError
 from .fields import Field, Scalar
 from .frame import frame_of
 from .leonard import LeonardData, _rep_dual_a, leonard_data
@@ -17,7 +16,7 @@ from .matrix import Matrix, commutator
 from .results import Residual
 from .rfl import RFLDecomposition, compute_rfl
 from .split import SplitDecomposition, compute_split
-from .systems import Rejection, TridiagonalSystem, analyze_pair
+from .systems import TridiagonalSystem, analyze_pair
 
 
 @dataclass(frozen=True)
@@ -215,40 +214,3 @@ def check_section12(sys: TridiagonalSystem,
     put("section12.triple.R",
         commutator(cal_r, commutator(cal_r, commutator(cal_r, cal_l))))
     return out
-
-
-@dataclass(frozen=True)
-class KroneckerOutcome:
-    """What happened to a tensor-sum candidate: either the systems the
-    verifier found together with their full reports, or the rejection."""
-    systems: Tuple[TridiagonalSystem, ...]
-    rejection: Optional[Rejection]
-    reports: tuple
-
-    @property
-    def accepted(self) -> bool:
-        return bool(self.systems)
-
-
-def kronecker_sum_candidate(s1: TridiagonalSystem, s2: TridiagonalSystem,
-                            run_checks: bool = True) -> KroneckerOutcome:
-    """Form the tensor sums of the two pairs and let the verifier decide.
-
-    No claim is made that the candidate passes; the outcome records the
-    analysis result and, when systems are found and run_checks is set,
-    the full check suite for each.
-    """
-    if s1.field != s2.field:
-        raise FieldMismatchError("candidates live over different fields")
-    id1 = Matrix.identity(s1.field, s1.n)
-    id2 = Matrix.identity(s2.field, s2.n)
-    a = s1.A.kron(id2) + id1.kron(s2.A)
-    astar = s1.Astar.kron(id2) + id1.kron(s2.Astar)
-    analysis = analyze_pair(a, astar)
-    if analysis.rejection is not None:
-        return KroneckerOutcome((), analysis.rejection, ())
-    reports: tuple = ()
-    if run_checks:
-        from .report import run_all_checks
-        reports = tuple(run_all_checks(cand) for cand in analysis.systems)
-    return KroneckerOutcome(tuple(analysis.systems), None, reports)

@@ -51,10 +51,6 @@ class LeonardData:
     def c_at(self, i: int) -> Scalar:
         return self.c[i - 1]
 
-    def taustar_at(self, i: int, lam: Scalar) -> Scalar:
-        return math.prod((lam - t for t in self.thetastar[:i]),
-                         start=self.field.one)
-
     def to_json(self) -> dict:
         text = self.field.to_text
         return {

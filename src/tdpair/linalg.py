@@ -478,9 +478,10 @@ def eigenvalues_in_field(m: Matrix) -> EigenData:
 # -- idempotents and projectors -------------------------------------------
 
 
-def _idempotent_factors(m: Matrix, thetas: Sequence[Scalar]) -> list:
-    """Rank factorizations (B_i, C_i) of the primitive idempotents of a
-    diagonalizable matrix, in the order of its eigenvalue list thetas.
+def lagrange_idempotents(m: Matrix, thetas: Sequence[Scalar]) -> List[Matrix]:
+    """The primitive idempotents E_i of a diagonalizable matrix, in the
+    order of its eigenvalue list thetas, each the product B_i C_i of its
+    factors from direct_sum.
 
     Eigenspaces of distinct eigenvalues are independent, so when their
     dimensions sum to n the space is their direct sum, and E_i is the
@@ -507,12 +508,7 @@ def _idempotent_factors(m: Matrix, thetas: Sequence[Scalar]) -> list:
     spaces = [rank_kernel(m - ident.scale(t))[1] for t in ths]
     if not all(s.dim for s in spaces) or sum(s.dim for s in spaces) != m.nrows:
         raise NotDiagonalizableError(failure)
-    return direct_sum(spaces)[2]
-
-
-def lagrange_idempotents(m: Matrix, thetas: Sequence[Scalar]) -> List[Matrix]:
-    """The products E_i = B_i C_i of _idempotent_factors."""
-    return [b * c for b, c in _idempotent_factors(m, thetas)]
+    return [b * c for b, c in direct_sum(spaces)[2]]
 
 
 def direct_sum(parts: Sequence[Subspace]) -> Tuple[Matrix, Matrix, list]:

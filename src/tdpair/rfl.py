@@ -119,12 +119,14 @@ def check_section5(sys: TridiagonalSystem, rfl: RFLDecomposition,
 
     out: List[Residual] = []
 
+    fl2, l2f, lfl = f * l2, l2 * f, l * fl
+    r2f, fr2, rfr = r2 * f, f * r2, r * fr
     for i in range(2, d + 1):
-        low = ((f * l2).scale(co.gminus[i]) + l * fl
-               + (l2 * f).scale(co.gplus[i]) - l2.scale(gamma))
+        low = lfl.combination([(co.gminus[i], fl2), (co.gplus[i], l2f),
+                               (-gamma, l2)])
         out.append(res("section5.i.low", (i,), low * estar[i]))
-        high = ((r2 * f).scale(co.gminus[i]) + r * fr
-                + (f * r2).scale(co.gplus[i]) - r2.scale(gamma))
+        high = rfr.combination([(co.gminus[i], r2f), (co.gplus[i], fr2),
+                                (-gamma, r2)])
         out.append(res("section5.i.high", (i,), high * estar[i - 2]))
 
     rl2 = r * l2

@@ -1,5 +1,5 @@
 """Tridiagonal systems: recognition of pairs, shape, relation parameters,
-relatives, and serialization.
+and serialization.
 
 A tridiagonal system packages two diagonalizable matrices together with
 standard orderings of both primitive idempotent families: each matrix acts
@@ -14,11 +14,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (ContradictionError, FieldMismatchError,
                      InternalInconsistencyError, MalformedInputError)
-from .fields import Field, PrimeField, Scalar, field_from_descriptor
+from .fields import Field, PrimeField, Scalar
 from .frame import frame_of
-from .linalg import (Subspace, _idempotent_factors, _int_insert, _int_rows,
+from .linalg import (Subspace, _int_insert, _int_kernel, _int_rows,
                      charpoly, direct_sum, eigenvalues_in_field,
-                     irreducible_mod_p, rank_kernel)
+                     irreducible_mod_p)
 from .matrix import Matrix, SparseMatrix, commutator
 from .results import Residual
 
@@ -252,7 +252,7 @@ def _witness(field: Field, rows: Dict[int, List[int]], n: int,
     if len(rows) == n:
         return None
     if dual:
-        space = rank_kernel(Matrix(field, list(rows.values())))[1]
+        space = _int_kernel(field, n, list(rows.values()))[1]
     else:
         space = Subspace.from_columns(field, n, rows.values())
     return Rejection(REASON_REDUCIBLE,
@@ -586,32 +586,6 @@ def check_tridiagonal_relations(sys: TridiagonalSystem,
                      params.gammastar, params.rhostar))
 
 
-# -- relatives --------------------------------------------------------------
-
-RELATIVE_KEYS = ("star", "down", "downdown", "times")
-
-
-def relative(sys: TridiagonalSystem, which: str) -> TridiagonalSystem:
-    """One of the four companion systems obtained by swapping the pair
-    and/or reversing an ordering; the result is revalidated."""
-    if which not in RELATIVE_KEYS:
-        raise MalformedInputError(f"unknown relative {which!r}; "
-                                  f"use one of {RELATIVE_KEYS}")
-    fam = _Family(sys.A, sys.E_factors, sys.theta, sys.Astar)
-    fam_star = _Family(sys.Astar, sys.Estar_factors, sys.thetastar, sys.A)
-    up = list(range(sys.d + 1))
-    down = up[::-1]
-    if which == "star":
-        data = (fam_star, fam, up, up)
-    elif which == "down":
-        data = (fam, fam_star, up, down)
-    elif which == "downdown":
-        data = (fam, fam_star, down, up)
-    else:
-        data = (fam_star, fam, down, down)
-    return _assemble_system(sys.field, *data)
-
-
 # -- serialization -----------------------------------------------------------
 
 
@@ -635,50 +609,3 @@ def matrix_from_json(field: Field, rows, what: str) -> Matrix:
         return Matrix(field, rows)
     except Exception as exc:
         raise MalformedInputError(f"bad {what}: {exc}") from exc
-
-
-def system_from_json(doc: dict) -> TridiagonalSystem:
-    """Rebuild a system from its JSON form; idempotents are recomputed
-    from the stored eigenvalue orderings and everything is revalidated."""
-    if not isinstance(doc, dict):
-        raise MalformedInputError("system document must be an object")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise MalformedInputError(
-            f"unsupported schema {doc.get('schema')!r}; "
-            f"expected {SCHEMA_VERSION}")
-    field = field_from_descriptor(doc.get("field"))
-    a = matrix_from_json(field, doc.get("A"), "A")
-    astar = matrix_from_json(field, doc.get("Astar"), "Astar")
-    eigs = [doc.get(key) for key in ("theta", "thetastar")]
-    if (not all(isinstance(x, list) for x in eigs) or not eigs[0]
-            or len(eigs[0]) != len(eigs[1])):
-        raise MalformedInputError("theta and thetastar must be equal-length "
-                                  "nonempty lists")
-    try:
-        theta, thetastar = ([field.parse(t) for t in x] for x in eigs)
-    except Exception as exc:
-        raise MalformedInputError(f"bad eigenvalue list: {exc}") from exc
-    d = doc.get("d")
-    if d is not None and (type(d) is not int or d != len(theta) - 1):
-        raise MalformedInputError("d does not match eigenvalue count")
-    try:
-        e_fac = _idempotent_factors(a, theta)
-        estar_fac = _idempotent_factors(astar, thetastar)
-    except Exception as exc:
-        raise MalformedInputError(f"stored eigenvalues are invalid: {exc}") \
-            from exc
-    fam = _Family(a, e_fac, theta, astar)
-    fam_star = _Family(astar, estar_fac, thetastar, a)
-    rejection = _irreducibility(fam, fam_star)
-    if rejection is not None:
-        raise MalformedInputError(
-            "stored pair is not irreducible"
-            if rejection.reason == REASON_REDUCIBLE
-            else "stored pair's irreducibility is undetermined: "
-            + rejection.detail)
-    stored = list(range(len(theta)))
-    try:
-        return _assemble_system(field, fam, fam_star, stored, stored)
-    except InternalInconsistencyError as exc:
-        raise MalformedInputError(f"stored ordering is not standard: {exc}") \
-            from exc

@@ -13,18 +13,24 @@ rank and the column space, a subspace's basis matrix, the projectors of
 a direct sum, the operators of a decomposition carried back to the
 input basis, and the coefficients of the assembled operator rebuilt from
 gap products at every call, the reference for the gap table that the
-frame keeps."""
+frame keeps.  Three routes that recognition does not take build systems
+for the tests to compare against: the four relatives of a system, a
+system rebuilt from its JSON form, and the tensor sum of two systems."""
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from tdpair import (InternalInconsistencyError, Matrix, SingularMatrixError,
-                    SplitDecomposition, Subspace, TdpairError, compute_rfl,
-                    compute_split, inverse, leonard_data)
+from tdpair import (InternalInconsistencyError, MalformedInputError, Matrix,
+                    REASON_REDUCIBLE, SCHEMA_VERSION, SingularMatrixError,
+                    SplitDecomposition, Subspace, TdpairError, analyze_pair,
+                    compute_rfl, compute_split, field_from_descriptor,
+                    inverse, lagrange_idempotents, leonard_data,
+                    matrix_from_json)
 from tdpair.frame import SparseMatrix, frame_of
 from tdpair.leonard import _rep_dual_a, _tridiagonal
 from tdpair.linalg import direct_sum
-from tdpair.systems import _compute_shape
+from tdpair.systems import (_assemble_system, _compute_shape, _Family,
+                            _irreducibility)
 
 
 # the bases each operator of a split is in; R, F and L are in "PP"
@@ -148,6 +154,92 @@ def rank_factorization(m: Matrix) -> Optional[Tuple[Matrix, Matrix]]:
     return (basis_matrix(space),
             Matrix(m.field, tuple(m.rows[p] for p in space.pivots),
                    _trusted=True))
+
+
+RELATIVE_KEYS = ("star", "down", "downdown", "times")
+
+
+def relative(sys, which: str):
+    """One of the four companion systems obtained by swapping the pair
+    and/or reversing an ordering; the result is revalidated."""
+    if which not in RELATIVE_KEYS:
+        raise MalformedInputError(f"unknown relative {which!r}; "
+                                  f"use one of {RELATIVE_KEYS}")
+    fam = _Family(sys.A, sys.E_factors, sys.theta, sys.Astar)
+    fam_star = _Family(sys.Astar, sys.Estar_factors, sys.thetastar, sys.A)
+    up = list(range(sys.d + 1))
+    down = up[::-1]
+    if which == "star":
+        data = (fam_star, fam, up, up)
+    elif which == "down":
+        data = (fam, fam_star, up, down)
+    elif which == "downdown":
+        data = (fam, fam_star, down, up)
+    else:
+        data = (fam_star, fam, down, down)
+    return _assemble_system(sys.field, *data)
+
+
+def system_from_json(doc: dict):
+    """Rebuild a system from the JSON form of system_to_json; idempotents
+    are recomputed from the stored eigenvalue orderings and everything is
+    revalidated."""
+    if not isinstance(doc, dict):
+        raise MalformedInputError("system document must be an object")
+    if doc.get("schema") != SCHEMA_VERSION:
+        raise MalformedInputError(
+            f"unsupported schema {doc.get('schema')!r}; "
+            f"expected {SCHEMA_VERSION}")
+    field = field_from_descriptor(doc.get("field"))
+    a = matrix_from_json(field, doc.get("A"), "A")
+    astar = matrix_from_json(field, doc.get("Astar"), "Astar")
+    eigs = [doc.get(key) for key in ("theta", "thetastar")]
+    if (not all(isinstance(x, list) for x in eigs) or not eigs[0]
+            or len(eigs[0]) != len(eigs[1])):
+        raise MalformedInputError("theta and thetastar must be equal-length "
+                                  "nonempty lists")
+    try:
+        theta, thetastar = ([field.parse(t) for t in x] for x in eigs)
+    except Exception as exc:
+        raise MalformedInputError(f"bad eigenvalue list: {exc}") from exc
+    d = doc.get("d")
+    if d is not None and (type(d) is not int or d != len(theta) - 1):
+        raise MalformedInputError("d does not match eigenvalue count")
+    try:
+        e_fac, estar_fac = ([rank_factorization(e)
+                             for e in lagrange_idempotents(m, ths)]
+                            for m, ths in ((a, theta), (astar, thetastar)))
+    except Exception as exc:
+        raise MalformedInputError(f"stored eigenvalues are invalid: {exc}") \
+            from exc
+    fam = _Family(a, e_fac, theta, astar)
+    fam_star = _Family(astar, estar_fac, thetastar, a)
+    rejection = _irreducibility(fam, fam_star)
+    if rejection is not None:
+        raise MalformedInputError(
+            "stored pair is not irreducible"
+            if rejection.reason == REASON_REDUCIBLE
+            else "stored pair's irreducibility is undetermined: "
+            + rejection.detail)
+    stored = list(range(len(theta)))
+    try:
+        return _assemble_system(field, fam, fam_star, stored, stored)
+    except InternalInconsistencyError as exc:
+        raise MalformedInputError(f"stored ordering is not standard: {exc}") \
+            from exc
+
+
+def tensor_sum(x: Matrix, y: Matrix) -> Matrix:
+    """x (x) I + I (x) y."""
+    return (x.kron(Matrix.identity(x.field, y.nrows))
+            + Matrix.identity(x.field, x.nrows).kron(y))
+
+
+def analyze_tensor_sum(s1, s2):
+    """analyze_pair of A1 (x) I + I (x) A2 and A*1 (x) I + I (x) A*2, for
+    the pairs of the systems s1 and s2 over one field."""
+    return analyze_pair(tensor_sum(s1.A, s2.A),
+                        tensor_sum(s1.Astar, s2.Astar))
 
 
 def compute_shape(system) -> Tuple[int, ...]:

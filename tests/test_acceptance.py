@@ -13,11 +13,10 @@ import pytest
 from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, analyze_pair,
                     check_master_identity, closed_form_data,
                     compute_relation_parameters, compute_rfl, compute_split,
-                    construct_krawtchouk, kronecker_sum_candidate,
-                    leonard_data, run_all_checks)
+                    construct_krawtchouk, leonard_data, run_all_checks)
 
-from oracles import (FactorialInversionError, dense_view, idempotents,
-                     nilpotent_exp_scaled, result_for)
+from oracles import (FactorialInversionError, analyze_tensor_sum, dense_view,
+                     idempotents, nilpotent_exp_scaled, result_for)
 
 GRID_DIAMETERS = range(1, 7)
 RATIONAL_PARAMS = (Fraction(1, 3), Fraction(1, 2), Fraction(3, 4))
@@ -117,7 +116,7 @@ def test_criterion_4_rank_closed_forms(rational_grid, prime_grid):
         KrawtchoukParams(field=QQ, d=1, p=Fraction(1, 2)))
     s2, _ = construct_krawtchouk(
         KrawtchoukParams(field=QQ, d=1, p=Fraction(1, 3)))
-    fat = kronecker_sum_candidate(s1, s2, run_checks=False).systems[0]
+    fat = analyze_tensor_sum(s1, s2).systems[0]
     shape = fat.shape
     report = run_all_checks(fat, checks=("section10",))
     table = result_for(report, "section10").tables[0]

@@ -7,12 +7,12 @@ import pytest
 from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, check_descent,
                     check_diagrams, check_master_identity, check_section9,
                     compute_rfl, compute_split, construct_krawtchouk,
-                    construct_leonard, kronecker_sum_candidate)
+                    construct_leonard)
 from tdpair import bridge
 from tdpair.frame import SparseMatrix, frame_of
 
-from oracles import (_coefficients, _gap_products, all_zero, dense_view,
-                     idempotents)
+from oracles import (_coefficients, _gap_products, all_zero,
+                     analyze_tensor_sum, dense_view, idempotents)
 
 
 def master_rhs_operator(sys, split, i: int, j: int) -> Matrix:
@@ -80,9 +80,9 @@ def multiplicity_system():
         KrawtchoukParams(field=QQ, d=1, p=Fraction(1, 2)))
     s2, _ = construct_krawtchouk(
         KrawtchoukParams(field=QQ, d=1, p=Fraction(2, 3)))
-    outcome = kronecker_sum_candidate(s1, s2, run_checks=False)
-    assert outcome.accepted
-    return outcome.systems[0]
+    analysis = analyze_tensor_sum(s1, s2)
+    assert analysis.rejection is None
+    return analysis.systems[0]
 
 
 def test_descent_pinned_two_point(kraw1):

@@ -18,12 +18,11 @@ import pytest
 from tdpair import (MalformedInputError, Matrix, PrimeField, QQ,
                     REASON_REDUCIBLE, REASON_UNDETERMINED, analyze_pair,
                     eigenvalues_in_field, generated_algebra_dimension,
-                    inverse, run_all_checks, system_from_json,
-                    system_to_json, systems)
+                    inverse, run_all_checks, system_to_json, systems)
 from tdpair.linalg import direct_sum
 from tdpair.systems import _condensed_verdict, _Family, _irreducibility
 
-from oracles import _echelon
+from oracles import _echelon, system_from_json
 from subspaces import contains
 from test_rejections import (direct_sum_pair, equal_tensor_pair,
                              flat_varphi_pair)

@@ -1,6 +1,6 @@
 """The arithmetic eigenvalue family: closed forms against hand-computed
 values, parameter validation, the family-specific identity suite, and the
-tensor-sum candidate generator."""
+verdicts on tensor sums of its pairs."""
 from fractions import Fraction
 
 import pytest
@@ -8,10 +8,10 @@ import pytest
 from tdpair import (FieldMismatchError, KrawtchoukParams, KrawtchoukTypeError,
                     Matrix, PrimeField, QQ, REASON_REDUCIBLE, analyze_pair,
                     check_section12, closed_form_data, compute_split,
-                    construct_krawtchouk, is_krawtchouk_type,
-                    kronecker_sum_candidate)
+                    construct_krawtchouk, is_krawtchouk_type, run_all_checks)
 
-from oracles import all_zero, dense_view, nilpotent_exp_scaled
+from oracles import (all_zero, analyze_tensor_sum, dense_view,
+                     nilpotent_exp_scaled)
 
 
 def params(d, p, field=QQ):
@@ -143,47 +143,36 @@ def test_transition_is_exponential():
     assert split.transition_inv == nilpotent_exp_scaled(split.lowering, -half)
 
 
-# Tensor-sum candidates.
+# Tensor sums.
 
 def test_kronecker_field_mismatch():
     s1, _ = construct_krawtchouk(params(1, Fraction(1, 2)))
     s2, _ = construct_krawtchouk(params(1, 2, PrimeField(101)))
     with pytest.raises(FieldMismatchError):
-        kronecker_sum_candidate(s1, s2)
+        analyze_tensor_sum(s1, s2)
 
 
 def test_kronecker_same_parameter_rejected():
     s, _ = construct_krawtchouk(params(1, Fraction(1, 2)))
-    outcome = kronecker_sum_candidate(s, s, run_checks=False)
-    assert not outcome.accepted
-    assert outcome.rejection.reason == REASON_REDUCIBLE
-    assert outcome.reports == ()
+    analysis = analyze_tensor_sum(s, s)
+    assert not analysis.systems
+    assert analysis.rejection.reason == REASON_REDUCIBLE
 
 
 def test_kronecker_distinct_parameters_accepted():
     s1, _ = construct_krawtchouk(params(1, Fraction(1, 2)))
     s2, _ = construct_krawtchouk(params(1, Fraction(1, 3)))
-    outcome = kronecker_sum_candidate(s1, s2)
-    assert outcome.accepted
-    assert outcome.rejection is None
-    assert all(s.shape == (1, 2, 1) for s in outcome.systems)
-    assert len(outcome.reports) == len(outcome.systems)
-    assert all(rep.ok for rep in outcome.reports)
+    analysis = analyze_tensor_sum(s1, s2)
+    assert analysis.rejection is None
+    assert all(s.shape == (1, 2, 1) for s in analysis.systems)
+    assert all(run_all_checks(s).ok for s in analysis.systems)
 
 
 def test_kronecker_with_point_system():
     s1, _ = construct_krawtchouk(params(2, Fraction(1, 2)))
     point = analyze_pair(Matrix(QQ, [[5]]), Matrix(QQ, [[7]])).systems[0]
-    outcome = kronecker_sum_candidate(s1, point, run_checks=False)
-    assert outcome.accepted
-    assert all(s.d == s1.d and s.shape == s1.shape for s in outcome.systems)
+    analysis = analyze_tensor_sum(s1, point)
+    assert analysis.rejection is None
+    assert all(s.d == s1.d and s.shape == s1.shape for s in analysis.systems)
     shifted = tuple(v + QQ.from_int(5) for v in s1.theta)
-    assert any(s.theta == shifted for s in outcome.systems)
-
-
-def test_kronecker_without_checks():
-    s1, _ = construct_krawtchouk(params(1, Fraction(1, 2)))
-    s2, _ = construct_krawtchouk(params(1, Fraction(2, 3)))
-    outcome = kronecker_sum_candidate(s1, s2, run_checks=False)
-    assert outcome.accepted
-    assert outcome.reports == ()
+    assert any(s.theta == shifted for s in analysis.systems)

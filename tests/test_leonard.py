@@ -9,12 +9,11 @@ from tdpair import (InternalInconsistencyError, KrawtchoukParams,
                     LeonardData, Matrix, NotLeonardSystemError, PrimeField,
                     QQ, TdpairError, analyze_pair, check_section11,
                     compute_split, construct_krawtchouk, construct_leonard,
-                    inverse, kronecker_sum_candidate, leonard_data,
-                    run_all_checks)
+                    inverse, leonard_data, run_all_checks)
 
-from oracles import (_gap_products, all_zero, basis_and_inverse,
-                     change_of_basis_reps, dense_view, first_nonzero_column,
-                     idempotents)
+from oracles import (_gap_products, all_zero, analyze_tensor_sum,
+                     basis_and_inverse, change_of_basis_reps, dense_view,
+                     first_nonzero_column, idempotents)
 from test_check_coverage import raising_off_band, raising_plus_f0
 from test_rank_tables import SYSTEMS, merged, with_idempotents
 
@@ -60,10 +59,6 @@ def test_data_accessors(kraw3):
     assert data.phi_at(2) == data.phi[1]
     assert data.b_at(0) == data.b[0]
     assert data.c_at(3) == data.c[2]
-    # tau products: empty below 1, the plain gap products above
-    assert data.taustar_at(0, Fraction(7)) == 1
-    assert data.taustar_at(2, Fraction(0)) == \
-        (0 - data.thetastar[0]) * (0 - data.thetastar[1])
 
 
 def test_leonard_data_requires_multiplicity_free():
@@ -71,8 +66,7 @@ def test_leonard_data_requires_multiplicity_free():
         KrawtchoukParams(field=QQ, d=1, p=Fraction(1, 2)))
     s2, _ = construct_krawtchouk(
         KrawtchoukParams(field=QQ, d=1, p=Fraction(1, 3)))
-    outcome = kronecker_sum_candidate(s1, s2, run_checks=False)
-    fat = outcome.systems[0]
+    fat = analyze_tensor_sum(s1, s2).systems[0]
     with pytest.raises(NotLeonardSystemError):
         leonard_data(fat)
     with pytest.raises(NotLeonardSystemError):
@@ -306,13 +300,20 @@ def test_construct_leonard_fuzz(drawn):
     assert run_all_checks(system).ok
 
 
+AFFINE_FIELDS = (QQ, PrimeField(2 ** 31 - 1), PrimeField(2 ** 61 - 1))
+
+
 @st.composite
 def affine_krawtchouk(draw):
-    """The Leonard array of Krawtchouk d <= 6 over QQ from its closed form,
+    """The Leonard array of Krawtchouk d <= 6 from its closed form,
     theta_i = thetastar_i = d - 2i and phi_i = 4p i (i - d - 1) for
     p not 0 or 1, under theta -> xi theta + zeta and
     thetastar -> xistar thetastar + zetastar, with phi scaled by
-    xi xistar; xi and xistar are nonzero with different denominators."""
+    xi xistar; xi and xistar are nonzero with different denominators.
+    The field is QQ, GF(2^31 - 1) or GF(2^61 - 1), and each rational is
+    parsed into it, so that over GF(p) a negative or fractional entry is
+    a residue near p."""
+    field = draw(st.sampled_from(AFFINE_FIELDS))
     d = draw(st.integers(min_value=1, max_value=6))
     fraction = st.fractions(min_value=-9, max_value=9, max_denominator=13)
     p = draw(fraction.filter(lambda x: x not in (0, 1)))
@@ -322,17 +323,19 @@ def affine_krawtchouk(draw):
     theta = [xi * (d - 2 * i) + zeta for i in range(d + 1)]
     thetastar = [xistar * (d - 2 * i) + zetastar for i in range(d + 1)]
     phi = [xi * xistar * 4 * p * i * (i - d - 1) for i in range(1, d + 1)]
-    return theta, thetastar, phi
+    return field, tuple([field.parse(str(x)) for x in seq]
+                        for seq in (theta, thetastar, phi))
 
 
 @settings(max_examples=100, deadline=None)
 @given(affine_krawtchouk())
 def test_construct_leonard_accepts_affine_krawtchouk(drawn):
     """An affine image of a Krawtchouk array is accepted at every d <= 6,
-    with the eigenvalues asked for, and passes every check; the entries
-    of A and A* have coprime denominators, so the eigenvalue kernels
-    work on D times each."""
-    theta, thetastar, phi = drawn
-    system, _ = construct_leonard(theta, thetastar, phi, QQ)
+    with the eigenvalues asked for, and passes every check; over QQ the
+    entries of A and A* have coprime denominators, so the eigenvalue
+    kernels work on D times each, and over GF(p) the kernels see
+    residues near p."""
+    field, (theta, thetastar, phi) = drawn
+    system, _ = construct_leonard(theta, thetastar, phi, field)
     assert (list(system.theta), list(system.thetastar)) == (theta, thetastar)
     assert run_all_checks(system).ok

@@ -11,10 +11,10 @@ import pytest
 
 from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, analyze_pair,
                     check_section10, check_split_bijectivity, compute_rfl,
-                    compute_split, construct_krawtchouk, inverse,
-                    kronecker_sum_candidate)
+                    compute_split, construct_krawtchouk, inverse)
 
-from oracles import dense_view, idempotents, rank, rank_factorization
+from oracles import (analyze_tensor_sum, dense_view, idempotents, rank,
+                     rank_factorization)
 
 
 def powers(m, top):
@@ -80,7 +80,7 @@ def tensor_sum():
         KrawtchoukParams(field=QQ, d=1, p=Fraction(1, 2)))
     s2, _ = construct_krawtchouk(
         KrawtchoukParams(field=QQ, d=2, p=Fraction(1, 3)))
-    return kronecker_sum_candidate(s1, s2, run_checks=False).systems[0]
+    return analyze_tensor_sum(s1, s2).systems[0]
 
 
 SYSTEMS = {"krawtchouk-qq": krawtchouk_rational,

@@ -11,6 +11,8 @@ import pytest
 from tdpair import (KrawtchoukParams, Matrix, QQ, REASON_REDUCIBLE,
                     analyze_pair, construct_krawtchouk)
 
+from oracles import tensor_sum
+
 
 def krawtchouk(d, p):
     s, _ = construct_krawtchouk(KrawtchoukParams(field=QQ, d=d, p=p))
@@ -21,11 +23,6 @@ def direct_sum(x, y):
     n, m = x.nrows, y.nrows
     return Matrix(QQ, [list(r) + [0] * m for r in x.rows]
                   + [[0] * n + list(r) for r in y.rows])
-
-
-def tensor_sum(x, y):
-    return (x.kron(Matrix.identity(QQ, y.nrows))
-            + Matrix.identity(QQ, x.nrows).kron(y))
 
 
 def direct_sum_pair(p1, p2):

@@ -9,12 +9,11 @@ import pytest
 from tdpair import (CHECK_IDS, KrawtchoukParams, MalformedInputError,
                     Matrix, QQ, Subspace, analyze_pair,
                     compute_relation_parameters, compute_split,
-                    construct_krawtchouk, inverse, kronecker_sum_candidate,
-                    run_all_checks)
+                    construct_krawtchouk, inverse, run_all_checks)
 from tdpair import frame, linalg
 from tdpair.frame import Frame, SparseMatrix
 
-from oracles import result_for
+from oracles import analyze_tensor_sum, result_for
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +29,9 @@ def multiplicity_system():
         KrawtchoukParams(field=QQ, d=1, p=Fraction(1, 2)))
     s2, _ = construct_krawtchouk(
         KrawtchoukParams(field=QQ, d=1, p=Fraction(1, 3)))
-    outcome = kronecker_sum_candidate(s1, s2, run_checks=False)
+    analysis = analyze_tensor_sum(s1, s2)
     want = tuple(QQ.from_int(v) for v in (2, 0, -2))
-    for system in outcome.systems:
+    for system in analysis.systems:
         if system.theta == want and system.thetastar == want:
             return system
     raise AssertionError("no ordering realizes the arithmetic sequences")

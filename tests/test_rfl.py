@@ -4,10 +4,9 @@ import pytest
 
 from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, check_section5,
                     check_section10, compute_relation_parameters, compute_rfl,
-                    construct_krawtchouk, kronecker_sum_candidate,
-                    section5_coefficients)
+                    construct_krawtchouk, section5_coefficients)
 
-from oracles import all_zero, dense_view, idempotents
+from oracles import all_zero, analyze_tensor_sum, dense_view, idempotents
 
 
 @pytest.fixture(scope="module")
@@ -23,9 +22,9 @@ def multiplicity_system():
         KrawtchoukParams(field=QQ, d=1, p=Fraction(1, 2)))
     s2, _ = construct_krawtchouk(
         KrawtchoukParams(field=QQ, d=1, p=Fraction(1, 3)))
-    outcome = kronecker_sum_candidate(s1, s2, run_checks=False)
-    assert outcome.accepted
-    return outcome.systems[0]
+    analysis = analyze_tensor_sum(s1, s2)
+    assert analysis.rejection is None
+    return analysis.systems[0]
 
 
 def test_decomposition_parts(kraw3):

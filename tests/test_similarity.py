@@ -8,31 +8,33 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, analyze_pair,
+from tdpair import (KrawtchoukParams, PrimeField, QQ, analyze_pair,
                     construct_krawtchouk, inverse, leonard_data,
                     run_all_checks)
 
+from oracles import tensor_sum
 from test_linalg import unimodular
 
 GF101 = PrimeField(101)
+M61 = PrimeField(2 ** 61 - 1)
 
 
-def krawtchouk(d):
+def krawtchouk(d, field=QQ, p=Fraction(1, 3)):
     s, _ = construct_krawtchouk(
-        KrawtchoukParams(field=QQ, d=d, p=Fraction(1, 3)))
+        KrawtchoukParams(field=field, d=d, p=field.coerce(p)))
     return s.A, s.Astar
 
 
 def tensor_121():
     s, _ = construct_krawtchouk(KrawtchoukParams(field=GF101, d=1, p=2))
     t, _ = construct_krawtchouk(KrawtchoukParams(field=GF101, d=1, p=5))
-    ident = Matrix.identity(GF101, 2)
-    return (s.A.kron(ident) + ident.kron(t.A),
-            s.Astar.kron(ident) + ident.kron(t.Astar))
+    return tensor_sum(s.A, t.A), tensor_sum(s.Astar, t.Astar)
 
 
 PAIRS = {**{f"krawtchouk-qq-d{d}": (lambda d=d: krawtchouk(d))
             for d in range(1, 5)},
+         # the entries -k and the inverses of U are residues near 2^61
+         "krawtchouk-m61-d3": lambda: krawtchouk(3, M61, 3),
          "tensor-gf101-121": tensor_121}
 
 

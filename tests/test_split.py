@@ -7,11 +7,11 @@ import pytest
 
 from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, Subspace,
                     check_section7, check_split_bijectivity, compute_split,
-                    construct_krawtchouk, kronecker_sum_candidate)
+                    construct_krawtchouk)
 from tdpair.frame import frame_of
 
-from oracles import (all_zero, column_space, dense_view, idempotents,
-                     nilpotency_index)
+from oracles import (all_zero, analyze_tensor_sum, column_space, dense_view,
+                     idempotents, nilpotency_index)
 from subspaces import subspace_intersect, subspace_sum, zero
 
 
@@ -35,9 +35,9 @@ def multiplicity_system():
         KrawtchoukParams(field=QQ, d=1, p=Fraction(1, 2)))
     s2, _ = construct_krawtchouk(
         KrawtchoukParams(field=QQ, d=1, p=Fraction(1, 4)))
-    outcome = kronecker_sum_candidate(s1, s2, run_checks=False)
-    assert outcome.accepted
-    return outcome.systems[0]
+    analysis = analyze_tensor_sum(s1, s2)
+    assert analysis.rejection is None
+    return analysis.systems[0]
 
 
 def test_two_point_split_pinned(kraw1):

@@ -9,12 +9,12 @@ from tdpair import (ContradictionError, MalformedInputError, Matrix,
                     REASON_REDUCIBLE, Subspace, analyze_pair,
                     check_tridiagonal_relations, compute_relation_parameters,
                     construct_leonard, generated_algebra_dimension,
-                    matrix_from_json, relative,
-                    run_all_checks, system_from_json, system_to_json)
+                    matrix_from_json, run_all_checks, system_to_json)
 from tdpair import linalg
-from tdpair.systems import RELATIVE_KEYS, _spin
+from tdpair.systems import _spin
 
-from oracles import compute_shape, idempotents, rank_factorization
+from oracles import (RELATIVE_KEYS, compute_shape, idempotents,
+                     rank_factorization, relative, system_from_json)
 from subspaces import contains
 from test_rank_tables import SYSTEMS, krawtchouk_prime, krawtchouk_rational
 
