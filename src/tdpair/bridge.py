@@ -69,17 +69,18 @@ def _assembled(sys: TridiagonalSystem, fr: Frame, i: int, j: int,
                lhs: Optional[SparseMatrix] = None) -> SparseMatrix:
     """The assembled operator at (i, j) in the split basis, or its mirror
     with the two eigenvalue sequences and the two shifted maps exchanged,
-    times right; or lhs minus that, in the same combination.  Each term
-    is multiplied by right before the sum, so when right is nonzero in
-    the columns of one summand only, each product touches only the
-    entries of those columns."""
-    lead, cross = _coefficients(sys, fr, i, j, dual)
-    terms = [] if lead is None else [
-        (lead, (fr.r_pow if dual else fr.l_pow)[j - i])]
-    terms += [(c, fr.words[dual][s + 1 - i, j - s]) for s, c in cross]
-    zero = SparseMatrix(sys.field, sys.n, {})
-    sign, lhs = (1, zero) if lhs is None else (-1, lhs)
-    return lhs.combination((sign * c, word * right) for c, word in terms)
+    times right; or lhs minus that.  The operator is formed once, as one
+    combination of its words, and kept on the frame, which the grid, the
+    diagrams and section9 share; each use multiplies it by right once."""
+    key = ("assembled", i, j, dual)
+    if key not in fr.memo:
+        lead, cross = _coefficients(sys, fr, i, j, dual)
+        terms = [] if lead is None else [
+            (lead, (fr.r_pow if dual else fr.l_pow)[j - i])]
+        terms += [(c, fr.words[dual][s + 1 - i, j - s]) for s, c in cross]
+        fr.memo[key] = SparseMatrix(sys.field, sys.n, {}).combination(terms)
+    product = fr.memo[key] * right
+    return product if lhs is None else lhs - product
 
 
 def _grid(sys: TridiagonalSystem, fr: Frame, i: int, j: int

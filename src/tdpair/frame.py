@@ -80,7 +80,7 @@ class Frame:
         self.f_pq = [self.t * x for x in self.f]
         self.es_qp = [self.t_inv * x for x in self.es_pp]
         # results one check computes and another reuses: the grid, the
-        # gap tables and the coefficients of the assembled operator
+        # gap tables, and the coefficients and the assembled operators
         self.memo: Dict[tuple, object] = {}
         # F_i E*_i and E*_i F_i, which psi and psi^-1 sum
         self.fe_qp = [f * e for f, e in zip(self.f, self.es_qp)]

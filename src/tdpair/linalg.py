@@ -5,6 +5,12 @@ subspaces are equal exactly when their basis matrices are identical.
 
 Kernels, eigenspaces, subspaces, solutions and inverses come from
 _int_rref, spins and summands from _int_insert, both by _clear.
+
+Eigenvalues are roots of the characteristic polynomial on raw ints:
+over GF(p) by Cantor-Zassenhaus, over QQ by _integer_roots, whose
+square-free part comes from a primitive pseudo-remainder gcd in Z[x]
+and whose roots modulo a small prime, found by evaluation, Newton's
+iteration lifts.
 """
 from __future__ import annotations
 
@@ -265,8 +271,7 @@ def charpoly(m: Matrix) -> List[Scalar]:
 
 
 # Dense univariate polynomials as coefficient lists in ascending degree with
-# no trailing zero, over GF(p) on raw ints when p > 0 and over the
-# rationals on Fractions when p == 0.
+# no trailing zero, on raw ints: residues over GF(p), or integers.
 
 
 def _trim(f: list) -> list:
@@ -276,28 +281,24 @@ def _trim(f: list) -> list:
 
 
 def _poly_divmod(f: list, g: list, p: int) -> Tuple[list, list]:
-    inv = pow(g[-1], -1, p) if p else 1 / Fraction(g[-1])
+    inv = pow(g[-1], -1, p)
     dg = len(g) - 1
     rem = list(f)
     quo = [0] * max(len(f) - dg, 0)
     for i in reversed(range(len(quo))):
-        c = rem[i + dg] * inv
-        if p:
-            c %= p
-        quo[i] = c
+        c = quo[i] = rem[i + dg] * inv % p
         for j, gj in enumerate(g):
             rem[i + j] -= c * gj
-    if p:
-        rem = [c % p for c in rem]
-    return _trim(quo), _trim(rem[:dg])
+    return _trim(quo), _trim([c % p for c in rem[:dg]])
 
 
 def _poly_gcd(f: list, g: list, p: int) -> list:
-    """Monic greatest common divisor of f and g, not both zero."""
+    """Monic greatest common divisor over GF(p) of f and g, not both
+    zero."""
     while g:
         f, g = g, _poly_divmod(f, g, p)[1]
-    inv = pow(f[-1], -1, p) if p else 1 / Fraction(f[-1])
-    return [c * inv % p if p else c * inv for c in f]
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
 
 
 def _minus_monomial(f: list, k: int, p: int) -> list:
@@ -384,17 +385,54 @@ def irreducible_mod_p(f: List[int], p: int) -> bool:
     return True
 
 
-def _integer_roots(f: List[int]) -> List[int]:
-    """Integer roots of a monic integer polynomial f (ascending degree).
+def _primitive(f: List[int]) -> List[int]:
+    """Nonzero f over the gcd of its coefficients, leading one positive."""
+    g = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
+    return [c // g for c in f]
 
-    The square-free part g has the same roots.  Modulo the first odd prime
-    p that keeps g square-free, every integer root reduces to a simple root
-    mod p, which Newton's iteration lifts uniquely to one modulo p^(2^k)
-    above twice the Cauchy bound 1 + max |g_i|.  The symmetric residue of
-    each lift is kept when it is an exact root.
+
+def _int_gcd(f: List[int], g: List[int]) -> List[int]:
+    """The primitive gcd, leading coefficient positive, of f and g in
+    Z[x], f nonzero, by the primitive pseudo-remainder sequence: each
+    step of a pseudo-division clears the leading coefficient of the
+    remainder against x^k times the divisor by _clear, which keeps the
+    remainder primitive."""
+    f = _primitive(f)
+    while g:
+        r, g = f, _primitive(g)
+        while len(r) >= len(g):
+            r = _trim(_clear(r, [0] * (len(r) - len(g)) + g, len(r) - 1, 0))
+        f, g = g, r
+    return f
+
+
+def _square_free(f: List[int]) -> List[int]:
+    """The square-free part f / gcd(f, f') of a monic f in Z[x].  The gcd
+    is monic, as a primitive factor of a monic polynomial, so the
+    division is exact on ints."""
+    h = _int_gcd(f, _derivative(f))
+    dh = len(h) - 1
+    rem, quo = list(f), [0] * (len(f) - dh)
+    for i in reversed(range(len(quo))):
+        c = quo[i] = rem[i + dh]
+        for j, x in enumerate(h):
+            rem[i + j] -= c * x
+    return quo
+
+
+def _integer_roots(f: List[int]) -> List[int]:
+    """Sorted integer roots of a monic integer polynomial f (ascending
+    degree), on ints throughout.
+
+    The _square_free part g has the same roots.  Modulo the first odd
+    prime p that keeps g square-free, every integer root reduces to a
+    simple root mod p, found by evaluating g at 0, ..., p - 1: O(p deg g)
+    operations, no more than the search for p, which takes one gcd of
+    O(deg^2) per prime tried.  Newton's iteration lifts each uniquely to
+    a root modulo p^(2^k) above twice the Cauchy bound 1 + max |g_i|.
+    The symmetric residue of each lift is kept when it is an exact root.
     """
-    g = _poly_divmod(f, _poly_gcd(f, _derivative(f), 0), 0)[0]
-    g = [int(c) for c in g]
+    g = _square_free(f)
     if len(g) < 2:
         return []
     dg = _derivative(g)
@@ -406,7 +444,12 @@ def _integer_roots(f: List[int]) -> List[int]:
             p += 2
     bound = 1 + max(abs(c) for c in g[:-1])
     roots = []
-    for r in _roots_mod_p([c % p for c in g], p):
+    for r in range(p):
+        acc = 0
+        for c in reversed(g):
+            acc = (acc * r + c) % p
+        if acc:
+            continue
         mod = p
         while mod <= 2 * bound:
             mod *= mod
@@ -415,24 +458,7 @@ def _integer_roots(f: List[int]) -> List[int]:
             r -= mod
         if _poly_eval(g, r) == 0:
             roots.append(r)
-    return roots
-
-
-def rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
-    """All rational roots of a polynomial given by Fraction coefficients.
-
-    coeffs[k] is the coefficient of x^(deg-k); coeffs[0] must be nonzero.
-    With the denominators cleared to integers a_0, ..., a_n, the roots are
-    y / a_0 for the integer roots y of the monic a_0^(n-1) f(y / a_0).
-    """
-    if not coeffs or not coeffs[0]:
-        raise DimensionError("leading coefficient must be nonzero")
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    lead = ints[0]
-    monic = [c * lead ** (k - 1) for k, c in enumerate(ints[1:], start=1)]
-    roots = _integer_roots(monic[::-1] + [1])
-    return sorted(Fraction(y, lead) for y in roots)
+    return sorted(roots)
 
 
 @dataclass(frozen=True)
@@ -449,8 +475,8 @@ def eigenvalues_in_field(m: Matrix) -> EigenData:
     Over QQ let D be the lcm of the entry denominators; over GF(p) let
     D = 1 and read residues.  The candidates are r / D for the roots r in
     the field of the characteristic polynomial of D m, monic with integer
-    coefficients: over GF(p) from _roots_mod_p, over QQ its integer
-    roots.  Each is confirmed by the kernel of the int rows of D m with r
+    coefficients: over GF(p) from _roots_mod_p, over QQ from
+    _integer_roots on those coefficients.  Each is confirmed by the kernel of the int rows of D m with r
     subtracted on the diagonal, that of m - (r / D) I.  Results are
     sorted by the field's canonical scalar order.
     """
@@ -463,8 +489,8 @@ def eigenvalues_in_field(m: Matrix) -> EigenData:
         den = math.lcm(*(x.denominator for row in m.rows for x in row))
         rows = [[x.numerator * (den // x.denominator) for x in row]
                 for row in m.rows]
-        roots = [r.numerator
-                 for r in rational_roots(charpoly(Matrix(field, rows)))]
+        roots = _integer_roots([c.numerator for c in
+                                reversed(charpoly(Matrix(field, rows)))])
     pairs = []
     for r in roots:
         ker = _int_kernel(field, n, [

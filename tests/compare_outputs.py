@@ -5,9 +5,9 @@ byte for byte.
 
 Builds the inputs of the benchmark workloads family, eigen-scan and
 reject-mix for seeds 1 to 3 from `perfbench/workloads.py` of the tree
-holding this script, and twenty-one more with its builders: QQ Krawtchouk
-d = 14, the tensor sum of QQ Krawtchouk pairs of diameters 2 and 4 (n = 15,
-shape 1, 2, 3, 3, 3, 2, 1), Krawtchouk d = 6 with p = 3 over
+holding this script, and twenty-three more with its builders: QQ
+Krawtchouk d = 14, the tensor sum of QQ Krawtchouk pairs of diameters 2
+and 4 (n = 15, shape 1, 2, 3, 3, 3, 2, 1), Krawtchouk d = 6 with p = 3 over
 GF(2^31 - 1) and GF(2^61 - 1), whose residues are large, QQ Krawtchouk
 d = 8 conjugated as U^-1 A U, U^-1 A* U by a unipotent upper triangular U
 with integer entries drawn from [-2, 2] by `random.Random(8)`, QQ
@@ -32,7 +32,11 @@ theta* -> (2/13) theta* + 1/17 and phi_i -> (3/7)(2/13) phi_i, whose
 entries have coprime denominators, so that sums in the frame rescale to a
 common denominator, and the same system conjugated with `random.Random(7)`,
 where phi is read in the split basis of a general basis whose sums
-rescale denominators.  The last eight reach the condensed verdict of
+rescale denominators, the QQ Leonard system of Krawtchouk d = 6 with
+theta and phi scaled by 3 5 7 ... 29, so that the eigenvalues of A agree
+modulo every odd prime up to 29 and the square-free prime search of the
+rational root search climbs to 31, and the same system conjugated with
+`random.Random(31)`.  The last eight reach the condensed verdict of
 irreducibility, since no idempotent has rank 1: Leonard systems with
 theta_i = thetastar_i = i and varphi_1 = r over F(r), r^k = m, written
 over F (`restricted`), accepted for QQ with m = 2, k = 2, d = 3, for QQ
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import random
 import subprocess
@@ -99,6 +104,18 @@ def affine_leonard():
         [xi * t + Fraction(5, 11) for t in s["theta"]],
         [xi_star * t + Fraction(1, 17) for t in s["thetastar"]],
         [xi * xi_star * f for f in s["phi"]])
+
+
+def scaled_leonard():
+    """The QQ Leonard system of Krawtchouk d = 6, p = 1/3, with theta and
+    phi scaled by the product of the odd primes up to 29."""
+    from exact import krawtchouk_scalars
+    from workloads import leonard_case
+    s = krawtchouk_scalars(6, Fraction(1, 3))
+    scale = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29))
+    return leonard_case(
+        "leonard-qq-scaled-d6", [scale * t for t in s["theta"]],
+        s["thetastar"], [scale * f for f in s["phi"]])
 
 
 def restricted(label, prime, d, m, k, reason=None):
@@ -164,6 +181,8 @@ def emit(tree: str) -> None:
                                None), random.Random(10)),
         affine_leonard(),
         conjugated(affine_leonard(), random.Random(7)),
+        scaled_leonard(),
+        conjugated(scaled_leonard(), random.Random(31)),
         restricted("restricted-qq-sqrt2-d3", None, 3, 2, 2),
         restricted("restricted-qq-4th-root2-d2", None, 2, 2, 4),
         restricted("restricted-gf5-4th-root2-d2", 5, 2, 2, 4),

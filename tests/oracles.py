@@ -10,25 +10,32 @@ package's integer one replaced: a row inserted into echelon rows
 (_insert, the reference for linalg._int_insert, which spins and the
 split's summands use), echelon rows, the reduced row echelon form, the
 rank and the column space, a subspace's basis matrix, the projectors of
-a direct sum, the operators of a decomposition carried back to the
-input basis, and the coefficients of the assembled operator rebuilt from
-gap products at every call, the reference for the gap table that the
-frame keeps.  Three routes that recognition does not take build systems
-for the tests to compare against: the four relatives of a system, a
-system rebuilt from its JSON form, and the tensor sum of two systems."""
+a direct sum, the square-free part and rational roots of a polynomial
+by Euclid on Fractions and Cantor-Zassenhaus (the reference for
+linalg._integer_roots), the operators of a decomposition carried back to
+the input basis, and the coefficients of the assembled operator rebuilt
+from gap products at every call, the reference for the gap table that
+the frame keeps.  Three routes that recognition does not take build
+systems for the tests to compare against: the four relatives of a
+system, a system rebuilt from its JSON form, and the tensor sum of two
+systems."""
+import math
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from tdpair import (InternalInconsistencyError, MalformedInputError, Matrix,
-                    REASON_REDUCIBLE, SCHEMA_VERSION, SingularMatrixError,
-                    SplitDecomposition, Subspace, TdpairError, analyze_pair,
-                    compute_rfl, compute_split, field_from_descriptor,
-                    inverse, lagrange_idempotents, leonard_data,
-                    matrix_from_json)
+from tdpair import (DimensionError, InternalInconsistencyError,
+                    MalformedInputError, Matrix, REASON_REDUCIBLE,
+                    SCHEMA_VERSION, SingularMatrixError, SplitDecomposition,
+                    Subspace, TdpairError, analyze_pair, compute_rfl,
+                    compute_split, field_from_descriptor, inverse,
+                    lagrange_idempotents, leonard_data, matrix_from_json)
+from tdpair.fields import is_prime
 from tdpair.frame import SparseMatrix, frame_of
 from tdpair.leonard import _rep_dual_a, _tridiagonal
-from tdpair.linalg import direct_sum
+from tdpair.linalg import (_derivative, _poly_eval, _poly_gcd, _roots_mod_p,
+                           _trim, direct_sum)
 from tdpair.systems import (_assemble_system, _compute_shape, _Family,
                             _irreducibility)
 
@@ -132,6 +139,81 @@ def projectors_from_direct_sum(parts: Sequence[Subspace]) -> List[Matrix]:
     _, _, factors = direct_sum(parts)
     zero = Matrix.zeros(parts[0].field, parts[0].ambient, parts[0].ambient)
     return [f[0] * f[1] if f else zero for f in factors]
+
+
+def _fraction_divmod(f: list, g: list) -> Tuple[list, list]:
+    """Quotient and remainder of polynomials over QQ, coefficient lists
+    in ascending degree with no trailing zero."""
+    inv = 1 / Fraction(g[-1])
+    dg = len(g) - 1
+    rem = list(f)
+    quo = [0] * max(len(f) - dg, 0)
+    for i in reversed(range(len(quo))):
+        c = quo[i] = rem[i + dg] * inv
+        for j, gj in enumerate(g):
+            rem[i + j] -= c * gj
+    return _trim(quo), _trim(rem[:dg])
+
+
+def _fraction_gcd(f: list, g: list) -> list:
+    """Monic greatest common divisor over QQ of f and g, not both zero."""
+    while g:
+        f, g = g, _fraction_divmod(f, g)[1]
+    inv = 1 / Fraction(f[-1])
+    return [c * inv for c in f]
+
+
+def square_free_part(f: List[int]) -> List[int]:
+    """f / gcd(f, f') for a monic integer f, by Euclid on Fractions."""
+    g = _fraction_divmod(f, _fraction_gcd(f, _derivative(f)))[0]
+    return [int(c) for c in g]
+
+
+def _integer_roots(f: List[int]) -> List[int]:
+    """Integer roots of a monic integer f: the roots mod the first odd
+    prime p keeping its square_free_part g square-free, found by
+    Cantor-Zassenhaus, lifted by Newton's iteration above twice the
+    Cauchy bound and kept when exact."""
+    g = square_free_part(f)
+    if len(g) < 2:
+        return []
+    dg = _derivative(g)
+    p = 3
+    while len(_poly_gcd([c % p for c in g], _trim([c % p for c in dg]),
+                        p)) > 1:
+        p += 2
+        while not is_prime(p):
+            p += 2
+    bound = 1 + max(abs(c) for c in g[:-1])
+    roots = []
+    for r in _roots_mod_p([c % p for c in g], p):
+        mod = p
+        while mod <= 2 * bound:
+            mod *= mod
+            r = (r - _poly_eval(g, r) * pow(_poly_eval(dg, r), -1, mod)) % mod
+        if 2 * r > mod:
+            r -= mod
+        if _poly_eval(g, r) == 0:
+            roots.append(r)
+    return roots
+
+
+def rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
+    """All rational roots of a polynomial given by Fraction coefficients,
+    the route eigenvalues_in_field took before its integer one.
+
+    coeffs[k] is the coefficient of x^(deg-k); coeffs[0] must be nonzero.
+    With the denominators cleared to integers a_0, ..., a_n, the roots are
+    y / a_0 for the integer roots y of the monic a_0^(n-1) f(y / a_0).
+    """
+    if not coeffs or not coeffs[0]:
+        raise DimensionError("leading coefficient must be nonzero")
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    lead = ints[0]
+    monic = [c * lead ** (k - 1) for k, c in enumerate(ints[1:], start=1)]
+    roots = _integer_roots(monic[::-1] + [1])
+    return sorted(Fraction(y, lead) for y in roots)
 
 
 def idempotents(system, part: str) -> Tuple[Matrix, ...]:

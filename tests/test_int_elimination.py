@@ -278,28 +278,22 @@ def kernel_inputs():
 
 def test_integer_kernels_take_no_field_scalar_reduction(monkeypatch):
     """rank_kernel, Subspace.from_columns, SparseMatrix.rank, inverse and
-    the eigenspaces of eigenvalues_in_field make no Fraction or Fp
-    arithmetic: field scalars are only read at the start and made at the
-    end.  The eigenvalue search
-    is given its characteristic polynomial and rational roots, found on
-    field scalars in a first run."""
+    eigenvalues_in_field, its root search over QQ included, make no
+    Fraction or Fp arithmetic: field scalars are only read at the start
+    and made at the end.  The eigenvalue search is given its
+    characteristic polynomial, found on field scalars in a first run."""
     inputs = kernel_inputs()
     sparse = [SparseMatrix.of(m) for m in inputs]
     # A - (theta_0 - 1) I, invertible as theta_0 - 1 is no eigenvalue
     shifted = [m + Matrix.identity(m.field, 4) for m in inputs]
-    polys, roots = {}, {}
+    polys, compute = {}, linalg.charpoly
 
-    def memoized(memo, compute):
-        def lookup(arg):
-            key = arg.rows if isinstance(arg, Matrix) else tuple(arg)
-            if key not in memo:
-                memo[key] = compute(arg)
-            return memo[key]
-        return lookup
+    def memoized(m):
+        if m.rows not in polys:
+            polys[m.rows] = compute(m)
+        return polys[m.rows]
 
-    monkeypatch.setattr(linalg, "charpoly", memoized(polys, linalg.charpoly))
-    monkeypatch.setattr(linalg, "rational_roots",
-                        memoized(roots, linalg.rational_roots))
+    monkeypatch.setattr(linalg, "charpoly", memoized)
     eigen = [linalg.eigenvalues_in_field(m) for m in shifted]
     calls = spy_scalar_operators(monkeypatch, (Fraction, Fp))
     for m, s, t, e in zip(inputs, sparse, shifted, eigen):

@@ -1,20 +1,22 @@
+import math
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tdpair import (DecompositionError, DimensionError, Matrix,
                     NotDiagonalizableError, PrimeField, QQ,
                     SingularMatrixError, Subspace, eigenvalues_in_field,
                     inverse, lagrange_idempotents, rank_kernel, solve_right)
-from tdpair.linalg import (_poly_divmod, charpoly, irreducible_mod_p,
-                           rational_roots)
+from tdpair.linalg import (_integer_roots, _poly_divmod, _square_free,
+                           charpoly, irreducible_mod_p)
 
 from oracles import (FactorialInversionError, NotNilpotentError, _rref,
                      nilpotency_index, nilpotent_exp_scaled,
-                     projectors_from_direct_sum, rank)
+                     projectors_from_direct_sum, rank, rational_roots,
+                     square_free_part)
 from subspaces import (contains, full, is_subspace_of, subspace_intersect,
                        subspace_sum, zero)
 
@@ -134,6 +136,61 @@ def test_rational_roots_pinned():
                            Fraction(0)]) == [Fraction(0), Fraction(2)]
     # x^2 + 1 has no rational roots
     assert rational_roots([Fraction(1), Fraction(0), Fraction(1)]) == []
+
+
+# roots that differ by a multiple of this agree modulo each odd prime up to 29
+ODD_PRIMES_TO_29 = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29))
+
+
+@st.composite
+def root_products(draw):
+    """(roots, multiplicities, quadratics) for the monic product of the
+    (x - r)^k and the (x^2 + b x + c)^m, each quadratic given as
+    (b, c, m): integer roots up to 10^12 in size, one of them possibly
+    another plus a multiple of ODD_PRIMES_TO_29, so that they agree
+    modulo every odd prime up to 29, and quadratics with b^2 < 4c,
+    irreducible over QQ, whose roots modulo a prime, when there are
+    any, lift to no integer."""
+    big = st.integers(-10 ** 12, 10 ** 12)
+    roots = draw(st.lists(big, max_size=4, unique=True))
+    if roots and draw(st.booleans()):
+        twin = roots[0] + draw(st.integers(-3, 3).filter(bool)) \
+            * ODD_PRIMES_TO_29
+        roots += [] if twin in roots else [twin]
+    mults = [draw(st.integers(1, 3)) for _ in roots]
+    quadratics = [(b, b * b // 4 + k, m) for b, k, m in draw(st.lists(
+        st.tuples(st.integers(-50, 50), st.integers(1, 10 ** 12),
+                  st.integers(1, 2)),
+        max_size=2, unique_by=lambda q: q[:2]))]
+    return roots, mults, quadratics
+
+
+def _times(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(root_products())
+@example(([5, 5 + ODD_PRIMES_TO_29, -7], [2, 1, 3], [(1, 1, 2), (0, 2, 1)]))
+@example(([10 ** 12, 10 ** 12 - 2 * ODD_PRIMES_TO_29], [1, 1], []))
+def test_integer_roots_match_the_fraction_route(case):
+    """_integer_roots and _square_free on ints against the Fraction route
+    of the oracles, Euclid on Fractions and Cantor-Zassenhaus, and
+    against the roots and distinct factors the product was built from."""
+    roots, mults, quadratics = case
+    f = distinct = [1]
+    for factor, k in ([([-r, 1], k) for r, k in zip(roots, mults)]
+                      + [([c, b, 1], k) for b, c, k in quadratics]):
+        distinct = _times(distinct, factor)
+        for _ in range(k):
+            f = _times(f, factor)
+    assert _square_free(f) == square_free_part(f) == distinct
+    expected = rational_roots([Fraction(c) for c in reversed(f)])
+    assert _integer_roots(f) == expected == sorted(roots)
 
 
 def test_eigenvalues_rational():
