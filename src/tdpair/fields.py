@@ -252,9 +252,6 @@ class RationalField:
     def to_text(self, x: Fraction) -> str:
         return str(x)
 
-    def sort_key(self, x: Fraction):
-        return x
-
     def descriptor(self) -> dict:
         return {"kind": "rational"}
 
@@ -310,9 +307,6 @@ class PrimeField:
 
     def to_text(self, x: Fp) -> str:
         return str(x.val)
-
-    def sort_key(self, x: Fp):
-        return x.val
 
     def elements(self) -> Iterator[Fp]:
         for v in range(self.p):

@@ -13,8 +13,8 @@ from .bridge import _coefficients, _cubic_term, _gaps
 from .errors import InternalInconsistencyError, NotLeonardSystemError
 from .fields import Field, Scalar
 from .frame import frame_of
-from .linalg import _int_rref, _scalar
-from .matrix import Matrix, SparseMatrix
+from .linalg import _int_rref
+from .matrix import Matrix, SparseMatrix, _scalar
 from .results import Residual, ScalarResidual
 from .rfl import section5_coefficients
 from .split import SplitDecomposition, compute_split

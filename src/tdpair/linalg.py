@@ -17,14 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (DecompositionError, DimensionError,
                      FieldMismatchError, NotDiagonalizableError,
                      SingularMatrixError)
 from .fields import Field, Scalar, is_prime
-from .matrix import Matrix
+from .matrix import Matrix, _scalar
 
 
 def _int_rows(field: Field, rows: Iterable[Sequence[Scalar]]
@@ -99,11 +98,6 @@ def _int_rref(rows: List[List[int]], p: int
     den = math.lcm(*(rows[k][c] for k, c in enumerate(pivots)))
     return den, [row if row[c] == den else [den // row[c] * x for x in row]
                  for row, c in zip(rows, pivots)], pivots
-
-
-def _scalar(field: Field, x: int, den: int) -> Scalar:
-    """The field scalar of an entry x over den from _int_rref."""
-    return field.from_int(x) if field.char else Fraction(x, den)
 
 
 class Subspace:

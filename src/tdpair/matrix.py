@@ -1,7 +1,7 @@
 """Immutable dense matrices over one exact scalar field, and SparseMatrix,
-the integer form that every matrix product, dense ones included, runs on:
-a dense product converts both factors, padded to one square size, and
-crops the product back to its shape.
+the integer form that every Matrix operation runs on: it converts its
+operands, padded to one square size, and crops the result back to its
+shape.  Only linalg.charpoly computes on field scalars.
 """
 from __future__ import annotations
 
@@ -16,9 +16,9 @@ from .fields import Field, Scalar
 class Matrix:
     """A dense matrix with entries in a fixed field.
 
-    Instances are immutable; all operations return new matrices.  Entry
-    arithmetic relies on the scalar types' operators, so mixing fields
-    raises FieldMismatchError at construction or on first combination.
+    Instances are immutable; all operations return new matrices, computed
+    on SparseMatrix.  Mixing fields raises FieldMismatchError at
+    construction or on first combination.
     """
 
     __slots__ = ("field", "rows")
@@ -105,10 +105,7 @@ class Matrix:
 
     def trace(self) -> Scalar:
         self._require_square()
-        t = self.field.zero
-        for i in range(self.nrows):
-            t = t + self.rows[i][i]
-        return t
+        return SparseMatrix.of(self).trace()
 
     def _require_square(self):
         if not self.is_square:
@@ -123,41 +120,27 @@ class Matrix:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other):
+    def _sum(self, other, sign: int, what: str):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._require_same_field(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionError("shape mismatch in matrix addition")
-        return Matrix(self.field,
-                      tuple(tuple(a + b for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.rows, other.rows)),
-                      _trusted=True)
+            raise DimensionError(f"shape mismatch in matrix {what}")
+        return SparseMatrix.of(self).combination(
+            [(sign, SparseMatrix.of(other))]).dense(self.nrows, self.ncols)
+
+    def __add__(self, other):
+        return self._sum(other, 1, "addition")
 
     def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._require_same_field(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionError("shape mismatch in matrix subtraction")
-        return Matrix(self.field,
-                      tuple(tuple(a - b for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.rows, other.rows)),
-                      _trusted=True)
+        return self._sum(other, -1, "subtraction")
 
     def __neg__(self):
-        return Matrix(self.field,
-                      tuple(tuple(-x for x in row) for row in self.rows),
-                      _trusted=True)
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
-        if not c:
-            return Matrix.zeros(self.field, self.nrows, self.ncols)
-        return Matrix(self.field,
-                      tuple(tuple(c * x if x else x for x in row)
-                            for row in self.rows),
-                      _trusted=True)
+        return SparseMatrix.of(self).scale(c).dense(self.nrows, self.ncols)
 
     def _matmul(self, other: "Matrix") -> "Matrix":
         self._require_same_field(other)
@@ -176,12 +159,7 @@ class Matrix:
             return NotImplemented
         return self.scale(c)
 
-    def __rmul__(self, other):
-        try:
-            c = self.field.coerce(other)
-        except (FieldMismatchError, TypeError):
-            return NotImplemented
-        return self.scale(c)
+    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Matrix":
         self._require_square()
@@ -198,37 +176,26 @@ class Matrix:
 
     def apply(self, vec: Sequence) -> Tuple[Scalar, ...]:
         """Matrix-vector product."""
-        v = [self.field.coerce(x) for x in vec]
+        v = tuple((self.field.coerce(x),) for x in vec)
         if len(v) != self.ncols:
             raise DimensionError("vector length does not match")
-        zero = self.field.zero
-        out = []
-        for row in self.rows:
-            acc = zero
-            for x, y in zip(row, v):
-                if x and y:
-                    acc = acc + x * y
-            out.append(acc)
-        return tuple(out)
+        return (self * Matrix(self.field, v, _trusted=True)).column(0)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, tuple(zip(*self.rows)), _trusted=True)
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product, blocks ordered row-major by self's entries."""
+        """Kronecker product, blocks ordered row-major by self's entries,
+        over the product of the two denominators, reduced once."""
         self._require_same_field(other)
-        zero = self.field.zero
-        out = []
-        for arow in self.rows:
-            for brow in other.rows:
-                line = []
-                for a in arow:
-                    if a:
-                        line.extend(a * b if b else zero for b in brow)
-                    else:
-                        line.extend([zero] * other.ncols)
-                out.append(tuple(line))
-        return Matrix(self.field, tuple(out), _trusted=True)
+        a, b = SparseMatrix.of(self), SparseMatrix.of(other)
+        p, r, c = self.field.char, other.nrows, other.ncols
+        nrows, ncols = self.nrows * r, self.ncols * c
+        rows = {i * r + k: {j * c + l: x * y % p if p else x * y
+                            for j, x in ra.items() for l, y in rb.items()}
+                for i, ra in a.rows.items() for k, rb in b.rows.items()}
+        return SparseMatrix(self.field, max(nrows, ncols), {})._lowest(
+            rows, a.den * b.den).dense(nrows, ncols)
 
     # -- comparison and serialization -------------------------------------
 
@@ -250,6 +217,12 @@ class Matrix:
 
 
 _NONE: Dict[int, object] = {}
+
+
+def _scalar(field: Field, x: int, den: int) -> Scalar:
+    """The field scalar x / den (den is 1 over GF(p)), with no Fraction
+    gcd when den is 1."""
+    return field.from_int(x) if den == 1 else Fraction(x, den)
 
 
 class SparseMatrix:
@@ -299,17 +272,14 @@ class SparseMatrix:
     def identity(cls, field, n: int) -> "SparseMatrix":
         return cls(field, n, {i: {i: 1} for i in range(n)})
 
-    def _scalar(self, x: int):
-        """The field scalar of the int entry x."""
-        return Fraction(x, self.den) if self.den != 1 \
-            else self.field.from_int(x)
-
     def dense(self, nrows: int = 0, ncols: int = 0) -> Matrix:
         """The n x n Matrix, or its leading nrows x ncols block."""
-        zero, cols = self.field.zero, range(ncols or self.n)
+        field, den, zero = self.field, self.den, self.field.zero
+        cols = range(ncols or self.n)
         rows = (self.rows.get(i, _NONE) for i in range(nrows or self.n))
-        return Matrix(self.field, tuple(
-            tuple(self._scalar(row[j]) if j in row else zero for j in cols)
+        return Matrix(field, tuple(
+            tuple(_scalar(field, row[j], den) if j in row else zero
+                  for j in cols)
             for row in rows), _trusted=True)
 
     def __eq__(self, other):
@@ -325,8 +295,9 @@ class SparseMatrix:
         return not self.rows
 
     def trace(self):
-        return self._scalar(sum(row.get(i, 0)
-                                for i, row in self.rows.items()))
+        return _scalar(self.field, sum(row.get(i, 0)
+                                       for i, row in self.rows.items()),
+                       self.den)
 
     def combination(self, terms) -> "SparseMatrix":
         """self plus c x for each pair (c, x) of terms, c a field scalar:

@@ -138,23 +138,14 @@ def _adjacency(nonzero: Sequence[Sequence[bool]]) -> List[set]:
     return adj
 
 
-def _components(adj: List[set]) -> List[List[int]]:
-    seen = set()
-    comps = []
-    for start in range(len(adj)):
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+def _reached(adj: List[set]) -> List[int]:
+    """The vertices that vertex 0 reaches, sorted."""
+    seen, stack = {0}, [0]
+    while stack:
+        for w in adj[stack.pop()] - seen:
+            seen.add(w)
+            stack.append(w)
+    return sorted(seen)
 
 
 def _path_order(adj: List[set]) -> Optional[List[int]]:
@@ -445,15 +436,15 @@ def analyze_pair(a: Matrix, astar: Matrix) -> PairAnalysis:
     orders = []
     for label, family in (("first", fam), ("second", fam_star)):
         adj = _adjacency(family.nonzero)
-        comps = _components(adj)
-        if len(comps) > 1:
+        reached = _reached(adj)
+        if len(reached) < len(adj):
             witness = Subspace.from_columns(
-                field, n, [col for i in comps[0]
+                field, n, [col for i in reached
                            for col in family.factors[i][0].columns()])
             return PairAnalysis((), Rejection(
                 REASON_REDUCIBLE,
                 f"the {label} matrix's eigenspace graph is disconnected; "
-                f"the eigenspaces of component {comps[0]} span a proper "
+                f"the eigenspaces of component {reached} span a proper "
                 "common invariant subspace", witness))
         order = _path_order(adj)
         if order is None:

@@ -52,7 +52,9 @@ benchmark input also
 `verify --checks master,section11`, which takes the subset path of the
 check suite; once with BASE's `src` on the path and once with this
 tree's.  Exits 1 when any run differs in standard
-output, standard error or exit code.  pytest does not collect this file.
+output, standard error or exit code, and prints for each run that differs
+its argv, both exit codes and the first differing line of standard output
+or standard error.  pytest does not collect this file.
 """
 from __future__ import annotations
 
@@ -221,6 +223,25 @@ def runs_of(tree) -> list:
     return json.loads(done.stdout)
 
 
+def describe(base, head) -> list:
+    """Lines that say how two runs [argv, exit code, stdout, stderr]
+    differ: the argv, both exit codes, and the first differing line of
+    stdout and of stderr, numbered from 1, where that stream differs."""
+    out = [f"differs: {base[0]}",
+           f"  exit code: base {base[1]}, head {head[1]}"]
+    for name, b, h in (("stdout", base[2], head[2]),
+                       ("stderr", base[3], head[3])):
+        if b != h:
+            b, h = b.splitlines(True), h.splitlines(True)
+            k = next((k for k, (x, y) in enumerate(zip(b, h)) if x != y),
+                     min(len(b), len(h)))
+            out.append(f"  {name} line {k + 1}:")
+            out += [f"    {side}: " + (repr(x[k])[:200] if k < len(x)
+                                       else "(no such line)")
+                    for side, x in (("base", b), ("head", h))]
+    return out
+
+
 def main(argv) -> int:
     if argv[:1] == ["--emit"]:
         emit(argv[1])
@@ -229,11 +250,11 @@ def main(argv) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     base, head = runs_of(argv[0]), runs_of(ROOT)
-    differ = [b[0] for b, h in zip(base, head) if b != h]
+    differ = [describe(b, h) for b, h in zip(base, head) if b != h]
     if len(base) != len(head):
-        differ.append(f"{len(base)} runs against {len(head)}")
-    for what in differ:
-        print(f"differs: {what}", file=sys.stderr)
+        differ.append([f"differs: {len(base)} runs against {len(head)}"])
+    for lines in differ:
+        print("\n".join(lines), file=sys.stderr)
     print(f"{len(head)} runs, {len(differ)} differ")
     return 1 if differ else 0
 

@@ -5,8 +5,11 @@ factorization that recovers those factors from the product, the shape
 recomputed from the ranks of those products, the matrices of A and A* in
 the three distinguished bases of a multiplicity-free system, two
 readers of check results, the exponential of a nilpotent matrix as
-its terminating power series, and the field-scalar elimination that the
-package's integer one replaced: a row inserted into echelon rows
+its terminating power series, the dense Matrix's arithmetic on field
+scalars that its operations on SparseMatrix replaced (sums, negation,
+scaling, the schoolbook product, matrix-vector and Kronecker products
+and the trace), and the field-scalar elimination that the package's
+integer one replaced: a row inserted into echelon rows
 (_insert, the reference for linalg._int_insert, which spins and the
 split's summands use), echelon rows, the reduced row echelon form, the
 rank and the column space, a subspace's basis matrix, the projectors of
@@ -61,6 +64,85 @@ def dense_view(x) -> SimpleNamespace:
 
     return SimpleNamespace(**{f.name: back(f.name, getattr(x, f.name))
                               for f in fields(x)})
+
+
+# The dense Matrix's operations on field scalars, the reference for Matrix,
+# which computes them on SparseMatrix.  Each takes operands of one field
+# and of matching shapes; Matrix keeps the checks.
+
+def add(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(a.field,
+                  tuple(tuple(x + y for x, y in zip(ra, rb))
+                        for ra, rb in zip(a.rows, b.rows)),
+                  _trusted=True)
+
+
+def sub(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(a.field,
+                  tuple(tuple(x - y for x, y in zip(ra, rb))
+                        for ra, rb in zip(a.rows, b.rows)),
+                  _trusted=True)
+
+
+def neg(m: Matrix) -> Matrix:
+    return Matrix(m.field, tuple(tuple(-x for x in row) for row in m.rows),
+                  _trusted=True)
+
+
+def scale(m: Matrix, c) -> Matrix:
+    c = m.field.coerce(c)
+    if not c:
+        return Matrix.zeros(m.field, m.nrows, m.ncols)
+    return Matrix(m.field,
+                  tuple(tuple(c * x if x else x for x in row)
+                        for row in m.rows),
+                  _trusted=True)
+
+
+def product(a: Matrix, b: Matrix) -> Matrix:
+    """The schoolbook product: entry (i, j) is the sum over t of
+    a[i][t] b[t][j]."""
+    return Matrix(a.field, tuple(
+        tuple(sum((x * b.rows[t][j] for t, x in enumerate(row)),
+                  a.field.zero) for j in range(b.ncols))
+        for row in a.rows), _trusted=True)
+
+
+def apply(m: Matrix, vec: Sequence) -> Tuple:
+    """Matrix-vector product."""
+    v = [m.field.coerce(x) for x in vec]
+    zero = m.field.zero
+    out = []
+    for row in m.rows:
+        acc = zero
+        for x, y in zip(row, v):
+            if x and y:
+                acc = acc + x * y
+        out.append(acc)
+    return tuple(out)
+
+
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product, blocks ordered row-major by a's entries."""
+    zero = a.field.zero
+    out = []
+    for arow in a.rows:
+        for brow in b.rows:
+            line = []
+            for x in arow:
+                if x:
+                    line.extend(x * y if y else zero for y in brow)
+                else:
+                    line.extend([zero] * b.ncols)
+            out.append(tuple(line))
+    return Matrix(a.field, tuple(out), _trusted=True)
+
+
+def trace(m: Matrix):
+    t = m.field.zero
+    for i in range(m.nrows):
+        t = t + m.rows[i][i]
+    return t
 
 
 def _reduce(rows: Iterable[Tuple[int, Sequence]], vec: Sequence) -> List:

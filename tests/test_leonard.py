@@ -339,3 +339,71 @@ def test_construct_leonard_accepts_affine_krawtchouk(drawn):
     system, _ = construct_leonard(theta, thetastar, phi, field)
     assert (list(system.theta), list(system.thetastar)) == (theta, thetastar)
     assert run_all_checks(system).ok
+
+
+@st.composite
+def q_racah(draw):
+    """A parameter array of q-Racah type of diameter d <= 5 over QQ or
+    GF(2^31 - 1), computed in that field: theta_i = a + b q^i + c q^-i,
+    and thetastar_i the same with its own a, b, c and the same q, so that
+    both sequences satisfy one three-term recurrence; then, by
+    Terwilliger's classification of parameter arrays, with
+    S_i = sum_{h<i} (theta_h - theta_{d-h}) / (theta_0 - theta_d),
+        phi_i = varphi_1 S_i
+                + (thetastar_i - thetastar_0)(theta_{i-1} - theta_d),
+        varphi_i = phi_1 S_i
+                   + (thetastar_i - thetastar_0)(theta_{d-i+1} - theta_0),
+    and varphi_1 = s (theta_0 - theta_d) for a drawn s, so that neither
+    formula divides.  a, b, c and s are small, so that eigenvalues
+    coincide and phi_i or varphi_i vanish in some draws."""
+    field = draw(st.sampled_from((QQ, PrimeField(2 ** 31 - 1))))
+    d = draw(st.integers(min_value=1, max_value=5))
+    q = field.parse(draw(st.sampled_from(("2", "3", "1/2", "-2", "3/2",
+                                          "-1/3"))))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=2).map(
+        lambda x: field.parse(str(x)))
+
+    def powers_of(x):
+        out = [field.one]
+        for _ in range(d):
+            out.append(out[-1] * x)
+        return out
+
+    up, down = powers_of(q), powers_of(field.one / q)
+
+    def sequence():
+        a, b, c = draw(small), draw(small), draw(small)
+        return [a + b * up[i] + c * down[i] for i in range(d + 1)]
+
+    th, ts, s = sequence(), sequence(), draw(small)
+    sums = [field.zero]
+    for h in range(d):
+        sums.append(sums[-1] + th[h] - th[d - h])
+    phi = [s * sums[i] + (ts[i] - ts[0]) * (th[i - 1] - th[d])
+           for i in range(1, d + 1)]
+    varphi = [(s + ts[1] - ts[0]) * sums[i]
+              + (ts[i] - ts[0]) * (th[d - i + 1] - th[0])
+              for i in range(1, d + 1)]
+    return field, th, ts, phi, varphi
+
+
+@settings(max_examples=80, deadline=None)
+@given(q_racah())
+def test_construct_leonard_classifies_q_racah(drawn):
+    """construct_leonard accepts a q-Racah-type array exactly when it is
+    a parameter array: the theta are distinct, the thetastar are distinct
+    and every phi_i and varphi_i is nonzero.  An accepted one has the
+    sequences asked for and passes every check."""
+    field, theta, thetastar, phi, varphi = drawn
+    valid = (len(set(theta)) == len(theta)
+             and len(set(thetastar)) == len(thetastar)
+             and all(phi) and all(varphi))
+    try:
+        system, data = construct_leonard(theta, thetastar, phi, field)
+    except NotLeonardSystemError:
+        assert not valid
+        return
+    assert valid
+    assert (list(system.theta), list(system.thetastar), list(data.phi)) \
+        == (theta, thetastar, phi)
+    assert run_all_checks(system).ok

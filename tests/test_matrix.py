@@ -8,6 +8,8 @@ from tdpair import (DimensionError, FieldMismatchError, Matrix, PrimeField,
                     QQ, commutator)
 from tdpair.matrix import powers
 
+from oracles import add, apply, kron, neg, product, scale, sub, trace
+
 GF5 = PrimeField(5)
 M61 = PrimeField(2 ** 61 - 1)
 
@@ -60,14 +62,29 @@ def test_field_mixing_raises():
 
 def test_shape_mismatch_raises():
     a = Matrix.zeros(QQ, 2, 3)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="matrix addition"):
         a + Matrix.zeros(QQ, 3, 2)
+    with pytest.raises(DimensionError, match="matrix subtraction"):
+        a - Matrix.zeros(QQ, 2, 2)
     with pytest.raises(DimensionError):
         a * Matrix.zeros(QQ, 2, 2)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="expected square"):
         a.trace()
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="vector length"):
         a.apply([1, 2])
+
+
+def test_non_matrix_operands():
+    """A sum with a non-matrix is no matrix operation, and a scalar that
+    is not of the field is refused."""
+    a = Matrix.identity(GF5, 2)
+    for bad in (lambda: a + 1, lambda: 1 - a, lambda: a * 0.5):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(FieldMismatchError):
+        a.scale(Fraction(1, 2))
+    with pytest.raises(FieldMismatchError):
+        a.kron(Matrix.identity(QQ, 2))
 
 
 def test_pinned_product():
@@ -116,21 +133,24 @@ def product_operands(draw):
     return matrix(r, k), matrix(k, c)
 
 
+def same_as_oracle(got, want):
+    """got has want's shape and entries, each of the field's scalar
+    type."""
+    kind = type(want.field.zero)
+    assert (got.field, got.nrows, got.ncols) \
+        == (want.field, want.nrows, want.ncols)
+    assert got.rows == want.rows
+    assert all(type(x) is kind for row in got.rows for x in row)
+
+
 @settings(deadline=None)
 @given(product_operands())
 def test_product_is_the_schoolbook_sum(operands):
-    """a * b equals the sum over t of a[i][t] b[t][j] in field scalars,
-    entry by entry, with the shape r x c and entries of the field's
-    scalar type."""
+    """a * b equals the schoolbook sum over t of a[i][t] b[t][j] in field
+    scalars, entry by entry, with the shape r x c and entries of the
+    field's scalar type."""
     a, b = operands
-    field, kind = a.field, type(a.field.zero)
-    want = [[sum((a.entry(i, t) * b.entry(t, j) for t in range(a.ncols)),
-                 field.zero) for j in range(b.ncols)]
-            for i in range(a.nrows)]
-    got = a * b
-    assert (got.nrows, got.ncols) == (a.nrows, b.ncols)
-    assert got.rows == tuple(map(tuple, want))
-    assert all(type(x) is kind for row in got.rows for x in row)
+    same_as_oracle(a * b, product(a, b))
 
 
 @given(square(3), square(3))
@@ -163,14 +183,15 @@ def test_scale_and_neg():
     a = Matrix(QQ, [[1, -2], [0, 4]])
     assert a.scale(Fraction(1, 2)) == Matrix(QQ, [["1/2", -1], [0, 2]])
     assert a.scale(0).is_zero()
-    assert -a == a.scale(-1)
-    assert 3 * a == a * 3 == a.scale(3)
+    assert -a == a.scale(-1) == neg(a)
+    assert 3 * a == a * 3 == a.scale(3) == scale(a, "3")
 
 
 def test_apply():
     a = Matrix(QQ, [[1, 2], [3, 4]])
     assert a.apply([1, 0]) == (Fraction(1), Fraction(3))
-    assert a.apply(["1/2", 1]) == (Fraction(5, 2), Fraction(11, 2))
+    assert a.apply(["1/2", 1]) == (Fraction(5, 2), Fraction(11, 2)) \
+        == apply(a, ["1/2", 1])
 
 
 def test_kron_pinned():
@@ -181,7 +202,7 @@ def test_kron_pinned():
     assert k == Matrix(QQ, [[0, 1, 0, 2],
                             [1, 0, 2, 0],
                             [0, 3, 0, 4],
-                            [3, 0, 4, 0]])
+                            [3, 0, 4, 0]]) == kron(a, b)
 
 
 @given(square(2), square(2), square(2), square(2))
@@ -200,3 +221,62 @@ def test_gf_matrix_arithmetic():
     a = Matrix(GF5, [[2, 3], [4, 1]])
     assert a + a == a.scale(2)
     assert (a * a).entry(0, 0) == GF5.from_int(2 * 2 + 3 * 4)
+
+
+GF101 = PrimeField(101)
+DENOMINATORS = (1, 2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def operations(draw):
+    """Operands over QQ, GF(101) or GF(2^61 - 1): two r x c matrices,
+    with 1 x k and k x 1 drawn on purpose, a vector of length c, a
+    Kronecker factor of its own shape, a square matrix and a scalar: a
+    Fraction over QQ, an int over GF(p), or either as a string.  About
+    half the entries are zero.  Over QQ each matrix has its entries over
+    its own denominator, so that a sum rescales both terms and a
+    Kronecker product multiplies two denominators; over GF(p) residues
+    are within 100 of p."""
+    field = draw(st.sampled_from([QQ, GF101, M61]))
+    size = st.integers(1, 4)
+    k = draw(size)
+    r, c = draw(st.sampled_from([(1, k), (k, 1), (draw(size), k)]))
+
+    def entry(den):
+        if field is QQ:
+            nonzero = st.integers(-30, 30).map(lambda x: Fraction(x, den))
+        else:
+            nonzero = st.integers(1, 100).map(lambda x: field.p - x)
+        return st.one_of(st.just(0), nonzero)
+
+    def matrix(rows, cols):
+        x = entry(draw(st.sampled_from(DENOMINATORS)))
+        return Matrix(field, [[draw(x) for _ in range(cols)]
+                              for _ in range(rows)])
+
+    n = draw(size)
+    scalar = draw(st.builds(Fraction, st.integers(-30, 30),
+                            st.sampled_from(DENOMINATORS)) if field is QQ
+                  else st.integers(-202, 202)
+                  | st.integers(1, 100).map(lambda x: field.p - x))
+    if draw(st.booleans()):
+        scalar = str(scalar)
+    return (matrix(r, c), matrix(r, c), matrix(draw(size), draw(size)),
+            matrix(n, n), [draw(entry(1)) for _ in range(c)], scalar)
+
+
+@settings(deadline=None)
+@given(operations())
+def test_operations_match_field_scalar_oracles(drawn):
+    """Every Matrix operation that runs on SparseMatrix gives what the
+    field-scalar oracles give: +, -, unary -, scale, apply, kron with
+    factors of different shapes in either order, and trace."""
+    a, b, k, t, vec, c = drawn
+    for got, want in ((a + b, add(a, b)), (a - b, sub(a, b)),
+                      (-a, neg(a)), (a.scale(c), scale(a, c)),
+                      (a.kron(k), kron(a, k)), (k.kron(a), kron(k, a))):
+        same_as_oracle(got, want)
+    assert a.apply(vec) == apply(a, vec)
+    assert all(type(x) is type(a.field.zero) for x in a.apply(vec))
+    assert t.trace() == trace(t)
+    assert type(t.trace()) is type(t.field.zero)

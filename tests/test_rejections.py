@@ -3,7 +3,9 @@ inputs of the benchmark's `reject-mix` workload: a direct sum of two
 Krawtchouk pairs, tensor sums of equal Krawtchouk factors, and a
 bidiagonal Leonard-type pair whose second split scalars all vanish.
 The search order decides which invariant subspace is named, so the
-dimension depends on the sign of the first sequence."""
+dimension depends on the sign of the first sequence.  A pair whose
+eigenspace graph is disconnected names the eigenspaces that the first
+one reaches."""
 from fractions import Fraction
 
 import pytest
@@ -76,3 +78,23 @@ def test_flat_varphi_detail(sign, sign_star, dim):
     assert analysis.rejection.reason == REASON_REDUCIBLE
     assert analysis.rejection.detail == (
         f"a common invariant subspace of dimension {dim} exists")
+
+
+SWAP = Matrix(QQ, [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+
+
+@pytest.mark.parametrize("label, pair", [
+    ("first", (Matrix.diagonal(QQ, [1, 2, 3, 4]), SWAP)),
+    ("second", (SWAP, Matrix.diagonal(QQ, [1, 2, 3, 4])))])
+def test_disconnected_detail(label, pair):
+    """The other matrix joins eigenspaces 0 and 2, and 1 and 3, of the
+    diagonal one: the component of eigenspace 0 is [0, 2], and its
+    eigenspaces, spanned by e_0 and e_2, are the witness."""
+    analysis = analyze_pair(*pair)
+    assert analysis.systems == ()
+    assert analysis.rejection.reason == REASON_REDUCIBLE
+    assert analysis.rejection.detail == (
+        f"the {label} matrix's eigenspace graph is disconnected; the "
+        "eigenspaces of component [0, 2] span a proper common invariant "
+        "subspace")
+    assert analysis.rejection.witness.basis == ((1, 0, 0, 0), (0, 0, 1, 0))
