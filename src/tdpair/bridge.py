@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .fields import Scalar
 from .frame import Frame, frame_of
-from .matrix import SparseMatrix
+from .matrix import Matrix
 from .results import Residual
 from .rfl import RFLDecomposition
 from .split import SplitDecomposition
@@ -65,8 +65,8 @@ def _cubic_term(th: Sequence[Scalar], ts: Sequence[Scalar], j: int) -> Scalar:
 
 
 def _assembled(sys: TridiagonalSystem, fr: Frame, i: int, j: int,
-               right: SparseMatrix, dual: bool = False,
-               lhs: Optional[SparseMatrix] = None) -> SparseMatrix:
+               right: Matrix, dual: bool = False,
+               lhs: Optional[Matrix] = None) -> Matrix:
     """The assembled operator at (i, j) in the split basis, or its mirror
     with the two eigenvalue sequences and the two shifted maps exchanged,
     times right; or lhs minus that.  The operator is formed once, as one
@@ -78,13 +78,14 @@ def _assembled(sys: TridiagonalSystem, fr: Frame, i: int, j: int,
         terms = [] if lead is None else [
             (lead, (fr.r_pow if dual else fr.l_pow)[j - i])]
         terms += [(c, fr.words[dual][s + 1 - i, j - s]) for s, c in cross]
-        fr.memo[key] = SparseMatrix(sys.field, sys.n, {}).combination(terms)
+        fr.memo[key] = Matrix.zeros(sys.field, sys.n, sys.n).combination(
+            terms)
     product = fr.memo[key] * right
     return product if lhs is None else lhs - product
 
 
 def _grid(sys: TridiagonalSystem, fr: Frame, i: int, j: int
-          ) -> SparseMatrix:
+          ) -> Matrix:
     """F_i E*_i A E*_j minus the assembled operator times F_j E*_j, with
     rows in the split basis and columns in the dual basis; kept on the
     frame, since the diagrams compare against the band of the grid."""
@@ -151,7 +152,7 @@ def check_diagrams(sys: TridiagonalSystem, split: SplitDecomposition,
     psi = fr.psi_qp
     out: List[Residual] = []
 
-    def report(name: str, j: int, lead: SparseMatrix, i: int) -> None:
+    def report(name: str, j: int, lead: Matrix, i: int) -> None:
         # (lead - op psi) E*_j, op the assembled operator at (i, j): the
         # raising map at (j + 1, j), the direct forms at (j, j), (j - 1, j)
         res = _assembled(sys, fr, i, j, psi * fr.es_pp[j],

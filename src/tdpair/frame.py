@@ -1,16 +1,18 @@
 """A system in its dual basis, and with its split decomposition in two
-bases, as sparse matrices.
+bases.
 
 Q stacks the bases of the summands U_i, P those of the dual eigenspaces;
-each basis is held once, as the SparseMatrix pair (B, B^-1), and X from
-the basis b to the basis a is a^-1 X b, kept as its nonzero entries.
+each basis is held once, as the pair (B, B^-1), and X from the basis b
+to the basis a is a^-1 X b, which a Matrix keeps as its nonzero entries.
+Each E_i = B_i C_i enters as its thin factors P^-1 B_i and C_i P, of
+shapes n x rho_i and rho_i x n, and each E*_i as the product of its own.
 There each F_i and E*_i has entries in one diagonal block of the shape
 and R, F, L and the shifted maps in one block diagonal each, so products
 touch few entries.  Nothing of this is assumed: operators are conjugated
 in full, or are exact products and sums of ones that were, and an entry
 is dropped only when it is zero, so a corrupted input keeps its off-band
 entries.  Only a nonzero residual is carried back to the original basis,
-by sparse products with the bases, and only when its matrix is read.
+by products with the bases, and only when its matrix is read.
 
 The frame of a split is built once, from Q and the projectors F_i:
 compute_split reads the shifted maps and the transition maps off it and
@@ -24,20 +26,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import SingularMatrixError
 from .linalg import inverse
-from .matrix import Matrix, SparseMatrix, powers
+from .matrix import Matrix, hstack, powers
 from .results import Residual
 
 
-def _basis(field, n: int, columns: List[Sequence]) -> Tuple[tuple, bool]:
-    """(B, B^-1) for the columns and True, or the identity and False when
-    they are no basis; each as a SparseMatrix."""
-    if len(columns) == n:
-        b = Matrix.from_columns(field, columns)
+def _basis(field, n: int, blocks: List[Matrix]) -> Tuple[tuple, bool]:
+    """(B, B^-1) for B the blocks side by side and True, or the identity
+    and False when their columns are no basis."""
+    if sum(b.ncols for b in blocks) == n:
+        b = hstack(blocks)
         try:
-            return (SparseMatrix.of(b), SparseMatrix.of(inverse(b))), True
+            return (b, inverse(b)), True
         except SingularMatrixError:
             pass
-    ident = SparseMatrix.identity(field, n)
+    ident = Matrix.identity(field, n)
     return (ident, ident), False
 
 
@@ -53,12 +55,11 @@ class Frame:
     is the identity and is_basis is False."""
 
     def __init__(self, sys, basis: Optional[tuple] = None,
-                 projectors: Sequence[SparseMatrix] = ()):
+                 projectors: Sequence[Matrix] = ()):
         if basis is None:
             self.field, self.n = sys.field, sys.n
             p, self.is_basis = _basis(
-                sys.field, sys.n,
-                [c for x in sys.Estar_factors if x for c in x[0].columns()])
+                sys.field, sys.n, [x[0] for x in sys.Estar_factors if x])
             self.bases = {"P": p}
             self.a_pp, self.astar_pp = (self.conj(x, "PP")
                                         for x in (sys.A, sys.Astar))
@@ -93,21 +94,21 @@ class Frame:
         self.psi_qp, = self.moved(split.system, "QP", split.transition)
         self.psi_inv_pq, = self.moved(split.system, "PQ",
                                       split.transition_inv)
-        ident, top = SparseMatrix.identity(self.field, self.n), len(self.f)
+        ident, top = Matrix.identity(self.field, self.n), len(self.f)
         self.r_pow = powers(ident, split.raising, top)
         self.l_pow = powers(ident, split.lowering, top)
         return self
 
-    def _thin(self, factors) -> List[Tuple[SparseMatrix, SparseMatrix]]:
-        """(P^-1 B_i, C_i P) for each E_i = B_i C_i, in the first rho_i
-        columns and rows, both zero for a zero E_i (factors None)."""
-        (p, p_inv), zero = self.bases["P"], SparseMatrix(self.field,
-                                                         self.n, {})
-        return [(p_inv * SparseMatrix.of(x[0]), SparseMatrix.of(x[1]) * p)
-                if x else (zero, zero) for x in factors]
+    def _thin(self, factors) -> List[Tuple[Matrix, Matrix]]:
+        """(P^-1 B_i, C_i P) for each E_i = B_i C_i, n x rho_i and
+        rho_i x n, both the n x n zero for a zero E_i (factors None)."""
+        (p, p_inv), zero = self.bases["P"], Matrix.zeros(self.field, self.n,
+                                                         self.n)
+        return [(p_inv * x[0], x[1] * p) if x else (zero, zero)
+                for x in factors]
 
     @cached_property
-    def words(self) -> Dict[int, Dict[tuple, SparseMatrix]]:
+    def words(self) -> Dict[int, Dict[tuple, Matrix]]:
         """words[dual][a, b]: L^a R L^b, or R^b L R^a, for a + b <= d + 1."""
         out, top = {}, len(self.l_pow)
         for dual, (pw, mid) in enumerate(((self.l_pow, self.r_pow[1]),
@@ -118,17 +119,14 @@ class Frame:
                 for a in range(top) for b in range(top - a)}
         return out
 
-    def conj(self, x: Matrix, bases: str) -> SparseMatrix:
-        """x from the basis bases[1] to the basis bases[0], as a sparse
-        product."""
-        return (self.bases[bases[0]][1] * SparseMatrix.of(x)
-                * self.bases[bases[1]][0])
+    def conj(self, x: Matrix, bases: str) -> Matrix:
+        """x from the basis bases[1] to the basis bases[0]."""
+        return self.bases[bases[0]][1] * x * self.bases[bases[1]][0]
 
-    def moved(self, owner, bases: str, *ops: SparseMatrix
-              ) -> Sequence[SparseMatrix]:
+    def moved(self, owner, bases: str, *ops: Matrix) -> Sequence[Matrix]:
         """ops, in bases whose P is the dual basis P' of the system owner,
         with this frame's P in place of P': as they are when P' is P, else
-        as sparse products with P^-1 P' on the left, P'^-1 P on the right."""
+        as products with P^-1 P' on the left, P'^-1 P on the right."""
         theirs = frame_of(owner)
         if theirs is vars(self).get("dual", self):
             return ops
@@ -137,21 +135,16 @@ class Frame:
         return [to * x * back if bases == "PP" else
                 x * back if bases == "QP" else to * x for x in ops]
 
-    def original(self, x: SparseMatrix, bases: str) -> Matrix:
+    def original(self, x: Matrix, bases: str) -> Matrix:
         """x carried back from the frame to the original basis."""
-        if x.is_zero():
-            return Matrix.zeros(self.field, self.n, self.n)
-        return (self.bases[bases[0]][0] * x * self.bases[bases[1]][1]
-                ).dense()
+        return self.bases[bases[0]][0] * x * self.bases[bases[1]][1]
 
-    def residual(self, check_id: str, index: tuple, x: SparseMatrix,
+    def residual(self, check_id: str, index: tuple, x: Matrix,
                  bases: str = "QQ") -> Residual:
         """x as a residual, carried back on first read of its matrix; a
-        zero x keeps no reference to the frame."""
+        zero x is its own matrix and keeps no reference to the frame."""
         if x.is_zero():
-            field, n = self.field, self.n
-            return Residual(check_id, index,
-                            lambda: Matrix.zeros(field, n, n), True)
+            return Residual(check_id, index, lambda: x, True)
         return Residual(check_id, index,
                         lambda: self.original(x, bases), False)
 

@@ -5,7 +5,6 @@ the scalar identities tying everything together.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -13,8 +12,8 @@ from .bridge import _coefficients, _cubic_term, _gaps
 from .errors import InternalInconsistencyError, NotLeonardSystemError
 from .fields import Field, Scalar
 from .frame import frame_of
-from .linalg import _int_rref
-from .matrix import Matrix, SparseMatrix, _scalar
+from .linalg import _int_rref, _numerators
+from .matrix import Matrix, _scalar, hstack
 from .results import Residual, ScalarResidual
 from .rfl import section5_coefficients
 from .split import SplitDecomposition, compute_split
@@ -128,16 +127,11 @@ def leonard_data(sys: TridiagonalSystem,
     x_list = [(es[i] * a_es[i - 1] * a_es[i]).trace()
               for i in range(1, d + 1)]
 
-    # the columns of B and of (Q^-1 A* Q) B, each in column 0 of its own
-    # matrix, then as int rows over one denominator
-    zeta = fr.bases["Q"][1] * SparseMatrix.of(Matrix.from_columns(
-        field, [_first_nonzero_column(sys.Estar_factors[0])]))
-    cols = [r * zeta for r in fr.r_pow[:d + 1]]
-    cols += [fr.astar * x for x in cols]
-    den = math.lcm(*(x.den for x in cols))
-    den, rows, pivots = _int_rref(
-        [[x.rows.get(i, {}).get(0, 0) * (den // x.den) for x in cols]
-         for i in range(sys.n)], field.char)
+    zeta = fr.bases["Q"][1] * Matrix.from_columns(
+        field, [_first_nonzero_column(sys.Estar_factors[0])])
+    b = hstack([r * zeta for r in fr.r_pow[:d + 1]])
+    den, rows, pivots = _int_rref(_numerators(hstack([b, fr.astar * b])),
+                                  field.char)
     if pivots[:d + 1] != list(range(d + 1)):
         raise InternalInconsistencyError(
             "split basis candidate is singular: matrix is singular")
@@ -301,7 +295,7 @@ def check_section11(sys: TridiagonalSystem,
         out.append(ScalarResidual("section11.phi.recurrence", (j,),
                                   lhs - beta1 * _cubic_term(th, ts, j)))
 
-    # one raising-lowering turn on each summand, as sparse products
+    # one raising-lowering turn on each summand, in the split frame
     rl = fr.r_pow[1] * fr.l_pow[1]
     lr = fr.l_pow[1] * fr.r_pow[1]
     for i in range(1, d + 1):

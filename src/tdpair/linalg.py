@@ -23,7 +23,7 @@ from .errors import (DecompositionError, DimensionError,
                      FieldMismatchError, NotDiagonalizableError,
                      SingularMatrixError)
 from .fields import Field, Scalar, is_prime
-from .matrix import Matrix, _scalar
+from .matrix import Matrix, _lowest, _new, _scalar, hstack
 
 
 def _int_rows(field: Field, rows: Iterable[Sequence[Scalar]]
@@ -37,6 +37,14 @@ def _int_rows(field: Field, rows: Iterable[Sequence[Scalar]]
         den = math.lcm(*(x.denominator for x in row))
         out.append([x.numerator * (den // x.denominator) for x in row])
     return out
+
+
+def _numerators(m: Matrix) -> List[List[int]]:
+    """The rows of den times m as lists of ints, which span m's row
+    space."""
+    cols = range(m.ncols)
+    return [[row.get(j, 0) for j in cols]
+            for row in (m.nums.get(i, {}) for i in range(m.nrows))]
 
 
 def _normal(row: List[int], c: int, p: int) -> List[int]:
@@ -185,30 +193,30 @@ def _int_kernel(field: Field, n: int, rows: List[List[int]]
 
 def rank_kernel(m: Matrix) -> Tuple[int, Subspace]:
     """Rank and kernel (as a canonical Subspace) of a matrix."""
-    return _int_kernel(m.field, m.ncols, _int_rows(m.field, m.rows))
+    return _int_kernel(m.field, m.ncols, _numerators(m))
 
 
 def inverse(m: Matrix) -> Matrix:
     """m^-1 as the right half of [m | I] reduced by _int_rref, on
     residues over GF(p) and on primitive integer rows over QQ."""
     m._require_square()
-    n, field = m.nrows, m.field
-    den, rows, pivots = _int_rref(_int_rows(field, (
-        row + irow for row, irow in zip(
-            m.rows, Matrix.identity(field, n).rows))), field.char)
+    n, field, d = m.nrows, m.field, m.den
+    den, rows, pivots = _int_rref(
+        [row + [d if k == i else 0 for k in range(n)]
+         for i, row in enumerate(_numerators(m))], field.char)
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return Matrix(field, tuple(tuple(_scalar(field, x, den) for x in row[n:])
-                               for row in rows), _trusted=True)
+    return _lowest(field, n, n, {i: {j: x for j, x in enumerate(row[n:]) if x}
+                                 for i, row in enumerate(rows)}, den)
 
 
 def solve_right(m: Matrix, vec: Sequence) -> Optional[Tuple[Scalar, ...]]:
     """One solution x of m x = vec, or None if inconsistent."""
-    v = [m.field.coerce(x) for x in vec]
+    v = [(m.field.coerce(x),) for x in vec]
     if len(v) != m.nrows:
         raise DimensionError("vector length does not match")
-    aug = [list(row) + [val] for row, val in zip(m.rows, v)]
-    den, rows, pivots = _int_rref(_int_rows(m.field, aug), m.field.char)
+    den, rows, pivots = _int_rref(
+        _numerators(hstack([m, Matrix(m.field, v)])), m.field.char)
     if m.ncols in pivots:
         return None
     x = [m.field.zero] * m.ncols
@@ -476,15 +484,12 @@ def eigenvalues_in_field(m: Matrix) -> EigenData:
     """
     m._require_square()
     n, field, p = m.nrows, m.field, m.field.char
+    den, rows = m.den, _numerators(m)
     if p:
-        den, rows = 1, _int_rows(field, m.rows)
         roots = _roots_mod_p([c.val for c in reversed(charpoly(m))], p)
     else:
-        den = math.lcm(*(x.denominator for row in m.rows for x in row))
-        rows = [[x.numerator * (den // x.denominator) for x in row]
-                for row in m.rows]
-        roots = _integer_roots([c.numerator for c in
-                                reversed(charpoly(Matrix(field, rows)))])
+        roots = _integer_roots([c.numerator for c in reversed(
+            charpoly(_new(field, n, n, m.nums)))])
     pairs = []
     for r in roots:
         ker = _int_kernel(field, n, [
@@ -552,8 +557,14 @@ def direct_sum(parts: Sequence[Subspace]) -> Tuple[Matrix, Matrix, list]:
     except SingularMatrixError as exc:
         raise DecompositionError("sum of subspaces is not direct") from exc
     ends = list(accumulate(part.dim for part in parts))
+    cols = basis.transpose()
     return basis, binv, [
-        (Matrix(field, tuple(row[lo:hi] for row in basis.rows), _trusted=True),
-         Matrix(field, binv.rows[lo:hi], _trusted=True)) if hi > lo else None
-        for lo, hi in zip([0] + ends, ends)]
+        (_row_block(cols, lo, hi).transpose(), _row_block(binv, lo, hi))
+        if hi > lo else None for lo, hi in zip([0] + ends, ends)]
+
+
+def _row_block(m: Matrix, lo: int, hi: int) -> Matrix:
+    """Rows lo to hi - 1 of m."""
+    return _lowest(m.field, hi - lo, m.ncols, {
+        i - lo: row for i, row in m.nums.items() if lo <= i < hi}, m.den)
 

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 from .fields import Scalar
 from .frame import frame_of
-from .matrix import SparseMatrix, commutator, powers
+from .matrix import Matrix, commutator, powers
 from .results import RankEntry, RankTable, Residual
 from .systems import (RelationParameters, TridiagonalSystem,
                       compute_relation_parameters)
@@ -21,11 +21,11 @@ from .systems import (RelationParameters, TridiagonalSystem,
 
 @dataclass(frozen=True)
 class RFLDecomposition:
-    """R, F and L in the dual basis P of system, as sparse matrices."""
+    """R, F and L in the dual basis P of system."""
     system: TridiagonalSystem
-    raising: SparseMatrix
-    flat: SparseMatrix
-    lowering: SparseMatrix
+    raising: Matrix
+    flat: Matrix
+    lowering: Matrix
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class SectionFiveCoefficients:
 def compute_rfl(sys: TridiagonalSystem) -> RFLDecomposition:
     """Split A into raising + flat + lowering along the dual eigenspaces:
     R = sum E*_(i+1) A E*_i, F = sum E*_i A E*_i, L = sum E*_(i-1) A E*_i,
-    each sum taken as sparse products in the dual basis P and kept there;
+    each sum taken as products in the dual basis P and kept there;
     frame_of(sys).original(x, "PP") carries one back to the input basis.
 
     With the E*_i orthogonal idempotents summing to I, R, F and L move
@@ -55,7 +55,7 @@ def compute_rfl(sys: TridiagonalSystem) -> RFLDecomposition:
     """
     fr = frame_of(sys)
     es, a_es = fr.es_pp, fr.a_es_pp
-    zero = SparseMatrix(sys.field, sys.n, {})
+    zero = Matrix.zeros(sys.field, sys.n, sys.n)
     # E*_(i+k) A E*_i summed over i, for k = 1, 0, -1
     return RFLDecomposition(sys, *(
         sum((es[i + k] * a_es[i] for i in range(sys.d + 1)
@@ -97,7 +97,7 @@ def check_section5(sys: TridiagonalSystem, rfl: RFLDecomposition,
                    ) -> List[Residual]:
     """Residuals of the three-term identities (part i), the six-term
     identities (part ii), and the flat-commutator balance (part iii),
-    each restricted to its dual eigenspace, as sparse products in the
+    each restricted to its dual eigenspace, as products in the
     dual basis."""
     if params is None:
         params = compute_relation_parameters(sys)
@@ -175,7 +175,7 @@ def check_section10(sys: TridiagonalSystem, rfl: RFLDecomposition
     """Observed against predicted ranks for powers of R and L between dual
     eigenspaces, and for the two-sided sandwiches of powers of A and A*.
 
-    Every rank is that of a sparse product in the dual basis P, restricted
+    Every rank is that of a product in the dual basis P, restricted
     to its nonzero rows and columns.  E_i = B_i C_i enters through C_i P
     and P^-1 B_i, which have full row and column rank, so E_i A*^k E_j
     has the rank of the rho_i x rho_j matrix C_i P (P^-1 A* P)^k P^-1 B_j.
@@ -183,7 +183,7 @@ def check_section10(sys: TridiagonalSystem, rfl: RFLDecomposition
     d = sys.d
     rho = sys.shape
     fr = frame_of(sys)
-    ident = SparseMatrix.identity(sys.field, sys.n)
+    ident = Matrix.identity(sys.field, sys.n)
     r_pow, l_pow = (powers(ident, m, d) for m in fr.moved(
         rfl.system, "PP", rfl.raising, rfl.lowering))
     a_pow, astar_pow = (powers(ident, m, d) for m in (fr.a_pp, fr.astar_pp))

@@ -12,7 +12,7 @@ from typing import Dict, List, Tuple
 from .errors import InternalInconsistencyError
 from .frame import Frame, frame_of
 from .linalg import Subspace, _int_insert, direct_sum
-from .matrix import Matrix, SparseMatrix
+from .matrix import Matrix, _new
 from .results import RankEntry, RankTable, Residual
 from .systems import TridiagonalSystem
 
@@ -21,15 +21,15 @@ from .systems import TridiagonalSystem
 class SplitDecomposition:
     """The summands U_i and their stacked bases (Q, Q^-1); the projectors
     F_i and the shifted maps in Q, and the transition map and its inverse
-    in QP and PQ, for P the dual basis of system, as sparse matrices."""
+    in QP and PQ, for P the dual basis of system."""
     system: TridiagonalSystem
     summands: Tuple[Subspace, ...]
-    basis: Tuple[SparseMatrix, SparseMatrix]
-    projectors: Tuple[SparseMatrix, ...]
-    raising: SparseMatrix
-    lowering: SparseMatrix
-    transition: SparseMatrix
-    transition_inv: SparseMatrix
+    basis: Tuple[Matrix, Matrix]
+    projectors: Tuple[Matrix, ...]
+    raising: Matrix
+    lowering: Matrix
+    transition: Matrix
+    transition_inv: Matrix
 
 
 def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
@@ -69,7 +69,7 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
     cols: List[list] = []
     for i in range(d, -1, -1):
         if e[i]:
-            b = fr.e_thin[i][0].rows
+            b = fr.e_thin[i][0].nums
             for j in range(e[i][0].ncols):
                 _int_insert(rows, [b.get(k, {}).get(j, 0)
                                    for k in reversed(range(n))], field.char)
@@ -82,19 +82,19 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
                 f"summand {i} has dimension {len(cols[i])}, "
                 f"expected {sys.shape[i]}")
     p = fr.bases["P"][0]
-    summands = [Subspace.from_columns(field, n, (p * SparseMatrix.of(
-        Matrix.from_columns(field, c))).dense(n, len(c)).columns()
-        if c else []) for c in cols]
+    summands = [Subspace.from_columns(field, n, (
+        p * Matrix.from_columns(field, c)).columns() if c else [])
+        for c in cols]
 
     q, q_inv, _ = direct_sum(summands)
     block = [i for i, s in enumerate(summands) for _ in range(s.dim)]
-    f = [SparseMatrix(field, n, {k: {k: 1} for k, b in enumerate(block)
-                                 if b == i}) for i in range(d + 1)]
-    basis = (SparseMatrix.of(q), SparseMatrix.of(q_inv))
-    sf, zero = Frame(sys, basis, f), SparseMatrix(field, n, {})
+    f = [_new(field, n, n, {k: {k: 1} for k, b in enumerate(block)
+                            if b == i}) for i in range(d + 1)]
+    basis = (q, q_inv)
+    sf, zero = Frame(sys, basis, f), Matrix.zeros(field, n, n)
     # A - sum theta_i F_i and A* - sum thetastar_i F_i
     raising, lowering = (
-        x - sum(map(SparseMatrix.scale, f, th), zero)
+        x - sum(map(Matrix.scale, f, th), zero)
         for x, th in ((sf.a, sys.theta), (sf.astar, sys.thetastar)))
     split = SplitDecomposition(
         system=sys, summands=tuple(summands), basis=basis,
@@ -157,7 +157,7 @@ def check_split_bijectivity(sys: TridiagonalSystem,
                             split: SplitDecomposition) -> RankTable:
     """Observed against predicted ranks for powers of the shifted maps
     between summands, and for the pairings of each summand with its
-    eigenspace and dual eigenspace, as ranks of sparse products in the two
+    eigenspace and dual eigenspace, as ranks of products in the two
     bases.  E_i = B_i C_i enters through P^-1 B_i and C_i P, which have
     full column and row rank, so F_i E_i has the rank of F_i T^-1 P^-1 B_i
     and E_i F_i that of C_i P T F_i, for F_i in Q and T = P^-1 Q."""

@@ -19,7 +19,7 @@ from .frame import frame_of
 from .linalg import (Subspace, _int_insert, _int_kernel, _int_rows,
                      charpoly, direct_sum, eigenvalues_in_field,
                      irreducible_mod_p)
-from .matrix import Matrix, SparseMatrix, commutator
+from .matrix import Matrix, commutator, hstack
 from .results import Residual
 
 REASON_NOT_DIAGONALIZABLE = "not diagonalizable"
@@ -111,18 +111,15 @@ def _block_pattern(factors: Sequence[Tuple[Matrix, Matrix]], other: Matrix
 
     With E_i = B_i C_i its rank factorization, B_i of full column rank and
     C_i of full row rank, that block is zero exactly when the
-    rho_i x rho_j block C_i other B_j is.  All blocks are read from one
-    product C other B, for B the B_i side by side and C the C_i stacked.
+    rho_i x rho_j block C_i other B_j is.  Row i of blocks is read from
+    the product of C_i with other B, for B the B_j side by side.
     """
-    field, k = other.field, len(factors)
-    b = Matrix(field, tuple(zip(*(col for x, _ in factors
-                                  for col in x.columns()))), _trusted=True)
-    c = Matrix(field, tuple(row for _, x in factors for row in x.rows),
-               _trusted=True)
-    block = [i for i, (x, _) in enumerate(factors) for _ in range(x.ncols)]
-    hit = {(i, j) for i, row in zip(block, (c * other * b).rows)
-           for j, x in zip(block, row) if x}
-    return tuple(tuple((i, j) in hit for j in range(k)) for i in range(k))
+    right = other * hstack([x for x, _ in factors])
+    block = [j for j, (x, _) in enumerate(factors) for _ in range(x.ncols)]
+    hits = [{block[col] for row in (c * right).nums.values() for col in row}
+            for _, c in factors]
+    return tuple(tuple(j in hit for j in range(len(factors)))
+                 for hit in hits)
 
 
 def _adjacency(nonzero: Sequence[Sequence[bool]]) -> List[set]:
@@ -186,11 +183,12 @@ def _path_order(adj: List[set]) -> Optional[List[int]]:
 _CERTIFYING_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def _act(m: SparseMatrix, vec: List[int]) -> List[int]:
-    """The numerators of m times each column of length m.n stacked in vec."""
-    p, n = m.field.char, m.n
-    out = [sum(a * vec[s + j] for j, a in m.rows.get(i, {}).items())
-           for s in range(0, len(vec), n) for i in range(n)]
+def _act(m: Matrix, vec: List[int]) -> List[int]:
+    """The numerators of m times each column of length m.ncols stacked in
+    vec."""
+    p, n = m.field.char, m.ncols
+    out = [sum(a * vec[s + j] for j, a in m.nums.get(i, {}).items())
+           for s in range(0, len(vec), n) for i in range(m.nrows)]
     return [x % p for x in out] if p else out
 
 
@@ -204,14 +202,14 @@ def _spin(gens: Sequence[Matrix], seeds: Iterable[Sequence[Scalar]]
     on n x k matrices.  The queue holds the images that grew the span, not
     the rows kept, so its entries grow linearly with the word length.
     """
-    field, acts = gens[0].field, [SparseMatrix.of(gen) for gen in gens]
+    field = gens[0].field
     rows: Dict[int, List[int]] = {}
     queue = [seed for seed in _int_rows(field, seeds)
              if _int_insert(rows, seed, field.char) is not None]
     width = len(queue[0]) if queue else 0
     while queue and len(rows) < width:
         vec = queue.pop()
-        for gen in acts:
+        for gen in gens:
             image = _act(gen, vec)
             if _int_insert(rows, image, field.char) is not None:
                 queue.append(image)
@@ -224,14 +222,14 @@ def generated_algebra_dimension(a: Matrix, b: Matrix) -> int:
     rather than reduced rows are multiplied on, which keeps rational
     entries small.  Recognition does not use it; it costs O(n^6) field
     operations."""
-    n, acts = a.nrows, [SparseMatrix.of(gen) for gen in (a, b)]
+    n = a.nrows
     rows: Dict[int, List[int]] = {}
     words = [[int(i == j) for i in range(n) for j in range(n)]]
     for word in words:
         if len(rows) == n * n:
             break
         if _int_insert(rows, word, a.field.char) is not None:
-            words += [_act(gen, word) for gen in acts]
+            words += [_act(gen, word) for gen in (a, b)]
     return len(rows)
 
 
@@ -283,18 +281,17 @@ def _condensed_verdict(gens: Tuple[Matrix, Matrix], b: Matrix, c: Matrix
     field, n, rho = b.field, b.nrows, b.ncols
     # T B, as n x rho matrices, and S spanned by C times them
     blocks = _spin(gens, [[x for col in b.columns() for x in col]])
-    c_ints = SparseMatrix.of(c)
     elements: Dict[int, List[int]] = {}
     for vec in blocks.values():
-        _int_insert(elements, _act(c_ints, vec), field.char)
+        _int_insert(elements, _act(c, vec), field.char)
     if len(elements) == 1:
         return _witness(field, _spin(gens, [b.column(0)]), n)
     ident = Matrix.identity(field, rho)
     for piv, flat in elements.items():
-        # each column of C X has n entries, rho read; s is 1 at its pivot,
-        # as the order of its eigenvalues picks the eigenvector spun first
+        # the columns of C X stacked; s is 1 at its pivot, as the order of
+        # its eigenvalues picks the eigenvector spun first
         s = Matrix.from_columns(field, [flat[k:k + rho] for k in range(
-            0, n * rho, n)]).scale(field.one / field.coerce(flat[piv]))
+            0, rho * rho, rho)]).scale(field.one / field.coerce(flat[piv]))
         if s == ident.scale(s.entry(0, 0)):
             continue
         pairs = eigenvalues_in_field(s).pairs
@@ -493,7 +490,9 @@ def compute_relation_parameters(sys: TridiagonalSystem,
     For d >= 3 everything is determined by the eigenvalue sequences and a
     caller-supplied beta must agree.  For d <= 2 beta is free and defaults
     to 2; for d = 1 gamma and gamma* are also free and are fixed by the
-    balanced-extension convention gamma = (1 - beta/2)(theta_0 + theta_1).
+    balanced-extension convention 2 gamma = (2 - beta)(theta_0 + theta_1),
+    which in characteristic 2 does not determine gamma: there gamma and
+    gamma* are 0.
     """
     field = sys.field
     th, ths = sys.theta, sys.thetastar
@@ -523,6 +522,8 @@ def compute_relation_parameters(sys: TridiagonalSystem,
         if d == 0:
             return field.zero
         # d = 1: balanced extension keeps theta_-1 + theta_2 = theta_0 + theta_1
+        if field.char == 2:
+            return field.zero
         return (field.one - beta / two) * (seq[0] + seq[1])
 
     def rho_of(seq: Sequence[Scalar], gamma: Scalar) -> Scalar:

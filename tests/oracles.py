@@ -6,7 +6,7 @@ recomputed from the ranks of those products, the matrices of A and A* in
 the three distinguished bases of a multiplicity-free system, two
 readers of check results, the exponential of a nilpotent matrix as
 its terminating power series, the dense Matrix's arithmetic on field
-scalars that its operations on SparseMatrix replaced (sums, negation,
+scalars that its operations on integer rows replaced (sums, negation,
 scaling, the schoolbook product, matrix-vector and Kronecker products
 and the trace), and the field-scalar elimination that the package's
 integer one replaced: a row inserted into echelon rows
@@ -35,7 +35,7 @@ from tdpair import (DimensionError, InternalInconsistencyError,
                     compute_split, field_from_descriptor, inverse,
                     lagrange_idempotents, leonard_data, matrix_from_json)
 from tdpair.fields import is_prime
-from tdpair.frame import SparseMatrix, frame_of
+from tdpair.frame import frame_of
 from tdpair.leonard import _rep_dual_a, _tridiagonal
 from tdpair.linalg import (_derivative, _poly_eval, _poly_gcd, _roots_mod_p,
                            _trim, direct_sum)
@@ -56,7 +56,7 @@ def dense_view(x) -> SimpleNamespace:
     fr = frame_of(x.system, x if split else None)
 
     def back(name, value):
-        if isinstance(value, SparseMatrix):
+        if isinstance(value, Matrix):
             return fr.original(value, SPLIT_BASES[name] if split else "PP")
         if name == "projectors":
             return tuple(back(name, m) for m in value)
@@ -66,27 +66,24 @@ def dense_view(x) -> SimpleNamespace:
                               for f in fields(x)})
 
 
-# The dense Matrix's operations on field scalars, the reference for Matrix,
-# which computes them on SparseMatrix.  Each takes operands of one field
-# and of matching shapes; Matrix keeps the checks.
+# The operations of a matrix on field scalars, the reference for Matrix,
+# which computes them on its integer rows.  Each takes operands of one
+# field and of matching shapes; Matrix keeps the checks.
 
 def add(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.field,
                   tuple(tuple(x + y for x, y in zip(ra, rb))
-                        for ra, rb in zip(a.rows, b.rows)),
-                  _trusted=True)
+                        for ra, rb in zip(a.rows, b.rows)))
 
 
 def sub(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.field,
                   tuple(tuple(x - y for x, y in zip(ra, rb))
-                        for ra, rb in zip(a.rows, b.rows)),
-                  _trusted=True)
+                        for ra, rb in zip(a.rows, b.rows)))
 
 
 def neg(m: Matrix) -> Matrix:
-    return Matrix(m.field, tuple(tuple(-x for x in row) for row in m.rows),
-                  _trusted=True)
+    return Matrix(m.field, tuple(tuple(-x for x in row) for row in m.rows))
 
 
 def scale(m: Matrix, c) -> Matrix:
@@ -95,17 +92,17 @@ def scale(m: Matrix, c) -> Matrix:
         return Matrix.zeros(m.field, m.nrows, m.ncols)
     return Matrix(m.field,
                   tuple(tuple(c * x if x else x for x in row)
-                        for row in m.rows),
-                  _trusted=True)
+                        for row in m.rows))
 
 
 def product(a: Matrix, b: Matrix) -> Matrix:
     """The schoolbook product: entry (i, j) is the sum over t of
     a[i][t] b[t][j]."""
+    brows = b.rows
     return Matrix(a.field, tuple(
-        tuple(sum((x * b.rows[t][j] for t, x in enumerate(row)),
+        tuple(sum((x * brows[t][j] for t, x in enumerate(row)),
                   a.field.zero) for j in range(b.ncols))
-        for row in a.rows), _trusted=True)
+        for row in a.rows))
 
 
 def apply(m: Matrix, vec: Sequence) -> Tuple:
@@ -135,13 +132,13 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                 else:
                     line.extend([zero] * b.ncols)
             out.append(tuple(line))
-    return Matrix(a.field, tuple(out), _trusted=True)
+    return Matrix(a.field, tuple(out))
 
 
 def trace(m: Matrix):
     t = m.field.zero
-    for i in range(m.nrows):
-        t = t + m.rows[i][i]
+    for i, row in enumerate(m.rows):
+        t = t + row[i]
     return t
 
 
@@ -315,9 +312,9 @@ def rank_factorization(m: Matrix) -> Optional[Tuple[Matrix, Matrix]]:
     space = column_space(m)
     if not space.dim:
         return None
+    rows = m.rows
     return (basis_matrix(space),
-            Matrix(m.field, tuple(m.rows[p] for p in space.pivots),
-                   _trusted=True))
+            Matrix(m.field, tuple(rows[p] for p in space.pivots)))
 
 
 RELATIVE_KEYS = ("star", "down", "downdown", "times")

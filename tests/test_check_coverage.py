@@ -17,7 +17,7 @@ from tdpair import (KrawtchoukParams, Matrix, PrimeField,
                     check_split_bijectivity, compute_rfl, compute_split,
                     construct_krawtchouk, inverse, is_krawtchouk_type,
                     leonard_data)
-from tdpair.frame import SparseMatrix
+from tdpair.matrix import _new
 
 from oracles import (analyze_tensor_sum, change_of_basis_reps, column_space,
                      dense_view, idempotents)
@@ -145,8 +145,9 @@ def shift(index):
     """The lowering map replaced by a shift of the given nilpotency
     index in the split basis."""
     def corrupt(split):
-        return replace(split, lowering=SparseMatrix(
-            split.lowering.field, split.lowering.n,
+        n = split.lowering.nrows
+        return replace(split, lowering=_new(
+            split.lowering.field, n, n,
             {i: {i + 1: 1} for i in range(index - 1)}))
     corrupt.__name__ = f"shift_of_index_{index}"
     return corrupt

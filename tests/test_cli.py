@@ -166,6 +166,26 @@ def test_verify_gf2_diameter_zero(tmp_path, capsys):
     assert check["status"] == "skipped"
 
 
+@pytest.mark.parametrize("beta", [[], ["--beta", "0"], ["--beta", "1"]])
+def test_verify_gf2_diameter_one(beta, tmp_path, capsys):
+    """The GF(4) Leonard pair with theta = theta* = (0, 1) and
+    phi_1 = omega, written over GF(2): in characteristic 2 the balanced
+    convention leaves gamma undetermined, and gamma = gamma* = 0 is taken,
+    for which every check of all four systems holds."""
+    path = write_pair(tmp_path,
+                      [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1]],
+                      [[0, 0, 0, 1], [0, 0, 1, 1], [0, 0, 1, 0], [0, 0, 0, 1]],
+                      field={"kind": "prime", "p": 2})
+    rc, out, err = run_cli(capsys, ["verify", path] + beta)
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["ok"] is True and doc["count"] == 4
+    for system in doc["systems"]:
+        assert system["ok"] is True
+        assert system["parameters"]["gamma"] == "0"
+        assert system["parameters"]["gammastar"] == "0"
+
+
 def test_verify_composite_modulus(tmp_path, capsys):
     """A strong pseudoprime to the bases 2 to 37 is no field."""
     n = 399165290221 * 798330580441

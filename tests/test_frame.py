@@ -1,100 +1,164 @@
-"""SparseMatrix against the field-scalar arithmetic of tests/oracles.py as
-oracle, over QQ, GF(101) and GF(2^61 - 1): sums, scalings, schoolbook
-products and traces entry by entry on the scalars' own operators, since
-every operation of the dense Matrix runs on SparseMatrix itself."""
+"""The integer form of Matrix against the field-scalar arithmetic of
+tests/oracles.py as oracle, over QQ, GF(101) and GF(2^61 - 1): sums,
+scalings, schoolbook products and traces entry by entry on the scalars'
+own operators, on square, tall and wide operands; equality and hashing
+by the canonical form; and the frame's thin factors."""
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdpair import Matrix, PrimeField, QQ
-from tdpair.frame import SparseMatrix
+from tdpair import (FieldMismatchError, KrawtchoukParams, Matrix,
+                    PrimeField, QQ, analyze_pair, construct_krawtchouk,
+                    inverse)
+from tdpair.frame import frame_of
+from tdpair.matrix import _new
 
-from oracles import add, product, rank, scale, sub, trace
+from oracles import (add, analyze_tensor_sum, product, rank, scale, sub,
+                     trace)
 
 GF101 = PrimeField(101)
 M61 = PrimeField(2 ** 61 - 1)
 
 
 @st.composite
-def matrices(draw, count):
-    """A field, and count square matrices over it of one size up to 6,
-    about half of whose entries are zero.  Rationals have denominators up
-    to 50, so that sums rescale to a common denominator; residues are
-    within 100 of p, so that over GF(2^61 - 1) the unreduced sums of
-    products pass 64 bits."""
+def matrices(draw, count, square=False):
+    """A field, and count matrices over it of one shape, n x n, n x rho
+    or rho x n for n up to 6 and rho up to n (n x n when square), about
+    half of whose entries are zero.  Rationals have denominators up to
+    50, so that sums rescale to a common denominator; residues are within
+    100 of p, so that over GF(2^61 - 1) the unreduced sums of products
+    pass 64 bits."""
     field = draw(st.sampled_from([QQ, GF101, M61]))
     n = draw(st.integers(min_value=1, max_value=6))
+    rho = draw(st.integers(min_value=1, max_value=n))
+    r, c = (n, n) if square else draw(
+        st.sampled_from([(n, n), (n, rho), (rho, n)]))
     if field is QQ:
         nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=50)
     else:
         nonzero = st.integers(min_value=1, max_value=100).map(
             lambda k: field.p - k)
     entry = st.one_of(st.just(0), nonzero)
-    square = st.lists(st.lists(entry, min_size=n, max_size=n),
-                      min_size=n, max_size=n)
-    return field, [Matrix(field, draw(square)) for _ in range(count)]
+    literal = st.lists(st.lists(entry, min_size=c, max_size=c),
+                       min_size=r, max_size=r)
+    return field, [Matrix(field, draw(literal)) for _ in range(count)]
 
 
-def canonical(s: SparseMatrix) -> SparseMatrix:
-    """s, after asserting that it keeps no zero entry and no empty row, and
+def canonical(m: Matrix) -> Matrix:
+    """m, after asserting that it keeps no zero entry and no empty row, and
     that its entries are ints in the one form: over GF(p) residues in
     [1, p) over den 1; over QQ numerators over one den > 0 in lowest
     terms, which makes den 1 when there is no entry."""
-    for i, row in s.rows.items():
-        assert row and 0 <= i < s.n
-        assert all(type(x) is int and x and 0 <= j < s.n
+    for i, row in m.nums.items():
+        assert row and 0 <= i < m.nrows
+        assert all(type(x) is int and x and 0 <= j < m.ncols
                    for j, x in row.items())
-    entries = [x for row in s.rows.values() for x in row.values()]
-    if s.field.char:
-        assert s.den == 1 and all(0 < x < s.field.char for x in entries)
+    entries = [x for row in m.nums.values() for x in row.values()]
+    if m.field.char:
+        assert m.den == 1 and all(0 < x < m.field.char for x in entries)
     else:
-        assert s.den > 0 and math.gcd(s.den, *entries) == 1
-    return s
+        assert m.den > 0 and math.gcd(m.den, *entries) == 1
+    return m
+
+
+def same(x: Matrix, y: Matrix) -> None:
+    """x and y are equal, entry by entry, and hash equal."""
+    assert x == y and not x != y
+    assert x.rows == y.rows
+    assert hash(x) == hash(y)
 
 
 @settings(deadline=None)
 @given(matrices(1))
 def test_round_trip(drawn):
+    """A matrix is the literal of its rows, and its zero test, rank and
+    trace are those of its field scalars."""
     _, (m,) = drawn
-    s = canonical(SparseMatrix.of(m))
-    assert s.dense() == m
-    assert s.is_zero() == m.is_zero()
-    assert s.rank() == rank(m)
-    assert s.trace() == trace(m)
+    same(canonical(m), Matrix(m.field, m.rows))
+    assert m.is_zero() == (m.nonzero_count() == 0) \
+        == all(not x for row in m.rows for x in row)
+    assert m.rank() == rank(m)
+    if m.is_square:
+        assert m.trace() == trace(m)
 
 
 @settings(deadline=None)
 @given(matrices(2))
 def test_arithmetic_matches_dense(drawn):
+    """Sums and differences of two r x c matrices, and the products of
+    one with the transpose of the other, r x r and c x c."""
     _, (a, b) = drawn
-    sa, sb = SparseMatrix.of(a), SparseMatrix.of(b)
-    for sparse, dense in ((sa + sb, add(a, b)), (sa - sb, sub(a, b)),
-                          (sa * sb, product(a, b))):
-        assert canonical(sparse).dense() == dense
-        assert sparse.is_zero() == dense.is_zero()
-        assert sparse.rank() == rank(dense)
-        assert sparse.trace() == trace(dense)
+    bt = b.transpose()
+    for got, want in ((a + b, add(a, b)), (a - b, sub(a, b)),
+                      (a * bt, product(a, bt)), (bt * a, product(bt, a))):
+        same(canonical(got), want)
+        assert got.is_zero() == want.is_zero()
+        assert got.rank() == rank(want)
+        if got.is_square:
+            assert got.trace() == trace(want)
 
 
 @settings(deadline=None)
 @given(matrices(2))
 def test_equality_matches_dense(drawn):
-    """Two matrices are equal exactly when their dense forms are, however
-    each was made, since the form is canonical; equality compares values,
-    so a SparseMatrix is not hashable."""
+    """Two matrices are equal exactly when their entries are, however
+    each was made, since the form is canonical; equal matrices hash
+    equal."""
     _, (a, b) = drawn
-    sa, sb = SparseMatrix.of(a), SparseMatrix.of(b)
-    for x, y in ((sa, sb), (sa, sa + sb - sb), (sa.scale(2) - sa, sa),
-                 (sa * sb, SparseMatrix.of(product(a, b))),
-                 (sa - sa, sb - sb), (sa.scale(3), sa)):
-        assert (x == y) == (x.dense() == y.dense())
-        assert (x != y) == (x.dense() != y.dense())
-    assert sa != a
-    with pytest.raises(TypeError):
-        hash(sa)
+    bt = b.transpose()
+    for x, y in ((a, b), (a, a + b - b), (a.scale(2) - a, a),
+                 (a * bt, Matrix(a.field, product(a, bt).rows)),
+                 (a + b, b + a), (a - a, b - b), (a.scale(3), a)):
+        assert (x == y) == (x.rows == y.rows)
+        assert (x != y) == (x.rows != y.rows)
+        if x == y:
+            assert hash(x) == hash(y)
+    assert a != a.rows
+
+
+def test_fill_order_changes_no_equality_or_hash():
+    """x + y and y + x fill their rows in the order of their terms, and
+    a product in the order of its left factor's rows, unlike the literal
+    of its value; each pair is still equal and hashes equal."""
+    x = Matrix(QQ, [[0, 0, 0], [0, 0, 0], [0, 0, "1/2"]])
+    y = Matrix(QQ, [["1/3", 0, 0], [0, 0, 0], [0, 0, 0]])
+    pairs = [(x + y, y + x)]
+    p = Matrix(QQ, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    pairs.append((x * p + y * p, Matrix(QQ, (x * p + y * p).rows)))
+    assert any(list(u.nums) != list(v.nums) for u, v in pairs)
+    for u, v in pairs:
+        same(u, v)
+
+
+def test_thin_factor_products_equal_the_dense_idempotents():
+    """E_i as the product of its factors B_i C_i equals the literal of
+    the field-scalar product, and hashes equal, on a system with
+    idempotents of rank 2."""
+    s1, _ = construct_krawtchouk(
+        KrawtchoukParams(field=QQ, d=1, p=Fraction(1, 2)))
+    s2, _ = construct_krawtchouk(
+        KrawtchoukParams(field=QQ, d=1, p=Fraction(1, 3)))
+    system = analyze_tensor_sum(s1, s2).systems[0]
+    assert max(system.shape) == 2
+    for b, c in system.E_factors + system.Estar_factors:
+        same(b * c, Matrix(QQ, product(b, c).rows))
+
+
+def test_recognized_twice_compares_and_hashes_equal():
+    """Two recognitions of one input give equal systems with equal
+    hashes, though every matrix of each was built anew."""
+    system, _ = construct_krawtchouk(
+        KrawtchoukParams(field=GF101, d=3, p=GF101.from_int(3)))
+    first, second = (analyze_pair(Matrix(GF101, system.A.rows),
+                                  Matrix(GF101, system.Astar.rows))
+                     for _ in range(2))
+    assert first.systems == second.systems
+    assert [hash(s) for s in first] == [hash(s) for s in second]
+    assert first.systems[0].A is not second.systems[0].A
 
 
 @settings(deadline=None)
@@ -108,65 +172,79 @@ def test_scale_matches_dense(drawn, num, den, big):
     rational = (Fraction(num, den), Fraction(num, big)) if field is QQ \
         else ()
     for c in (num, *rational, 0, 101):
-        assert canonical(SparseMatrix.of(m).scale(c)).dense() == scale(m, c)
+        same(canonical(m.scale(c)), scale(m, c))
+
+
+def test_every_coefficient_is_coerced():
+    """A coefficient that is no scalar of the field is refused even when
+    its term, or the matrix scaled, is zero."""
+    zero, x = Matrix.zeros(QQ, 2, 2), Matrix.identity(QQ, 2)
+    with pytest.raises(FieldMismatchError):
+        zero.scale(object())
+    with pytest.raises(FieldMismatchError):
+        x.combination([(object(), zero)])
 
 
 @settings(deadline=None)
-@given(matrices(2))
+@given(matrices(2, square=True))
 def test_cancellations(drawn):
     """Sums and products that cancel to zero keep no entry: X - X, X plus
     its negative, and products with powers of a nilpotent factor."""
     field, (x, m) = drawn
     n = x.nrows
-    sx = SparseMatrix.of(x)
-    assert canonical(sx - sx).rows == {}
-    assert canonical(sx + sx.scale(-1)).rows == {}
+    assert canonical(x - x).nums == {}
+    assert canonical(x + x.scale(-1)).nums == {}
     # the strictly upper triangle of m is nilpotent of index at most n
     nil = Matrix(field, [[v if j > i else 0 for j, v in enumerate(row)]
                          for i, row in enumerate(m.rows)])
-    sparse, dense = SparseMatrix.of(nil), nil
-    power = SparseMatrix.of(Matrix.identity(field, n))
+    power = Matrix.identity(field, n)
     for _ in range(n):
-        power = power * sparse
-    assert canonical(power).rows == {}
-    assert (sx * power).rows == {} and (power * sx).rows == {}
-    assert canonical(sx * sparse).dense() == product(x, dense)
-    assert (sx * sparse).rank() == rank(product(x, dense))
+        power = power * nil
+    assert canonical(power).nums == {}
+    assert (x * power).nums == {} and (power * x).nums == {}
+    same(canonical(x * nil), product(x, nil))
+    assert (x * nil).rank() == rank(product(x, nil))
 
 
-@settings(deadline=None)
-@given(matrices(1), st.integers(min_value=0, max_value=5))
-def test_thin_is_padded(drawn, k):
-    """A thin matrix is made square with zero columns or rows after its
-    own, so products of padded factors have the ranks and entries of the
-    products of the factors."""
-    field, (m,) = drawn
-    n, k = m.nrows, 1 + k % m.nrows
-    zero = (field.zero,) * n
-    tall = Matrix.from_columns(field, m.columns()[:k])
-    wide = Matrix(field, m.rows[:k])
-    s_tall, s_wide = (canonical(SparseMatrix.of(x)) for x in (tall, wide))
-    assert s_tall.n == s_wide.n == n
-    assert s_tall.dense() == Matrix.from_columns(
-        field, m.columns()[:k] + [zero] * (n - k))
-    assert s_wide.dense() == Matrix(field, m.rows[:k] + (zero,) * (n - k))
-    assert (s_tall * s_wide).dense() == product(tall, wide)
-    assert (s_wide * s_tall).rank() == rank(product(wide, tall))
+def test_thin_factors_are_rectangular():
+    """Frame.e_thin[i] holds P^-1 B_i and C_i P for E_i = B_i C_i, of
+    shapes n x rho_i and rho_i x n, whose product is P^-1 E_i P, over QQ
+    and GF(101), on a pair with idempotents of rank 2 conjugated by a
+    unipotent U so that P is dense."""
+    for field in (QQ, GF101):
+        one = field.one
+        s1, _ = construct_krawtchouk(
+            KrawtchoukParams(field=field, d=1, p=one / 2))
+        s2, _ = construct_krawtchouk(
+            KrawtchoukParams(field=field, d=1, p=one / 3))
+        base = analyze_tensor_sum(s1, s2).systems[0]
+        n, rng = base.n, random.Random(5)
+        u = Matrix(field, [[rng.randint(-2, 2) if i < j else int(i == j)
+                            for j in range(n)] for i in range(n)])
+        system = analyze_pair(inverse(u) * base.A * u,
+                              inverse(u) * base.Astar * u).systems[0]
+        fr = frame_of(system)
+        p, p_inv = fr.bases["P"]
+        assert fr.is_basis and max(system.shape) == 2
+        for (b, c), (tall, wide), rho in zip(system.E_factors, fr.e_thin,
+                                             system.shape):
+            assert (tall.nrows, tall.ncols, wide.nrows, wide.ncols) \
+                == (n, rho, rho, n)
+            same(canonical(tall) * canonical(wide),
+                 product(product(p_inv, product(b, c)), p))
 
 
 def test_zero_and_identity():
     for field in (QQ, GF101):
-        zero = SparseMatrix(field, 3, {})
+        zero = Matrix.zeros(field, 3, 3)
         assert zero.is_zero() and zero.rank() == 0
-        assert zero.dense() == Matrix.zeros(field, 3, 3)
-        ident = SparseMatrix.of(Matrix.identity(field, 3))
-        assert SparseMatrix.identity(field, 3) == ident
+        assert (zero.nums, zero.den) == ({}, 1)
+        ident = Matrix.identity(field, 3)
+        assert ident == Matrix(field, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert ident.rank() == 3 and not ident.is_zero()
-        assert (ident * ident).dense() == Matrix.identity(field, 3)
-        assert canonical(ident * ident).rows == {k: {k: 1} for k in range(3)}
-        # rows given empty are dropped when the matrix is made
-        assert SparseMatrix(field, 3, {0: {}, 1: {2: 1}}).rows \
-            == {1: {2: 1}}
+        assert canonical(ident * ident).nums == {k: {k: 1} for k in range(3)}
+        assert _new(field, 3, 3, {1: {2: 1}}) \
+            == Matrix(field, [[0, 0, 0], [0, 0, 1], [0, 0, 0]])
 
 
 # pairwise coprime denominators: each matrix and each coefficient of one
@@ -176,15 +254,16 @@ DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 @st.composite
 def combinations(draw):
-    """A field, a base matrix and pairs (c, X) over it, of one size up to
-    5.  Over QQ each matrix has its entries over one denominator and each
-    coefficient its own, all pairwise coprime; over GF(2^61 - 1)
-    residues are within 100 of p.  Some coefficients are zero, and some
-    terms are drawn again with the negated coefficient, or the base is
-    the negated sum of the terms, so that entries, rows or the whole sum
-    cancel to zero."""
+    """A field, a base matrix and pairs (c, X) over it, of one shape up
+    to 5 x 5.  Over QQ each matrix has its entries over one denominator
+    and each coefficient its own, all pairwise coprime; over
+    GF(2^61 - 1) residues are within 100 of p.  Some coefficients are
+    zero, and some terms are drawn again with the negated coefficient, or
+    the base is the negated sum of the terms, so that entries, rows or
+    the whole sum cancel to zero."""
     field = draw(st.sampled_from([QQ, M61]))
-    n = draw(st.integers(min_value=1, max_value=5))
+    r = draw(st.integers(min_value=1, max_value=5))
+    c = draw(st.integers(min_value=1, max_value=5))
     k = draw(st.integers(min_value=0, max_value=4))
     dens = iter(draw(st.permutations(DENOMINATORS)))
 
@@ -197,37 +276,34 @@ def combinations(draw):
 
     def matrix():
         entry = st.one_of(st.just(0), scalar(next(dens)))
-        row = st.lists(entry, min_size=n, max_size=n)
-        return Matrix(field, draw(st.lists(row, min_size=n, max_size=n)))
+        row = st.lists(entry, min_size=c, max_size=c)
+        return Matrix(field, draw(st.lists(row, min_size=r, max_size=r)))
 
     terms = [(draw(st.one_of(st.just(0), scalar(next(dens)))), matrix())
              for _ in range(k)]
     terms += [(-c, x) for c, x in terms if draw(st.booleans())]
     base = matrix()
     if terms and draw(st.booleans()):
-        base = Matrix.zeros(field, n, n)
-        for c, x in terms:
-            base = sub(base, scale(x, c))
+        base = Matrix.zeros(field, r, c)
+        for coef, x in terms:
+            base = sub(base, scale(x, coef))
     return field, base, draw(st.permutations(terms))
 
 
 @settings(deadline=None)
 @given(combinations())
 def test_combination_matches_dense(drawn):
-    """One combination is the dense sum of its terms, in canonical form:
-    equal to SparseMatrix.of of that sum, so with the one den, no zero
-    entry and no empty row; and so are the sum, difference and scaling
-    that call it."""
+    """One combination is the field-scalar sum of its terms, in canonical
+    form, so with the one den, no zero entry and no empty row; and so
+    are the sum, difference and scaling that call it."""
     field, base, terms = drawn
     dense = base
     for c, x in terms:
         dense = add(dense, scale(x, c))
-    sparse = SparseMatrix.of(base)
-    got = sparse.combination((c, SparseMatrix.of(x)) for c, x in terms)
-    assert canonical(got) == SparseMatrix.of(dense)
+    got = base.combination(terms)
+    same(canonical(got), dense)
     assert got.is_zero() == dense.is_zero()
     for c, x in terms:
-        sx = SparseMatrix.of(x)
-        assert canonical(sparse + sx) == SparseMatrix.of(add(base, x))
-        assert canonical(sparse - sx) == SparseMatrix.of(sub(base, x))
-        assert canonical(sx.scale(c)) == SparseMatrix.of(scale(x, c))
+        same(canonical(base + x), add(base, x))
+        same(canonical(base - x), sub(base, x))
+        same(canonical(x.scale(c)), scale(x, c))

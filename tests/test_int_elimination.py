@@ -15,7 +15,6 @@ from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ,
                     inverse, rank_kernel, solve_right)
 from tdpair import linalg
 from tdpair.fields import Fp
-from tdpair.frame import SparseMatrix
 from tdpair.linalg import _int_insert, _int_rows, _int_rref
 from tdpair.systems import _spin
 
@@ -139,8 +138,9 @@ def test_solve_right_matches_oracle(m, data):
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_sparse_rank_matches_oracle(m):
-    """SparseMatrix.of pads a thin matrix with zeros to be square."""
-    assert SparseMatrix.of(m).rank() == rank(m)
+    """Matrix.rank, read from the nonzero rows and columns of the int
+    form, on square and thin matrices."""
+    assert m.rank() == rank(m)
 
 
 @st.composite
@@ -277,13 +277,12 @@ def kernel_inputs():
 
 
 def test_integer_kernels_take_no_field_scalar_reduction(monkeypatch):
-    """rank_kernel, Subspace.from_columns, SparseMatrix.rank, inverse and
+    """rank_kernel, Subspace.from_columns, Matrix.rank, inverse and
     eigenvalues_in_field, its root search over QQ included, make no
     Fraction or Fp arithmetic: field scalars are only read at the start
     and made at the end.  The eigenvalue search is given its
     characteristic polynomial, found on field scalars in a first run."""
     inputs = kernel_inputs()
-    sparse = [SparseMatrix.of(m) for m in inputs]
     # A - (theta_0 - 1) I, invertible as theta_0 - 1 is no eigenvalue
     shifted = [m + Matrix.identity(m.field, 4) for m in inputs]
     polys, compute = {}, linalg.charpoly
@@ -296,10 +295,10 @@ def test_integer_kernels_take_no_field_scalar_reduction(monkeypatch):
     monkeypatch.setattr(linalg, "charpoly", memoized)
     eigen = [linalg.eigenvalues_in_field(m) for m in shifted]
     calls = spy_scalar_operators(monkeypatch, (Fraction, Fp))
-    for m, s, t, e in zip(inputs, sparse, shifted, eigen):
+    for m, t, e in zip(inputs, shifted, eigen):
         rk, ker = rank_kernel(m)
         space = Subspace.from_columns(m.field, m.ncols, m.rows)
-        assert (rk, ker.dim, space.dim, s.rank()) == (3, 1, 3, 3)
+        assert (rk, ker.dim, space.dim, m.rank()) == (3, 1, 3, 3)
         inverse(t)
         assert linalg.eigenvalues_in_field(t) == e
     monkeypatch.undo()

@@ -41,14 +41,19 @@ def test_constructor_rejects_bad_shapes():
 
 
 def test_matrix_is_immutable():
-    m = Matrix(QQ, [[1, 2], [3, 4]])
-    for name in ("field", "rows", "other"):
+    """Neither the field, the shape, the int form nor the rows read from
+    it can be set or deleted, and no other attribute can be added."""
+    m = Matrix(QQ, [[1, 2], [3, "4/3"]])
+    held = ("field", "nrows", "ncols", "nums", "den", "rows")
+    for name in held + ("other",):
         with pytest.raises(AttributeError):
             setattr(m, name, None)
-    for name in ("field", "rows"):
+    for name in held:
         with pytest.raises(AttributeError):
             delattr(m, name)
-    assert m.field == QQ and m == Matrix(QQ, [[1, 2], [3, 4]])
+    assert m.field == QQ and (m.nrows, m.ncols, m.den) == (2, 2, 3)
+    assert m.nums == {0: {0: 3, 1: 6}, 1: {0: 9, 1: 4}}
+    assert m == Matrix(QQ, [[1, 2], [3, "4/3"]])
 
 
 def test_field_mixing_raises():
@@ -118,11 +123,15 @@ def scalars(field):
 @st.composite
 def product_operands(draw):
     """An r x k and a k x c matrix over one field, sizes 1 to 6, with the
-    shapes 1 x k times k x 1 and k x 1 times 1 x k drawn on purpose."""
+    shapes 1 x k times k x 1, k x 1 times 1 x k, and for rho <= k the
+    thin factors k x rho times rho x k and rho x k times k x rho drawn on
+    purpose."""
     field = draw(st.sampled_from([QQ, GF5, M61]))
     size = st.integers(1, 6)
     k = draw(size)
-    r, k, c = draw(st.sampled_from([(1, k, 1), (k, 1, k),
+    rho = draw(st.integers(1, k))
+    r, k, c = draw(st.sampled_from([(1, k, 1), (k, 1, k), (k, rho, k),
+                                    (rho, k, rho),
                                     (draw(size), k, draw(size))]))
     entry = scalars(field)
 
@@ -268,8 +277,8 @@ def operations(draw):
 @settings(deadline=None)
 @given(operations())
 def test_operations_match_field_scalar_oracles(drawn):
-    """Every Matrix operation that runs on SparseMatrix gives what the
-    field-scalar oracles give: +, -, unary -, scale, apply, kron with
+    """Every Matrix operation, which runs on the integer form, gives what
+    the field-scalar oracles give: +, -, unary -, scale, apply, kron with
     factors of different shapes in either order, and trace."""
     a, b, k, t, vec, c = drawn
     for got, want in ((a + b, add(a, b)), (a - b, sub(a, b)),

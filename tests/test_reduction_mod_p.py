@@ -82,10 +82,11 @@ def summary(report, reduce):
 
 def spoilers(a, astar, reports):
     """The integers a prime must not divide: the denominators of the
-    entries and of the split summands' bases, the eigenvalue gaps, and
-    the nonzero scalars of each ordering's Leonard data and relation
-    parameters, numerators and denominators (x_i and phi_i nonzero keep
-    the pair irreducible)."""
+    entries and of the split summands' bases, the eigenvalue gaps, the
+    nonzero differences of the eigenvalues from d - 2i, and the nonzero
+    scalars of each ordering's Leonard data and relation parameters,
+    numerators and denominators (x_i and phi_i nonzero keep the pair
+    irreducible)."""
     out = [x.denominator for m in (a, astar) for row in m.rows for x in row]
     for report in reports:
         sys = report.system
@@ -93,6 +94,10 @@ def spoilers(a, astar, reports):
                 for col in cols for x in col]
         for seq in (sys.theta, sys.thetastar):
             out += [(s - t).numerator for s in seq for t in seq if s != t]
+            # section12 runs exactly when both sequences are d - 2i, so a
+            # sequence that is not must stay so
+            out += [(s - sys.d + 2 * i).numerator
+                    for i, s in enumerate(seq) if s != sys.d - 2 * i]
         data = leonard_data(sys)
         params = [getattr(report.parameters, f.name)
                   for f in dataclasses.fields(RelationParameters)]

@@ -11,7 +11,7 @@ from tdpair import (CHECK_IDS, KrawtchoukParams, MalformedInputError,
                     compute_relation_parameters, compute_split,
                     construct_krawtchouk, inverse, run_all_checks)
 from tdpair import frame, linalg
-from tdpair.frame import Frame, SparseMatrix
+from tdpair.frame import Frame
 
 from oracles import analyze_tensor_sum, result_for
 
@@ -144,21 +144,20 @@ def test_each_idempotent_factored_once(kraw3, monkeypatch):
                                           ("section10", "section7")])
 def test_thin_factors_formed_once(kraw3, monkeypatch, first, second):
     """Each E_i = B_i C_i and E*_i = B*_i C*_i enters the frame through
-    P^-1 B_i and C_i P, and each B_i and C_i is made sparse exactly once
-    per system: compute_split makes every one, and the rank tables of
+    P^-1 B_i and C_i P, and each B_i and C_i enters exactly one product
+    per system: compute_split takes every one, and the rank tables of
     section7 and section10, in either order, none again."""
     system = dataclasses.replace(kraw3)
     factors = {id(m): m for part in (system.E_factors, system.Estar_factors)
                for x in part for m in x}
     made = []
-    of = SparseMatrix.of.__func__
+    mul = Matrix.__mul__
 
-    def counted(cls, m, n=0):
-        if id(m) in factors:
-            made.append(id(m))
-        return of(cls, m, n)
+    def counted(a, b):
+        made.extend(id(m) for m in (a, b) if id(m) in factors)
+        return mul(a, b)
 
-    monkeypatch.setattr(SparseMatrix, "of", classmethod(counted))
+    monkeypatch.setattr(Matrix, "__mul__", counted)
     compute_split(system)
     assert sorted(made) == sorted(factors)
     for check in (first, second):
@@ -184,7 +183,7 @@ def test_split_operators_formed_once(kraw3, monkeypatch):
     its maps off: T = P^-1 Q is formed once, and A* is conjugated into P
     once, for the system's frame, which the split frame shares."""
     system = dataclasses.replace(kraw3)
-    conj, mul = Frame.conj, SparseMatrix.__mul__
+    conj, mul = Frame.conj, Matrix.__mul__
     products, astar_conj = [], []
 
     def spy_mul(a, b):
@@ -197,7 +196,7 @@ def test_split_operators_formed_once(kraw3, monkeypatch):
         return conj(self, x, bases)
 
     built = spied_frames(monkeypatch)
-    monkeypatch.setattr(SparseMatrix, "__mul__", spy_mul)
+    monkeypatch.setattr(Matrix, "__mul__", spy_mul)
     monkeypatch.setattr(Frame, "conj", spy_conj)
     assert run_all_checks(system).ok
     assert len(built) == 1
@@ -214,31 +213,35 @@ def test_construct_builds_one_split_frame(monkeypatch):
     assert len(built) == 1
 
 
-def test_conj_of_a_matrix_takes_no_dense_product(kraw3, monkeypatch):
-    """Frame.conj of a full matrix is a sparse product with the bases P
-    and P^-1 held sparse, so over every check it makes no dense product;
-    only carrying back and inverting a basis do."""
+def test_conj_takes_two_products_with_the_held_bases(kraw3, monkeypatch):
+    """Frame.conj of a full matrix is two products, with the basis
+    matrices the frame holds, and over every check it is the only caller
+    that multiplies the input's A or A*."""
     system = dataclasses.replace(kraw3)
-    inside, full, dense = [], [], []
-    matmul, conj = Matrix._matmul, Frame.conj
+    inside, products, stray = [], [], []
+    mul, conj = Matrix.__mul__, Frame.conj
 
-    def spy_matmul(a, b):
-        if inside:
-            dense.append((a, b))
-        return matmul(a, b)
+    def spy_mul(a, b):
+        (inside[-1] if inside else stray).append((a, b))
+        return mul(a, b)
 
     def spy_conj(self, x, bases):
-        full.append(bases)
-        inside.append(1)
+        inside.append([])
         try:
             return conj(self, x, bases)
         finally:
-            inside.pop()
+            made = inside.pop()
+            held = (self.bases[bases[0]][1], self.bases[bases[1]][0])
+            products.append(len(made))
+            assert made[0][0] is held[0] and made[0][1] is x
+            assert made[1][1] is held[1]
 
-    monkeypatch.setattr(Matrix, "_matmul", spy_matmul)
+    monkeypatch.setattr(Matrix, "__mul__", spy_mul)
     monkeypatch.setattr(Frame, "conj", spy_conj)
     assert run_all_checks(system).ok
-    assert full and not dense
+    assert products and set(products) == {2}
+    assert not [ab for ab in stray
+                if any(m is system.A or m is system.Astar for m in ab)]
 
 
 def test_accepted_system_carries_nothing_back(kraw3, monkeypatch):
@@ -259,26 +262,34 @@ def test_accepted_system_carries_nothing_back(kraw3, monkeypatch):
     assert not carried
 
 
-def test_accepted_general_basis_takes_no_square_product(kraw3, monkeypatch):
+def test_accepted_general_basis_reads_the_input_only_through_conj(
+        kraw3, monkeypatch):
     """On a general basis, after recognition, the decompositions, the
-    Leonard data and every check of an accepted pair are sparse products
-    in the frame: no dense product of two n x n matrices is taken.  The
-    pair is kraw3 as U^-1 A U and U^-1 A* U, for U unipotent upper
-    triangular with entries above the diagonal drawn from [-2, 2]."""
+    Leonard data and every check of an accepted pair work in the frame:
+    the input's A and A* enter a product only through Frame.conj, each
+    once, and no residual is carried back.  The pair is kraw3 as
+    U^-1 A U and U^-1 A* U, for U unipotent upper triangular with entries
+    above the diagonal drawn from [-2, 2]."""
     rng, n = random.Random(3), kraw3.n
     u = Matrix(QQ, [[rng.randint(-2, 2) if i < j else int(i == j)
                      for j in range(n)] for i in range(n)])
     u_inv = inverse(u)
     system = analyze_pair(u_inv * kraw3.A * u,
                           u_inv * kraw3.Astar * u).systems[0]
-    square = []
-    matmul = Matrix._matmul
+    taken, carried = [], []
+    mul, original = Matrix.__mul__, Frame.original
 
     def spy(a, b):
-        if a.nrows == a.ncols == b.nrows == b.ncols == n:
-            square.append((a, b))
-        return matmul(a, b)
+        taken.extend(m for m in (a, b) if m is system.A or m is system.Astar)
+        return mul(a, b)
 
-    monkeypatch.setattr(Matrix, "_matmul", spy)
-    assert run_all_checks(system).ok
-    assert not square
+    def counted(self, x, bases):
+        carried.append(bases)
+        return original(self, x, bases)
+
+    monkeypatch.setattr(Matrix, "__mul__", spy)
+    monkeypatch.setattr(Frame, "original", counted)
+    assert run_all_checks(system).to_json()["ok"]
+    assert len(taken) == 2 and {id(m) for m in taken} \
+        == {id(system.A), id(system.Astar)}
+    assert not carried

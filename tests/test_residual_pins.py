@@ -32,7 +32,7 @@ from tdpair import (Matrix, TdpairError, check_descent, check_diagrams,
                     check_tridiagonal_relations, compute_rfl, compute_split,
                     inverse, is_krawtchouk_type, leonard_data)
 from tdpair import frame
-from tdpair.frame import Frame, SparseMatrix, frame_of
+from tdpair.frame import Frame, frame_of
 
 from oracles import dense_view, idempotents
 from test_check_coverage import CORRUPT_RFL, SPLIT_CASES
@@ -239,12 +239,12 @@ FRAME_OPERATORS = ("a", "astar", "f", "f_pq", "es_qp", "psi_qp",
 
 
 def sparse_rows(x):
-    """The denominator and rows of a SparseMatrix, or of each in a list:
+    """The denominator and numerators of a Matrix, or of each in a list:
     the whole of its integer form, since equal numerators over another
     denominator are another matrix."""
     if isinstance(x, list):
-        return [(m.den, m.rows) for m in x]
-    return x.den, x.rows
+        return [(m.den, m.nums) for m in x]
+    return x.den, x.nums
 
 
 def conjugated_split(system, split):
@@ -255,7 +255,7 @@ def conjugated_split(system, split):
     (p, p_inv), (q, q_inv) = frame_of(system).bases["P"], split.basis
 
     def conj(m, left, right):
-        return left * SparseMatrix.of(m) * right
+        return left * m * right
 
     return dataclasses.replace(
         split, system=system,
