@@ -1,10 +1,11 @@
 """Exact linear algebra: echelon forms, subspaces, eigenspaces, projectors.
 
-Subspaces are kept in a canonical reduced column echelon form, so two
-subspaces are equal exactly when their basis matrices are identical.
+A Subspace holds its canonical basis as a Matrix in reduced column
+echelon form, so two subspaces are equal exactly when their bases are.
 
 Kernels, eigenspaces, subspaces, solutions and inverses come from
-_int_rref, spins and summands from _int_insert, both by _clear.
+_int_rref, spins and summands from _int_insert, both by _clear; only
+charpoly computes on field scalars.
 
 Eigenvalues are roots of the characteristic polynomial on raw ints:
 over GF(p) by Cantor-Zassenhaus, over QQ by _integer_roots, whose
@@ -17,26 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (DecompositionError, DimensionError,
                      FieldMismatchError, NotDiagonalizableError,
                      SingularMatrixError)
 from .fields import Field, Scalar, is_prime
 from .matrix import Matrix, _lowest, _new, _scalar, hstack
-
-
-def _int_rows(field: Field, rows: Iterable[Sequence[Scalar]]
-              ) -> List[List[int]]:
-    """Rows of field scalars as ints: residues over GF(p); over QQ each
-    row times the lcm of its denominators, which keeps the row space."""
-    if field.char:
-        return [[x.val for x in row] for row in rows]
-    out = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
 
 
 def _numerators(m: Matrix) -> List[List[int]]:
@@ -109,18 +97,16 @@ def _int_rref(rows: List[List[int]], p: int
 
 
 class Subspace:
-    """A subspace of F^n held as a canonical column-echelon basis."""
+    """A subspace of F^n held as its canonical basis: the n x k Matrix in
+    reduced column echelon form, 1 at each of its pivots."""
 
-    __slots__ = ("field", "ambient", "basis", "pivots")
+    __slots__ = ("basis", "pivots")
 
-    def __init__(self, field: Field, ambient: int,
-                 basis_columns: Sequence[Sequence[Scalar]],
-                 pivots: Sequence[int], _trusted: bool = False):
+    def __init__(self, basis: Matrix, pivots: Sequence[int],
+                 _trusted: bool = False):
         if not _trusted:
             raise TypeError("use Subspace.from_columns")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", tuple(tuple(c) for c in basis_columns))
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", tuple(pivots))
 
     def __setattr__(self, name, value):
@@ -133,19 +119,17 @@ class Subspace:
     def from_columns(cls, field: Field, ambient: int,
                      columns: Sequence[Sequence]) -> "Subspace":
         rows = [[field.coerce(x) for x in col] for col in columns]
-        for row in rows:
-            if len(row) != ambient:
-                raise DimensionError("column length does not match ambient")
-        den, rows, pivots = _int_rref(_int_rows(field, rows), field.char)
-        return cls(field, ambient, [[_scalar(field, x, den) for x in row]
-                                   for row in rows], pivots, _trusted=True)
+        if any(len(row) != ambient for row in rows):
+            raise DimensionError("column length does not match ambient")
+        return _span(field, ambient, _numerators(Matrix(field, rows))
+                     if rows and ambient else [])
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+    field = property(lambda self: self.basis.field)
+    ambient = property(lambda self: self.basis.nrows)
+    dim = property(lambda self: self.basis.ncols)
 
     def basis_columns(self) -> List[Tuple[Scalar, ...]]:
-        return [tuple(col) for col in self.basis]
+        return self.basis.columns()
 
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field:
@@ -156,14 +140,32 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (self.field == other.field and self.ambient == other.ambient
-                and self.basis == other.basis)
+        return self.basis == other.basis
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.basis))
+        return hash(self.basis)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
+
+
+def _subspace(field: Field, n: int, den: int, vecs: List[List[int]],
+              pivots: Sequence[int]) -> Subspace:
+    """The Subspace whose canonical basis is the nonzero int vectors vecs
+    of length n over den, den at each one's pivot: residues over GF(p),
+    where den is 1.  Read off _int_rref over QQ, they are in lowest terms:
+    for each prime q dividing den, the reduced row whose pivot q divides
+    most is primitive and scaled by a factor prime to q, so it has an
+    entry prime to q off the pivots."""
+    rows = {j: {i: x for i, x in enumerate(vec) if x}
+            for j, vec in enumerate(vecs)}
+    return Subspace(_new(field, len(vecs), n, rows, den).transpose(), pivots,
+                    _trusted=True)
+
+
+def _span(field: Field, n: int, rows: List[List[int]]) -> Subspace:
+    """The canonical Subspace of F^n spanned by int rows of length n."""
+    return _subspace(field, n, *_int_rref(rows, field.char))
 
 
 def _int_kernel(field: Field, n: int, rows: List[List[int]]
@@ -173,22 +175,22 @@ def _int_kernel(field: Field, n: int, rows: List[List[int]]
 
     Eliminated by _int_rref with their columns reversed, each reduced row
     is 0 right of its pivot column and at the other pivots, and D at its
-    pivot.  The kernel vector of a free column f is then 1 at f and
-    -row[f] / D at the pivot column of each row, all right of f: these
-    are already the canonical basis, with the free columns as pivots."""
-    den, rows, pivots = _int_rref([row[::-1] for row in rows], field.char)
-    pivot_rows = {n - 1 - p: row[::-1] for p, row in zip(pivots, rows)}
+    pivot.  The kernel vector of a free column f is then D at f and
+    -row[f] at the pivot column of each row, all right of f, over D:
+    these are already the canonical basis, with the free columns as
+    pivots."""
+    p = field.char
+    den, rows, pivots = _int_rref([row[::-1] for row in rows], p)
+    pivot_rows = {n - 1 - c: row[::-1] for c, row in zip(pivots, rows)}
     free = [c for c in range(n) if c not in pivot_rows]
-    zero, one = field.zero, field.one
     basis = []
     for f in free:
-        vec = [zero] * n
-        vec[f] = one
-        for p, row in pivot_rows.items():
-            if row[f]:
-                vec[p] = _scalar(field, -row[f], den)
+        vec = [0] * n
+        vec[f] = den
+        for c, row in pivot_rows.items():
+            vec[c] = -row[f] % p if p else -row[f]
         basis.append(vec)
-    return len(pivots), Subspace(field, n, basis, free, _trusted=True)
+    return len(pivots), _subspace(field, n, den, basis, free)
 
 
 def rank_kernel(m: Matrix) -> Tuple[int, Subspace]:
@@ -478,9 +480,9 @@ def eigenvalues_in_field(m: Matrix) -> EigenData:
     D = 1 and read residues.  The candidates are r / D for the roots r in
     the field of the characteristic polynomial of D m, monic with integer
     coefficients: over GF(p) from _roots_mod_p, over QQ from
-    _integer_roots on those coefficients.  Each is confirmed by the kernel of the int rows of D m with r
-    subtracted on the diagonal, that of m - (r / D) I.  Results are
-    sorted by the field's canonical scalar order.
+    _integer_roots.  Each is confirmed by the kernel of the int rows of
+    D m with r subtracted on the diagonal, that of m - (r / D) I.  Results
+    are sorted by the field's canonical scalar order.
     """
     m._require_square()
     n, field, p = m.nrows, m.field, m.field.char
@@ -544,23 +546,21 @@ def direct_sum(parts: Sequence[Subspace]) -> Tuple[Matrix, Matrix, list]:
     sum that is not direct, and DecompositionError is raised."""
     if not parts:
         raise DecompositionError("no summands given")
-    field, ambient = parts[0].field, parts[0].ambient
+    ambient = parts[0].ambient
     for part in parts:
         part._check_compatible(parts[0])
-    cols = [col for part in parts for col in part.basis]
-    if len(cols) != ambient:
+    basis = hstack([part.basis for part in parts])
+    if basis.ncols != ambient:
         raise DecompositionError(
-            f"summand dimensions total {len(cols)}, ambient is {ambient}")
-    basis = Matrix.from_columns(field, cols)
+            f"summand dimensions total {basis.ncols}, ambient is {ambient}")
     try:
         binv = inverse(basis)
     except SingularMatrixError as exc:
         raise DecompositionError("sum of subspaces is not direct") from exc
     ends = list(accumulate(part.dim for part in parts))
-    cols = basis.transpose()
     return basis, binv, [
-        (_row_block(cols, lo, hi).transpose(), _row_block(binv, lo, hi))
-        if hi > lo else None for lo, hi in zip([0] + ends, ends)]
+        (part.basis, _row_block(binv, lo, hi)) if hi > lo else None
+        for part, lo, hi in zip(parts, [0] + ends, ends)]
 
 
 def _row_block(m: Matrix, lo: int, hi: int) -> Matrix:

@@ -11,10 +11,10 @@ from typing import Dict, List, Tuple
 
 from .errors import InternalInconsistencyError
 from .frame import Frame, frame_of
-from .linalg import Subspace, _int_insert, direct_sum
+from .linalg import Subspace, _int_insert, _span, direct_sum
 from .matrix import Matrix, _new
 from .results import RankEntry, RankTable, Residual
-from .systems import TridiagonalSystem
+from .systems import TridiagonalSystem, _act
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,9 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
             raise InternalInconsistencyError(
                 f"summand {i} has dimension {len(cols[i])}, "
                 f"expected {sys.shape[i]}")
+    # U_i is the column space of P T_i, for T_i those columns
     p = fr.bases["P"][0]
-    summands = [Subspace.from_columns(field, n, (
-        p * Matrix.from_columns(field, c)).columns() if c else [])
-        for c in cols]
+    summands = [_span(field, n, [_act(p, col) for col in c]) for c in cols]
 
     q, q_inv, _ = direct_sum(summands)
     block = [i for i, s in enumerate(summands) for _ in range(s.dim)]

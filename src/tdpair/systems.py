@@ -16,8 +16,8 @@ from .errors import (ContradictionError, FieldMismatchError,
                      InternalInconsistencyError, MalformedInputError)
 from .fields import Field, PrimeField, Scalar
 from .frame import frame_of
-from .linalg import (Subspace, _int_insert, _int_kernel, _int_rows,
-                     charpoly, direct_sum, eigenvalues_in_field,
+from .linalg import (Subspace, _int_insert, _int_kernel, _numerators,
+                     _span, charpoly, direct_sum, eigenvalues_in_field,
                      irreducible_mod_p)
 from .matrix import Matrix, commutator, hstack
 from .results import Residual
@@ -192,10 +192,11 @@ def _act(m: Matrix, vec: List[int]) -> List[int]:
     return [x % p for x in out] if p else out
 
 
-def _spin(gens: Sequence[Matrix], seeds: Iterable[Sequence[Scalar]]
+def _spin(gens: Sequence[Matrix], seeds: Iterable[List[int]]
           ) -> Dict[int, List[int]]:
     """Echelon int rows (_int_insert), keyed by pivot, of the smallest
-    subspace that contains the seeds and is invariant under gens.
+    subspace that contains the seeds, int rows (residues over GF(p)), and
+    is invariant under gens.
 
     A seed of length k n stands for k columns of length n stacked, each
     generator acting on every column: so the same spin runs on vectors and
@@ -204,7 +205,7 @@ def _spin(gens: Sequence[Matrix], seeds: Iterable[Sequence[Scalar]]
     """
     field = gens[0].field
     rows: Dict[int, List[int]] = {}
-    queue = [seed for seed in _int_rows(field, seeds)
+    queue = [seed for seed in seeds
              if _int_insert(rows, seed, field.char) is not None]
     width = len(queue[0]) if queue else 0
     while queue and len(rows) < width:
@@ -240,10 +241,8 @@ def _witness(field: Field, rows: Dict[int, List[int]], n: int,
     None when they span everything."""
     if len(rows) == n:
         return None
-    if dual:
-        space = _int_kernel(field, n, list(rows.values()))[1]
-    else:
-        space = Subspace.from_columns(field, n, rows.values())
+    vecs = list(rows.values())
+    space = _int_kernel(field, n, vecs)[1] if dual else _span(field, n, vecs)
     return Rejection(REASON_REDUCIBLE,
                      f"a common invariant subspace of dimension {space.dim} "
                      "exists", space)
@@ -279,13 +278,14 @@ def _condensed_verdict(gens: Tuple[Matrix, Matrix], b: Matrix, c: Matrix
     pair absolutely irreducible and so sharp.
     """
     field, n, rho = b.field, b.nrows, b.ncols
+    cols = _numerators(b.transpose())
     # T B, as n x rho matrices, and S spanned by C times them
-    blocks = _spin(gens, [[x for col in b.columns() for x in col]])
+    blocks = _spin(gens, [[x for col in cols for x in col]])
     elements: Dict[int, List[int]] = {}
     for vec in blocks.values():
         _int_insert(elements, _act(c, vec), field.char)
     if len(elements) == 1:
-        return _witness(field, _spin(gens, [b.column(0)]), n)
+        return _witness(field, _spin(gens, cols[:1]), n)
     ident = Matrix.identity(field, rho)
     for piv, flat in elements.items():
         # the columns of C X stacked; s is 1 at its pivot, as the order of
@@ -300,8 +300,8 @@ def _condensed_verdict(gens: Tuple[Matrix, Matrix], b: Matrix, c: Matrix
         if not pairs and (rho <= 3 or _has_irreducible_charpoly(s)):
             return None
         for _, space in pairs:
-            for x in space.basis:
-                found = _witness(field, _spin(gens, [b.apply(x)]), n)
+            for col in _numerators((b * space.basis).transpose()):
+                found = _witness(field, _spin(gens, [col]), n)
                 if found:
                     return found
     primes = ", ".join(str(p) for p in _CERTIFYING_PRIMES)
@@ -326,8 +326,8 @@ def _irreducibility(fam: "_Family", fam_star: "_Family"
     gens = (fam.m, fam_star.m)
     duals = (fam.m.transpose(), fam_star.m.transpose())
     b, c = min(fam.factors + fam_star.factors, key=lambda f: f[0].ncols)
-    found = (_witness(field, _spin(gens, b.columns()), n)
-             or _witness(field, _spin(duals, c.rows), n, dual=True))
+    found = (_witness(field, _spin(gens, _numerators(b.transpose())), n)
+             or _witness(field, _spin(duals, _numerators(c)), n, dual=True))
     if found or b.ncols == 1:
         return found
     return _condensed_verdict(gens, b, c)
@@ -435,9 +435,9 @@ def analyze_pair(a: Matrix, astar: Matrix) -> PairAnalysis:
         adj = _adjacency(family.nonzero)
         reached = _reached(adj)
         if len(reached) < len(adj):
-            witness = Subspace.from_columns(
-                field, n, [col for i in reached
-                           for col in family.factors[i][0].columns()])
+            witness = _span(field, n, [
+                col for i in reached
+                for col in _numerators(family.factors[i][0].transpose())])
             return PairAnalysis((), Rejection(
                 REASON_REDUCIBLE,
                 f"the {label} matrix's eigenspace graph is disconnected; "

@@ -50,8 +50,11 @@ at rank 3 and 4.  Runs `construct`,
 the conjugated pairs only verified and reported, and on each accepted
 benchmark input also
 `verify --checks master,section11`, which takes the subset path of the
-check suite; once with BASE's `src` on the path and once with this
-tree's.  Exits 1 when any run differs in standard
+check suite.  For each of the fourteen inputs rejected as reducible it
+also records, as a run of its own, the reason, the detail and the basis
+columns of the witness that `analyze_pair` returns, which no command
+prints.  All of this once with BASE's `src` on the path and once with
+this tree's.  Exits 1 when any run differs in standard
 output, standard error or exit code, and prints for each run that differs
 its argv, both exit codes and the first differing line of standard output
 or standard error.  pytest does not collect this file.
@@ -144,6 +147,22 @@ def restricted(label, prime, d, m, k, reason=None):
     return Case(label, prime, a, astar, [], [], reason=reason)
 
 
+def witness_run(name, case) -> list:
+    """A run record [argv, 0, stdout, ""] whose stdout holds the reason
+    and detail of analyze_pair's rejection of the case, then each basis
+    column of its witness on a line."""
+    from exact import texts
+    from tdpair import Matrix, PrimeField, QQ, analyze_pair
+    field = QQ if case.prime is None else PrimeField(case.prime)
+    rejection = analyze_pair(
+        *(Matrix(field, [texts(row, case.prime) for row in m])
+          for m in (case.a, case.astar))).rejection
+    lines = [rejection.reason, rejection.detail] + [
+        " ".join(field.to_text(x) for x in col)
+        for col in rejection.witness.basis_columns()]
+    return [["witness", name], 0, "".join(x + "\n" for x in lines), ""]
+
+
 def emit(tree: str) -> None:
     """Run every command with tree's `src` first on the path and print
     one JSON record per run."""
@@ -213,6 +232,8 @@ def emit(tree: str) -> None:
             if name in accepted:
                 argv = ["verify", path, "--checks", "master,section11"]
                 runs.append([argv, *_call(cli, argv)])
+            if case.reason == REDUCIBLE:
+                runs.append(witness_run(name, case))
         os.chdir(ROOT)
     json.dump(runs, sys.stdout)
 

@@ -201,14 +201,17 @@ def rank(m: Matrix) -> int:
 
 
 def column_space(m: Matrix) -> Subspace:
-    """The column space of m, from _rref of its columns."""
+    """The column space of m, from _rref of its columns, as the matrix
+    literal of those rows as columns."""
     rows, pivots = _rref(m.columns())
-    return Subspace(m.field, m.nrows, rows, pivots, _trusted=True)
+    basis = (Matrix.from_columns(m.field, rows) if rows
+             else Matrix.zeros(m.field, m.nrows, 0))
+    return Subspace(basis, pivots, _trusted=True)
 
 
 def basis_matrix(space: Subspace) -> Matrix:
     """The basis of a nonzero subspace as the columns of a matrix."""
-    return Matrix.from_columns(space.field, space.basis)
+    return space.basis
 
 
 def projectors_from_direct_sum(parts: Sequence[Subspace]) -> List[Matrix]:

@@ -12,8 +12,9 @@ def zero(field, ambient: int) -> Subspace:
 
 def contains(space: Subspace, vec) -> bool:
     """Whether vec lies in space: adding it leaves the dimension alone."""
-    return Subspace.from_columns(space.field, space.ambient,
-                                 list(space.basis) + [vec]).dim == space.dim
+    return Subspace.from_columns(
+        space.field, space.ambient,
+        space.basis_columns() + [vec]).dim == space.dim
 
 
 def full(field, ambient: int) -> Subspace:
@@ -23,13 +24,13 @@ def full(field, ambient: int) -> Subspace:
 
 def is_subspace_of(a: Subspace, b: Subspace) -> bool:
     a._check_compatible(b)
-    return all(contains(b, col) for col in a.basis)
+    return all(contains(b, col) for col in a.basis_columns())
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     a._check_compatible(b)
     return Subspace.from_columns(a.field, a.ambient,
-                                 list(a.basis) + list(b.basis))
+                                 a.basis_columns() + b.basis_columns())
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -37,13 +38,15 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     a._check_compatible(b)
     if a.dim == 0 or b.dim == 0:
         return zero(a.field, a.ambient)
+    a_cols = a.basis_columns()
     stacked = Matrix.from_columns(
-        a.field, list(a.basis) + [tuple(-x for x in col) for col in b.basis])
+        a.field, a_cols + [tuple(-x for x in col)
+                           for col in b.basis_columns()])
     _, ker = rank_kernel(stacked)
     members = []
-    for col in ker.basis:
+    for col in ker.basis_columns():
         vec = [a.field.zero] * a.ambient
-        for c, bcol in zip(col[:a.dim], a.basis):
+        for c, bcol in zip(col[:a.dim], a_cols):
             if c:
                 vec = [v + c * x for v, x in zip(vec, bcol)]
         members.append(vec)

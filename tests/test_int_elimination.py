@@ -15,8 +15,8 @@ from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ,
                     inverse, rank_kernel, solve_right)
 from tdpair import linalg
 from tdpair.fields import Fp
-from tdpair.linalg import _int_insert, _int_rows, _int_rref
-from tdpair.systems import _spin
+from tdpair.linalg import _int_insert, _int_rref, _numerators
+from tdpair.systems import _Family, _irreducibility, _spin
 
 from oracles import _insert, _rref, rank
 
@@ -89,7 +89,7 @@ def test_int_rref_matches_oracle(m):
     """The rows over D are the reduced row echelon form, with the same
     pivots."""
     field = m.field
-    den, rows, pivots = _int_rref(_int_rows(field, m.rows), field.char)
+    den, rows, pivots = _int_rref(_numerators(m), field.char)
     want_rows, want_pivots = _rref(m.rows)
     assert pivots == want_pivots
     assert scalars(field, den, rows) == want_rows
@@ -102,7 +102,7 @@ def test_rank_kernel_matches_oracle(m):
     rk, ker = rank_kernel(m)
     want_rank, want_basis, want_pivots = oracle_kernel(m)
     assert rk == want_rank
-    assert [list(c) for c in ker.basis] == want_basis
+    assert [list(c) for c in ker.basis_columns()] == want_basis
     assert list(ker.pivots) == want_pivots
 
 
@@ -112,7 +112,7 @@ def test_subspace_from_columns_matches_oracle(m):
     """The columns given are m's rows."""
     space = Subspace.from_columns(m.field, m.ncols, m.rows)
     want_rows, want_pivots = _rref(m.rows)
-    assert [list(c) for c in space.basis] == want_rows
+    assert [list(c) for c in space.basis_columns()] == want_rows
     assert list(space.pivots) == want_pivots
 
 
@@ -232,7 +232,8 @@ def test_int_insert_matches_oracle(case):
     field, vecs = case
     got, want = {}, {}
     for vec in vecs:
-        row = _int_insert(got, _int_rows(field, [vec])[0], field.char)
+        row = _int_insert(got, _numerators(Matrix(field, [vec]))[0],
+                          field.char)
         assert (row is None) == (_insert(want, vec) is None)
     assert list(got) == list(want)
     for piv, row in got.items():
@@ -309,21 +310,38 @@ def test_integer_kernels_take_no_field_scalar_reduction(monkeypatch):
 
 
 def test_spin_makes_no_fraction_arithmetic(monkeypatch):
-    """Over QQ, _spin reads its seeds and generators as int rows, from
-    numerators and denominators, and then makes no Fraction arithmetic,
-    for a vector and for two columns stacked.  The pair is QQ Krawtchouk
-    d = 3 conjugated as in kernel_inputs, so every seed has denominators
-    to clear, and irreducible, so a vector spins to the whole space."""
+    """Over QQ, _spin takes its seeds as int rows, read here from the
+    numerators of the generators, and makes no Fraction arithmetic, for
+    a vector and for two columns stacked; and the whole irreducibility
+    test, given the families recognition builds, constructs no Fraction.
+    The pair is QQ Krawtchouk d = 3 conjugated as in kernel_inputs, so
+    every seed has denominators to clear, and irreducible, so a vector
+    spins to the whole space."""
     system, _ = construct_krawtchouk(
         KrawtchoukParams(field=QQ, d=3, p=Fraction(1, 3)))
     u = Matrix(QQ, [[1, 2, -1, 1], [0, 1, 1, -2], [0, 0, 1, 2],
                     [0, 0, 0, 1]])
     gens = (inverse(u) * system.A * u, inverse(u) * system.Astar * u)
-    seeds = [gens[0].column(0), gens[0].column(0) + gens[1].column(1)]
+    cols = [_numerators(g.transpose()) for g in gens]
+    seeds = [cols[0][0], cols[0][0] + cols[1][1]]
+    families = []
+    for m, other in (gens, gens[::-1]):
+        pairs = linalg.eigenvalues_in_field(m).pairs
+        families.append(_Family(m, linalg.direct_sum([s for _, s in pairs])[2],
+                                [lam for lam, _ in pairs], other))
     calls = spy_scalar_operators(monkeypatch, (Fraction,))
+    made, new = [], Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
     vector, stacked = (_spin(gens, [seed]) for seed in seeds)
+    verdict = _irreducibility(*families)
     monkeypatch.undo()
-    assert calls == []
+    assert calls == [] and made == []
+    assert verdict is None
     assert len(vector) == 4 and 4 <= len(stacked) <= 8
     assert all(type(x) is int for rows in (vector, stacked)
                for row in rows.values() for x in row)

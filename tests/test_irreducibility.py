@@ -16,8 +16,9 @@ from fractions import Fraction
 import pytest
 
 from tdpair import (MalformedInputError, Matrix, PrimeField, QQ,
-                    REASON_REDUCIBLE, REASON_UNDETERMINED, analyze_pair,
-                    eigenvalues_in_field, generated_algebra_dimension,
+                    REASON_REDUCIBLE, REASON_UNDETERMINED, Subspace,
+                    analyze_pair, eigenvalues_in_field,
+                    generated_algebra_dimension,
                     inverse, run_all_checks, system_to_json, systems)
 from tdpair.linalg import direct_sum
 from tdpair.systems import _condensed_verdict, _Family, _irreducibility
@@ -29,10 +30,13 @@ from test_rejections import (direct_sum_pair, equal_tensor_pair,
 
 
 def assert_witness(a, astar, rejection):
-    """The witness is a nonzero proper subspace invariant under both."""
+    """The witness is a nonzero proper subspace invariant under both, in
+    the canonical form that == and hash read."""
     assert rejection.reason == REASON_REDUCIBLE
     w = rejection.witness
     assert 0 < w.dim < a.nrows
+    again = Subspace.from_columns(w.field, w.ambient, w.basis_columns())
+    assert w == again and hash(w) == hash(again)
     for col in w.basis_columns():
         assert contains(w, a.apply(col))
         assert contains(w, astar.apply(col))
@@ -391,9 +395,8 @@ def test_spin_of_the_algebra_stays_polynomial(monkeypatch):
         return insert(rows, vec, p)
 
     monkeypatch.setattr(systems, "_int_insert", bounded)
-    ident = Matrix.identity(QQ, 6)
     rows = systems._spin((a, p * a * inverse(p)),
-                         [[x for col in ident.columns() for x in col]])
+                         [[int(i == j) for i in range(6) for j in range(6)]])
     assert len(rows) == 36
     assert max(abs(x) for row in rows.values()
                for x in row).bit_length() < 80

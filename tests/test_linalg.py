@@ -14,7 +14,7 @@ from tdpair.linalg import (_integer_roots, _poly_divmod, _square_free,
                            charpoly, irreducible_mod_p)
 
 from oracles import (FactorialInversionError, NotNilpotentError, _rref,
-                     nilpotency_index, nilpotent_exp_scaled,
+                     column_space, nilpotency_index, nilpotent_exp_scaled,
                      projectors_from_direct_sum, rank, rational_roots,
                      square_free_part)
 from subspaces import (contains, full, is_subspace_of, subspace_intersect,
@@ -53,6 +53,8 @@ def test_subspace_is_immutable():
             delattr(s, name)
     assert s == Subspace.from_columns(QQ, 3, [(1, 0, 1), (0, 1, 1)])
     assert s.pivots == (0, 1)
+    with pytest.raises(TypeError):
+        Subspace(s.basis, s.pivots)
 
 
 def test_subspace_contains():
@@ -253,6 +255,8 @@ def test_eigenvalues_match_field_scan(m):
     expected = scanned_eigenpairs(m)
     assert list(data.pairs) == expected
     assert data.diagonalizable == (sum(k.dim for _, k in expected) == m.nrows)
+    for _, space in data.pairs:
+        assert space == column_space(space.basis)
 
 
 large_rationals = st.builds(Fraction,
@@ -292,6 +296,12 @@ def test_eigenvalues_of_conjugated_rational_diagonal(data):
     assert result.diagonalizable
     expected = sorted(zip(values, mults))
     assert [(lam, space.dim) for lam, space in result.pairs] == expected
+    # m u_i = u D e_i: the columns of u for lam span its eigenspace
+    cols = u.columns()
+    for lam, space in result.pairs:
+        assert space == Subspace.from_columns(
+            QQ, len(diag), [c for c, x in zip(cols, diag) if x == lam])
+        assert space == column_space(space.basis)
 
 
 def test_large_rational_eigenvalues_in_time():

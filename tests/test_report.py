@@ -10,7 +10,7 @@ from tdpair import (CHECK_IDS, KrawtchoukParams, MalformedInputError,
                     Matrix, QQ, Subspace, analyze_pair,
                     compute_relation_parameters, compute_split,
                     construct_krawtchouk, inverse, run_all_checks)
-from tdpair import frame, linalg
+from tdpair import frame, linalg, split
 from tdpair.frame import Frame
 
 from oracles import analyze_tensor_sum, result_for
@@ -115,28 +115,34 @@ def test_skipped_entry_carries_reason(multiplicity_system):
 def test_each_idempotent_factored_once(kraw3, monkeypatch):
     """All checks on a fresh system factor no E_i or E*_i, since the
     system holds the factors recognition found: the only subspaces formed
-    from columns are the d + 1 summands of the split.  They invert the
-    split's stacked summand bases Q once: the split's frame and
-    leonard_data read Q and Q^-1 off the split."""
+    from spanning vectors are the d + 1 summands of the split, and none
+    from columns.  They invert the split's stacked summand bases Q once:
+    the split's frame and leonard_data read Q and Q^-1 off the split."""
     system = dataclasses.replace(kraw3)
-    spaces, inverted = [], []
-    from_columns = Subspace.from_columns.__func__
+    spaces, columns, inverted = [], [], []
+    span, from_columns = split._span, Subspace.from_columns.__func__
 
-    def counted(cls, field, ambient, columns):
-        spaces.append(columns)
-        return from_columns(cls, field, ambient, columns)
+    def counted(field, n, rows):
+        spaces.append(rows)
+        return span(field, n, rows)
+
+    def counted_columns(cls, field, ambient, cols):
+        columns.append(cols)
+        return from_columns(cls, field, ambient, cols)
 
     def counted_inverse(m):
         inverted.append(m)
         return inverse(m)
 
     q = Matrix.from_columns(system.field, [
-        c for s in compute_split(kraw3).summands for c in s.basis])
-    monkeypatch.setattr(Subspace, "from_columns", classmethod(counted))
+        c for s in compute_split(kraw3).summands for c in s.basis_columns()])
+    monkeypatch.setattr(split, "_span", counted)
+    monkeypatch.setattr(Subspace, "from_columns",
+                        classmethod(counted_columns))
     for module in (linalg, frame):
         monkeypatch.setattr(module, "inverse", counted_inverse)
     assert run_all_checks(system).ok
-    assert len(spaces) == system.d + 1
+    assert len(spaces) == system.d + 1 and not columns
     assert sum(m == q for m in inverted) == 1
 
 

@@ -617,7 +617,7 @@ def constructor_digest(system, corruption):
         out.append(type(exc).__name__)
     else:
         split = dense_view(split)
-        out += [[list(map(str, col)) for col in s.basis]
+        out += [[list(map(str, col)) for col in s.basis_columns()]
                 for s in split.summands]
         out += [entries(m) for m in (*split.projectors, split.raising,
                                      split.lowering, split.transition,

@@ -10,7 +10,7 @@ from tdpair import (ContradictionError, MalformedInputError, Matrix,
                     check_tridiagonal_relations, compute_relation_parameters,
                     construct_leonard, generated_algebra_dimension,
                     matrix_from_json, run_all_checks, system_to_json)
-from tdpair import linalg
+from tdpair import linalg, systems
 from tdpair.systems import _spin
 
 from oracles import (RELATIVE_KEYS, compute_shape, idempotents,
@@ -71,14 +71,15 @@ def test_recognition_factors_each_idempotent_once(name, monkeypatch):
     (linalg._int_kernel, which rank_kernel wraps too), and every
     root of the characteristic polynomial of a diagonalizable matrix is
     an eigenvalue; each family's factors come from the direct sum of
-    those kernels, so no subspace is formed from columns.  They are
-    exactly the rank factorizations of the idempotents, which keeps the
-    output the same as factoring each idempotent.  Each system holds
-    these factors, so its relatives and the system read back from its
-    JSON form no subspace from columns either."""
+    those kernels, so no subspace is formed from columns or spanning
+    vectors.  They are exactly the rank factorizations of the
+    idempotents, which keeps the output the same as factoring each
+    idempotent.  Each system holds these factors, so its relatives and
+    the system read back from its JSON form no subspace from columns or
+    spanning vectors either."""
     system = SYSTEMS[name]()
     kernels, spaces = [], []
-    int_kernel = linalg._int_kernel
+    int_kernel, span = linalg._int_kernel, systems._span
     from_columns = Subspace.from_columns.__func__
 
     def counted_kernel(field, n, rows):
@@ -89,8 +90,13 @@ def test_recognition_factors_each_idempotent_once(name, monkeypatch):
         spaces.append(columns)
         return from_columns(cls, field, ambient, columns)
 
+    def counted_span(field, n, rows):
+        spaces.append(rows)
+        return span(field, n, rows)
+
     monkeypatch.setattr(linalg, "_int_kernel", counted_kernel)
     monkeypatch.setattr(Subspace, "from_columns", classmethod(counted_space))
+    monkeypatch.setattr(systems, "_span", counted_span)
     analysis = analyze_pair(system.A, system.Astar)
     assert analysis.rejection is None
     assert len(kernels) == 2 * (system.d + 1)
@@ -214,8 +220,7 @@ def test_spin_and_exact_closure():
     a, astar = pair_d2()
     two = Matrix.identity(QQ, 2)
     big_a, big_astar = two.kron(a), two.kron(astar)
-    rows = _spin((big_a, big_astar), [[QQ.coerce(x)
-                                       for x in (1, 0, 0, 1, 0, 0)]])
+    rows = _spin((big_a, big_astar), [[1, 0, 0, 1, 0, 0]])
     w = Subspace.from_columns(QQ, 6, rows.values())
     assert w.dim == 3
     for col in w.basis_columns():
