@@ -4,8 +4,8 @@ A Subspace holds its canonical basis as a Matrix in reduced column
 echelon form, so two subspaces are equal exactly when their bases are.
 
 Kernels, eigenspaces, subspaces, solutions and inverses come from
-_int_rref, spins and summands from _int_insert, both by _clear; only
-charpoly computes on field scalars.
+_int_rref, spins, summands and Matrix.rank from _int_insert, both by
+_clear; only charpoly computes on field scalars.
 
 Eigenvalues are roots of the characteristic polynomial on raw ints:
 over GF(p) by Cantor-Zassenhaus, over QQ by _integer_roots, whose

@@ -4,10 +4,13 @@ A Matrix keeps only its nonzero entries, by row: nums[i][j] / den is the
 entry at (i, j), and a row with none is absent.  Over QQ the numerators
 are over one den > 0 for the whole matrix, in lowest terms; over GF(p)
 they are residues in [1, p), and den is 1, as it is for the zero matrix.
-The form is canonical, so equal matrices have equal forms.  A product
+The form is canonical, so equal matrices have equal forms.  No row dict
+is mutated once a Matrix holds it, so matrices may share one: a product
+whose left row is one entry 1 holds the right row itself.  A product
 sums each entry unreduced and reduces it once.  Every sum, difference
 and scaling is one linear combination, which brings its terms to one
-common denominator, accumulates them unreduced and reduces once.  Field
+common denominator, accumulates them unreduced and reduces once.  Over
+QQ a row is filtered for zeros only when one of its sums cancelled.  Field
 scalars appear only at the boundary: literals, rows, entries, the trace
 and the coefficients of a combination.  Only linalg.charpoly computes on
 field scalars.
@@ -128,13 +131,13 @@ class Matrix:
                        self.den)
 
     def rank(self) -> int:
-        """The rank of the nonzero rows restricted to the nonzero
-        columns, read from the numerators, since den changes no rank."""
-        from .linalg import _int_rref   # linalg imports this module
-        cols = sorted({j for row in self.nums.values() for j in row})
-        return len(_int_rref([[row.get(j, 0) for j in cols]
-                              for row in self.nums.values()],
-                             self.field.char)[2])
+        """The number of nonzero rows, restricted to the nonzero columns,
+        that grow an echelon (linalg._int_insert); den changes no rank."""
+        from .linalg import _int_insert   # linalg imports this module
+        cols, echelon = sorted({j for r in self.nums.values() for j in r}), {}
+        return sum(_int_insert(echelon, [row.get(j, 0) for j in cols],
+                               self.field.char) is not None
+                   for row in self.nums.values())
 
     def _require_square(self):
         if self.nrows != self.ncols:
@@ -151,36 +154,47 @@ class Matrix:
 
     def combination(self, terms) -> "Matrix":
         """self plus c x for each pair (c, x) of terms, c a field scalar
-        and x of self's field and shape: every coefficient is coerced,
-        every term is scaled to one common denominator over QQ, or taken
-        mod p over GF(p), the sum accumulates unreduced and is reduced
-        once, and an entry is dropped only when its sum is zero."""
+        and x of self's field and shape: every coefficient but an int is
+        coerced, a lone term of coefficient 1 is the result, every term
+        is scaled to one common denominator over QQ, or taken mod p over
+        GF(p), the sum accumulates unreduced and is reduced once, and an
+        entry is dropped only when its sum is zero."""
         field, nrows, ncols = self.field, self.nrows, self.ncols
         p, coerce = field.char, field.coerce
-        live = [(field.one, self)] if self.nums else []
+        live = [(1, self)] if self.nums else []
         for c, x in terms:
-            k = coerce(c)
+            if type(c) is not int:   # an int is exact in every field
+                c = coerce(c).val if p else coerce(c)
             if x.field is not field:
                 self._require_same_field(x)
             if x.nrows != nrows or x.ncols != ncols:
                 raise DimensionError("shape mismatch in matrix combination")
-            if k and x.nums:
-                live.append((k, x))
+            if c and x.nums:
+                live.append((c, x))
+        if len(live) == 1 and live[0][0] == 1:
+            return live[0][1]
         den = 1 if p else math.lcm(*(c.denominator * x.den
                                      for c, x in live))
         acc: Dict[int, Dict[int, int]] = {}
         for c, x in live:
-            c = c.val if p else c.numerator * (den // (c.denominator * x.den))
+            if not p:
+                c = c.numerator * (den // (c.denominator * x.den))
             for i, row in x.nums.items():
-                out = acc.setdefault(i, {})
+                if i not in acc:
+                    acc[i] = {j: c * v for j, v in row.items()}
+                    continue
+                out = acc[i]
                 for j, v in row.items():
-                    out[j] = out.get(j, 0) + c * v
+                    out[j] = out[j] + c * v if j in out else c * v
         rows = {}
         for i, row in acc.items():
-            out = {j: y for j, v in row.items() if (y := v % p if p else v)}
-            if out:
-                rows[i] = out
-        return _lowest(field, nrows, ncols, rows, den)
+            if p:
+                row = {j: y for j, v in row.items() if (y := v % p)}
+            elif 0 in row.values():
+                row = {j: v for j, v in row.items() if v}
+            if row:
+                rows[i] = row
+        return (_new if den == 1 else _lowest)(field, nrows, ncols, rows, den)
 
     def _sum(self, other, sign: int, what: str):
         if not isinstance(other, Matrix):
@@ -216,16 +230,25 @@ class Matrix:
             raise DimensionError("inner dimensions do not match")
         p, rows, right = self.field.char, {}, other.nums
         for i, row in self.nums.items():
+            if len(row) == 1:   # a scaled copy of one right row
+                (k, a), = row.items()
+                if k in right:
+                    rows[i] = right[k] if a == 1 else \
+                        {j: a * b % p if p else a * b
+                         for j, b in right[k].items()}
+                continue
             acc: Dict[int, int] = {}
             for k, a in row.items():
                 for j, b in right.get(k, _NONE).items():
                     acc[j] = acc[j] + a * b if j in acc else a * b
             out = {j: y for j, x in acc.items() if (y := x % p)} if p \
-                else {j: x for j, x in acc.items() if x}
+                else {j: x for j, x in acc.items() if x} \
+                if 0 in acc.values() else acc
             if out:
                 rows[i] = out
-        return _lowest(self.field, self.nrows, other.ncols, rows,
-                       self.den * other.den)
+        den = self.den * other.den
+        return (_new if den == 1 else _lowest)(self.field, self.nrows,
+                                               other.ncols, rows, den)
 
     __rmul__ = __mul__
 

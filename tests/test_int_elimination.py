@@ -135,12 +135,16 @@ def test_solve_right_matches_oracle(m, data):
     assert list(x) == want
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_sparse_rank_matches_oracle(m):
     """Matrix.rank, read from the nonzero rows and columns of the int
-    form, on square and thin matrices."""
-    assert m.rank() == rank(m)
+    form, on square and thin matrices of drawn rank, their transposes and
+    their rows stacked twice, so that half the rows lie in the span of
+    those before them: the oracle's rank and rank_kernel's."""
+    stacked = Matrix(m.field, m.rows + m.rows)
+    for x in (m, m.transpose(), stacked):
+        assert x.rank() == rank(x) == rank_kernel(x)[0] == rank(m)
 
 
 @st.composite
@@ -275,6 +279,29 @@ def kernel_inputs():
         a = inverse(u) * system.A * u
         out.append(a - Matrix.identity(field, 4).scale(system.theta[0]))
     return out
+
+
+def test_rank_inserts_rows_into_an_echelon(monkeypatch):
+    """Matrix.rank inserts each nonzero row once into an echelon
+    (_int_insert) and runs no Gauss-Jordan elimination (_int_rref), which
+    would clear above the pivots and rescale the rows for nothing."""
+    inputs = kernel_inputs()
+    reduced, inserted = [], []
+    rref, insert = linalg._int_rref, linalg._int_insert
+
+    def counted_rref(rows, p):
+        reduced.append(rows)
+        return rref(rows, p)
+
+    def counted_insert(rows, vec, p):
+        inserted.append(vec)
+        return insert(rows, vec, p)
+
+    monkeypatch.setattr(linalg, "_int_rref", counted_rref)
+    monkeypatch.setattr(linalg, "_int_insert", counted_insert)
+    assert [m.rank() for m in inputs] == [3, 3]
+    assert not reduced
+    assert len(inserted) == sum(len(m.nums) for m in inputs)
 
 
 def test_integer_kernels_take_no_field_scalar_reduction(monkeypatch):

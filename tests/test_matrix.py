@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from tdpair import (DimensionError, FieldMismatchError, Matrix, PrimeField,
                     QQ, commutator)
-from tdpair.matrix import powers
+from tdpair.matrix import hstack, powers
 
 from oracles import add, apply, kron, neg, product, scale, sub, trace
 
@@ -289,3 +290,110 @@ def test_operations_match_field_scalar_oracles(drawn):
     assert all(type(x) is type(a.field.zero) for x in a.apply(vec))
     assert t.trace() == trace(t)
     assert type(t.trace()) is type(t.field.zero)
+
+
+@st.composite
+def one_entry_operands(draw):
+    """A field among QQ, GF(5) and GF(2^61 - 1); an r x k matrix s whose
+    rows hold at most one entry: a coordinate projector, a signed
+    permutation or scaled unit rows, with zero rows among them; two k x c
+    matrices x and y, about half their entries zero, over QQ each over a
+    denominator of 1 or above 1 (so that numerators of a row subset may
+    share a factor with it); and a scalar, often 1 or -1."""
+    field = draw(st.sampled_from([QQ, GF5, M61]))
+    size = st.integers(1, 5)
+    k, c = draw(size), draw(size)
+    if field is QQ:
+        nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                            st.sampled_from([1, 2, 3, 6]))
+    else:
+        nonzero = st.integers(1, field.p - 1)
+    unit = st.sampled_from([1, -1])
+    kind = draw(st.sampled_from(["projector", "signed permutation",
+                                 "unit rows"]))
+    if kind == "projector":
+        cols = [i if draw(st.booleans()) else None for i in range(k)]
+    elif kind == "signed permutation":
+        cols = draw(st.permutations(range(k)))
+    else:
+        cols = [draw(st.none() | st.integers(0, k - 1))
+                for _ in range(draw(size))]
+    entry = {"projector": st.just(1), "signed permutation": unit,
+             "unit rows": unit | nonzero}[kind]
+    s = Matrix(field, [[draw(entry) if j == col else 0 for j in range(k)]
+                       for col in cols])
+
+    def operand():
+        den = draw(st.sampled_from([1, 6])) if field is QQ else 1
+        return Matrix(field, [[Fraction(draw(st.integers(-6, 6)), den)
+                               if field is QQ else draw(st.just(0) | nonzero)
+                               for _ in range(c)] for _ in range(k)])
+
+    return s, operand(), operand(), draw(unit | nonzero)
+
+
+def canonical(got, want):
+    """got equals want and hashes alike; both compare their int forms,
+    so a result out of lowest terms fails."""
+    assert got == want and hash(got) == hash(want)
+
+
+@settings(deadline=None)
+@given(one_entry_operands())
+def test_kernels_give_the_canonical_form(operands):
+    """Products with a factor of one-entry rows on either side, products
+    and sums that cancel exactly, in full or in part, and lone unit terms
+    give the canonical form of the field-scalar oracles."""
+    s, x, y, c = operands
+    canonical(s * x, product(s, x))
+    canonical(x.transpose() * s.transpose(),
+              product(x.transpose(), s.transpose()))
+    # [x | x] times [y^T; -y^T]: every sum of the product cancels
+    twice = hstack([x, x])
+    halves = Matrix(x.field, y.transpose().rows + neg(y.transpose()).rows)
+    canonical(twice * halves, product(twice, halves))
+    zero = Matrix.zeros(x.field, x.nrows, x.ncols)
+    for got, want in ((x + y, add(x, y)), (x - y, sub(x, y)),
+                      (-x, neg(x)), (x.scale(c), scale(x, c)),
+                      (x + x.scale(-1), sub(x, x)),
+                      (x.combination([(-1, x)]), sub(x, x)),
+                      (x.scale(c) - x.scale(c), sub(x, x)),
+                      (zero.combination([(c, x), (-x.field.coerce(c), x)]),
+                       sub(x, x)),
+                      ((x + y) - x, sub(add(x, y), x)),
+                      (x.combination([(c, y), (1, x)]),
+                       add(add(x, scale(y, c)), x)),
+                      (zero.combination([(1, x)]), x),
+                      (zero.combination([(x.field.one, x), (c, zero)]), x),
+                      (x.combination([(0, y)]), x), (x.scale(1), x),
+                      # the int p is 0 over GF(p), and p + 1 is 1
+                      (x.combination([(x.field.char, y)]), x),
+                      (x.combination([(x.field.char + 1, y)]), add(x, y)),
+                      (x.combination([]), x)):
+        canonical(got, want)
+
+
+def test_row_subset_is_reduced():
+    """Row 0 of [[1/2], [1/3]], over 6 as [[3], [2]], is 1/2, over 2."""
+    got = Matrix(QQ, [[1, 0], [0, 0]]) * Matrix(QQ, [["1/2"], ["1/3"]])
+    canonical(got, Matrix(QQ, [["1/2"], [0]]))
+    assert (got.den, got.nums) == (2, {0: {0: 1}})
+
+
+@pytest.mark.parametrize("field", [QQ, GF5])
+def test_rows_shared_by_a_product_stay_unchanged(field):
+    """A product whose left row is one entry 1 holds the right factor's
+    row dict itself; no operation on the product or its factor changes
+    either one's rows."""
+    x = Matrix(field, [[1, 2, 0], [0, 3, 4], [2, 0, 1]] if field is GF5
+               else [[1, "1/2", 0], [0, 3, "-1/3"], ["2/3", 0, 1]])
+    proj = Matrix.diagonal(field, [1, 0, 1])
+    y = proj * x
+    assert y.nums[0] is x.nums[0] and y.nums[2] is x.nums[2]
+    held = copy.deepcopy((x.nums, y.nums))
+    made = [y + x, y + y, y - x, x - y, -y, y.scale(3), y * 2, y * y,
+            x * y, y * x, y.combination([(2, x), (-1, y)]),
+            x.combination([(1, y)]), y.transpose(), y.kron(x), x.kron(y),
+            hstack([y, x]), hstack([x, y]), y ** 2, proj * y]
+    assert (x.nums, y.nums) == held
+    assert made[-1] == y and made[-1].nums[0] is x.nums[0]
