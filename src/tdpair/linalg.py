@@ -5,7 +5,9 @@ echelon form, so two subspaces are equal exactly when their bases are.
 
 Kernels, eigenspaces, subspaces, solutions and inverses come from
 _int_rref, spins, summands and Matrix.rank from _int_insert, both by
-_clear; only charpoly computes on field scalars.
+_clear; the characteristic polynomial from a Hessenberg reduction on
+residues, over QQ modulo one Mersenne prime above its coefficient bound
+(_int_charpoly).  Nothing here computes on field scalars.
 
 Eigenvalues are roots of the characteristic polynomial on raw ints:
 over GF(p) by Cantor-Zassenhaus, over QQ by _integer_roots, whose
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (DecompositionError, DimensionError,
@@ -230,18 +232,20 @@ def solve_right(m: Matrix, vec: Sequence) -> Optional[Tuple[Scalar, ...]]:
 # -- characteristic polynomial and eigenvalues ---------------------------
 
 
-def charpoly(m: Matrix) -> List[Scalar]:
-    """Coefficients [1, c1, ..., cn] of det(xI - M) over m's field.
+# Mersenne exponents: 2^e - 1 is prime for each
+_MERSENNE = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
+
+
+def _charpoly_mod(rows: List[List[int]], p: int) -> List[int]:
+    """Residues [1, c1, ..., cn] modulo the prime p of det(xI - M), M the
+    int rows.
 
     M is brought to upper Hessenberg form H by elimination similarities,
-    then det(xI - H) follows from the recurrence along H's columns.  Both
-    take O(n^3) field operations and divide only by pivots, never by an
-    integer, so they hold in every characteristic.
+    then det(xI - H) follows from the recurrence along H's columns: O(n^3)
+    operations that divide only by pivots, so they hold for every p.
     """
-    m._require_square()
-    n = m.nrows
-    zero, one = m.field.zero, m.field.one
-    h = [list(row) for row in m.rows]
+    n = len(rows)
+    h = [[x % p for x in row] for row in rows]
     for j in range(n - 2):
         piv = next((i for i in range(j + 1, n) if h[i][j]), None)
         if piv is None:
@@ -250,28 +254,61 @@ def charpoly(m: Matrix) -> List[Scalar]:
             h[piv], h[j + 1] = h[j + 1], h[piv]
             for row in h:
                 row[piv], row[j + 1] = row[j + 1], row[piv]
-        t = h[j + 1][j]
+        inv = pow(h[j + 1][j], -1, p)
         for k in range(j + 2, n):
-            u = h[k][j] / t
+            u = h[k][j] * inv % p
             if u:
-                h[k] = [a - u * b for a, b in zip(h[k], h[j + 1])]
+                h[k] = [(a - u * b) % p for a, b in zip(h[k], h[j + 1])]
                 for row in h:
-                    row[j + 1] = row[j + 1] + u * row[k]
+                    row[j + 1] = (row[j + 1] + u * row[k]) % p
     # polys[k] = det(xI - H[:k, :k]), coefficients in ascending degree
-    polys = [[one]]
+    polys = [[1]]
     for k in range(n):
-        nxt = [zero] + polys[k]
+        nxt = [0] + polys[k]
         for i, c in enumerate(polys[k]):
-            nxt[i] = nxt[i] - h[k][k] * c
-        t = one
+            nxt[i] -= h[k][k] * c
+        t = 1
         for i in range(k, 0, -1):
-            t = t * h[i][i - 1]
-            f = h[i - 1][k] * t
+            t = t * h[i][i - 1] % p
+            f = h[i - 1][k] * t % p
             if f:
                 for e, c in enumerate(polys[i - 1]):
-                    nxt[e] = nxt[e] - f * c
-        polys.append(nxt)
+                    nxt[e] -= f * c
+        polys.append([c % p for c in nxt])
     return polys[n][::-1]
+
+
+def _int_charpoly(rows: List[List[int]], p: int) -> List[int]:
+    """[1, c1, ..., cn] for det(xI - M), M the int rows: residues over
+    GF(p), integers over QQ (p = 0).
+
+    Over QQ each eigenvalue lies within r, the largest absolute row sum,
+    so |c_k| <= C(n, k) r^k <= (1 + r)^n.  The c_k are the symmetric
+    residues modulo the first 2^e - 1 of _MERSENNE above twice that, or
+    by the Chinese remainder theorem modulo all of them, largest first,
+    then the primes below 2^64, until their product passes it."""
+    if p:
+        return _charpoly_mod(rows, p)
+    bound = 2 * (1 + max((sum(map(abs, row)) for row in rows), default=0)
+                 ) ** len(rows)
+    primes = [2 ** e - 1 for e in _MERSENNE]
+    mod, cs = 1, [0] * (len(rows) + 1)
+    for q in chain([q for q in primes if q > bound][:1] or primes[::-1],
+                   filter(is_prime, range(2 ** 64 - 1, 0, -1))):
+        t = pow(mod, -1, q)
+        cs = [c + mod * ((x - c) * t % q)
+              for c, x in zip(cs, _charpoly_mod(rows, q))]
+        mod *= q
+        if mod > bound:
+            return [c - mod if 2 * c > mod else c for c in cs]
+
+
+def charpoly(m: Matrix) -> List[Scalar]:
+    """Coefficients [1, c1, ..., cn] of det(xI - M) over m's field:
+    c_k / D^k for the _int_charpoly of the int rows of D M."""
+    m._require_square()
+    return [_scalar(m.field, c, m.den ** k)
+            for k, c in enumerate(_int_charpoly(_numerators(m), m.field.char))]
 
 
 # Dense univariate polynomials as coefficient lists in ascending degree with
@@ -478,20 +515,17 @@ def eigenvalues_in_field(m: Matrix) -> EigenData:
 
     Over QQ let D be the lcm of the entry denominators; over GF(p) let
     D = 1 and read residues.  The candidates are r / D for the roots r in
-    the field of the characteristic polynomial of D m, monic with integer
-    coefficients: over GF(p) from _roots_mod_p, over QQ from
-    _integer_roots.  Each is confirmed by the kernel of the int rows of
-    D m with r subtracted on the diagonal, that of m - (r / D) I.  Results
-    are sorted by the field's canonical scalar order.
+    the field of _int_charpoly of D m, monic with integer coefficients:
+    over GF(p) from _roots_mod_p, over QQ from _integer_roots.  Each is
+    confirmed by the kernel of the int rows of D m with r subtracted on
+    the diagonal, that of m - (r / D) I.  Results are sorted by the
+    field's canonical scalar order.
     """
     m._require_square()
     n, field, p = m.nrows, m.field, m.field.char
     den, rows = m.den, _numerators(m)
-    if p:
-        roots = _roots_mod_p([c.val for c in reversed(charpoly(m))], p)
-    else:
-        roots = _integer_roots([c.numerator for c in reversed(
-            charpoly(_new(field, n, n, m.nums)))])
+    coeffs = _int_charpoly(rows, p)[::-1]
+    roots = _roots_mod_p(coeffs, p) if p else _integer_roots(coeffs)
     pairs = []
     for r in roots:
         ker = _int_kernel(field, n, [

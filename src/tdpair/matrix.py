@@ -12,8 +12,7 @@ and scaling is one linear combination, which brings its terms to one
 common denominator, accumulates them unreduced and reduces once.  Over
 QQ a row is filtered for zeros only when one of its sums cancelled.  Field
 scalars appear only at the boundary: literals, rows, entries, the trace
-and the coefficients of a combination.  Only linalg.charpoly computes on
-field scalars.
+and the coefficients of a combination; nothing computes on them.
 """
 from __future__ import annotations
 

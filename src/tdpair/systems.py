@@ -16,9 +16,9 @@ from .errors import (ContradictionError, FieldMismatchError,
                      InternalInconsistencyError, MalformedInputError)
 from .fields import Field, PrimeField, Scalar
 from .frame import frame_of
-from .linalg import (Subspace, _int_insert, _int_kernel, _numerators,
-                     _span, charpoly, direct_sum, eigenvalues_in_field,
-                     irreducible_mod_p)
+from .linalg import (Subspace, _charpoly_mod, _int_insert, _int_kernel,
+                     _numerators, _span, charpoly, direct_sum,
+                     eigenvalues_in_field, irreducible_mod_p)
 from .matrix import Matrix, commutator, hstack
 from .results import Residual
 
@@ -252,9 +252,10 @@ def _has_irreducible_charpoly(s: Matrix) -> bool:
     """Whether the characteristic polynomial of s is irreducible over its
     field; over the rationals, whether it stays irreducible modulo one of
     _CERTIFYING_PRIMES that divides no denominator, which proves it."""
-    coeffs = charpoly(s)[::-1]
     if isinstance(s.field, PrimeField):
-        return irreducible_mod_p([c.val for c in coeffs], s.field.p)
+        return irreducible_mod_p(
+            _charpoly_mod(_numerators(s), s.field.p)[::-1], s.field.p)
+    coeffs = charpoly(s)[::-1]
     for p in _CERTIFYING_PRIMES:
         if all(c.denominator % p for c in coeffs) and irreducible_mod_p(
                 [c.numerator * pow(c.denominator, -1, p) % p

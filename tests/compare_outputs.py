@@ -5,7 +5,7 @@ byte for byte.
 
 Builds the inputs of the benchmark workloads family, eigen-scan and
 reject-mix for seeds 1 to 3 from `perfbench/workloads.py` of the tree
-holding this script, and twenty-three more with its builders: QQ
+holding this script, and twenty-five more with its builders: QQ
 Krawtchouk d = 14, the tensor sum of QQ Krawtchouk pairs of diameters 2
 and 4 (n = 15, shape 1, 2, 3, 3, 3, 2, 1), Krawtchouk d = 6 with p = 3 over
 GF(2^31 - 1) and GF(2^61 - 1), whose residues are large, QQ Krawtchouk
@@ -18,7 +18,12 @@ neither matrix is diagonal in the input basis and the factors of the
 idempotents are dense, and the Leonard data of a general basis is read
 over a large prime, the GF(2^61 - 1) pair conjugated with
 `random.Random(61)`, so that the modular kernels of recognition see
-residues near 2^61 on a general basis, the direct sum of the
+residues near 2^61 on a general basis, QQ Krawtchouk d = 12 and the
+GF(2^61 - 1) pair of d = 8 conjugated by a dense unimodular L U, L the
+transpose of a second unipotent draw, with `random.Random(12)` and
+`random.Random(8)`: under the upper triangular U alone A stays upper
+Hessenberg and A* triangular, so only these run the Hessenberg
+reduction of the characteristic polynomial in full, the direct sum of the
 Krawtchouk pairs of diameter 2 with p = 3 and p = 5 over GF(2^31 - 1),
 a reducible pair whose rejection is reached through the modular
 kernels, and the tensor sum of GF(101) Krawtchouk pairs of
@@ -76,12 +81,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 
 
-def conjugated(case, rng):
-    """The case's pair as U^-1 A U and U^-1 A* U, to be verified only, for
-    U unipotent upper triangular with entries above the diagonal drawn
-    from [-2, 2] by rng."""
-    from exact import mul
-    n = len(case.a)
+def unipotent(n, rng):
+    """An n x n unipotent upper triangular matrix with entries above the
+    diagonal drawn from [-2, 2] by rng, and its inverse."""
     u = [[Fraction(rng.randint(-2, 2) if i < j else int(i == j))
           for j in range(n)] for i in range(n)]
     # U U^-1 = I gives the rows of U^-1 from the last up
@@ -91,9 +93,24 @@ def conjugated(case, rng):
         for j in range(i + 1, n):
             row = [x - u[i][j] * y for x, y in zip(row, inv[j])]
         inv[i] = row
+    return u, inv
+
+
+def conjugated(case, rng, dense=False):
+    """The case's pair as S^-1 A S and S^-1 A* S, to be verified only, for
+    S = U from `unipotent`, or with dense for S = L U, L the transpose of
+    a second draw: a dense unimodular S, under which neither matrix stays
+    upper Hessenberg or triangular."""
+    from exact import mul
+    n = len(case.a)
+    s, inv = unipotent(n, rng)
+    if dense:
+        lt, lt_inv = unipotent(n, rng)
+        s, inv = mul([*zip(*lt)], s), mul(inv, [*zip(*lt_inv)])
     return dataclasses.replace(
-        case, label=case.label + "-conj", construct=None,
-        a=mul(inv, mul(case.a, u)), astar=mul(inv, mul(case.astar, u)))
+        case, label=case.label + ("-dense" if dense else "") + "-conj",
+        construct=None, a=mul(inv, mul(case.a, s)),
+        astar=mul(inv, mul(case.astar, s)))
 
 
 def affine_leonard():
@@ -191,6 +208,10 @@ def emit(tree: str) -> None:
                    random.Random(6)),
         conjugated(krawtchouk_case("krawtchouk-m61-d6", 6, 3, 2 ** 61 - 1),
                    random.Random(61)),
+        conjugated(krawtchouk_case("krawtchouk-qq-d12", 12, Fraction(1, 3),
+                                   None), random.Random(12), dense=True),
+        conjugated(krawtchouk_case("krawtchouk-m61-d8", 8, 3, 2 ** 61 - 1),
+                   random.Random(8), dense=True),
         Case("direct-sum-m31", 2 ** 31 - 1,
              *(direct_sum(x, y) for x, y in zip(krawtchouk_pair(2, 3),
                                                 krawtchouk_pair(2, 5))),

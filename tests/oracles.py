@@ -15,7 +15,9 @@ split's summands use), echelon rows, the reduced row echelon form, the
 rank and the column space, a subspace's basis matrix, the projectors of
 a direct sum, the square-free part and rational roots of a polynomial
 by Euclid on Fractions and Cantor-Zassenhaus (the reference for
-linalg._integer_roots), the operators of a decomposition carried back to
+linalg._integer_roots), the characteristic polynomial by a Hessenberg
+reduction on field scalars (the reference for linalg.charpoly), the
+operators of a decomposition carried back to
 the input basis, and the coefficients of the assembled operator rebuilt
 from gap products at every call, the reference for the gap table that
 the frame keeps.  Three routes that recognition does not take build
@@ -296,6 +298,52 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
     monic = [c * lead ** (k - 1) for k, c in enumerate(ints[1:], start=1)]
     roots = _integer_roots(monic[::-1] + [1])
     return sorted(Fraction(y, lead) for y in roots)
+
+
+def charpoly(m: Matrix) -> List:
+    """Coefficients [1, c1, ..., cn] of det(xI - M) over m's field, on
+    field scalars, the route linalg.charpoly took before its one on
+    residues.
+
+    M is brought to upper Hessenberg form H by elimination similarities,
+    then det(xI - H) follows from the recurrence along H's columns.  Both
+    take O(n^3) field operations and divide only by pivots, never by an
+    integer, so they hold in every characteristic.
+    """
+    m._require_square()
+    n = m.nrows
+    zero, one = m.field.zero, m.field.one
+    h = [list(row) for row in m.rows]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        t = h[j + 1][j]
+        for k in range(j + 2, n):
+            u = h[k][j] / t
+            if u:
+                h[k] = [a - u * b for a, b in zip(h[k], h[j + 1])]
+                for row in h:
+                    row[j + 1] = row[j + 1] + u * row[k]
+    # polys[k] = det(xI - H[:k, :k]), coefficients in ascending degree
+    polys = [[one]]
+    for k in range(n):
+        nxt = [zero] + polys[k]
+        for i, c in enumerate(polys[k]):
+            nxt[i] = nxt[i] - h[k][k] * c
+        t = one
+        for i in range(k, 0, -1):
+            t = t * h[i][i - 1]
+            f = h[i - 1][k] * t
+            if f:
+                for e, c in enumerate(polys[i - 1]):
+                    nxt[e] = nxt[e] - f * c
+        polys.append(nxt)
+    return polys[n][::-1]
 
 
 def idempotents(system, part: str) -> Tuple[Matrix, ...]:

@@ -306,21 +306,12 @@ def test_rank_inserts_rows_into_an_echelon(monkeypatch):
 
 def test_integer_kernels_take_no_field_scalar_reduction(monkeypatch):
     """rank_kernel, Subspace.from_columns, Matrix.rank, inverse and
-    eigenvalues_in_field, its root search over QQ included, make no
-    Fraction or Fp arithmetic: field scalars are only read at the start
-    and made at the end.  The eigenvalue search is given its
-    characteristic polynomial, found on field scalars in a first run."""
+    eigenvalues_in_field, its characteristic polynomial and root search
+    over QQ included, make no Fraction or Fp arithmetic: field scalars
+    are only read at the start and made at the end."""
     inputs = kernel_inputs()
     # A - (theta_0 - 1) I, invertible as theta_0 - 1 is no eigenvalue
     shifted = [m + Matrix.identity(m.field, 4) for m in inputs]
-    polys, compute = {}, linalg.charpoly
-
-    def memoized(m):
-        if m.rows not in polys:
-            polys[m.rows] = compute(m)
-        return polys[m.rows]
-
-    monkeypatch.setattr(linalg, "charpoly", memoized)
     eigen = [linalg.eigenvalues_in_field(m) for m in shifted]
     calls = spy_scalar_operators(monkeypatch, (Fraction, Fp))
     for m, t, e in zip(inputs, shifted, eigen):

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -10,9 +11,12 @@ from tdpair import (DecompositionError, DimensionError, Matrix,
                     NotDiagonalizableError, PrimeField, QQ,
                     SingularMatrixError, Subspace, eigenvalues_in_field,
                     inverse, lagrange_idempotents, rank_kernel, solve_right)
-from tdpair.linalg import (_integer_roots, _poly_divmod, _square_free,
-                           charpoly, irreducible_mod_p)
+from tdpair import linalg
+from tdpair.linalg import (_charpoly_mod, _int_charpoly, _integer_roots,
+                           _numerators, _poly_divmod, _square_free, charpoly,
+                           irreducible_mod_p)
 
+import oracles
 from oracles import (FactorialInversionError, NotNilpotentError, _rref,
                      column_space, nilpotency_index, nilpotent_exp_scaled,
                      projectors_from_direct_sum, rank, rational_roots,
@@ -311,6 +315,125 @@ def test_large_rational_eigenvalues_in_time():
     assert time.perf_counter() - start < 2
     assert [lam for lam, _ in data.pairs] == [-k, Fraction(1), k]
     assert data.diagonalizable
+
+
+M61 = 2 ** 61 - 1
+
+
+@st.composite
+def charpoly_inputs(draw):
+    """Square matrices up to 6 x 6: over QQ with numerators up to 10^12
+    and denominators up to 10^3, or over GF(2), GF(3) or GF(2^61 - 1)
+    with residues near p.  Each is dense, needs a row swap in the
+    Hessenberg reduction (0 under the first diagonal entry, a nonzero
+    entry below it), is upper triangular (a reduced Hessenberg form), or
+    is zero."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3),
+                                  PrimeField(M61)]))
+    kind = draw(st.sampled_from(["dense", "swap", "triangular", "zero"]))
+    n = draw(st.integers(min_value=3 if kind == "swap" else 1, max_value=6))
+    entry = large_rationals if field is QQ else st.integers(
+        min_value=field.p - 4, max_value=field.p + 3)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if kind == "swap":
+        rows[1][0], rows[-1][0] = 0, rows[-1][0] or 1
+    elif kind == "triangular":
+        rows = [[x if j >= i else 0 for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+    elif kind == "zero":
+        rows = [[0] * n for _ in range(n)]
+    return Matrix(field, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(charpoly_inputs())
+@example(Matrix(QQ, [[Fraction(-10 ** 12, 997)]]))
+@example(Matrix(PrimeField(M61), [[M61 - 1]]))
+@example(Matrix(QQ, [[0, 1, 2], [0, 3, 4], [5, 6, 7]]))
+def test_charpoly_matches_the_fraction_route(m):
+    """charpoly on residues against the Hessenberg reduction on field
+    scalars of the oracles, the same polynomial."""
+    assert charpoly(m) == oracles.charpoly(m)
+
+
+def lucas_lehmer(e: int) -> bool:
+    """Whether 2^e - 1 is prime, for an odd prime e."""
+    s, q = 4, 2 ** e - 1
+    for _ in range(e - 2):
+        s = (s * s - 2) % q
+    return s == 0
+
+
+def test_mersenne_table_holds_primes():
+    """Each 2^e - 1 of the table is prime, by Lucas-Lehmer rather than
+    the package's is_prime, and the table ascends, so that the first
+    large enough is the smallest."""
+    assert all(lucas_lehmer(e) for e in linalg._MERSENNE)
+    assert list(linalg._MERSENNE) == sorted(set(linalg._MERSENNE))
+
+
+def spied_moduli(monkeypatch) -> list:
+    """The primes that _charpoly_mod is called with from now on."""
+    seen = []
+
+    def spied(rows, p):
+        seen.append(p)
+        return _charpoly_mod(rows, p)
+
+    monkeypatch.setattr(linalg, "_charpoly_mod", spied)
+    return seen
+
+
+@pytest.mark.parametrize("rows, moduli", [
+    # bound 2 (1 + 3)^2 = 32: 2^7 - 1 alone
+    ([[1, -2], [3, 0]], [127]),
+    # bound 2 (1 + 20)^2 = 882: 127 and 31 by the Chinese remainder theorem
+    ([[-7, 13], [11, -9]], [127, 31]),
+    # bound 2 (1 + 100)^2 = 20402: past the table, the largest 64-bit prime
+    ([[-60, 40], [35, -65]], [127, 31, 2 ** 64 - 59]),
+])
+def test_charpoly_past_a_short_table(monkeypatch, rows, moduli):
+    """With the table cut to 2^5 - 1 and 2^7 - 1, a bound above both is
+    met by the Chinese remainder theorem, largest prime first, and one
+    above their product by the primes below 2^64."""
+    monkeypatch.setattr(linalg, "_MERSENNE", (5, 7))
+    seen = spied_moduli(monkeypatch)
+    m = Matrix(QQ, rows)
+    assert charpoly(m) == oracles.charpoly(m)
+    assert seen == moduli
+
+
+def test_charpoly_of_huge_entries_does_not_raise():
+    """Entries of 10^3000 put twice the coefficient bound near 2^30000,
+    past the product of the whole table, so the primes below 2^64 carry
+    the rest."""
+    big = 10 ** 3000
+    m = Matrix(QQ, [[big, -1, 3], [Fraction(big, 7), 2, -big], [1, big, 0]])
+    assert charpoly(m) == oracles.charpoly(m)
+
+
+def dense_rational(n: int) -> Matrix:
+    """An n x n matrix of entries a / b, |a| <= 50, 1 <= b <= 12, drawn
+    by random.Random(n)."""
+    rng = random.Random(n)
+    return Matrix(QQ, [[Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+                        for _ in range(n)] for _ in range(n)])
+
+
+def test_charpoly_stays_polynomial(monkeypatch):
+    """A dense rational matrix has a characteristic polynomial of large
+    height: at n = 17 it agrees with the Fraction route, and at n = 41,
+    where the Fraction route took 47 s, one reduction modulo a single
+    prime gives it, and it agrees with the reduction modulo 2^31 - 1."""
+    m = dense_rational(17)
+    assert charpoly(m) == oracles.charpoly(m)
+    rows = _numerators(dense_rational(41))
+    moduli = spied_moduli(monkeypatch)
+    coeffs = _int_charpoly(rows, 0)
+    assert len(moduli) == 1
+    q = 2 ** 31 - 1
+    assert [c % q for c in coeffs] == _charpoly_mod(rows, q)
 
 
 def lagrange_product_idempotents(m, thetas):
