@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, Tuple, Union
 
 from .errors import FieldMismatchError, ScalarParseError
 
@@ -24,10 +24,19 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 
 
-def _too_long(text: str) -> ScalarParseError:
-    """For a literal with more digits than int() converts."""
-    return ScalarParseError(f"scalar literal of {len(text)} characters "
-                            "has too many digits to convert")
+def _literal(text, p: int) -> Tuple[int, int]:
+    """(n, d) for the literal "n" or "n/d" with whitespace around, d 1
+    when absent; ScalarParseError naming the field of characteristic p
+    for other text, and for more digits than int() converts."""
+    if not isinstance(text, str) or not _SCALAR_RE.match(text.strip()):
+        what = f"GF({p})" if p else "rational"
+        raise ScalarParseError(f"bad {what} literal: {text!r}")
+    num, _, den = text.strip().partition("/")
+    try:
+        return int(num), int(den or 1)
+    except ValueError as exc:
+        raise ScalarParseError(f"scalar literal of {len(text)} characters "
+                               "has too many digits to convert") from exc
 
 
 def is_prime(n: int) -> bool:
@@ -240,14 +249,10 @@ class RationalField:
         raise FieldMismatchError(f"not a rational scalar: {x!r}")
 
     def parse(self, text: str) -> Fraction:
-        if not isinstance(text, str) or not _SCALAR_RE.match(text.strip()):
-            raise ScalarParseError(f"bad rational literal: {text!r}")
-        try:
-            return Fraction(text.strip())
-        except ZeroDivisionError as exc:
-            raise ScalarParseError(f"zero denominator: {text!r}") from exc
-        except ValueError as exc:
-            raise _too_long(text) from exc
+        num, den = _literal(text, 0)
+        if not den:
+            raise ScalarParseError(f"zero denominator: {text!r}")
+        return Fraction(num, den)
 
     def to_text(self, x: Fraction) -> str:
         return str(x)
@@ -293,13 +298,7 @@ class PrimeField:
         raise FieldMismatchError(f"not a GF({self.p}) scalar: {x!r}")
 
     def parse(self, text: str) -> Fp:
-        if not isinstance(text, str) or not _SCALAR_RE.match(text.strip()):
-            raise ScalarParseError(f"bad GF({self.p}) literal: {text!r}")
-        num, _, den = text.strip().partition("/")
-        try:
-            num, den = int(num), int(den or 1)
-        except ValueError as exc:
-            raise _too_long(text) from exc
+        num, den = _literal(text, self.p)
         if den % self.p == 0:
             raise ScalarParseError(
                 f"denominator divisible by {self.p}: {text!r}")

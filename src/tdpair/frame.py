@@ -1,9 +1,10 @@
 """A system in its dual basis, and with its split decomposition in two
 bases.
 
-Q stacks the bases of the summands U_i, P those of the dual eigenspaces;
-each basis is held once, as the pair (B, B^-1), and X from the basis b
-to the basis a is a^-1 X b, which a Matrix keeps as its nonzero entries.
+P stacks the bases of the dual eigenspaces, and Q = P T those of the
+summands U_i, T their columns in P; each basis is held once, as the
+pair (B, B^-1), and X from the basis b to the basis a is a^-1 X b,
+which a Matrix keeps as its nonzero entries.
 Each E_i = B_i C_i enters as its thin factors P^-1 B_i and C_i P, of
 shapes n x rho_i and rho_i x n, and each E*_i as the product of its own.
 There each F_i and E*_i has entries in one diagonal block of the shape

@@ -66,8 +66,8 @@ class LeonardData:
 def _first_nonzero_column(factors: Optional[Tuple[Matrix, Matrix]]
                           ) -> Tuple[Scalar, ...]:
     """The first nonzero column of B C for the factors (B, C) of a
-    projection, None for zero.  B has full column rank, so that is B
-    times the first nonzero column of C."""
+    projection; for zero, InternalInconsistencyError.  B has full
+    column rank, so that is B times the first nonzero column of C."""
     if factors is not None:
         b, c = factors
         for j in range(c.ncols):

@@ -9,9 +9,10 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Tuple
 
-from .errors import InternalInconsistencyError
+from .errors import (DecompositionError, InternalInconsistencyError,
+                     SingularMatrixError)
 from .frame import Frame, frame_of
-from .linalg import Subspace, _int_insert, _span, direct_sum
+from .linalg import Subspace, _int_insert, _span, inverse
 from .matrix import Matrix, _new
 from .results import RankEntry, RankTable, Residual
 from .systems import TridiagonalSystem, _act
@@ -19,9 +20,9 @@ from .systems import TridiagonalSystem, _act
 
 @dataclass(frozen=True)
 class SplitDecomposition:
-    """The summands U_i and their stacked bases (Q, Q^-1); the projectors
-    F_i and the shifted maps in Q, and the transition map and its inverse
-    in QP and PQ, for P the dual basis of system."""
+    """The summands U_i and the split basis (Q, Q^-1); the projectors F_i
+    and the shifted maps in Q, and the transition map and its inverse in
+    QP and PQ, for P the dual basis of system and Q = P T."""
     system: TridiagonalSystem
     summands: Tuple[Subspace, ...]
     basis: Tuple[Matrix, Matrix]
@@ -34,21 +35,22 @@ class SplitDecomposition:
 
 def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
     """Intersect each dual-eigenspace prefix with the matching eigenspace
-    suffix and package the resulting direct sum: the summands with their
-    stacked bases Q, their projectors F_i, the shifted maps
+    suffix and package the resulting direct sum: the summands with the
+    split basis Q, their projectors F_i, the shifted maps
     A - sum theta_i F_i and A* - sum thetastar_i F_i, and the transition
     map sum F_i E*_i with its inverse sum E*_i F_i.
 
-    In the dual basis each prefix spans the first coordinates, so once
-    the bases of V_d, ..., V_i are in one echelon keyed by their last
-    nonzero coordinate, the rows ending inside the prefix span U_i.
-    Dual eigenspaces whose bases are no basis, or a summand whose
-    dimension is off the shape, are an internal error, and a sum that is
-    not direct a DecompositionError, because the projectors need the
-    summands to fill the space.  The facts the decomposition should
-    satisfy (the block actions of A and A*, nilpotency, the transition
-    identities and ranks) are left to check_section7 and
-    check_split_bijectivity, which report them.
+    In the dual basis each prefix spans the first coordinates, so once the
+    bases of V_d, ..., V_i are in one echelon keyed by their last nonzero
+    coordinate, the rows ending inside the prefix span U_i.  Side by side
+    they are T, a column permutation of a triangular matrix, and Q = P T,
+    Q^-1 = T^-1 P^-1.  Dual eigenspaces whose bases are no basis, or a
+    summand whose dimension is off the shape, are an internal error, and a
+    sum that is not direct (a singular T) a DecompositionError, because
+    the projectors need the summands to fill the space.  The facts the
+    decomposition should satisfy (the block actions of A and A*,
+    nilpotency, the transition identities and ranks) are left to
+    check_section7 and check_split_bijectivity, which report them.
 
     F_i is the identity on block i of Q.  The other maps are read off
     the split's frame, built once from Q and the F_i and kept as
@@ -81,15 +83,18 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
             raise InternalInconsistencyError(
                 f"summand {i} has dimension {len(cols[i])}, "
                 f"expected {sys.shape[i]}")
-    # U_i is the column space of P T_i, for T_i those columns
-    p = fr.bases["P"][0]
+    # U_i is the column space of P T_i, for T_i those columns, and T
+    # stacks them: Q = P T, singular when a row fell in two summands
+    p, p_inv = fr.bases["P"]
     summands = [_span(field, n, [_act(p, col) for col in c]) for c in cols]
-
-    q, q_inv, _ = direct_sum(summands)
-    block = [i for i, s in enumerate(summands) for _ in range(s.dim)]
+    t = Matrix.from_columns(field, [col for c in cols for col in c])
+    try:
+        basis = (p * t, inverse(t) * p_inv)
+    except SingularMatrixError as exc:
+        raise DecompositionError("sum of subspaces is not direct") from exc
+    block = [i for i, c in enumerate(cols) for _ in c]
     f = [_new(field, n, n, {k: {k: 1} for k, b in enumerate(block)
                             if b == i}) for i in range(d + 1)]
-    basis = (q, q_inv)
     sf, zero = Frame(sys, basis, f), Matrix.zeros(field, n, n)
     # A - sum theta_i F_i and A* - sum thetastar_i F_i
     raising, lowering = (

@@ -17,13 +17,14 @@ a direct sum, the square-free part and rational roots of a polynomial
 by Euclid on Fractions and Cantor-Zassenhaus (the reference for
 linalg._integer_roots), the characteristic polynomial by a Hessenberg
 reduction on field scalars (the reference for linalg.charpoly), the
-operators of a decomposition carried back to
-the input basis, and the coefficients of the assembled operator rebuilt
-from gap products at every call, the reference for the gap table that
-the frame keeps.  Three routes that recognition does not take build
-systems for the tests to compare against: the four relatives of a
-system, a system rebuilt from its JSON form, and the tensor sum of two
-systems."""
+operators of a decomposition carried back to the input basis, the split
+decomposition in the basis that stacks the canonical bases of its
+summands (the reference for compute_split's Q = P T), and the
+coefficients of the assembled operator rebuilt from gap products at
+every call, the reference for the gap table that the frame keeps.
+Three routes that recognition does not take build systems for the tests
+to compare against: the four relatives of a system, a system rebuilt
+from its JSON form, and the tensor sum of two systems."""
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -37,7 +38,7 @@ from tdpair import (DimensionError, InternalInconsistencyError,
                     compute_split, field_from_descriptor, inverse,
                     lagrange_idempotents, leonard_data, matrix_from_json)
 from tdpair.fields import is_prime
-from tdpair.frame import frame_of
+from tdpair.frame import Frame, frame_of
 from tdpair.leonard import _rep_dual_a, _tridiagonal
 from tdpair.linalg import (_derivative, _poly_eval, _poly_gcd, _roots_mod_p,
                            _trim, direct_sum)
@@ -66,6 +67,28 @@ def dense_view(x) -> SimpleNamespace:
 
     return SimpleNamespace(**{f.name: back(f.name, getattr(x, f.name))
                               for f in fields(x)})
+
+
+def split_in_canonical_bases(split) -> SplitDecomposition:
+    """The split decomposition of split.system with the summands of
+    split, built as compute_split built it before it took Q = P T: in
+    the basis Q that stacks the summands' canonical bases, with Q^-1
+    from direct_sum, and its shifted and transition maps read off a
+    frame of that Q."""
+    sys, summands = split.system, split.summands
+    field, n = sys.field, sys.n
+    q, q_inv, _ = direct_sum(summands)
+    block = [i for i, s in enumerate(summands) for _ in range(s.dim)]
+    f = [Matrix.diagonal(field, [int(b == i) for b in block])
+         for i in range(sys.d + 1)]
+    fr, zero = Frame(sys, (q, q_inv), f), Matrix.zeros(field, n, n)
+    raising, lowering = (
+        x - sum(map(Matrix.scale, f, th), zero)
+        for x, th in ((fr.a, sys.theta), (fr.astar, sys.thetastar)))
+    return SplitDecomposition(
+        system=sys, summands=summands, basis=(q, q_inv),
+        projectors=tuple(f), raising=raising, lowering=lowering,
+        transition=sum(fr.fe_qp, zero), transition_inv=sum(fr.ef_pq, zero))
 
 
 # The operations of a matrix on field scalars, the reference for Matrix,

@@ -1,8 +1,9 @@
+import re
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdpair import (FieldMismatchError, Fp, MalformedInputError, PrimeField,
@@ -87,6 +88,68 @@ def test_parse_rejects_overlong_literals(field, text):
     not the ValueError of the conversion."""
     with pytest.raises(ScalarParseError):
         field.parse(text)
+
+
+# the literal grammar, kept apart from the package's
+LITERAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+DIGITS = st.one_of(st.integers(0, 10 ** 20).map(str),
+                   st.integers(4295, 4305).map(lambda k: "7" * k))
+
+
+def read_by_fraction(text, what):
+    """text as Fraction(text) reads it once the grammar admits it, or
+    the message of the ScalarParseError a field raises instead: the
+    route RationalField.parse took before both fields shared one
+    parser."""
+    if not isinstance(text, str) or not LITERAL.match(text.strip()):
+        return f"bad {what} literal: {text!r}"
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        return f"zero denominator: {text!r}"
+    except ValueError:
+        return (f"scalar literal of {len(text)} characters "
+                "has too many digits to convert")
+
+
+@st.composite
+def literals(draw):
+    """Mostly "n" or "n/d" with a sign, leading zeros, a zero or signed
+    denominator, runs of digits about int()'s limit of 4,300, and
+    whitespace around; else any short text."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(max_size=8))
+    pad = st.sampled_from(["", " ", "  ", "\t", "\n"])
+    text = (draw(st.sampled_from(["", "+", "-"]))
+            + "0" * draw(st.integers(0, 2)) + draw(DIGITS))
+    if draw(st.booleans()):
+        text += ("/" + draw(st.sampled_from(["", "", "", "+", "-"]))
+                 + "0" * draw(st.integers(0, 2))
+                 + draw(st.one_of(st.just("0"), DIGITS)))
+    return draw(pad) + text + draw(pad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(literals())
+def test_parse_reads_literals_as_fraction_does(text):
+    """Both fields read a literal as Fraction(text) does, GF(7) with a
+    denominator divisible by 7 refused, and refuse what it refuses with
+    the message of the reason."""
+    gf7 = PrimeField(7)
+    for field, what in ((QQ, "rational"), (gf7, "GF(7)")):
+        want = read_by_fraction(text, what)
+        if field is gf7 and (not isinstance(want, str)
+                             or want == f"zero denominator: {text!r}"):
+            if int(text.strip().partition("/")[2] or 1) % 7 == 0:
+                want = f"denominator divisible by 7: {text!r}"
+            else:
+                want = Fp(want.numerator, 7) / Fp(want.denominator, 7)
+        if isinstance(want, str):
+            with pytest.raises(ScalarParseError) as caught:
+                field.parse(text)
+            assert str(caught.value) == want
+        else:
+            assert field.parse(text) == want
 
 
 def test_prime_field_to_text_canonical():

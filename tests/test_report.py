@@ -116,8 +116,10 @@ def test_each_idempotent_factored_once(kraw3, monkeypatch):
     """All checks on a fresh system factor no E_i or E*_i, since the
     system holds the factors recognition found: the only subspaces formed
     from spanning vectors are the d + 1 summands of the split, and none
-    from columns.  They invert the split's stacked summand bases Q once:
-    the split's frame and leonard_data read Q and Q^-1 off the split."""
+    from columns.  The split basis is Q = P T, so they invert T, the
+    summands' columns in the dual basis P, once, and never the stack Q
+    of the summands' canonical bases: the split's frame and
+    leonard_data read Q and Q^-1 off the split."""
     system = dataclasses.replace(kraw3)
     spaces, columns, inverted = [], [], []
     span, from_columns = split._span, Subspace.from_columns.__func__
@@ -134,16 +136,20 @@ def test_each_idempotent_factored_once(kraw3, monkeypatch):
         inverted.append(m)
         return inverse(m)
 
+    built = compute_split(kraw3)
     q = Matrix.from_columns(system.field, [
-        c for s in compute_split(kraw3).summands for c in s.basis_columns()])
+        c for s in built.summands for c in s.basis_columns()])
+    t = frame.frame_of(kraw3, built).t
+    assert q != t
     monkeypatch.setattr(split, "_span", counted)
     monkeypatch.setattr(Subspace, "from_columns",
                         classmethod(counted_columns))
-    for module in (linalg, frame):
+    for module in (linalg, frame, split):
         monkeypatch.setattr(module, "inverse", counted_inverse)
     assert run_all_checks(system).ok
     assert len(spaces) == system.d + 1 and not columns
-    assert sum(m == q for m in inverted) == 1
+    assert not any(m == q for m in inverted)
+    assert sum(m == t for m in inverted) == 1
 
 
 @pytest.mark.parametrize("first,second", [("section7", "section10"),

@@ -1,18 +1,37 @@
 import dataclasses
 import gc
+import random
 import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tdpair import (KrawtchoukParams, Matrix, PrimeField, QQ, Subspace,
+from tdpair import (DecompositionError, KrawtchoukParams, Matrix,
+                    PrimeField, QQ, Subspace, analyze_pair,
                     check_section7, check_split_bijectivity, compute_split,
-                    construct_krawtchouk)
+                    construct_krawtchouk, inverse)
 from tdpair.frame import frame_of
 
-from oracles import (all_zero, analyze_tensor_sum, column_space, dense_view,
-                     idempotents, nilpotency_index)
+from oracles import (SPLIT_BASES, all_zero, analyze_tensor_sum,
+                     column_space, dense_view, idempotents, nilpotency_index,
+                     split_in_canonical_bases)
 from subspaces import subspace_intersect, subspace_sum, zero
+from test_rank_tables import with_idempotents
+
+M61 = PrimeField(2 ** 61 - 1)
+
+
+def conjugated(system, rng):
+    """analyze_pair of U^-1 A U and U^-1 A* U, for U unipotent upper
+    triangular with entries above the diagonal drawn from [-2, 2] by
+    rng."""
+    n = system.n
+    u = Matrix(system.field, [[rng.randint(-2, 2) if i < j else int(i == j)
+                               for j in range(n)] for i in range(n)])
+    u_inv = inverse(u)
+    return analyze_pair(u_inv * system.A * u, u_inv * system.Astar * u)
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +164,21 @@ def test_section7_prime_field():
     assert all_zero(check_section7(system, split))
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)])
+def test_sum_that_is_not_direct_is_refused(field):
+    """With the dual idempotents reversed as E, on Krawtchouk d = 1, both
+    U_0 = V*_0 and U_1 = V_1 are V*_0: one echelon row lands in both
+    summands, and compute_split refuses the sum as not direct."""
+    system, _ = construct_krawtchouk(
+        KrawtchoukParams(field=field, d=1, p=field.one / 2))
+    reversed_e = with_idempotents(
+        system, E=idempotents(system, "Estar")[::-1])
+    with pytest.raises(DecompositionError) as caught:
+        compute_split(reversed_e)
+    assert caught.type is DecompositionError
+    assert str(caught.value) == "sum of subspaces is not direct"
+
+
 def test_bijectivity_table(kraw3, multiplicity_system):
     for s in (kraw3, multiplicity_system):
         split = compute_split(s)
@@ -194,3 +228,58 @@ def test_split_keeps_its_frame_without_a_cycle(kraw3):
     finally:
         if enabled:
             gc.enable()
+
+
+@st.composite
+def conjugated_systems(draw):
+    """A system of a Krawtchouk pair of diameter 1 to 4 (p = 1/3), or of
+    the tensor sum of two of diameter 1 or 2 (p = 1/2 and p = 1/3), over
+    QQ or GF(2^61 - 1), conjugated by a unipotent U."""
+    field = draw(st.sampled_from([QQ, M61]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def kraw(d, p):
+        return construct_krawtchouk(
+            KrawtchoukParams(field=field, d=d, p=field.one / p))[0]
+
+    if draw(st.booleans()):
+        base = kraw(draw(st.integers(1, 4)), 3)
+    else:
+        base = analyze_tensor_sum(kraw(draw(st.integers(1, 2)), 2),
+                                  kraw(draw(st.integers(1, 2)), 3)).systems[0]
+    systems = conjugated(base, rng).systems
+    return systems[draw(st.integers(0, len(systems) - 1))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(conjugated_systems())
+def test_split_basis_changes_no_operator(system):
+    """Every field of the split, carried back to the input basis, is the
+    same in the basis Q = P T that compute_split builds and in the stack
+    of the summands' canonical bases; Q is a basis whose blocks of
+    columns span the summands."""
+    split = compute_split(system)
+    got, want = dense_view(split), dense_view(split_in_canonical_bases(split))
+    for name in ("summands", *SPLIT_BASES):
+        assert getattr(got, name) == getattr(want, name), name
+    (q, q_inv), ends = split.basis, [0]
+    assert q * q_inv == Matrix.identity(system.field, system.n)
+    for u in split.summands:
+        ends.append(ends[-1] + u.dim)
+        assert column_space(Matrix.from_columns(
+            system.field, q.columns()[ends[-2]:ends[-1]])) == u
+
+
+def test_split_frame_entries_stay_small():
+    """At QQ Krawtchouk d = 24 (p = 1/3) conjugated by a unipotent U
+    drawn by random.Random(24), A, calR and calL in the split basis have
+    numerators under 64 bits (21, 21 and 15 when this test was written).
+    With the summands' canonical bases stacked as Q they had 527, 527 and
+    518 bits: Q = P T keeps the small ints of T."""
+    base, _ = construct_krawtchouk(
+        KrawtchoukParams(field=QQ, d=24, p=Fraction(1, 3)))
+    system = conjugated(base, random.Random(24)).systems[0]
+    split = compute_split(system)
+    for m in (frame_of(system, split).a, split.raising, split.lowering):
+        assert max(abs(x) for row in m.nums.values()
+                   for x in row.values()).bit_length() < 64
