@@ -197,14 +197,15 @@ def check_section9(sys: TridiagonalSystem, split: SplitDecomposition,
                 _assembled(sys, fr, i, j, proj[i], dual=True)))
     if d >= 2:
         beta1 = params.beta + 1
-        base = [w[0, 3] - w[1, 2].scale(beta1) + w[2, 1].scale(beta1)
-                - w[3, 0] for w in (fr.words[0], fr.words[1])]
+        base = [w[0, 3].combination([(-beta1, w[1, 2]), (beta1, w[2, 1]),
+                                     (-1, w[3, 0])])
+                for w in (fr.words[0], fr.words[1])]
         for j in range(2, d + 1):
             e_j = _cubic_term(th, ts, j)
             out.append(fr.residual(
-                "section9.cubic.low", (j,),
-                (base[0] - fr.l_pow[2].scale(beta1 * e_j)) * proj[j]))
+                "section9.cubic.low", (j,), base[0].combination(
+                    [(-beta1 * e_j, fr.l_pow[2])]) * proj[j]))
             out.append(fr.residual(
-                "section9.cubic.high", (j,),
-                (base[1] - fr.r_pow[2].scale(beta1 * e_j)) * proj[j - 2]))
+                "section9.cubic.high", (j,), base[1].combination(
+                    [(-beta1 * e_j, fr.r_pow[2])]) * proj[j - 2]))
     return out

@@ -25,18 +25,28 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def _literal(text, p: int) -> Tuple[int, int]:
-    """(n, d) for the literal "n" or "n/d" with whitespace around, d 1
-    when absent; ScalarParseError naming the field of characteristic p
-    for other text, and for more digits than int() converts."""
+    """The literal "n" or "n/d", with whitespace around, as ints: over QQ
+    (p = 0) n and d in lowest terms, d > 0, and over GF(p) the residue of
+    n/d and 1.  ScalarParseError naming the field for other text, for
+    more digits than int() converts, for a zero denominator and for one
+    divisible by p."""
     if not isinstance(text, str) or not _SCALAR_RE.match(text.strip()):
         what = f"GF({p})" if p else "rational"
         raise ScalarParseError(f"bad {what} literal: {text!r}")
     num, _, den = text.strip().partition("/")
     try:
-        return int(num), int(den or 1)
+        num, den = int(num), int(den or 1)
     except ValueError as exc:
         raise ScalarParseError(f"scalar literal of {len(text)} characters "
                                "has too many digits to convert") from exc
+    if p:
+        if den % p == 0:
+            raise ScalarParseError(f"denominator divisible by {p}: {text!r}")
+        return num * pow(den, -1, p) % p, 1
+    if not den:
+        raise ScalarParseError(f"zero denominator: {text!r}")
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def is_prime(n: int) -> bool:
@@ -218,6 +228,9 @@ class Fp:
     def __str__(self):
         return str(self.val)
 
+    def as_integer_ratio(self):
+        return self.val, 1
+
 
 # The slot descriptors' setters, bound once, so that making a residue skips
 # the lookup by attribute name that object.__setattr__ makes on each call.
@@ -249,10 +262,7 @@ class RationalField:
         raise FieldMismatchError(f"not a rational scalar: {x!r}")
 
     def parse(self, text: str) -> Fraction:
-        num, den = _literal(text, 0)
-        if not den:
-            raise ScalarParseError(f"zero denominator: {text!r}")
-        return Fraction(num, den)
+        return Fraction(*_literal(text, 0))
 
     def to_text(self, x: Fraction) -> str:
         return str(x)
@@ -298,11 +308,7 @@ class PrimeField:
         raise FieldMismatchError(f"not a GF({self.p}) scalar: {x!r}")
 
     def parse(self, text: str) -> Fp:
-        num, den = _literal(text, self.p)
-        if den % self.p == 0:
-            raise ScalarParseError(
-                f"denominator divisible by {self.p}: {text!r}")
-        return Fp(num if den == 1 else num * pow(den, -1, self.p), self.p)
+        return Fp(_literal(text, self.p)[0], self.p)
 
     def to_text(self, x: Fp) -> str:
         return str(x.val)

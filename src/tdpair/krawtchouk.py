@@ -6,6 +6,7 @@ transition map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import List, Optional, Tuple
 
 from .errors import InternalInconsistencyError, KrawtchoukTypeError
@@ -145,62 +146,57 @@ def check_section12(sys: TridiagonalSystem,
     r, f, l = (fr.t_inv * x * fr.t for x in fr.moved(
         rfl.system, "PP", rfl.raising, rfl.flat, rfl.lowering))
     cal_r, cal_l = fr.r_pow[1], fr.l_pow[1]
-    ident = fr.l_pow[0]
+    ident, zero = fr.l_pow[0], Matrix.zeros(field, sys.n, sys.n)
     out: List[Residual] = []
 
     def put(check_id: str, x, index: tuple = (), bases: str = "QQ"):
         out.append(fr.residual(check_id, index, x, bases))
 
     com_a = commutator(a, astar)
-    put("section12.quad.A",
-        commutator(a, commutator(a, com_a)) - com_a.scale(four))
+    put("section12.quad.A", commutator(a, commutator(a, com_a)).combination(
+        [(-4, com_a)]))
     com_astar = commutator(astar, a)
-    put("section12.quad.Astar",
-        commutator(astar, commutator(astar, com_astar))
-        - com_astar.scale(four))
+    put("section12.quad.Astar", commutator(
+        astar, commutator(astar, com_astar)).combination([(-4, com_astar)]))
 
-    put("section12.grade.L", commutator(astar, l) - l.scale(two))
+    put("section12.grade.L", commutator(astar, l).combination([(-2, l)]))
     put("section12.grade.F", commutator(astar, f))
-    put("section12.grade.R", commutator(astar, r) + r.scale(two))
+    put("section12.grade.R", commutator(astar, r).combination([(2, r)]))
 
     w = commutator(astar, com_astar)
-    put("section12.rebuild.R", r - (w - com_astar.scale(two)).scale(eighth))
-    put("section12.rebuild.F", f - (a - w.scale(quarter)))
-    put("section12.rebuild.L", l - (w + com_astar.scale(two)).scale(eighth))
+    put("section12.rebuild.R",
+        r.combination([(-eighth, w), (quarter, com_astar)]))
+    put("section12.rebuild.F", f.combination([(-1, a), (quarter, w)]))
+    put("section12.rebuild.L",
+        l.combination([(-eighth, w), (-quarter, com_astar)]))
 
     put("section12.bracket.LLF", commutator(l, commutator(l, f)))
     put("section12.bracket.RRF", commutator(r, commutator(r, f)))
-    put("section12.bracket.FFL",
-        commutator(f, commutator(f, l))
-        - commutator(l, commutator(l, r)).scale(two) - l.scale(four))
-    put("section12.bracket.FFR",
-        commutator(f, commutator(f, r))
-        - commutator(r, commutator(r, l)).scale(two) - r.scale(four))
+    put("section12.bracket.FFL", commutator(f, commutator(f, l)).combination(
+        [(-2, commutator(l, commutator(l, r))), (-4, l)]))
+    put("section12.bracket.FFR", commutator(f, commutator(f, r)).combination(
+        [(-2, commutator(r, commutator(r, l))), (-4, r)]))
     put("section12.bracket.FLR", commutator(f, commutator(l, r)))
 
     if not fr.l_pow[d + 1].is_zero():
         put("section12.exp.nil", fr.l_pow[d + 1])
     else:
-        # exp(c L) = sum of c^k / k! L^k over k <= d; the characteristic
-        # is zero or above d, so each k! is invertible
-        exp_half, exp_neg = ident, ident
-        coef = one
-        for k in range(1, d + 1):
-            coef = coef * half / field.from_int(k)
-            exp_half = exp_half + fr.l_pow[k].scale(coef)
-            exp_neg = exp_neg + fr.l_pow[k].scale(-coef if k % 2 else coef)
+        # exp(c L) = sum of c^k / k! L^k over k <= d, for c = 1/2 and
+        # -1/2; the characteristic is zero or above d, so each k! is
+        # invertible
+        exp_half, exp_neg = (ident.combination(
+            (c ** k / field.from_int(factorial(k)), fr.l_pow[k])
+            for k in range(1, d + 1)) for c in (half, -half))
         put("section12.exp.psi", fr.psi_qp - exp_half * fr.t_inv, (), "QP")
         put("section12.exp.psi_inv", fr.psi_inv_pq - fr.t * exp_neg, (),
             "PQ")
         put("section12.exp.unit", exp_half * exp_neg - ident)
         put("section12.exp.R", exp_half * r - cal_r * exp_half)
-        put("section12.exp.F",
-            exp_half * f
-            - (a - cal_r + commutator(cal_l, cal_r).scale(half)) * exp_half)
-        put("section12.exp.L",
-            exp_half * l
-            - (commutator(cal_l, commutator(cal_l, cal_r)).scale(eighth)
-               - cal_l) * exp_half)
+        put("section12.exp.F", exp_half * f - a.combination(
+            [(-1, cal_r), (half, commutator(cal_l, cal_r))]) * exp_half)
+        put("section12.exp.L", exp_half * l - zero.combination(
+            [(eighth, commutator(cal_l, commutator(cal_l, cal_r))),
+             (-1, cal_l)]) * exp_half)
 
     ad_l = commutator(cal_l, commutator(cal_l, cal_r))
     ad_r = commutator(cal_r, commutator(cal_r, cal_l))

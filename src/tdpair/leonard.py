@@ -299,9 +299,9 @@ def check_section11(sys: TridiagonalSystem,
     rl = fr.r_pow[1] * fr.l_pow[1]
     lr = fr.l_pow[1] * fr.r_pow[1]
     for i in range(1, d + 1):
-        out.append(fr.residual("section11.RL.phi", (i,), rl * fr.f[i]
-                               - fr.f[i].scale(data.phi_at(i))))
+        out.append(fr.residual("section11.RL.phi", (i,), (
+            rl * fr.f[i]).combination([(-data.phi_at(i), fr.f[i])])))
     for i in range(d):
-        out.append(fr.residual("section11.LR.phi", (i,), lr * fr.f[i]
-                               - fr.f[i].scale(data.phi_at(i + 1))))
+        out.append(fr.residual("section11.LR.phi", (i,), (
+            lr * fr.f[i]).combination([(-data.phi_at(i + 1), fr.f[i])])))
     return out

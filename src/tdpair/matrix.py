@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import DimensionError, FieldMismatchError
-from .fields import Field, Scalar
+from .fields import Field, Scalar, _literal
 
 _NONE: Dict[int, object] = {}
 
@@ -44,24 +44,23 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "nums", "den")
 
     def __new__(cls, field: Field, rows):
-        """The matrix of a literal: rows of scalars, ints or strings."""
-        coerced = []
-        width = None
+        """The matrix of a literal: rows of scalars, ints or strings, a
+        string read straight to ints (fields._literal)."""
+        p, pairs, width = field.char, [], None
         for row in rows:
-            out = tuple(field.coerce(x) for x in row)
+            out = tuple(_literal(x, p) if type(x) is str
+                        else field.coerce(x).as_integer_ratio() for x in row)
             if width is None:
                 width = len(out)
             elif len(out) != width:
                 raise DimensionError("ragged rows in matrix literal")
-            coerced.append(out)
-        if not coerced or width == 0:
+            pairs.append(out)
+        if not pairs or width == 0:
             raise DimensionError("empty matrix")
-        p = field.char
-        den = 1 if p else math.lcm(*(x.denominator for r in coerced
-                                     for x in r))
-        nums = ({j: x.val if p else x.numerator * (den // x.denominator)
-                 for j, x in enumerate(row) if x} for row in coerced)
-        return _new(field, len(coerced), width,
+        den = 1 if p else math.lcm(*(d for r in pairs for _, d in r))
+        nums = ({j: n * (den // d) for j, (n, d) in enumerate(row) if n}
+                for row in pairs)
+        return _new(field, len(pairs), width,
                     {i: row for i, row in enumerate(nums) if row}, den)
 
     def __setattr__(self, name, value):
@@ -131,12 +130,18 @@ class Matrix:
 
     def rank(self) -> int:
         """The number of nonzero rows, restricted to the nonzero columns,
-        that grow an echelon (linalg._int_insert); den changes no rank."""
-        from .linalg import _int_insert   # linalg imports this module
+        that grow an echelon (linalg._int_insert); den changes no rank.
+        It is at most top, the fewer of the nonzero rows and columns: top
+        itself when top <= 1, with no elimination, and no row is inserted
+        once the echelon holds top rows."""
         cols, echelon = sorted({j for r in self.nums.values() for j in r}), {}
+        top = min(len(self.nums), len(cols))
+        if top <= 1:
+            return top
+        from .linalg import _int_insert   # linalg imports this module
         return sum(_int_insert(echelon, [row.get(j, 0) for j in cols],
                                self.field.char) is not None
-                   for row in self.nums.values())
+                   for row in self.nums.values() if len(echelon) < top)
 
     def _require_square(self):
         if self.nrows != self.ncols:

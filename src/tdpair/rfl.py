@@ -58,8 +58,8 @@ def compute_rfl(sys: TridiagonalSystem) -> RFLDecomposition:
     zero = Matrix.zeros(sys.field, sys.n, sys.n)
     # E*_(i+k) A E*_i summed over i, for k = 1, 0, -1
     return RFLDecomposition(sys, *(
-        sum((es[i + k] * a_es[i] for i in range(sys.d + 1)
-             if 0 <= i + k <= sys.d), zero) for k in (1, 0, -1)))
+        zero.combination((1, es[i + k] * a_es[i]) for i in range(sys.d + 1)
+                         if 0 <= i + k <= sys.d) for k in (1, 0, -1)))
 
 
 def section5_coefficients(sys: TridiagonalSystem,
@@ -144,10 +144,10 @@ def check_section5(sys: TridiagonalSystem, rfl: RFLDecomposition,
 
     # a term whose coefficient is undetermined must vanish on its own, and
     # is reported by itself when it does not
-    low = (lrl.scale(beta + 2) + lf2 - flf.scale(beta) + f2l
-           - (lf + fl).scale(gamma) - l.scale(rho))
-    high = (rlr.scale(beta + 2) + f2r - frf.scale(beta) + rf2
-            - (fr + rf).scale(gamma) - r.scale(rho))
+    low = lf2.combination([(beta + 2, lrl), (-beta, flf), (1, f2l),
+                           (-gamma, lf), (-gamma, fl), (-rho, l)])
+    high = f2r.combination([(beta + 2, rlr), (-beta, frf), (1, rf2),
+                            (-gamma, fr), (-gamma, rf), (-rho, r)])
     for i in range(1, d + 1):
         for name, acc, terms, proj in (
                 ("section5.ii.low", low, (rl2, l2r), estar[i]),
@@ -161,12 +161,11 @@ def check_section5(sys: TridiagonalSystem, rfl: RFLDecomposition,
 
     com_lr = commutator(f, lr)
     com_rl = commutator(f, rl)
+    zero, ts = Matrix.zeros(sys.field, sys.n, sys.n), params.thetastar_ext
     for i in range(0, d + 1):
-        left = com_lr.scale(params.thetastar_ext(sys, i)
-                            - params.thetastar_ext(sys, i + 1))
-        right = com_rl.scale(params.thetastar_ext(sys, i - 1)
-                             - params.thetastar_ext(sys, i))
-        out.append(res("section5.iii", (i,), (left - right) * estar[i]))
+        bal = zero.combination([(ts(sys, i) - ts(sys, i + 1), com_lr),
+                                (ts(sys, i) - ts(sys, i - 1), com_rl)])
+        out.append(res("section5.iii", (i,), bal * estar[i]))
     return out
 
 

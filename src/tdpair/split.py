@@ -98,12 +98,13 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
     sf, zero = Frame(sys, basis, f), Matrix.zeros(field, n, n)
     # A - sum theta_i F_i and A* - sum thetastar_i F_i
     raising, lowering = (
-        x - sum(map(Matrix.scale, f, th), zero)
+        x.combination((-t, fi) for t, fi in zip(th, f))
         for x, th in ((sf.a, sys.theta), (sf.astar, sys.thetastar)))
     split = SplitDecomposition(
         system=sys, summands=tuple(summands), basis=basis,
         projectors=tuple(f), raising=raising, lowering=lowering,
-        transition=sum(sf.fe_qp, zero), transition_inv=sum(sf.ef_pq, zero))
+        transition=zero.combination((1, x) for x in sf.fe_qp),
+        transition_inv=zero.combination((1, x) for x in sf.ef_pq))
     frame_of(sys, split, sf.read_maps(split))
     return split
 
@@ -124,8 +125,8 @@ def check_section7(sys: TridiagonalSystem,
         for i in range(d + 1):
             blk = proj[i] * af
             if i == j:
-                out.append(res("section7.A.diag", (i,),
-                               blk - proj[i].scale(sys.theta[i])))
+                out.append(res("section7.A.diag", (i,), blk.combination(
+                    [(-sys.theta[i], proj[i])])))
             elif i == j + 1:
                 out.append(res("section7.A.sub", (j,),
                                blk - r_pow[1] * proj[j]))
@@ -133,8 +134,8 @@ def check_section7(sys: TridiagonalSystem,
                 out.append(res("section7.A.zero", (i, j), blk))
             blk = proj[i] * asf
             if i == j:
-                out.append(res("section7.Astar.diag", (i,),
-                               blk - proj[i].scale(sys.thetastar[i])))
+                out.append(res("section7.Astar.diag", (i,), blk.combination(
+                    [(-sys.thetastar[i], proj[i])])))
             elif i == j - 1:
                 out.append(res("section7.Astar.super", (j,),
                                blk - fr.l_pow[1] * proj[j]))

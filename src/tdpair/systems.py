@@ -569,8 +569,8 @@ def check_tridiagonal_relations(sys: TridiagonalSystem,
     def residual(check_id: str, x, y, gamma: Scalar,
                  rho: Scalar) -> Residual:
         xy, yx = x * y, y * x
-        inner = (x * xy - (xy * x).scale(params.beta) + yx * x
-                 - (xy + yx).scale(gamma) - y.scale(rho))
+        inner = (x * xy).combination([(-params.beta, xy * x), (1, yx * x),
+                                      (-gamma, xy), (-gamma, yx), (-rho, y)])
         return fr.residual(check_id, (), commutator(x, inner), "PP")
 
     return (residual("relations.A", fr.a_pp, fr.astar_pp, params.gamma,

@@ -1,10 +1,12 @@
 """The integer elimination of `linalg` against the field-scalar one of
 `oracles` as the reference: rank, pivots, reduced rows, kernels,
 subspaces, solutions, inverses, eigenspaces, the rank of a sparse
-matrix and rows inserted one at a time, over QQ and over GF(2^61 - 1),
-and for insertion also GF(7)."""
+matrix, also where one nonzero row or column or a full echelon settles
+it early, and rows inserted one at a time, over QQ and over
+GF(2^61 - 1), and for insertion also GF(7)."""
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,70 @@ def test_sparse_rank_matches_oracle(m):
     stacked = Matrix(m.field, m.rows + m.rows)
     for x in (m, m.transpose(), stacked):
         assert x.rank() == rank(x) == rank_kernel(x)[0] == rank(m)
+
+
+@st.composite
+def settled_early(draw):
+    """(m, inserts) for an r x c matrix m over QQ or GF(2^61 - 1) whose
+    rank needs fewer row insertions than it has nonzero rows: the zero
+    matrix, one nonzero row or one nonzero column anywhere (0 inserts),
+    or k >= 2 nonzero columns among c, tall or wide, whose first k rows
+    are independent (triangular on those columns, with a nonzero
+    diagonal) and whose r - k >= 1 rows after them are arbitrary on
+    those columns (k inserts)."""
+    field = draw(st.sampled_from([QQ, M61]))
+    if field is QQ:
+        nonzero = st.fractions(min_value=-20, max_value=20,
+                               max_denominator=30).filter(bool)
+    else:
+        nonzero = st.integers(min_value=1, max_value=2 ** 20).map(
+            lambda k: M61.p - k)
+    entry = st.one_of(st.just(0), nonzero)
+    kind = draw(st.sampled_from(["zero", "one row", "one column",
+                                 "fills early"]))
+    size = st.integers(min_value=1, max_value=7)
+    r, c = draw(size), draw(size)
+    if kind == "fills early":
+        k = draw(st.integers(min_value=2, max_value=6))
+        r = max(r, k + 1)
+        c = max(c, k)
+        cols = sorted(draw(st.permutations(range(c)))[:k])
+        rows = [[draw(nonzero) if j == cols[i] else
+                 draw(entry) if j in cols[i + 1:] else 0 for j in range(c)]
+                for i in range(k)]
+        rows += [[draw(entry) if j in cols else 0 for j in range(c)]
+                 for _ in range(r - k)]
+        return Matrix(field, rows), k
+    at = draw(st.integers(min_value=0, max_value=max(r, c) - 1))
+    if kind == "one row":
+        rows = [[draw(entry) if i == at % r else 0 for _ in range(c)]
+                for i in range(r)]
+    elif kind == "one column":
+        rows = [[draw(entry) if j == at % c else 0 for j in range(c)]
+                for _ in range(r)]
+    else:
+        rows = [[0] * c for _ in range(r)]
+    return Matrix(field, rows), 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(settled_early())
+def test_rank_settled_early_matches_oracle(drawn):
+    """Matrix.rank is the oracle's rank and rank_kernel's when at most
+    one row or one column is nonzero, with no row inserted, and when the
+    echelon fills before the last nonzero row, with no row inserted once
+    it is full; so is the rank of the transpose."""
+    m, inserts = drawn
+    for x in (m, m.transpose()):
+        with mock.patch.object(linalg, "_int_insert",
+                               wraps=linalg._int_insert) as spy:
+            got = x.rank()
+        assert got == rank(x) == rank_kernel(x)[0]
+    assert spy.call_count <= inserts
+    with mock.patch.object(linalg, "_int_insert",
+                           wraps=linalg._int_insert) as spy:
+        m.rank()
+    assert spy.call_count == inserts
 
 
 @st.composite

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdpair import (DimensionError, FieldMismatchError, Matrix, PrimeField,
-                    QQ, commutator)
+from tdpair import (DimensionError, FieldMismatchError, MalformedInputError,
+                    Matrix, PrimeField, QQ, commutator)
 from tdpair.matrix import hstack, powers
+from tdpair.systems import matrix_from_json
 
 from oracles import add, apply, kron, neg, product, scale, sub, trace
 
@@ -397,3 +398,117 @@ def test_rows_shared_by_a_product_stay_unchanged(field):
             hstack([y, x]), hstack([x, y]), y ** 2, proj * y]
     assert (x.nums, y.nums) == held
     assert made[-1] == y and made[-1].nums[0] is x.nums[0]
+
+
+@st.composite
+def combinations(draw):
+    """(x, terms) for a combination over QQ or GF(2^61 - 1) of 2 to 6
+    drawn terms, r x c for r and c in 1 to 4, about half the rows of
+    each matrix zero.  Over QQ every matrix has entries over its own
+    denominator and every coefficient its own, drawn from pairwise
+    coprime ones; over GF(2^61 - 1) entries lie near p, coefficients are
+    ints from p to 3p, residues near p or their text, and a drawn term
+    (c, y) is often followed by (-c, y), so that rows cancel and are
+    dropped."""
+    field = draw(st.sampled_from([QQ, M61]))
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    dens = iter(draw(st.permutations(DENOMINATORS)) * 2)
+
+    def matrix():
+        den = next(dens)
+        entry = (st.integers(-9, 9).map(lambda x: Fraction(x, den))
+                 if field is QQ else st.just(0)
+                 | st.integers(1, 2 ** 20).map(lambda x: field.p - x))
+        return Matrix(field, [[draw(entry) for _ in range(c)]
+                              if draw(st.booleans()) else [0] * c
+                              for _ in range(r)])
+
+    def coefficient():
+        if field is QQ:
+            return Fraction(draw(st.integers(-9, 9)), next(dens))
+        x = draw(st.integers(field.p, 3 * field.p)
+                 | st.integers(1, 2 ** 20).map(lambda k: field.p - k))
+        return draw(st.sampled_from([x, str(x % field.p)]))
+
+    terms = []
+    for _ in range(draw(st.integers(2, 6))):
+        y, a = matrix(), coefficient()
+        terms.append((a, y))
+        if field is not QQ and draw(st.booleans()):
+            terms.append((-a if type(a) is int else "-" + a, y))
+    return matrix(), terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(combinations())
+def test_combination_is_the_left_fold_of_its_terms(drawn):
+    """One combination of several terms gives the canonical form of the
+    left fold x + c_1 y_1 + c_2 y_2 + ... through the field-scalar
+    oracles add and scale."""
+    x, terms = drawn
+    want = x
+    for c, y in terms:
+        want = add(want, scale(y, c))
+    canonical(x.combination(terms), want)
+    canonical(Matrix.zeros(x.field, x.nrows, x.ncols).combination(
+        [(1, x)] + terms), want)
+
+
+@st.composite
+def text_literals(draw):
+    """(field, texts, values): rows of 1 to 4 literals over QQ or
+    GF(2^61 - 1), "n" or "n/d" with a sign or none, often unreduced
+    ("4/6"), zero with a sign ("-0"), numerators up to 10^30, whitespace
+    around, and the same values as Fractions over QQ and as residues
+    over GF(2^61 - 1)."""
+    field = draw(st.sampled_from([QQ, M61]))
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pad = st.sampled_from(["", " ", "\t", " \n"])
+
+    def literal():
+        g = draw(st.sampled_from([1, 2, 6]))
+        num = g * draw(st.integers(0, 12) | st.integers(0, 10 ** 30))
+        den = g * draw(st.integers(1, 12)) if draw(st.booleans()) else None
+        sign = draw(st.sampled_from(["", "+", "-"]))
+        text = sign + str(num) + ("" if den is None else f"/{den}")
+        value = Fraction(-num if sign == "-" else num, den or 1)
+        if field is not QQ:
+            value = field.from_int(value.numerator) / field.from_int(
+                value.denominator)
+        return draw(pad) + text + draw(pad), value
+
+    cells = [[literal() for _ in range(c)] for _ in range(r)]
+    return (field, [[t for t, _ in row] for row in cells],
+            [[v for _, v in row] for row in cells])
+
+
+@settings(max_examples=200, deadline=None)
+@given(text_literals())
+def test_text_literal_is_the_literal_of_its_values(drawn):
+    """A literal of text, read straight to ints, equals the literal of
+    the same values as field scalars, and so does one mixing text with
+    values."""
+    field, texts, values = drawn
+    want = Matrix(field, values)
+    canonical(Matrix(field, texts), want)
+    canonical(Matrix(field, [[t if (i + j) % 2 else v
+                              for j, (t, v) in enumerate(zip(*pair))]
+                             for i, pair in enumerate(zip(texts, values))]),
+              want)
+
+
+@pytest.mark.parametrize("field, text, message", [
+    (QQ, "1/0", "zero denominator: '1/0'"),
+    (QQ, "1.5", "bad rational literal: '1.5'"),
+    (M61, "x", f"bad GF({M61.p}) literal: 'x'"),
+    (M61, f"3/{M61.p}", f"denominator divisible by {M61.p}: '3/{M61.p}'"),
+    (QQ, "7" * 4400, "scalar literal of 4400 characters has too many "
+                     "digits to convert")],
+    ids=["zero denominator", "bad rational", "bad prime", "divisible",
+         "too long"])
+def test_text_literal_keeps_the_parse_messages(field, text, message):
+    """A bad text entry of a matrix read from JSON is refused with the
+    message its field's parser gives."""
+    with pytest.raises(MalformedInputError) as caught:
+        matrix_from_json(field, [[1, text]], "A")
+    assert str(caught.value) == f"bad A: {message}"

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from tdpair import (CHECK_IDS, KrawtchoukParams, MalformedInputError,
-                    Matrix, QQ, Subspace, analyze_pair,
+                    Matrix, PrimeField, QQ, Subspace, analyze_pair,
                     compute_relation_parameters, compute_split,
-                    construct_krawtchouk, inverse, run_all_checks)
+                    construct_krawtchouk, construct_leonard, inverse,
+                    run_all_checks)
 from tdpair import frame, linalg, split
 from tdpair.frame import Frame
 
@@ -305,3 +306,41 @@ def test_accepted_general_basis_reads_the_input_only_through_conj(
     assert len(taken) == 2 and {id(m) for m in taken} \
         == {id(system.A), id(system.Astar)}
     assert not carried
+
+
+def leonard_qq():
+    """The QQ Leonard system of Krawtchouk d = 3, p = 1/3, under
+    theta -> 3 theta + 1/2 and theta* -> 5 theta* - 2."""
+    d = 3
+    theta = [Fraction(3 * (d - 2 * i)) + Fraction(1, 2) for i in range(d + 1)]
+    thetastar = [Fraction(5 * (d - 2 * i) - 2) for i in range(d + 1)]
+    phi = [Fraction(60 * i * (i - d - 1), 3) for i in range(1, d + 1)]
+    return construct_leonard(theta, thetastar, phi, QQ)[0]
+
+
+def tensor_gf101_12321():
+    """The tensor sum of the GF(101) Krawtchouk pairs of d = 2, p = 3 and
+    p = 5, in its system of shape 1, 2, 3, 2, 1."""
+    gf101 = PrimeField(101)
+    s1, s2 = (construct_krawtchouk(KrawtchoukParams(field=gf101, d=2, p=p))[0]
+              for p in (3, 5))
+    return next(s for s in analyze_tensor_sum(s1, s2).systems
+                if s.shape == (1, 2, 3, 2, 1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: construct_krawtchouk(
+        KrawtchoukParams(field=QQ, d=4, p=Fraction(1, 3)))[0],
+    tensor_gf101_12321, leonard_qq], ids=["krawtchouk", "tensor", "leonard"])
+def test_each_identity_is_one_combination(build, monkeypatch):
+    """The checks form every linear combination of operators as one
+    Matrix.combination: run_all_checks passes and calls Matrix.scale (a
+    one-term combination, which negation and a product with a scalar
+    also call) not once."""
+    system = build()
+    scaled = []
+    real = Matrix.scale
+    monkeypatch.setattr(Matrix, "scale",
+                        lambda self, c: scaled.append(c) or real(self, c))
+    report = run_all_checks(system)
+    assert report.ok and not scaled
