@@ -106,12 +106,16 @@ def check_descent(sys: TridiagonalSystem,
     out: List[Residual] = []
     for i in range(d + 1):
         for j in range(i, d + 1):
-            res = (fr.f[i] * fr.es_qp[j]).combination(
-                [(-one / g[j][i], l_pow[j - i] * fr.fe_qp[j])])
-            out.append(fr.residual("descent.FE", (i, j), res, "QP"))
-            res = (fr.es_pp[i] * fr.f_pq[j]).combination(
-                [(-one / g[i][j], fr.ef_pq[i] * l_pow[j - i])])
-            out.append(fr.residual("descent.EF", (i, j), res, "PQ"))
+            if i == j:   # both sides are F_i E*_i, or E*_i F_i, as formed
+                fe = lfe = fr.fe_qp[i]
+                ef = efl = fr.ef_pq[i]
+            else:
+                fe, lfe = fr.f[i] * fr.es_qp[j], l_pow[j - i] * fr.fe_qp[j]
+                ef, efl = fr.es_pp[i] * fr.f_pq[j], fr.ef_pq[i] * l_pow[j - i]
+            out.append(fr.residual("descent.FE", (i, j), fe.combination(
+                [(-one / g[j][i], lfe)]), "QP"))
+            out.append(fr.residual("descent.EF", (i, j), ef.combination(
+                [(-one / g[i][j], efl)]), "PQ"))
     return out
 
 
@@ -150,13 +154,13 @@ def check_diagrams(sys: TridiagonalSystem, split: SplitDecomposition,
     d = sys.d
     fr = frame_of(sys, split)
     psi = fr.psi_qp
+    psi_es = [psi * x for x in fr.es_pp]
     out: List[Residual] = []
 
     def report(name: str, j: int, lead: Matrix, i: int) -> None:
         # (lead - op psi) E*_j, op the assembled operator at (i, j): the
         # raising map at (j + 1, j), the direct forms at (j, j), (j - 1, j)
-        res = _assembled(sys, fr, i, j, psi * fr.es_pp[j],
-                         lhs=lead * fr.es_pp[j])
+        res = _assembled(sys, fr, i, j, psi_es[j], lhs=lead * fr.es_pp[j])
         out.append(fr.residual(name, (j,), res, "QP"))
         diff = res - _grid(sys, fr, i, j)
         if not diff.is_zero():

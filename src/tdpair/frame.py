@@ -15,10 +15,16 @@ is dropped only when it is zero, so a corrupted input keeps its off-band
 entries.  Only a nonzero residual is carried back to the original basis,
 by products with the bases, and only when its matrix is read.
 
-The frame of a split is built once, from Q and the projectors F_i:
-compute_split reads the shifted maps and the transition maps off it and
-keeps it, and a split passed with another system, or rebuilt, gets a
-frame built the same way from its own fields.
+The dual side (P, A and A* in P, the E*_i, the A E*_i) belongs to the
+order of the dual eigenspaces: analyze_pair gives twins, its two systems
+with one such order, one holder, which the first frame built fills, and
+Frame.keep keeps there R, F, L and the words and ranks of the checks that
+read nothing else.  A system built otherwise, or a copy, shares nothing.
+
+The frame of a split is built once, from Q, T = P^-1 Q and the
+projectors F_i: compute_split reads the shifted maps and the transition
+maps off it and keeps it, and a split passed with another system, or
+rebuilt, gets a frame built the same way from its own fields.
 """
 from __future__ import annotations
 
@@ -46,37 +52,40 @@ def _basis(field, n: int, blocks: List[Matrix]) -> Tuple[tuple, bool]:
 
 class Frame:
     """The operators of a system in the dual basis P and, given the basis
-    (Q, Q^-1) and the projectors F_i of a split decomposition, in Q.
-    Names give the bases as in "QP": rows in Q, columns in P; operators
-    named without one are in "QQ".  The system's frame takes the factors
-    of each E_i and E*_i that the system holds; a split's frame shares
+    (Q, Q^-1), t = (T, T^-1) for T = P^-1 Q and the projectors F_i of a
+    split decomposition, in Q.  Names give the bases as in "QP": rows in
+    Q, columns in P; operators named without one are in "QQ".  The
+    system's frame takes the factors of each E_i and E*_i that the system
+    holds, or those of each E*_i from its twin's; a split's frame shares
     it, and read_maps adds the split's shifted and transition maps.
     bases holds (B, B^-1) for P and Q.  When the stacked bases of the
     dual eigenspaces are no basis (a corrupted family of idempotents), P
     is the identity and is_basis is False."""
 
     def __init__(self, sys, basis: Optional[tuple] = None,
-                 projectors: Sequence[Matrix] = ()):
+                 projectors: Sequence[Matrix] = (), t: tuple = ()):
         if basis is None:
-            self.field, self.n = sys.field, sys.n
-            p, self.is_basis = _basis(
-                sys.field, sys.n, [x[0] for x in sys.Estar_factors if x])
-            self.bases = {"P": p}
-            self.a_pp, self.astar_pp = (self.conj(x, "PP")
-                                        for x in (sys.A, sys.Astar))
+            dual = sys.__dict__.get("_dual", {})
+            if not dual:
+                self.field, self.n = sys.field, sys.n
+                p, self.is_basis = _basis(sys.field, sys.n, [
+                    x[0] for x in sys.Estar_factors if x])
+                self.bases = {"P": p}
+                self.a_pp, self.astar_pp = (self.conj(x, "PP")
+                                            for x in (sys.A, sys.Astar))
+                self.es_pp = [b * c for b, c in self._thin(sys.Estar_factors)]
+                self.a_es_pp = [self.a_pp * x for x in self.es_pp]
+                dual.update(vars(self), kept={})
+            vars(self).update(dual)
             self.e_thin = self._thin(sys.E_factors)
-            self.es_pp = [b * c for b, c in self._thin(sys.Estar_factors)]
-            self.a_es_pp = [self.a_pp * x for x in self.es_pp]
             return
         # the dual side is the system's, shared
-        self.dual = frame_of(sys)
-        vars(self).update(vars(self.dual))
+        vars(self).update(vars(frame_of(sys)))
         self.bases = dict(self.bases, Q=basis)
         self.f = list(projectors)
         # for T = P^-1 Q, A in Q is T^-1 (P^-1 A P) T, F_i in PQ is T F_i
         # and E*_i in QP is T^-1 E*_i
-        (p, p_inv), (q, q_inv) = self.bases["P"], basis
-        self.t, self.t_inv = p_inv * q, q_inv * p
+        self.t, self.t_inv = t
         self.a, self.astar = (self.t_inv * x * self.t
                               for x in (self.a_pp, self.astar_pp))
         self.f_pq = [self.t * x for x in self.f]
@@ -120,6 +129,14 @@ class Frame:
                 for a in range(top) for b in range(top - a)}
         return out
 
+    def keep(self, build, *ops):
+        """build(*ops), kept on the dual side by the identities of build
+        and ops, with ops held: only the same operand objects share it."""
+        key = (build, *map(id, ops))
+        if key not in self.kept:
+            self.kept[key] = build(*ops), ops
+        return self.kept[key][0]
+
     def conj(self, x: Matrix, bases: str) -> Matrix:
         """x from the basis bases[1] to the basis bases[0]."""
         return self.bases[bases[0]][1] * x * self.bases[bases[1]][0]
@@ -128,10 +145,10 @@ class Frame:
         """ops, in bases whose P is the dual basis P' of the system owner,
         with this frame's P in place of P': as they are when P' is P, else
         as products with P^-1 P' on the left, P'^-1 P on the right."""
-        theirs = frame_of(owner)
-        if theirs is vars(self).get("dual", self):
+        theirs = frame_of(owner).bases["P"]
+        if theirs is self.bases["P"]:
             return ops
-        (p, p_inv), (o, o_inv) = self.bases["P"], theirs.bases["P"]
+        (p, p_inv), (o, o_inv) = self.bases["P"], theirs
         to, back = p_inv * o, o_inv * p
         return [to * x * back if bases == "PP" else
                 x * back if bases == "QP" else to * x for x in ops]
@@ -159,8 +176,11 @@ def frame_of(sys, split=None, built: Optional[Frame] = None) -> Frame:
     held = owner.__dict__.get("_frame")
     if built is None and held is not None and held[0] is key:
         return held[1]
-    if built is None:
-        built = Frame(sys) if split is None else Frame(
-            sys, split.basis, split.projectors).read_maps(split)
+    if built is None and split is None:
+        built = Frame(sys)
+    elif built is None:
+        (p, p_inv), (q, q_inv) = frame_of(sys).bases["P"], split.basis
+        built = Frame(sys, split.basis, split.projectors,
+                      (p_inv * q, q_inv * p)).read_maps(split)
     object.__setattr__(owner, "_frame", (key, built))
     return built

@@ -152,32 +152,41 @@ def check_section12(sys: TridiagonalSystem,
     def put(check_id: str, x, index: tuple = (), bases: str = "QQ"):
         out.append(fr.residual(check_id, index, x, bases))
 
-    com_a = commutator(a, astar)
+    # each product of two operators is formed once, and a commutator
+    # that recurs with its sign reversed is the other difference of them
+    a_as, as_a = a * astar, astar * a
+    com_a, com_astar = a_as - as_a, as_a - a_as
     put("section12.quad.A", commutator(a, commutator(a, com_a)).combination(
         [(-4, com_a)]))
-    com_astar = commutator(astar, a)
-    put("section12.quad.Astar", commutator(
-        astar, commutator(astar, com_astar)).combination([(-4, com_astar)]))
+    w = commutator(astar, com_astar)
+    put("section12.quad.Astar", commutator(astar, w).combination(
+        [(-4, com_astar)]))
 
     put("section12.grade.L", commutator(astar, l).combination([(-2, l)]))
     put("section12.grade.F", commutator(astar, f))
     put("section12.grade.R", commutator(astar, r).combination([(2, r)]))
 
-    w = commutator(astar, com_astar)
     put("section12.rebuild.R",
         r.combination([(-eighth, w), (quarter, com_astar)]))
     put("section12.rebuild.F", f.combination([(-1, a), (quarter, w)]))
     put("section12.rebuild.L",
         l.combination([(-eighth, w), (-quarter, com_astar)]))
 
-    put("section12.bracket.LLF", commutator(l, commutator(l, f)))
-    put("section12.bracket.RRF", commutator(r, commutator(r, f)))
-    put("section12.bracket.FFL", commutator(f, commutator(f, l)).combination(
-        [(-2, commutator(l, commutator(l, r))), (-4, l)]))
-    put("section12.bracket.FFR", commutator(f, commutator(f, r)).combination(
-        [(-2, commutator(r, commutator(r, l))), (-4, r)]))
-    put("section12.bracket.FLR", commutator(f, commutator(l, r)))
+    l_f, f_l, r_f, f_r, l_r, r_l = l * f, f * l, r * f, f * r, l * r, r * l
+    put("section12.bracket.LLF", commutator(l, l_f - f_l))
+    put("section12.bracket.RRF", commutator(r, r_f - f_r))
+    put("section12.bracket.FFL", commutator(f, f_l - l_f).combination(
+        [(-2, commutator(l, l_r - r_l)), (-4, l)]))
+    put("section12.bracket.FFR", commutator(f, f_r - r_f).combination(
+        [(-2, commutator(r, r_l - l_r)), (-4, r)]))
+    put("section12.bracket.FLR", commutator(f, l_r - r_l))
 
+    # ad_l[k] = [L, ad_l[k - 1]] from ad_l[0] = [L, R], ad_r the mirror
+    lr_cal, rl_cal = cal_l * cal_r, cal_r * cal_l
+    ad_l, ad_r = [lr_cal - rl_cal], [rl_cal - lr_cal]
+    for _ in range(max(2, d + 1)):
+        ad_l.append(commutator(cal_l, ad_l[-1]))
+        ad_r.append(commutator(cal_r, ad_r[-1]))
     if not fr.l_pow[d + 1].is_zero():
         put("section12.exp.nil", fr.l_pow[d + 1])
     else:
@@ -193,20 +202,13 @@ def check_section12(sys: TridiagonalSystem,
         put("section12.exp.unit", exp_half * exp_neg - ident)
         put("section12.exp.R", exp_half * r - cal_r * exp_half)
         put("section12.exp.F", exp_half * f - a.combination(
-            [(-1, cal_r), (half, commutator(cal_l, cal_r))]) * exp_half)
+            [(-1, cal_r), (half, ad_l[0])]) * exp_half)
         put("section12.exp.L", exp_half * l - zero.combination(
-            [(eighth, commutator(cal_l, commutator(cal_l, cal_r))),
-             (-1, cal_l)]) * exp_half)
+            [(eighth, ad_l[1]), (-1, cal_l)]) * exp_half)
 
-    ad_l = commutator(cal_l, commutator(cal_l, cal_r))
-    ad_r = commutator(cal_r, commutator(cal_r, cal_l))
     for k in range(2, d + 2):
-        ad_l = commutator(cal_l, ad_l)
-        ad_r = commutator(cal_r, ad_r)
-        put("section12.adpow.L", ad_l, (k,))
-        put("section12.adpow.R", ad_r, (k,))
-    put("section12.triple.L",
-        commutator(cal_l, commutator(cal_l, commutator(cal_l, cal_r))))
-    put("section12.triple.R",
-        commutator(cal_r, commutator(cal_r, commutator(cal_r, cal_l))))
+        put("section12.adpow.L", ad_l[k], (k,))
+        put("section12.adpow.R", ad_r[k], (k,))
+    put("section12.triple.L", ad_l[2])
+    put("section12.triple.R", ad_r[2])
     return out

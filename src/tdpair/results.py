@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, List, Tuple, Union
 
 from .matrix import Matrix
@@ -18,14 +17,16 @@ class Residual:
     def __init__(self, check_id: str, index: Tuple[int, ...],
                  build: Callable[[], Matrix], is_zero: bool):
         self.check_id, self.index, self.is_zero = check_id, index, is_zero
-        self._build = build
+        self._build, self._matrix = build, None
 
-    @cached_property
+    @property
     def matrix(self) -> Matrix:
-        build, self._build = self._build, None
-        return build()
+        """Built on first read, which drops build."""
+        if self._build is not None:
+            self._matrix, self._build = self._build(), None
+        return self._matrix
 
-    @cached_property
+    @property
     def norm0(self) -> int:
         return 0 if self.is_zero else self.matrix.nonzero_count()
 

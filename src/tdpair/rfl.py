@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from .fields import Scalar
@@ -54,12 +55,16 @@ def compute_rfl(sys: TridiagonalSystem) -> RFLDecomposition:
     reported by check_section5 and check_section10.
     """
     fr = frame_of(sys)
-    es, a_es = fr.es_pp, fr.a_es_pp
-    zero = Matrix.zeros(sys.field, sys.n, sys.n)
-    # E*_(i+k) A E*_i summed over i, for k = 1, 0, -1
-    return RFLDecomposition(sys, *(
-        zero.combination((1, es[i + k] * a_es[i]) for i in range(sys.d + 1)
-                         if 0 <= i + k <= sys.d) for k in (1, 0, -1)))
+    return RFLDecomposition(sys, *fr.keep(_rfl, fr.es_pp, fr.a_es_pp))
+
+
+def _rfl(es: List[Matrix], a_es: List[Matrix]) -> tuple:
+    """R, F and L: E*_(i+k) A E*_i summed over i, for k = 1, 0, -1."""
+    d, zero = len(es) - 1, Matrix.zeros(es[0].field, es[0].nrows,
+                                        es[0].ncols)
+    return tuple(zero.combination((1, es[i + k] * a_es[i])
+                                  for i in range(d + 1) if 0 <= i + k <= d)
+                 for k in (1, 0, -1))
 
 
 def section5_coefficients(sys: TridiagonalSystem,
@@ -107,51 +112,30 @@ def check_section5(sys: TridiagonalSystem, rfl: RFLDecomposition,
     estar = frame.es_pp
     r, f, l = frame.moved(rfl.system, "PP",
                           rfl.raising, rfl.flat, rfl.lowering)
+    w = frame.keep(_section5_words, r, f, l)
     gamma, rho = params.gamma, params.rho
     beta = params.beta
     res = partial(frame.residual, bases="PP")
-
-    l2, r2 = l * l, r * r
-    fl, lf = f * l, l * f
-    fr, rf = f * r, r * f
-    lr, rl = l * r, r * l
-    f2 = f * f
-
     out: List[Residual] = []
 
-    fl2, l2f, lfl = f * l2, l2 * f, l * fl
-    r2f, fr2, rfr = r2 * f, f * r2, r * fr
     for i in range(2, d + 1):
-        low = lfl.combination([(co.gminus[i], fl2), (co.gplus[i], l2f),
-                               (-gamma, l2)])
+        low = w.lfl.combination([(co.gminus[i], w.fll), (co.gplus[i], w.llf),
+                                 (-gamma, w.ll)])
         out.append(res("section5.i.low", (i,), low * estar[i]))
-        high = rfr.combination([(co.gminus[i], r2f), (co.gplus[i], fr2),
-                                (-gamma, r2)])
+        high = w.rfr.combination([(co.gminus[i], w.rrf),
+                                  (co.gplus[i], w.frr), (-gamma, w.rr)])
         out.append(res("section5.i.high", (i,), high * estar[i - 2]))
-
-    rl2 = r * l2
-    lrl = l * rl
-    l2r = l2 * r
-    r2l = r2 * l
-    rlr = r * lr
-    lr2 = l * r2
-    lf2 = l * f2
-    flf = f * lf
-    f2l = f2 * l
-    f2r = f2 * r
-    frf = f * rf
-    rf2 = r * f2
 
     # a term whose coefficient is undetermined must vanish on its own, and
     # is reported by itself when it does not
-    low = lf2.combination([(beta + 2, lrl), (-beta, flf), (1, f2l),
-                           (-gamma, lf), (-gamma, fl), (-rho, l)])
-    high = f2r.combination([(beta + 2, rlr), (-beta, frf), (1, rf2),
-                            (-gamma, fr), (-gamma, rf), (-rho, r)])
+    low = w.lff.combination([(beta + 2, w.lrl), (-beta, w.flf), (1, w.ffl),
+                             (-gamma, w.lf), (-gamma, w.fl), (-rho, l)])
+    high = w.ffr.combination([(beta + 2, w.rlr), (-beta, w.frf), (1, w.rff),
+                              (-gamma, w.fr), (-gamma, w.rf), (-rho, r)])
     for i in range(1, d + 1):
         for name, acc, terms, proj in (
-                ("section5.ii.low", low, (rl2, l2r), estar[i]),
-                ("section5.ii.high", high, (r2l, lr2), estar[i - 1])):
+                ("section5.ii.low", low, (w.rll, w.llr), estar[i]),
+                ("section5.ii.high", high, (w.rrl, w.lrr), estar[i - 1])):
             pairs = list(zip((co.eminus[i], co.eplus[i]), terms))
             acc = acc.combination((c, t) for c, t in pairs if c is not None)
             stray = [t * proj for c, t in pairs if c is None]
@@ -159,14 +143,24 @@ def check_section5(sys: TridiagonalSystem, rfl: RFLDecomposition,
             out.extend(res(name, (i,), t) for t in stray
                        if not t.is_zero())
 
-    com_lr = commutator(f, lr)
-    com_rl = commutator(f, rl)
     zero, ts = Matrix.zeros(sys.field, sys.n, sys.n), params.thetastar_ext
     for i in range(0, d + 1):
-        bal = zero.combination([(ts(sys, i) - ts(sys, i + 1), com_lr),
-                                (ts(sys, i) - ts(sys, i - 1), com_rl)])
+        bal = zero.combination([(ts(sys, i) - ts(sys, i + 1), w.com_lr),
+                                (ts(sys, i) - ts(sys, i - 1), w.com_rl)])
         out.append(res("section5.iii", (i,), bal * estar[i]))
     return out
+
+
+def _section5_words(r: Matrix, f: Matrix, l: Matrix) -> SimpleNamespace:
+    """The words in R, F and L that check_section5 combines, named by
+    their letters, each the first letter times a word named before it,
+    and the commutators com_lr = [F, LR] and com_rl = [F, RL]."""
+    w = {"r": r, "f": f, "l": l}
+    for x in ("ll rr ff fl lf fr rf lr rl fll llf lfl rrf frr rfr rll lrl "
+              "llr rrl rlr lrr lff flf ffl ffr frf rff").split():
+        w[x] = w[x[0]] * w[x[1:]]
+    return SimpleNamespace(com_lr=commutator(f, w["lr"]),
+                           com_rl=commutator(f, w["rl"]), **w)
 
 
 def check_section10(sys: TridiagonalSystem, rfl: RFLDecomposition
@@ -179,32 +173,46 @@ def check_section10(sys: TridiagonalSystem, rfl: RFLDecomposition
     and P^-1 B_i, which have full row and column rank, so E_i A*^k E_j
     has the rank of the rho_i x rho_j matrix C_i P (P^-1 A* P)^k P^-1 B_j.
     """
-    d = sys.d
-    rho = sys.shape
+    d, rho = sys.d, sys.shape
     fr = frame_of(sys)
-    ident = Matrix.identity(sys.field, sys.n)
-    r_pow, l_pow = (powers(ident, m, d) for m in fr.moved(
-        rfl.system, "PP", rfl.raising, rfl.lowering))
-    a_pow, astar_pow = (powers(ident, m, d) for m in (fr.a_pp, fr.astar_pp))
-    e, es = fr.e_thin, fr.es_pp
+    r, l = fr.moved(rfl.system, "PP", rfl.raising, rfl.lowering)
+    e = fr.e_thin
+    eas = _sandwich_ranks([x[1] for x in e], powers(
+        Matrix.identity(sys.field, sys.n), fr.astar_pp, d), [x[0] for x in e])
     entries: List[RankEntry] = []
-    for i in range(d + 1):
-        for j in range(i, d + 1):
-            k = j - i
-            expected_up = rho[i] if i + j <= d else rho[j]
-            expected_down = rho[j] if i + j >= d else rho[i]
-            entries.append(RankEntry(
-                "R_power", i, j, (r_pow[k] * es[i]).rank(), expected_up))
-            entries.append(RankEntry(
-                "L_power", i, j, (l_pow[k] * es[j]).rank(), expected_down))
-            low = min(rho[i], rho[j])
-            entries.append(RankEntry(
-                "EsAEs", i, j, (es[i] * a_pow[k] * es[j]).rank(), low))
-            entries.append(RankEntry(
-                "EsAEs_rev", i, j, (es[j] * a_pow[k] * es[i]).rank(), low))
-            entries.append(RankEntry(
-                "EAsE", i, j, (e[i][1] * astar_pow[k] * e[j][0]).rank(), low))
-            entries.append(RankEntry(
-                "EAsE_rev", i, j, (e[j][1] * astar_pow[k] * e[i][0]).rank(),
-                low))
+    for (i, j), ranks in fr.keep(_dual_ranks, fr.es_pp, fr.a_pp, r,
+                                 l).items():
+        low = min(rho[i], rho[j])
+        expected = (rho[i] if i + j <= d else rho[j],
+                    rho[j] if i + j >= d else rho[i], low, low, low, low)
+        entries += [RankEntry(name, i, j, x, want) for name, x, want in zip(
+            ("R_power", "L_power", "EsAEs", "EsAEs_rev", "EAsE", "EAsE_rev"),
+            ranks + eas[i, j], expected)]
     return RankTable("section10", tuple(entries))
+
+
+def _sandwich_ranks(left: List[Matrix], pw: List[Matrix],
+                    right: List[Matrix]) -> Dict[tuple, tuple]:
+    """(i, j) -> the ranks of left_i pw_k right_j and left_j pw_k right_i,
+    for i <= j and k = j - i: one rank of left_i right_i at i = j, pw_0
+    being I, and each left_i pw_k formed once."""
+    top = len(pw)
+    held = {(a, k): left[a] * pw[k] for a in range(top)
+            for k in range(1, top) if a + k < top or a >= k}
+    return {(i, j): ((held[i, j - i] * right[j]).rank(),
+                     (held[j, j - i] * right[i]).rank()) if i < j
+            else ((left[i] * right[i]).rank(),) * 2
+            for i in range(top) for j in range(i, top)}
+
+
+def _dual_ranks(es: List[Matrix], a: Matrix, r: Matrix, l: Matrix
+                ) -> Dict[tuple, tuple]:
+    """(i, j) -> the observed ranks of check_section10 that read only the
+    dual side: R_power, L_power, EsAEs and EsAEs_rev; at i = j R_power
+    and L_power are both the rank of E*_i."""
+    d, ident = len(es) - 1, Matrix.identity(a.field, a.nrows)
+    r_pow, l_pow = (powers(ident, m, d) for m in (r, l))
+    sandwich = _sandwich_ranks(es, powers(ident, a, d), es)
+    return {(i, j): ((r_pow[j - i] * es[i]).rank(),
+                     (l_pow[j - i] * es[j]).rank()) + x if i < j
+            else (es[i].rank(),) * 2 + x for (i, j), x in sandwich.items()}

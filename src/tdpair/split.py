@@ -12,10 +12,10 @@ from typing import Dict, List, Tuple
 from .errors import (DecompositionError, InternalInconsistencyError,
                      SingularMatrixError)
 from .frame import Frame, frame_of
-from .linalg import Subspace, _int_insert, _span, inverse
+from .linalg import Subspace, _int_insert, _numerators, _span, inverse
 from .matrix import Matrix, _new
 from .results import RankEntry, RankTable, Residual
-from .systems import TridiagonalSystem, _act
+from .systems import TridiagonalSystem
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
     check_section7 and check_split_bijectivity, which report them.
 
     F_i is the identity on block i of Q.  The other maps are read off
-    the split's frame, built once from Q and the F_i and kept as
+    the split's frame, built once from Q, T and the F_i and kept as
     frame_of(sys, split): the shifted maps from its A and A* in Q, the
     transition maps as sums of its F_i E*_i and E*_i F_i.
     """
@@ -83,19 +83,23 @@ def compute_split(sys: TridiagonalSystem) -> SplitDecomposition:
             raise InternalInconsistencyError(
                 f"summand {i} has dimension {len(cols[i])}, "
                 f"expected {sys.shape[i]}")
-    # U_i is the column space of P T_i, for T_i those columns, and T
-    # stacks them: Q = P T, singular when a row fell in two summands
+    # T stacks those columns, singular when a row fell in two summands,
+    # and U_i is the span of the columns of Q = P T in block i
     p, p_inv = fr.bases["P"]
-    summands = [_span(field, n, [_act(p, col) for col in c]) for c in cols]
-    t = Matrix.from_columns(field, [col for c in cols for col in c])
+    flat = [col for c in cols for col in c]
+    t = _new(field, n, n, {j: {k: x for k, x in enumerate(col) if x}
+                           for j, col in enumerate(flat)}).transpose()
     try:
-        basis = (p * t, inverse(t) * p_inv)
+        t_inv = inverse(t)
     except SingularMatrixError as exc:
         raise DecompositionError("sum of subspaces is not direct") from exc
+    basis = (p * t, t_inv * p_inv)
+    q_cols = iter(_numerators(basis[0].transpose()))
+    summands = [_span(field, n, [next(q_cols) for _ in c]) for c in cols]
     block = [i for i, c in enumerate(cols) for _ in c]
     f = [_new(field, n, n, {k: {k: 1} for k, b in enumerate(block)
                             if b == i}) for i in range(d + 1)]
-    sf, zero = Frame(sys, basis, f), Matrix.zeros(field, n, n)
+    sf, zero = Frame(sys, basis, f, (t, t_inv)), Matrix.zeros(field, n, n)
     # A - sum theta_i F_i and A* - sum thetastar_i F_i
     raising, lowering = (
         x.combination((-t, fi) for t, fi in zip(th, f))

@@ -467,6 +467,11 @@ def analyze_pair(a: Matrix, astar: Matrix) -> PairAnalysis:
                   else [order_astar, order_astar[::-1]])
     systems = [_assemble_system(field, fam, fam_star, oa, ob)
                for oa in variants_a for ob in variants_b]
+    # twins, the systems with one order of the dual eigenspaces, share
+    # the dual side of their frames (frame.Frame)
+    duals = [{} for _ in variants_b]
+    for k, s in enumerate(systems):
+        object.__setattr__(s, "_dual", duals[k % len(duals)])
     return PairAnalysis(tuple(systems), None)
 
 
@@ -565,18 +570,26 @@ def check_tridiagonal_relations(sys: TridiagonalSystem,
     if params is None:
         params = compute_relation_parameters(sys)
     fr = frame_of(sys)
+    words = fr.keep(_relation_words, fr.a_pp, fr.astar_pp)
 
-    def residual(check_id: str, x, y, gamma: Scalar,
-                 rho: Scalar) -> Residual:
-        xy, yx = x * y, y * x
-        inner = (x * xy).combination([(-params.beta, xy * x), (1, yx * x),
-                                      (-gamma, xy), (-gamma, yx), (-rho, y)])
+    def residual(check_id: str, x, y, gamma: Scalar, rho: Scalar,
+                 xy, yx, x_xy, xy_x, yx_x) -> Residual:
+        inner = x_xy.combination([(-params.beta, xy_x), (1, yx_x),
+                                  (-gamma, xy), (-gamma, yx), (-rho, y)])
         return fr.residual(check_id, (), commutator(x, inner), "PP")
 
     return (residual("relations.A", fr.a_pp, fr.astar_pp, params.gamma,
-                     params.rho),
+                     params.rho, *words[0]),
             residual("relations.Astar", fr.astar_pp, fr.a_pp,
-                     params.gammastar, params.rhostar))
+                     params.gammastar, params.rhostar, *words[1]))
+
+
+def _relation_words(a: Matrix, b: Matrix) -> list:
+    """xy, yx, x xy, xy x and yx x for (x, y) = (a, b) and (b, a), with
+    ab and ba formed once."""
+    ab, ba = a * b, b * a
+    return [(xy, yx, x * xy, xy * x, yx * x)
+            for x, xy, yx in ((a, ab, ba), (b, ba, ab))]
 
 
 # -- serialization -----------------------------------------------------------

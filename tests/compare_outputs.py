@@ -55,11 +55,14 @@ at rank 3 and 4.  Runs `construct`,
 the conjugated pairs only verified and reported, and on each accepted
 benchmark input also
 `verify --checks master,section11`, which takes the subset path of the
-check suite.  For each of the fourteen inputs rejected as reducible it
-also records, as a run of its own, the reason, the detail and the basis
-columns of the witness that `analyze_pair` returns, which no command
-prints.  All of this once with BASE's `src` on the path and once with
-this tree's.  Exits 1 when any run differs in standard
+check suite, and on each of those of diameter at most 2, where beta is
+free, `verify --beta 3`, which runs every check with the relation
+parameters of another beta on the dual frames that the two systems of
+one order of the dual eigenspaces share.  For each of the fourteen
+inputs rejected as reducible it also records, as a run of its own, the
+reason, the detail and the basis columns of the witness that
+`analyze_pair` returns, which no command prints: 274 runs in all.  All
+of this once with BASE's `src` on the path and once with this tree's.  Exits 1 when any run differs in standard
 output, standard error or exit code, and prints for each run that differs
 its argv, both exit codes and the first differing line of standard output
 or standard error.  pytest does not collect this file.
@@ -251,8 +254,10 @@ def emit(tree: str) -> None:
                              ["report", path, "--format", "csv"]):
                     runs.append([argv, *_call(cli, argv)])
             if name in accepted:
-                argv = ["verify", path, "--checks", "master,section11"]
-                runs.append([argv, *_call(cli, argv)])
+                argvs = [["verify", path, "--checks", "master,section11"]]
+                argvs += [["verify", path, "--beta", "3"]] * (case.d <= 2)
+                for argv in argvs:
+                    runs.append([argv, *_call(cli, argv)])
             if case.reason == REDUCIBLE:
                 runs.append(witness_run(name, case))
         os.chdir(ROOT)

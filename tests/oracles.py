@@ -69,6 +69,13 @@ def dense_view(x) -> SimpleNamespace:
                               for f in fields(x)})
 
 
+def split_t(sys, basis) -> Tuple[Matrix, Matrix]:
+    """(T, T^-1) for T = P^-1 Q, basis = (Q, Q^-1) and P the dual basis of
+    sys: what Frame takes with a basis that compute_split did not make."""
+    (p, p_inv), (q, q_inv) = frame_of(sys).bases["P"], basis
+    return p_inv * q, q_inv * p
+
+
 def split_in_canonical_bases(split) -> SplitDecomposition:
     """The split decomposition of split.system with the summands of
     split, built as compute_split built it before it took Q = P T: in
@@ -81,7 +88,8 @@ def split_in_canonical_bases(split) -> SplitDecomposition:
     block = [i for i, s in enumerate(summands) for _ in range(s.dim)]
     f = [Matrix.diagonal(field, [int(b == i) for b in block])
          for i in range(sys.d + 1)]
-    fr, zero = Frame(sys, (q, q_inv), f), Matrix.zeros(field, n, n)
+    fr = Frame(sys, (q, q_inv), f, split_t(sys, (q, q_inv)))
+    zero = Matrix.zeros(field, n, n)
     raising, lowering = (
         x - sum(map(Matrix.scale, f, th), zero)
         for x, th in ((fr.a, sys.theta), (fr.astar, sys.thetastar)))

@@ -12,9 +12,11 @@ from tdpair import (CHECK_IDS, KrawtchoukParams, MalformedInputError,
                     construct_krawtchouk, construct_leonard, inverse,
                     run_all_checks)
 from tdpair import frame, linalg, split
+from tdpair import report as reporting
 from tdpair.frame import Frame
 
 from oracles import analyze_tensor_sum, result_for
+from test_shared_dual import PAIRS
 
 
 @pytest.fixture(scope="module")
@@ -182,8 +184,8 @@ def spied_frames(monkeypatch):
     """The list to which every split frame built from now on is added."""
     built, init = [], Frame.__init__
 
-    def spy(self, sys, basis=None, projectors=()):
-        init(self, sys, basis, projectors)
+    def spy(self, sys, basis=None, projectors=(), t=()):
+        init(self, sys, basis, projectors, t)
         if basis is not None:
             built.append(self)
 
@@ -193,8 +195,9 @@ def spied_frames(monkeypatch):
 
 def test_split_operators_formed_once(kraw3, monkeypatch):
     """run_all_checks builds one split frame, the one compute_split reads
-    its maps off: T = P^-1 Q is formed once, and A* is conjugated into P
-    once, for the system's frame, which the split frame shares."""
+    its maps off, and it takes T and T^-1 from compute_split: no product
+    P^-1 Q or Q^-1 P is formed.  A* is conjugated into P once, for the
+    system's frame, which the split frame shares."""
     system = dataclasses.replace(kraw3)
     conj, mul = Frame.conj, Matrix.__mul__
     products, astar_conj = [], []
@@ -213,8 +216,9 @@ def test_split_operators_formed_once(kraw3, monkeypatch):
     monkeypatch.setattr(Frame, "conj", spy_conj)
     assert run_all_checks(system).ok
     assert len(built) == 1
-    p_inv, q = built[0].bases["P"][1], built[0].bases["Q"][0]
-    assert sum(a is p_inv and b is q for a, b in products) == 1
+    (p, p_inv), (q, q_inv) = built[0].bases["P"], built[0].bases["Q"]
+    assert not [(a, b) for a, b in products
+                if a is p_inv and b is q or a is q_inv and b is p]
     assert astar_conj == ["PP"]
 
 
@@ -224,6 +228,38 @@ def test_construct_builds_one_split_frame(monkeypatch):
     built = spied_frames(monkeypatch)
     construct_krawtchouk(KrawtchoukParams(field=QQ, d=4, p=Fraction(1, 3)))
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("name", ["krawtchouk-qq-d4", "tensor-gf101-12321"])
+def test_no_check_forms_a_product_twice(name, monkeypatch):
+    """Within each of section12, section10, descent, diagrams and the
+    relations, as run_all_checks runs them, no two operand objects are
+    multiplied twice; the spy holds the operands, so no id is reused."""
+    analysis = PAIRS[name]()
+    made, mul = [], Matrix.__mul__
+
+    def spy_mul(a, b):
+        if isinstance(b, Matrix):
+            made.append((a, b))
+        return mul(a, b)
+
+    def watched(check):
+        def run(*args):
+            made.clear()
+            out = check(*args)
+            pairs = [(id(a), id(b)) for a, b in made]
+            assert len(set(pairs)) == len(pairs), check.__name__
+            return out
+        return run
+
+    for name in ("check_section12", "check_section10", "check_descent",
+                 "check_diagrams", "check_tridiagonal_relations"):
+        monkeypatch.setattr(reporting, name,
+                            watched(getattr(reporting, name)))
+    monkeypatch.setattr(Matrix, "__mul__", spy_mul)
+    for s in analysis.systems:
+        assert run_all_checks(s).ok
+    assert made
 
 
 def test_conj_takes_two_products_with_the_held_bases(kraw3, monkeypatch):

@@ -34,7 +34,7 @@ from tdpair import (Matrix, TdpairError, check_descent, check_diagrams,
 from tdpair import frame
 from tdpair.frame import Frame, frame_of
 
-from oracles import dense_view, idempotents
+from oracles import dense_view, idempotents, split_t
 from test_check_coverage import CORRUPT_RFL, SPLIT_CASES
 from test_rank_tables import SYSTEMS, merged, swapped, with_idempotents
 
@@ -276,7 +276,8 @@ def test_kept_factors_give_the_conjugated_frame(name, corruption):
     system, split, _ = corrupted(SYSTEMS[name](), corruption)
     got = frame_of(system, split)
     want = conjugated_split(system, split)
-    want = Frame(system, want.basis, want.projectors).read_maps(want)
+    want = Frame(system, want.basis, want.projectors,
+                 split_t(system, want.basis)).read_maps(want)
     for op in FRAME_OPERATORS:
         assert sparse_rows(getattr(got, op)) \
             == sparse_rows(getattr(want, op)), op
@@ -295,7 +296,8 @@ def test_split_with_another_system_falls_back(monkeypatch):
     inverted = []
     monkeypatch.setattr(frame, "inverse",
                         lambda m: inverted.append(m) or inverse(m))
-    own, moved = (Frame(x, split.basis, split.projectors).read_maps(split)
+    own, moved = (Frame(x, split.basis, split.projectors,
+                        split_t(x, split.basis)).read_maps(split)
                   for x in (system, other))
     assert not inverted
     assert own.psi_qp is split.transition
